@@ -2,9 +2,7 @@
 
 Tensors wrap float64 numpy arrays. Every op appends one record to a Tape;
 records are topologically ordered by construction, so a single reverse sweep
-computes all gradients. Each op checks its output for NaN/inf and fails fast
-(padding masks may carry -inf, but they enter ops as plain constants, never
-as op outputs).
+computes all gradients. Each op checks its output for NaN/inf and fails fast.
 """
 
 import itertools
@@ -27,12 +25,11 @@ _SQRT_PI = float(np.sqrt(np.pi))
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "name", "id")
+    __slots__ = ("data", "requires_grad", "name", "id")
 
     def __init__(self, data, requires_grad=False, name=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
-        self.grad = None
         self.name = name
         self.id = next(_ids)
 
@@ -68,11 +65,8 @@ def record_op(tape, name, inputs, out_data, backward_fn):
 def backward(tape, loss, keep=()):
     """Run the reverse sweep from a scalar loss.
 
-    Returns {tensor id: this pass's gradient} and also accumulates into each
-    reached tensor's .grad attribute, so calling twice without zero_grads
-    doubles the stored gradients while the returned map stays per-pass.
-    Intermediate gradients are dropped once consumed unless the tensor id is
-    listed in keep.
+    Returns {tensor id: gradient}. Intermediate gradients are dropped once
+    consumed unless the tensor id is listed in keep.
     """
     if loss.data.shape != ():
         raise ValueError("backward expects a scalar loss")
@@ -94,20 +88,7 @@ def backward(tape, loss, keep=()):
                 grads[t.id] = grads[t.id] + ig
             else:
                 grads[t.id] = ig
-    seen = {}
-    for name, inputs, out, backward_fn in tape.records:
-        for t in inputs:
-            if t.requires_grad and t.id in grads:
-                seen[t.id] = t
-    for t in seen.values():
-        g = grads[t.id]
-        t.grad = g.copy() if t.grad is None else t.grad + g
     return grads
-
-
-def zero_grads(tensors):
-    for t in tensors:
-        t.grad = None
 
 
 def _unbroadcast(g, shape):
@@ -141,17 +122,6 @@ def mul(tape, a, b):
     def bw(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
     return record_op(tape, "mul", (a, b), a.data * b.data, bw)
-
-
-def div(tape, a, b):
-    out_data = a.data / b.data
-
-    def bw(g):
-        return (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * out_data / b.data, b.shape),
-        )
-    return record_op(tape, "div", (a, b), out_data, bw)
 
 
 def neg(tape, a):
@@ -201,36 +171,6 @@ def reverse_rows(tape, a):
                      lambda g: (g[::-1],))
 
 
-def slice_rows(tape, a, start, stop):
-    start, stop = int(start), int(stop)
-
-    def bw(g):
-        da = np.zeros_like(a.data)
-        da[start:stop] = g
-        return (da,)
-    return record_op(tape, "slice_rows", (a,), a.data[start:stop].copy(), bw)
-
-
-def pad_rows(tape, a, total):
-    """Append zero rows until the tensor has `total` rows."""
-    n = a.data.shape[0]
-    if total < n:
-        raise ValueError(f"cannot pad {n} rows down to {total}")
-    out_data = np.zeros((total,) + a.data.shape[1:])
-    out_data[:n] = a.data
-    return record_op(tape, "pad_rows", (a,), out_data, lambda g: (g[:n],))
-
-
-def gather_rows(tape, table, idx):
-    idx = np.asarray(idx, dtype=np.int64)
-
-    def bw(g):
-        dt = np.zeros_like(table.data)
-        np.add.at(dt, idx, g)
-        return (dt,)
-    return record_op(tape, "gather_rows", (table,), table.data[idx], bw)
-
-
 def repeat_entries(tape, a, reps):
     """Tile each entry of a 1-D tensor `reps` times (head -> per-dim layout)."""
     reps = int(reps)
@@ -240,41 +180,10 @@ def repeat_entries(tape, a, reps):
     return record_op(tape, "repeat_entries", (a,), np.repeat(a.data, reps), bw)
 
 
-def pick_per_row(tape, a, idx):
-    idx = np.asarray(idx, dtype=np.int64)
-    rows = np.arange(a.data.shape[0])
-
-    def bw(g):
-        da = np.zeros_like(a.data)
-        da[rows, idx] = g
-        return (da,)
-    return record_op(tape, "pick_per_row", (a,), a.data[rows, idx], bw)
-
-
 def sum_all(tape, a):
     def bw(g):
         return (np.full(a.shape, float(g)),)
     return record_op(tape, "sum_all", (a,), a.data.sum(), bw)
-
-
-def mean_all(tape, a):
-    n = a.data.size
-
-    def bw(g):
-        return (np.full(a.shape, float(g) / n),)
-    return record_op(tape, "mean_all", (a,), a.data.mean(), bw)
-
-
-def logsumexp(tape, a, axis):
-    """Max-shifted log-sum-exp; -inf entries contribute exactly zero mass."""
-    m = a.data.max(axis=axis, keepdims=True)
-    out_data = np.squeeze(m, axis=axis) + np.log(
-        np.exp(a.data - m).sum(axis=axis))
-
-    def bw(g):
-        w = np.exp(a.data - np.expand_dims(out_data, axis))
-        return (np.expand_dims(g, axis) * w,)
-    return record_op(tape, "logsumexp", (a,), out_data, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -289,40 +198,10 @@ def sigmoid(tape, a):
     return record_op(tape, "sigmoid", (a,), y, bw)
 
 
-def tanh(tape, a):
-    y = np.tanh(a.data)
-
-    def bw(g):
-        return (g * (1.0 - y * y),)
-    return record_op(tape, "tanh", (a,), y, bw)
-
-
-def exp(tape, a):
-    y = np.exp(a.data)
-
-    def bw(g):
-        return (g * y,)
-    return record_op(tape, "exp", (a,), y, bw)
-
-
 def log(tape, a):
     def bw(g):
         return (g / a.data,)
     return record_op(tape, "log", (a,), np.log(a.data), bw)
-
-
-def erf(tape, a):
-    def bw(g):
-        return (g * (2.0 / _SQRT_PI) * np.exp(-np.square(a.data)),)
-    return record_op(tape, "erf", (a,), _erf(a.data), bw)
-
-
-def softplus(tape, a):
-    y = np.logaddexp(0.0, a.data)
-
-    def bw(g):
-        return (g * _expit(a.data),)
-    return record_op(tape, "softplus", (a,), y, bw)
 
 
 def silu_standard(tape, a):
@@ -377,23 +256,14 @@ def layer_norm(tape, x, gain, bias, eps=1e-5):
     return record_op(tape, "layer_norm", (x, gain, bias), out_data, bw)
 
 
-def feature_norm(tape, x, gain, bias, row_mask=None, eps=1e-5):
-    """Standardize each feature over the (unmasked) positions, then affine.
+def feature_norm(tape, x, gain, bias, eps=1e-5):
+    """Standardize each feature over the sequence positions, then affine.
 
-    Statistics come only from rows where row_mask is True; every row is
-    transformed. This is the batch-statistics alternative to layer_norm for
-    variable-length sequences.
+    This is the batch-statistics alternative to layer_norm.
     """
-    if row_mask is None:
-        stat = np.ones(x.data.shape[0], dtype=bool)
-    else:
-        stat = np.asarray(row_mask, dtype=bool)
-    n_stat = int(stat.sum())
-    if n_stat == 0:
-        raise DegenerateRowError("feature_norm has no unmasked positions")
-    sel = x.data[stat]
-    mu = sel.mean(axis=0)
-    var = sel.var(axis=0)
+    n = x.data.shape[0]
+    mu = x.data.mean(axis=0)
+    var = x.data.var(axis=0)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
     out_data = xhat * gain.data + bias.data
@@ -403,7 +273,7 @@ def feature_norm(tape, x, gain, bias, row_mask=None, eps=1e-5):
         dvar = (dxhat * (x.data - mu)).sum(axis=0) * (-0.5) * inv ** 3
         dmu = (dxhat * -inv).sum(axis=0)
         dx = dxhat * inv
-        dx[stat] += dvar * 2.0 * (x.data[stat] - mu) / n_stat + dmu / n_stat
+        dx += dvar * 2.0 * (x.data - mu) / n + dmu / n
         dgain = _unbroadcast(g * xhat, gain.shape)
         dbias = _unbroadcast(g, bias.shape)
         return dx, dgain, dbias

@@ -19,6 +19,7 @@ from .model import HrebModel
 
 MAGIC = b"HREB"
 VERSION = 1
+HEADER_KEYS = ("config", "tokens", "tags", "params", "cache_dims")
 
 
 def _pack(arr):
@@ -73,6 +74,11 @@ def load_checkpoint(path):
             header = json.loads(_read_exact(fh, hlen, "header").decode("utf-8"))
         except ValueError:
             raise CheckpointError(f"{path}: corrupt checkpoint header")
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: checkpoint header is not a JSON object")
+        missing = [k for k in HEADER_KEYS if k not in header]
+        if missing:
+            raise CheckpointError(f"{path}: checkpoint header lacks {', '.join(missing)}")
         params = {}
         for entry in header["params"]:
             shape = tuple(entry["shape"])
@@ -84,6 +90,8 @@ def load_checkpoint(path):
             cf = np.frombuffer(_read_exact(fh, 8 * d, "gate cache"), dtype="<f8").copy()
             cx = np.frombuffer(_read_exact(fh, 8 * d, "gate cache"), dtype="<f8").copy()
             caches.append((cf, cx))
+        if fh.read(1):
+            raise CheckpointError(f"{path}: unexpected bytes after the last gate cache")
     config = RunConfig.from_dict(header["config"])
     vocab = Vocab.from_maps(header["tokens"], header["tags"])
     return config, vocab, {"params": params, "caches": caches}

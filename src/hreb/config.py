@@ -107,6 +107,8 @@ class RunConfig:
             raise ConfigError("key 'adam_eps': must be > 0")
         if not 0.0 <= self.stop_f1 <= 1.0:
             raise ConfigError("key 'stop_f1': must lie in [0, 1]")
+        if self.embeddings == "file" and not self.embedding_path:
+            raise ConfigError("key 'embedding_path' is required when embeddings=file")
         n_head = self.n_ema_head if self.n_ema_head else self.d_model
         if self.d_model % n_head:
             raise ConfigError(

@@ -13,9 +13,6 @@ from . import autodiff as ad
 from . import kernels
 from .errors import NumericsError
 
-# Times a gold-label probability underflowed the token_nll clamp.
-CLAMP_EVENTS = 0
-
 PROB_FLOOR = 1e-12
 
 
@@ -103,42 +100,15 @@ def token_nll(tape, probs, onehot):
     """Per-token cross entropy, summed: the no-decoder ablation loss.
 
     probs rows must already be simplexes. Gold-label probabilities below
-    PROB_FLOOR are clamped there; each such batch trips a warning and bumps
-    the module counter.
+    PROB_FLOOR are clamped there; each such batch trips a warning naming
+    how many were.
     """
-    global CLAMP_EVENTS
     onehot = np.asarray(onehot, dtype=np.float64)
     gold = probs.data[onehot > 0]
     n_low = int((gold < PROB_FLOOR).sum())
     if n_low:
-        CLAMP_EVENTS += n_low
         warnings.warn(
             f"{n_low} gold-label probabilities fell below {PROB_FLOOR}; clamped")
     clamped = ad.clamp_min(tape, probs, PROB_FLOOR)
     picked = ad.mul(tape, ad.log(tape, clamped), ad.Tensor(onehot, name="onehot"))
     return ad.neg(tape, ad.sum_all(tape, picked))
-
-
-def clamp_count():
-    return CLAMP_EVENTS
-
-
-def hmm_joint_log_prob(init, trans, emit, observations, states):
-    """log P(states, observations) under a discrete HMM: the generative
-    counterpart the discriminative chain is usually contrasted with.
-
-    Zero-probability factors yield -inf, not an error.
-    """
-    init = np.asarray(init, dtype=np.float64)
-    trans = np.asarray(trans, dtype=np.float64)
-    emit = np.asarray(emit, dtype=np.float64)
-    states = np.asarray(states, dtype=np.int64)
-    observations = np.asarray(observations, dtype=np.int64)
-    if states.shape != observations.shape:
-        raise ValueError("states and observations must have equal length")
-    with np.errstate(divide="ignore"):
-        lp = np.log(init[states[0]]) + np.log(emit[states[0], observations[0]])
-        for t in range(1, states.shape[0]):
-            lp += np.log(trans[states[t - 1], states[t]])
-            lp += np.log(emit[states[t], observations[t]])
-    return float(lp)

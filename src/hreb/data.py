@@ -4,9 +4,7 @@ Corpora are BIO-tagged sentences in CoNLL shape: one "token tag" line per
 token (tab or space separated), blank line between sentences, UTF-8.
 """
 
-import json
 import os
-from collections import Counter
 
 import numpy as np
 
@@ -271,14 +269,13 @@ def corpus_stats(corpus):
 
 
 class Batch:
-    """Padded id/tag arrays with a real-token mask."""
+    """Padded id/tag arrays plus each row's true length."""
 
-    __slots__ = ("ids", "tags", "mask", "lengths")
+    __slots__ = ("ids", "tags", "lengths")
 
-    def __init__(self, ids, tags, mask, lengths):
+    def __init__(self, ids, tags, lengths):
         self.ids = ids
         self.tags = tags
-        self.mask = mask
         self.lengths = lengths
 
 
@@ -293,13 +290,11 @@ def make_batches(sentences, batch_size, seed, vocab):
         width = max(len(s) for s in group)
         ids = np.full((len(group), width), vocab.pad_id, dtype=np.int64)
         tags = np.zeros((len(group), width), dtype=np.int64)
-        mask = np.zeros((len(group), width), dtype=bool)
         lengths = np.array([len(s) for s in group], dtype=np.int64)
         for r, s in enumerate(group):
             ids[r, :len(s)] = vocab.encode_tokens(s.tokens)
             tags[r, :len(s)] = vocab.encode_tags(s.tags)
-            mask[r, :len(s)] = True
-        batches.append(Batch(ids, tags, mask, lengths))
+        batches.append(Batch(ids, tags, lengths))
     return batches
 
 
@@ -350,31 +345,3 @@ def synth_corpus(seed, n_sentences=64, entity_types=3):
     dev = [sentence() for _ in range(max(4, n_sentences // 4))]
     test = [sentence() for _ in range(n_sentences)]
     return Corpus(train, dev, test)
-
-
-def split_corpus(sentences, seed, ratios=(0.7, 0.15, 0.15)):
-    """Seeded re-split into train/dev/test by the given fractions."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("split ratios must sum to 1")
-    order = np.random.default_rng(seed).permutation(len(sentences))
-    n = len(sentences)
-    n_train = int(round(ratios[0] * n))
-    n_dev = int(round(ratios[1] * n))
-    idx = {"train": order[:n_train],
-           "dev": order[n_train:n_train + n_dev],
-           "test": order[n_train + n_dev:]}
-    pick = lambda ids: [sentences[i] for i in ids]
-    return Corpus(pick(idx["train"]), pick(idx["dev"]), pick(idx["test"])), idx
-
-
-def write_split_file(path, idx):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({k: [int(i) for i in v] for k, v in idx.items()}, fh, indent=0)
-        fh.write("\n")
-
-
-def read_split_file(path, sentences):
-    with open(path, encoding="utf-8") as fh:
-        idx = json.load(fh)
-    pick = lambda ids: [sentences[i] for i in ids]
-    return Corpus(pick(idx["train"]), pick(idx["dev"]), pick(idx["test"]))

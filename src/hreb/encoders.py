@@ -47,7 +47,11 @@ def load_embedding_file(path, vocab, d_model, seed=0):
     uniform(-0.1, 0.1) rows; the hit fraction lands in table.coverage.
     """
     vectors = {}
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as e:
+        raise ConfigError(f"cannot read embedding file {path}: {e.strerror}")
+    with fh:
         header = fh.readline()
         parts = header.split()
         if len(parts) != 2:
@@ -120,20 +124,9 @@ class BiLstm:
     def params(self):
         return self.fwd.params() + self.bwd.params()
 
-    def forward(self, tape, x, length=None):
-        """Encode x (seq, d_in) -> (seq, 2h). Positions at index >= length
-        output zeros and contribute nothing to the recurrences."""
-        n = x.data.shape[0]
-        if length is None:
-            length = n
-        length = int(length)
-        if length > n:
-            raise ValueError(f"length {length} exceeds {n} rows")
-        xs = x if length == n else ad.slice_rows(tape, x, 0, length)
-        f = ad.lstm_seq(tape, ad.matmul(tape, xs, self.fwd.w), self.fwd.u, self.fwd.b)
-        rev = ad.reverse_rows(tape, xs)
+    def forward(self, tape, x):
+        """Encode x (seq, d_in) -> (seq, 2h)."""
+        f = ad.lstm_seq(tape, ad.matmul(tape, x, self.fwd.w), self.fwd.u, self.fwd.b)
+        rev = ad.reverse_rows(tape, x)
         b = ad.lstm_seq(tape, ad.matmul(tape, rev, self.bwd.w), self.bwd.u, self.bwd.b)
-        out = ad.concat_cols(tape, f, ad.reverse_rows(tape, b))
-        if length != n:
-            out = ad.pad_rows(tape, out, n)
-        return out
+        return ad.concat_cols(tape, f, ad.reverse_rows(tape, b))

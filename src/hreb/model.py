@@ -80,7 +80,7 @@ class HrebModel:
         if ids.ndim != 1 or ids.size == 0:
             raise ValueError("expected a non-empty 1-d id sequence")
         x = embed_tokens(tape, ids, self.embed)
-        h = self.encoder.forward(tape, x, pad_mask=None, traces=traces)
+        h = self.encoder.forward(tape, x, traces=traces)
         ctx = self.lstm.forward(tape, h)
         return ad.add(tape, ad.matmul(tape, ctx, self.w_out), self.b_out)
 

@@ -1,7 +1,7 @@
 """Moving-average operators and the multi-head EMA layer.
 
-sma/wma/cma are plain sequence utilities. ema_scan and multihead_ema are
-differentiable tape ops; the EMA decay is learned through a sigmoid
+ema is the plain (non-tape) reference recurrence. multihead_ema is a
+differentiable tape op; the EMA decay is learned through a sigmoid
 reparameterization so each head's effective alpha stays in (0,1).
 """
 
@@ -9,51 +9,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError
-
-
-def sma(x, window):
-    """Mean over each full trailing window of length `window`.
-
-    Output has len(x) - window + 1 rows; positions without a full window
-    are dropped.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if window > x.shape[0]:
-        raise ValueError(f"window {window} exceeds sequence length {x.shape[0]}")
-    c = np.cumsum(x, axis=0, dtype=np.float64)
-    tail = c[window - 1:]
-    head = np.concatenate([np.zeros_like(c[:1]), c[:-window]], axis=0)
-    return (tail - head) / window
-
-
-def wma(x, weights):
-    """Weighted trailing average over full windows; weights[0] weights the
-    newest sample, weights[i] the sample i steps back."""
-    x = np.asarray(x, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    total = weights.sum()
-    if total == 0:
-        raise ValueError("weights sum to zero; cannot normalize")
-    w = weights.shape[0]
-    if w > x.shape[0]:
-        raise ValueError(f"window {w} exceeds sequence length {x.shape[0]}")
-    out = np.zeros((x.shape[0] - w + 1,) + x.shape[1:])
-    for i in range(w):
-        seg = x[w - 1 - i:x.shape[0] - i]
-        out += weights[i] * seg
-    return out / total
-
-
-def cma(x):
-    """Cumulative (prefix) means."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] == 0:
-        raise ValueError("empty sequence")
-    denom = np.arange(1, x.shape[0] + 1, dtype=np.float64)
-    denom = denom.reshape((-1,) + (1,) * (x.ndim - 1))
-    return np.cumsum(x, axis=0, dtype=np.float64) / denom
 
 
 def ema(x, alpha, h0=None):

@@ -43,9 +43,3 @@ class AdamState:
             v *= self.beta2
             v += (1.0 - self.beta2) * np.square(g)
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-
-def adam_step(params, grads, state):
-    """One optimizer step; returns (params, state) for call-site symmetry."""
-    state.step(params, grads)
-    return params, state

@@ -222,21 +222,18 @@ def chunk_pair_mask(n, chunk_size):
     return blocks[:, None] == blocks[None, :]
 
 
-def _norm(tape, x, gain, bias, config, pad_mask):
+def _norm(tape, x, gain, bias, config):
     if config.norm == "batch":
-        return ad.feature_norm(tape, x, gain, bias, row_mask=pad_mask)
+        return ad.feature_norm(tape, x, gain, bias)
     return ad.layer_norm(tape, x, gain, bias)
 
 
-def rhema_block(tape, x, params, config, pad_mask=None, trace=None):
+def rhema_block(tape, x, params, config, trace=None):
     """One full block: gated-attention sublayer, then feed-forward sublayer."""
-    n = x.data.shape[0]
-    allowed = chunk_pair_mask(n, config.chunk_size)
-    if pad_mask is not None:
-        allowed = allowed & np.asarray(pad_mask, dtype=bool)[None, :]
+    allowed = chunk_pair_mask(x.data.shape[0], config.chunk_size)
 
     def attn_branch(xin):
-        xn = _norm(tape, xin, params.norm1_gain, params.norm1_bias, config, pad_mask)
+        xn = _norm(tape, xin, params.norm1_gain, params.norm1_bias, config)
         z = shared_rep(tape, xn, params, config)
         q, k = qk_transform(tape, z, params)
         v = value_transform(tape, xn, params, config)
@@ -249,7 +246,7 @@ def rhema_block(tape, x, params, config, pad_mask=None, trace=None):
         return gated_output(tape, xn, z, o, params, config, trace)
 
     def ffn_branch(xin):
-        xn = _norm(tape, xin, params.norm2_gain, params.norm2_bias, config, pad_mask)
+        xn = _norm(tape, xin, params.norm2_gain, params.norm2_bias, config)
         h = ad.silu_paper(tape, ad.add(tape, ad.matmul(tape, xn, params.ffn_w1),
                                        params.ffn_b1))
         return ad.add(tape, ad.matmul(tape, h, params.ffn_w2), params.ffn_b2)
@@ -275,11 +272,11 @@ class HierarchicalEncoder:
     def gate_states(self):
         return self.local.gate_states() + self.global_.gate_states()
 
-    def forward(self, tape, x, pad_mask=None, traces=None):
+    def forward(self, tape, x, traces=None):
         t_local = AttentionTrace("local") if traces is not None else None
         t_global = AttentionTrace("global") if traces is not None else None
-        mid = rhema_block(tape, x, self.local, self.local_config, pad_mask, t_local)
-        out = rhema_block(tape, mid, self.global_, self.global_config, pad_mask, t_global)
+        mid = rhema_block(tape, x, self.local, self.local_config, t_local)
+        out = rhema_block(tape, mid, self.global_, self.global_config, t_global)
         if traces is not None:
             traces.extend([t_local, t_global])
         return out
@@ -338,23 +335,19 @@ class NaiveEncoder:
     def gate_states(self):
         return self.p.gate_states()
 
-    def forward(self, tape, x, pad_mask=None, traces=None):
+    def forward(self, tape, x, traces=None):
         c = self.config
         p = self.p
-        n = x.data.shape[0]
-        allowed = np.ones((n, n), dtype=bool)
-        if pad_mask is not None:
-            allowed = allowed & np.asarray(pad_mask, dtype=bool)[None, :]
         trace = AttentionTrace("naive") if traces is not None else None
 
         def attn_branch(xin):
-            xn = _norm(tape, xin, p.norm1_gain, p.norm1_bias, c, pad_mask)
+            xn = _norm(tape, xin, p.norm1_gain, p.norm1_bias, c)
             q = ad.matmul(tape, xn, p.w_q)
             k = ad.matmul(tape, xn, p.w_k)
             v = ad.matmul(tape, xn, p.w_v)
             scores = ad.scale(tape, ad.matmul(tape, q, ad.transpose(tape, k)),
                               1.0 / np.sqrt(c.d_model))
-            weights = ad.softmax_rows(tape, scores, allowed)
+            weights = ad.softmax_rows(tape, scores)
             if trace is not None:
                 trace.q, trace.k, trace.v = q.data.copy(), k.data.copy(), v.data.copy()
                 trace.scores = scores.data.copy()
@@ -362,7 +355,7 @@ class NaiveEncoder:
             return ad.matmul(tape, ad.matmul(tape, weights, v), p.w_o)
 
         def ffn_branch(xin):
-            xn = _norm(tape, xin, p.norm2_gain, p.norm2_bias, c, pad_mask)
+            xn = _norm(tape, xin, p.norm2_gain, p.norm2_bias, c)
             h = ad.silu_paper(tape, ad.add(tape, ad.matmul(tape, xn, p.ffn_w1),
                                            p.ffn_b1))
             return ad.add(tape, ad.matmul(tape, h, p.ffn_w2), p.ffn_b2)

@@ -97,7 +97,6 @@ def _epoch_pass(model, batches, opt, states, momentum):
         grads = ad.backward(tape, loss, keep=keep)
         opt.step(model.params(), grads)
         residual.commit_gate_caches(states, grads, momentum)
-        ad.zero_grads(model.params())
     return total / n_sent
 
 

@@ -72,11 +72,8 @@ def op_grad_checks(seed=0, tol=1e-4):
     vec = rng.standard_normal(d)
     pos = rng.uniform(0.5, 2.0, (n, d))
     sq = rng.standard_normal((d, d))
-    idx = np.array([2, 0, 2])
-    col_idx = np.array([1, 3, 0])
     mask = np.ones((n, n), dtype=bool)
     mask[0, 2] = mask[2, 0] = False
-    row_mask = np.array([True, True, False])
     n_classes = 3
     crf_t = rng.standard_normal((n_classes + 2, n_classes + 2))
     crf_t[:, n_classes] = -np.inf
@@ -92,17 +89,14 @@ def op_grad_checks(seed=0, tol=1e-4):
     beta = rng.standard_normal(d)
     mu = np.float64(0.3)
     sig_raw = np.float64(-0.8)
-    table = rng.standard_normal((5, d))
-    ids = np.array([3, 1, 3, 0])
 
     cases = [
         ("add/a", {"a": a, "b": b}, lambda t, s: ad.add(t, s["a"], s["b"]), "a"),
         ("add/bias", {"a": a, "b": vec}, lambda t, s: ad.add(t, s["a"], s["b"]), "b"),
+        ("sub/a", {"a": a, "b": b}, lambda t, s: ad.sub(t, s["a"], s["b"]), "a"),
         ("sub/b", {"a": a, "b": b}, lambda t, s: ad.sub(t, s["a"], s["b"]), "b"),
         ("mul/a", {"a": a, "b": vec}, lambda t, s: ad.mul(t, s["a"], s["b"]), "a"),
         ("mul/b", {"a": a, "b": vec}, lambda t, s: ad.mul(t, s["a"], s["b"]), "b"),
-        ("div/a", {"a": a, "b": pos}, lambda t, s: ad.div(t, s["a"], s["b"]), "a"),
-        ("div/b", {"a": a, "b": pos}, lambda t, s: ad.div(t, s["a"], s["b"]), "b"),
         ("neg", {"a": a}, lambda t, s: ad.neg(t, s["a"]), "a"),
         ("scale", {"a": a}, lambda t, s: ad.scale(t, s["a"], 1.7), "a"),
         ("clamp_min", {"a": pos}, lambda t, s: ad.clamp_min(t, s["a"], 1.0), "a"),
@@ -112,20 +106,10 @@ def op_grad_checks(seed=0, tol=1e-4):
         ("concat_cols/a", {"a": a, "b": b}, lambda t, s: ad.concat_cols(t, s["a"], s["b"]), "a"),
         ("concat_cols/b", {"a": a, "b": b}, lambda t, s: ad.concat_cols(t, s["a"], s["b"]), "b"),
         ("reverse_rows", {"a": a}, lambda t, s: ad.reverse_rows(t, s["a"]), "a"),
-        ("slice_rows", {"a": a}, lambda t, s: ad.slice_rows(t, s["a"], 1, 3), "a"),
-        ("pad_rows", {"a": a}, lambda t, s: ad.pad_rows(t, s["a"], 5), "a"),
-        ("gather_rows", {"a": table}, lambda t, s: ad.gather_rows(t, s["a"], ids), "a"),
         ("repeat_entries", {"a": vec}, lambda t, s: ad.repeat_entries(t, s["a"], 3), "a"),
-        ("pick_per_row", {"a": a}, lambda t, s: ad.pick_per_row(t, s["a"], col_idx), "a"),
         ("sum_all", {"a": a}, lambda t, s: ad.sum_all(t, s["a"]), "a"),
-        ("mean_all", {"a": a}, lambda t, s: ad.mean_all(t, s["a"]), "a"),
-        ("logsumexp", {"a": a}, lambda t, s: ad.logsumexp(t, s["a"], 1), "a"),
         ("sigmoid", {"a": a}, lambda t, s: ad.sigmoid(t, s["a"]), "a"),
-        ("tanh", {"a": a}, lambda t, s: ad.tanh(t, s["a"]), "a"),
-        ("exp", {"a": a}, lambda t, s: ad.exp(t, s["a"]), "a"),
         ("log", {"a": pos}, lambda t, s: ad.log(t, s["a"]), "a"),
-        ("erf", {"a": a}, lambda t, s: ad.erf(t, s["a"]), "a"),
-        ("softplus", {"a": a}, lambda t, s: ad.softplus(t, s["a"]), "a"),
         ("silu_standard", {"a": a}, lambda t, s: ad.silu_standard(t, s["a"]), "a"),
         ("silu_paper", {"a": a}, lambda t, s: ad.silu_paper(t, s["a"]), "a"),
         ("layer_norm/x", {"x": a, "g": gain, "b": beta},
@@ -135,9 +119,11 @@ def op_grad_checks(seed=0, tol=1e-4):
         ("layer_norm/bias", {"x": a, "g": gain, "b": beta},
          lambda t, s: ad.layer_norm(t, s["x"], s["g"], s["b"]), "b"),
         ("feature_norm/x", {"x": a, "g": gain, "b": beta},
-         lambda t, s: ad.feature_norm(t, s["x"], s["g"], s["b"], row_mask=row_mask), "x"),
+         lambda t, s: ad.feature_norm(t, s["x"], s["g"], s["b"]), "x"),
         ("feature_norm/gain", {"x": a, "g": gain, "b": beta},
-         lambda t, s: ad.feature_norm(t, s["x"], s["g"], s["b"], row_mask=row_mask), "g"),
+         lambda t, s: ad.feature_norm(t, s["x"], s["g"], s["b"]), "g"),
+        ("feature_norm/bias", {"x": a, "g": gain, "b": beta},
+         lambda t, s: ad.feature_norm(t, s["x"], s["g"], s["b"]), "b"),
         ("softmax_rows", {"s": a @ a.T},
          lambda t, s: ad.softmax_rows(t, s["s"], mask), "s"),
         ("laplace_map/scores", {"s": a @ a.T, "mu": mu, "sr": sig_raw},
@@ -146,7 +132,7 @@ def op_grad_checks(seed=0, tol=1e-4):
          lambda t, s: ad.laplace_map(t, s["s"], s["mu"], s["sr"], mask), "mu"),
         ("laplace_map/sigma", {"s": a @ a.T, "mu": mu, "sr": sig_raw},
          lambda t, s: ad.laplace_map(t, s["s"], s["mu"], s["sr"], mask), "sr"),
-        ("reduced_laplace", {"s": np.abs(a @ a.T) + 0.5, "mu": mu, "sr": sig_raw},
+        ("normalize_rows", {"s": np.abs(a @ a.T) + 0.5, "mu": mu, "sr": sig_raw},
          lambda t, s: ad.normalize_rows(
              t, ad.add(t, ad.laplace_map(t, s["s"], s["mu"], s["sr"], mask), s["s"]),
              mask), "s"),

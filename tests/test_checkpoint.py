@@ -103,6 +103,28 @@ def test_corrupt_header_json_is_detected(tmp_path):
     assert "header" in str(e.value)
 
 
+@pytest.mark.parametrize("header, named", [
+    (b'{"x": 1}', "lacks config, tokens, tags, params, cache_dims"),
+    (b"[1, 2]", "not a JSON object"),
+], ids=["keyless_object", "list"])
+def test_header_without_the_required_keys_is_refused(tmp_path, header, named):
+    p = tmp_path / "bad.ckpt"
+    p.write_bytes(checkpoint.MAGIC + struct.pack("<I", checkpoint.VERSION)
+                  + struct.pack("<Q", len(header)) + header)
+    with pytest.raises(CheckpointError) as e:
+        checkpoint.load_checkpoint(p)
+    assert named in str(e.value)
+
+
+def test_trailing_bytes_after_payload_are_detected(tmp_path):
+    cfg, result, path = trained(tmp_path)
+    long = tmp_path / "long.ckpt"
+    long.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(CheckpointError) as e:
+        checkpoint.load_checkpoint(long)
+    assert "after the last gate cache" in str(e.value)
+
+
 def test_architecture_mismatch_is_refused(tmp_path):
     cfg, result, path = trained(tmp_path)
     loaded_cfg, vocab, state = checkpoint.load_checkpoint(path)

@@ -95,6 +95,23 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("path_line, named", [
+    ("", "embedding_path"),
+    ("embedding_path=nope.vec\n", "nope.vec"),
+], ids=["no_path", "missing_file"])
+def test_unusable_embedding_file_is_a_config_error(workspace, tmp_path, capsys,
+                                                   path_line, named):
+    cfg = (workspace / "run.cfg").read_text(encoding="utf-8")
+    (tmp_path / "emb.cfg").write_text(cfg + "embeddings=file\n" + path_line,
+                                      encoding="utf-8")
+    rc = cli.main(["train", "--config", str(tmp_path / "emb.cfg"),
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert named in err
+
+
 def test_diverged_training_exits_4_but_keeps_artifacts(workspace, capsys,
                                                        monkeypatch):
     from hreb import training

@@ -200,10 +200,8 @@ def test_token_nll_uniform_is_log_c():
 def test_token_nll_clamps_underflow_and_counts_it():
     probs = ad.Tensor(np.array([[1.0 - 1e-30, 1e-30]]))
     onehot = np.array([[0.0, 1.0]])
-    before = crf.clamp_count()
-    with pytest.warns(UserWarning, match="clamped"):
+    with pytest.warns(UserWarning, match="^1 gold-label probabilities .*clamped"):
         loss = crf.token_nll(None, probs, onehot)
-    assert crf.clamp_count() == before + 1
     assert abs(float(loss.data) - (-math.log(crf.PROB_FLOOR))) < 1e-9
 
 
@@ -213,16 +211,3 @@ def test_token_nll_sums_over_positions():
     loss = crf.token_nll(None, probs, onehot)
     assert abs(float(loss.data) - (-math.log(0.5) - math.log(0.75))) < 1e-12
 
-
-def test_hmm_joint_log_prob_hand_example():
-    init = [0.5, 0.5]
-    trans = [[0.9, 0.1], [0.2, 0.8]]
-    emit = [[0.7, 0.3], [0.4, 0.6]]
-    lp = crf.hmm_joint_log_prob(init, trans, emit, [0, 1], [0, 0])
-    want = math.log(0.5) + math.log(0.7) + math.log(0.9) + math.log(0.3)
-    assert abs(lp - want) < 1e-12
-    # zero-probability factor: -inf, not an error
-    lp0 = crf.hmm_joint_log_prob([1.0, 0.0], trans, emit, [0, 1], [1, 0])
-    assert lp0 == -np.inf
-    with pytest.raises(ValueError):
-        crf.hmm_joint_log_prob(init, trans, emit, [0, 1], [0])

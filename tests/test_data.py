@@ -149,11 +149,10 @@ def test_make_batches_shapes_and_padding():
     assert len(batches) == 2
     total = 0
     for b in batches:
-        assert b.ids.shape == b.tags.shape == b.mask.shape
+        assert b.ids.shape == b.tags.shape
         assert b.ids.shape[1] == b.lengths.max()
         for r in range(b.ids.shape[0]):
             n = b.lengths[r]
-            assert b.mask[r, :n].all() and not b.mask[r, n:].any()
             assert np.all(b.ids[r, n:] == v.pad_id)
             total += 1
     assert total == 3
@@ -192,24 +191,3 @@ def test_synth_corpus_validates_entity_types():
         data.synth_corpus(0, entity_types=0)
     with pytest.raises(ValueError):
         data.synth_corpus(0, entity_types=99)
-
-
-def test_split_corpus_partitions_without_loss():
-    sents = [Sentence([f"w{i}"], ["O"]) for i in range(20)]
-    corpus, idx = data.split_corpus(sents, seed=1)
-    assert len(corpus.train) == 14 and len(corpus.dev) == 3 and len(corpus.test) == 3
-    all_ids = sorted(int(i) for k in idx for i in idx[k])
-    assert all_ids == list(range(20))
-    with pytest.raises(ValueError):
-        data.split_corpus(sents, 0, ratios=(0.5, 0.2, 0.2))
-
-
-def test_split_file_roundtrip(tmp_path):
-    sents = [Sentence([f"w{i}"], ["O"]) for i in range(10)]
-    corpus, idx = data.split_corpus(sents, seed=2, ratios=(0.6, 0.2, 0.2))
-    p = tmp_path / "split.json"
-    data.write_split_file(p, idx)
-    restored = data.read_split_file(p, sents)
-    assert restored.train == corpus.train
-    assert restored.dev == corpus.dev
-    assert restored.test == corpus.test

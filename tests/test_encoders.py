@@ -127,31 +127,6 @@ def test_bilstm_matches_brute_force():
     assert np.abs(got - want).max() < 1e-12
 
 
-def test_bilstm_length_zeroes_tail_and_matches_short_input():
-    rng = np.random.default_rng(3)
-    net = encoders.BiLstm(3, 2, rng)
-    x = rng.standard_normal((6, 3))
-    full = net.forward(None, ad.Tensor(x), length=4).data
-    short = net.forward(None, ad.Tensor(x[:4].copy())).data
-    assert np.all(full[4:] == 0.0)
-    assert np.array_equal(full[:4], short)
-    with pytest.raises(ValueError):
-        net.forward(None, ad.Tensor(x), length=9)
-
-
-def test_bilstm_tail_rows_get_no_gradient():
-    rng = np.random.default_rng(4)
-    net = encoders.BiLstm(3, 2, rng)
-    tape = ad.Tape()
-    x = ad.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
-    out = net.forward(tape, x, length=3)
-    loss = ad.sum_all(tape, out)
-    grads = ad.backward(tape, loss)
-    gx = grads[x.id]
-    assert np.all(gx[3:] == 0.0)
-    assert np.any(gx[:3] != 0.0)
-
-
 def test_bilstm_parameter_gradcheck():
     from hreb.gradcheck import finite_diff_params
 

@@ -1,31 +1,12 @@
-"""Window averages and the EMA layer against brute-force references."""
+"""The EMA recurrence and the EMA layer against brute-force references."""
 
 import numpy as np
 import pytest
 
 from hreb import autodiff as ad
 from hreb.errors import ConfigError
-from hreb.moving_average import EmaState, cma, ema, multihead_ema, sma, wma
+from hreb.moving_average import EmaState, ema, multihead_ema
 from hreb.oracles import ema_closed_form
-
-
-def sma_brute(x, window):
-    # mean over every full window, nothing emitted before the window fills
-    x = np.asarray(x, dtype=np.float64)
-    return np.array([x[i - window + 1:i + 1].mean()
-                     for i in range(window - 1, len(x))])
-
-
-def wma_brute(x, weights):
-    # weights[0] multiplies the newest sample of the window
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    n = len(w)
-    out = []
-    for i in range(n - 1, len(x)):
-        acc = sum(w[k] * x[i - k] for k in range(n))
-        out.append(acc / w.sum())
-    return np.array(out)
 
 
 def ema_brute(x, alpha, h0):
@@ -36,84 +17,6 @@ def ema_brute(x, alpha, h0):
         h = alpha * x[t] + (1 - alpha) * h
         out[t] = h
     return out
-
-
-def test_sma_full_windows_only():
-    got = sma(np.array([1.0, 3.0, 5.0]), 2)
-    assert np.allclose(got, [2.0, 4.0])
-    assert len(got) == 2
-
-
-def test_sma_matches_brute():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        n = int(rng.integers(1, 40))
-        w = int(rng.integers(1, n + 1))
-        x = rng.standard_normal(n)
-        assert np.allclose(sma(x, w), sma_brute(x, w), atol=1e-12)
-
-
-def test_sma_window_one_is_identity():
-    x = np.array([4.0, -2.0, 7.5])
-    assert np.array_equal(sma(x, 1), x)
-
-
-def test_sma_rejects_bad_window():
-    with pytest.raises(ValueError):
-        sma(np.array([1.0, 2.0]), 0)
-    with pytest.raises(ValueError):
-        sma(np.array([1.0, 2.0]), 3)
-
-
-def test_wma_newest_sample_carries_first_weight():
-    got = wma(np.array([3.0, 5.0]), np.array([2.0, 1.0]))
-    assert np.allclose(got, [13.0 / 3.0])
-
-
-def test_wma_uniform_weights_reduce_to_sma():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(20)
-    assert np.allclose(wma(x, np.ones(4)), sma(x, 4), atol=1e-12)
-
-
-def test_wma_delay_weight_picks_previous_sample():
-    x = np.array([1.0, 2.0, 3.0, 4.0])
-    got = wma(x, np.array([0.0, 1.0]))
-    assert np.allclose(got, x[:-1])
-
-
-def test_wma_matches_brute():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        n = int(rng.integers(2, 30))
-        k = int(rng.integers(1, n + 1))
-        x = rng.standard_normal(n)
-        w = rng.uniform(0.1, 2.0, k)
-        assert np.allclose(wma(x, w), wma_brute(x, w), atol=1e-12)
-
-
-def test_wma_zero_weight_sum_rejected():
-    with pytest.raises(ValueError):
-        wma(np.array([1.0, 2.0]), np.array([1.0, -1.0]))
-
-
-def test_cma_prefix_means():
-    got = cma(np.array([2.0, 4.0, 9.0]))
-    assert np.allclose(got, [2.0, 3.0, 5.0])
-
-
-def test_cma_recurrence_property():
-    # c_t = c_{t-1} + (x_t - c_{t-1}) / (t+1)
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(25)
-    c = cma(x)
-    for t in range(1, len(x)):
-        assert abs(c[t] - (c[t - 1] + (x[t] - c[t - 1]) / (t + 1))) < 1e-12
-
-
-def test_cma_empty_rejected():
-    with pytest.raises(ValueError):
-        cma(np.array([]))
 
 
 def test_ema_frozen_example():

@@ -5,7 +5,7 @@ import pytest
 
 from hreb.autodiff import Tensor
 from hreb.errors import DivergenceError
-from hreb.optim import AdamState, adam_step
+from hreb.optim import AdamState
 
 
 def adam_brute(x0, grads_seq, lr, b1, b2, eps):
@@ -42,7 +42,7 @@ def test_multi_step_matches_reference_loop():
     p = Tensor(x0.copy(), requires_grad=True)
     opt = AdamState([p], lr=0.01, beta1=0.8, beta2=0.95, eps=1e-6)
     for g in grads_seq:
-        adam_step([p], {p.id: g}, opt)
+        opt.step([p], {p.id: g})
     want = adam_brute(x0, grads_seq, 0.01, 0.8, 0.95, 1e-6)
     assert np.abs(p.data - want).max() < 1e-12
 

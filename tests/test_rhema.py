@@ -126,7 +126,8 @@ def test_cross_chunk_gradient_is_exactly_zero():
     tape = ad.Tape()
     x = ad.Tensor(rng.standard_normal((4, 4)), requires_grad=True)
     y = rhema.rhema_block(tape, x, params, config)
-    loss = ad.sum_all(tape, ad.slice_rows(tape, y, 0, 2))
+    rows = ad.Tensor(np.array([[1.0], [1.0], [0.0], [0.0]]))  # rows 0,1 only
+    loss = ad.sum_all(tape, ad.mul(tape, y, rows))
     grads = ad.backward(tape, loss)
     gx = grads[x.id]
     assert np.all(gx[2:] == 0.0)
@@ -141,33 +142,10 @@ def test_removing_alpha_pin_restores_cross_chunk_flow():
     y = rhema.rhema_block(tape, x, params, config)
     # rows 2,3 feed the EMA history of nothing earlier, but rows 0,1 feed
     # rows 2,3 through the scan; check the direction that must be nonzero
-    loss = ad.sum_all(tape, ad.slice_rows(tape, y, 2, 4))
+    rows = ad.Tensor(np.array([[0.0], [0.0], [1.0], [1.0]]))  # rows 2,3 only
+    loss = ad.sum_all(tape, ad.mul(tape, y, rows))
     grads = ad.backward(tape, loss)
     assert np.any(grads[x.id][:2] != 0.0)
-
-
-def test_trailing_padding_leaves_real_rows_unchanged():
-    # the unnormalized squash tolerates the garbage pad query row; the
-    # normalized variant can reject it, which the model never triggers
-    # because it always feeds true-length sequences
-    config, params = make_block(chunk_size=2, attn_fn="laplace",
-                                rb_mode="dynamic")
-    rng = np.random.default_rng(5)
-    real = rng.standard_normal((5, 4)) * 0.5
-    y_real = rhema.rhema_block(None, ad.Tensor(real), params, config).data
-
-    pad_mask = np.array([True] * 5 + [False])
-    padded = np.vstack([real, rng.standard_normal((1, 4))])
-    y_pad = rhema.rhema_block(None, ad.Tensor(padded), params, config,
-                              pad_mask=pad_mask).data
-    assert np.abs(y_pad[:5] - y_real).max() < 1e-10
-
-    # pad row contents are never read: scrambling them changes nothing
-    scrambled = padded.copy()
-    scrambled[5] = rng.standard_normal(4) * 100
-    y_scram = rhema.rhema_block(None, ad.Tensor(scrambled), params, config,
-                                pad_mask=pad_mask).data
-    assert np.array_equal(y_scram[:5], y_pad[:5])
 
 
 def test_softmax_weights_respect_chunk_mask():
