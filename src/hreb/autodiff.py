@@ -395,7 +395,13 @@ def lstm_seq(tape, xw, u, b):
     return record_op(tape, "lstm_seq", (xw, u, b), hidden, bw)
 
 
-def _split_transitions(trans_data, n_classes, extra_mask):
+def split_transitions(trans_data, n_classes, extra_mask=None):
+    """(core, start, stop) float64 pieces of a (C+2, C+2) transition table.
+
+    core[i, j] scores class i -> class j, start[j] leaving the start state
+    (row C) into j, stop[i] leaving i into the stop state (column C+1).
+    extra_mask, if given, is added to the table first.
+    """
     t = trans_data if extra_mask is None else trans_data + extra_mask
     c = n_classes
     core = kernels.as_f64(t[:c, :c])
@@ -413,7 +419,7 @@ def crf_log_z(tape, emissions, trans, n_classes, extra_mask=None):
     (use -inf entries to forbid transitions without touching the parameters).
     """
     em64 = kernels.as_f64(emissions.data)
-    core, start, stop = _split_transitions(trans.data, n_classes, extra_mask)
+    core, start, stop = split_transitions(trans.data, n_classes, extra_mask)
     log_z, alpha = kernels.crf_forward(em64, core, start, stop)
     c = n_classes
 
@@ -434,7 +440,7 @@ def crf_path_score(tape, emissions, trans, path, n_classes, extra_mask=None):
     n = emissions.data.shape[0]
     if path.shape != (n,):
         raise ValueError(f"path length {path.shape} != sequence length {n}")
-    core, start, stop = _split_transitions(trans.data, n_classes, extra_mask)
+    core, start, stop = split_transitions(trans.data, n_classes, extra_mask)
     s = start[path[0]] + stop[path[-1]] + emissions.data[np.arange(n), path].sum()
     if n > 1:
         s += core[path[:-1], path[1:]].sum()

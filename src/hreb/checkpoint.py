@@ -16,6 +16,7 @@ from .config import RunConfig
 from .data import Vocab
 from .errors import CheckpointError
 from .model import HrebModel
+from .training import restore
 
 MAGIC = b"HREB"
 VERSION = 1
@@ -118,12 +119,14 @@ def load_model(path):
         if arr.shape != p.data.shape:
             raise CheckpointError(
                 f"parameter {p.name}: stored shape {arr.shape} != built {p.data.shape}")
-        p.data = arr.copy()
     gate_states = model.gate_states()
     if len(gate_states) != len(state["caches"]):
         raise CheckpointError("gate cache count does not match this architecture")
-    for gs, (cf, cx) in zip(gate_states, state["caches"]):
-        gs.cache_f = cf.copy()
-        gs.cache_x = cx.copy()
+    for gs, (cf, _) in zip(gate_states, state["caches"]):
+        if cf.shape != (gs.d_model,):
+            gate = gs.w_alpha.name[:-len(".w_alpha")]
+            raise CheckpointError(
+                f"gate {gate}: stored cache length {cf.shape[0]} != d_model {gs.d_model}")
+    restore(model, state)
     model.config = config
     return model, config

@@ -51,10 +51,17 @@ def _load_corpus(cfg):
 def cmd_train(args):
     cfg = parse_config(args.config)
     corpus = _load_corpus(cfg)
-    os.makedirs(args.out, exist_ok=True)
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out} exists and is not a directory")
     for line in cfg.lines():
         print(line)
     result = train(cfg, corpus, log=lambda s: print(s, flush=True))
+    if cfg.embeddings == "file":
+        print(f"embedding coverage {result.model.embed.coverage:.6f}")
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {args.out}: {e.strerror}")
     vocab = result.model.vocab
     save_checkpoint(os.path.join(args.out, "best.ckpt"), cfg, vocab,
                     result.best_state)

@@ -83,13 +83,8 @@ def viterbi(emissions, params):
     emissions = np.ascontiguousarray(
         emissions.data if isinstance(emissions, ad.Tensor) else emissions,
         dtype=np.float64)
-    t = params.trans.data
-    if params.strict_mask is not None:
-        t = t + params.strict_mask
-    c = params.n_classes
-    core = np.ascontiguousarray(t[:c, :c])
-    start = np.ascontiguousarray(t[c, :c])
-    stop = np.ascontiguousarray(t[:c, c + 1])
+    core, start, stop = ad.split_transitions(params.trans.data, params.n_classes,
+                                             params.strict_mask)
     path, score = kernels.viterbi(emissions, core, start, stop)
     if not np.isfinite(score):
         raise NumericsError("no admissible tag path has finite score")

@@ -268,33 +268,17 @@ def corpus_stats(corpus):
                        int(max(lengths)), int(min(lengths)))
 
 
-class Batch:
-    """Padded id/tag arrays plus each row's true length."""
-
-    __slots__ = ("ids", "tags", "lengths")
-
-    def __init__(self, ids, tags, lengths):
-        self.ids = ids
-        self.tags = tags
-        self.lengths = lengths
-
-
 def make_batches(sentences, batch_size, seed, vocab):
-    """Seeded shuffle, then consecutive groups padded to each group's max."""
+    """Seeded shuffle, then consecutive groups of (token ids, tag ids) pairs,
+    each pair at its sentence's true length."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     order = np.random.default_rng(seed).permutation(len(sentences))
     batches = []
     for lo in range(0, len(sentences), batch_size):
         group = [sentences[i] for i in order[lo:lo + batch_size]]
-        width = max(len(s) for s in group)
-        ids = np.full((len(group), width), vocab.pad_id, dtype=np.int64)
-        tags = np.zeros((len(group), width), dtype=np.int64)
-        lengths = np.array([len(s) for s in group], dtype=np.int64)
-        for r, s in enumerate(group):
-            ids[r, :len(s)] = vocab.encode_tokens(s.tokens)
-            tags[r, :len(s)] = vocab.encode_tags(s.tags)
-        batches.append(Batch(ids, tags, lengths))
+        batches.append([(vocab.encode_tokens(s.tokens), vocab.encode_tags(s.tags))
+                        for s in group])
     return batches
 
 

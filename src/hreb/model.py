@@ -29,8 +29,8 @@ def block_config(config):
 class HrebModel:
     """Per-sentence forward pass producing class emissions and losses.
 
-    Sentences are processed at their true length; callers slice padded
-    batches first. All floats are 64-bit.
+    Sentences are processed one at a time at their true length. All floats
+    are 64-bit.
     """
 
     def __init__(self, config, vocab):
@@ -90,7 +90,7 @@ class HrebModel:
         tag_ids = np.asarray(tag_ids, dtype=np.int64)
         if self.config.loss_head == "crf":
             return crf_mod.crf_nll(tape, e, tag_ids, self.crf)
-        probs = ad.softmax_rows(tape, e, np.ones(e.data.shape, dtype=bool))
+        probs = ad.softmax_rows(tape, e)
         onehot = np.zeros(e.data.shape)
         onehot[np.arange(tag_ids.size), tag_ids] = 1.0
         return crf_mod.token_nll(tape, probs, onehot)

@@ -1,30 +1,14 @@
-"""Moving-average operators and the multi-head EMA layer.
+"""The multi-head EMA layer.
 
-ema is the plain (non-tape) reference recurrence. multihead_ema is a
-differentiable tape op; the EMA decay is learned through a sigmoid
-reparameterization so each head's effective alpha stays in (0,1).
+multihead_ema is a differentiable tape op over autodiff.ema_scan; the EMA
+decay is learned through a sigmoid reparameterization so each head's
+effective alpha stays in (0,1).
 """
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError
-
-
-def ema(x, alpha, h0=None):
-    """Plain (non-tape) EMA recurrence; alpha is per-dimension in (0,1]."""
-    x = np.asarray(x, dtype=np.float64)
-    alpha = np.broadcast_to(np.asarray(alpha, dtype=np.float64), x.shape[1:]).copy()
-    if np.any(alpha <= 0) or np.any(alpha > 1):
-        raise ValueError("alpha must lie in (0, 1]")
-    if h0 is None:
-        h0 = np.zeros(x.shape[1:])
-    out = np.empty_like(x)
-    h = np.asarray(h0, dtype=np.float64).copy()
-    for t in range(x.shape[0]):
-        h = alpha * x[t] + (1.0 - alpha) * h
-        out[t] = h
-    return out
 
 
 class EmaState:

@@ -9,8 +9,8 @@ projection, squashes scores with one of three attention functions, and
 merges the attended values back through GRU-style reset/update gates.
 
 The hierarchical encoder stacks a chunk-masked (local) block and a global
-block. The naive encoder is a plain softmax-attention transformer block,
-kept for ablations.
+block. The naive encoder, kept for ablations, shares the block scaffold and
+swaps only the attention path for plain scaled-dot softmax attention.
 """
 
 import numpy as np
@@ -92,8 +92,43 @@ def _glorot(rng, shape):
     return rng.uniform(-s, s, shape)
 
 
-class RhemaParams:
-    """All learnable tensors of one block."""
+class BlockParams:
+    """The scaffold every encoder block shares: the two pre-norms, the
+    feed-forward sublayer, and one residual gate per sublayer.
+
+    Subclasses draw their attention tensors first and then call this
+    constructor, so the seeded draw order and the params() order are
+    attention, norms and feed-forward, gates.
+    """
+
+    def __init__(self, config, rng, prefix):
+        d = config.d_model
+        t = ad.Tensor
+        self.norm1_gain = t(np.ones(d), requires_grad=True, name=prefix + "norm1_gain")
+        self.norm1_bias = t(np.zeros(d), requires_grad=True, name=prefix + "norm1_bias")
+        self.norm2_gain = t(np.ones(d), requires_grad=True, name=prefix + "norm2_gain")
+        self.norm2_bias = t(np.zeros(d), requires_grad=True, name=prefix + "norm2_bias")
+        self.ffn_w1 = t(_glorot(rng, (d, 2 * d)), requires_grad=True, name=prefix + "ffn_w1")
+        self.ffn_b1 = t(np.zeros(2 * d), requires_grad=True, name=prefix + "ffn_b1")
+        self.ffn_w2 = t(_glorot(rng, (2 * d, d)), requires_grad=True, name=prefix + "ffn_w2")
+        self.ffn_b2 = t(np.zeros(d), requires_grad=True, name=prefix + "ffn_b2")
+        self.rb_attn = residual.GateState(d, config.rb_mode, rng, config.rb_alpha,
+                                          config.rb_beta, prefix=prefix + "attn.")
+        self.rb_ffn = residual.GateState(d, config.rb_mode, rng, config.rb_alpha,
+                                         config.rb_beta, prefix=prefix + "ffn.")
+
+    def params(self):
+        own = [self.norm1_gain, self.norm1_bias, self.norm2_gain,
+               self.norm2_bias, self.ffn_w1, self.ffn_b1, self.ffn_w2,
+               self.ffn_b2]
+        return own + self.rb_attn.params() + self.rb_ffn.params()
+
+    def gate_states(self):
+        return [self.rb_attn, self.rb_ffn]
+
+
+class RhemaParams(BlockParams):
+    """All learnable tensors of one gated-attention block."""
 
     def __init__(self, config, rng, prefix=""):
         c = config
@@ -124,31 +159,14 @@ class RhemaParams:
         raw = float(np.log(np.expm1(LAPLACE_SIGMA_INIT)))
         self.lap_sigma_raw = t(np.float64(raw), requires_grad=True,
                                name=prefix + "lap_sigma_raw")
-        self.norm1_gain = t(np.ones(d), requires_grad=True, name=prefix + "norm1_gain")
-        self.norm1_bias = t(np.zeros(d), requires_grad=True, name=prefix + "norm1_bias")
-        self.norm2_gain = t(np.ones(d), requires_grad=True, name=prefix + "norm2_gain")
-        self.norm2_bias = t(np.zeros(d), requires_grad=True, name=prefix + "norm2_bias")
-        self.ffn_w1 = t(_glorot(rng, (d, 2 * d)), requires_grad=True, name=prefix + "ffn_w1")
-        self.ffn_b1 = t(np.zeros(2 * d), requires_grad=True, name=prefix + "ffn_b1")
-        self.ffn_w2 = t(_glorot(rng, (2 * d, d)), requires_grad=True, name=prefix + "ffn_w2")
-        self.ffn_b2 = t(np.zeros(d), requires_grad=True, name=prefix + "ffn_b2")
-        self.rb_attn = residual.GateState(d, config.rb_mode, rng, config.rb_alpha,
-                                          config.rb_beta, prefix=prefix + "attn.")
-        self.rb_ffn = residual.GateState(d, config.rb_mode, rng, config.rb_alpha,
-                                         config.rb_beta, prefix=prefix + "ffn.")
+        super().__init__(config, rng, prefix)
 
     def params(self):
         own = [self.w_z, self.b_z, self.kappa_q, self.mu_q, self.kappa_k,
                self.mu_k, self.w_v, self.b_v, self.b_rel, self.w_h, self.u_h,
                self.b_h, self.w_gamma, self.b_gamma, self.w_phi, self.b_phi,
-               self.lap_mu, self.lap_sigma_raw, self.norm1_gain, self.norm1_bias,
-               self.norm2_gain, self.norm2_bias, self.ffn_w1, self.ffn_b1,
-               self.ffn_w2, self.ffn_b2]
-        return (self.ema.params() + own + self.rb_attn.params()
-                + self.rb_ffn.params())
-
-    def gate_states(self):
-        return [self.rb_attn, self.rb_ffn]
+               self.lap_mu, self.lap_sigma_raw]
+        return self.ema.params() + own + super().params()
 
 
 def shared_rep(tape, x, params, config):
@@ -228,12 +246,29 @@ def _norm(tape, x, gain, bias, config):
     return ad.layer_norm(tape, x, gain, bias)
 
 
+def _block(tape, x, p, config, attend):
+    """Pre-norm attention residual, then pre-norm feed-forward residual.
+
+    attend maps the normalized input to the attention sublayer's output.
+    """
+    def attn_branch(xin):
+        return attend(_norm(tape, xin, p.norm1_gain, p.norm1_bias, config))
+
+    def ffn_branch(xin):
+        xn = _norm(tape, xin, p.norm2_gain, p.norm2_bias, config)
+        h = ad.silu_paper(tape, ad.add(tape, ad.matmul(tape, xn, p.ffn_w1),
+                                       p.ffn_b1))
+        return ad.add(tape, ad.matmul(tape, h, p.ffn_w2), p.ffn_b2)
+
+    mid = residual.apply(tape, x, attn_branch, p.rb_attn)
+    return residual.apply(tape, mid, ffn_branch, p.rb_ffn)
+
+
 def rhema_block(tape, x, params, config, trace=None):
     """One full block: gated-attention sublayer, then feed-forward sublayer."""
     allowed = chunk_pair_mask(x.data.shape[0], config.chunk_size)
 
-    def attn_branch(xin):
-        xn = _norm(tape, xin, params.norm1_gain, params.norm1_bias, config)
+    def attend(xn):
         z = shared_rep(tape, xn, params, config)
         q, k = qk_transform(tape, z, params)
         v = value_transform(tape, xn, params, config)
@@ -245,14 +280,7 @@ def rhema_block(tape, x, params, config, trace=None):
         o = attention(tape, q, k, v, params, config, allowed, trace)
         return gated_output(tape, xn, z, o, params, config, trace)
 
-    def ffn_branch(xin):
-        xn = _norm(tape, xin, params.norm2_gain, params.norm2_bias, config)
-        h = ad.silu_paper(tape, ad.add(tape, ad.matmul(tape, xn, params.ffn_w1),
-                                       params.ffn_b1))
-        return ad.add(tape, ad.matmul(tape, h, params.ffn_w2), params.ffn_b2)
-
-    mid = residual.apply(tape, x, attn_branch, params.rb_attn)
-    return residual.apply(tape, mid, ffn_branch, params.rb_ffn)
+    return _block(tape, x, params, config, attend)
 
 
 class HierarchicalEncoder:
@@ -289,62 +317,30 @@ def _with_chunk(config, chunk_size):
     return c
 
 
-class NaiveParams:
-    """Plain pre-norm softmax attention block (the ablation baseline)."""
+class NaiveEncoder(BlockParams):
+    """Single global scaled-dot softmax block, same residual scaffolding."""
 
     def __init__(self, config, rng, prefix="naive."):
         d = config.d_model
         t = ad.Tensor
+        self.config = config
         self.w_q = t(_glorot(rng, (d, d)), requires_grad=True, name=prefix + "w_q")
         self.w_k = t(_glorot(rng, (d, d)), requires_grad=True, name=prefix + "w_k")
         self.w_v = t(_glorot(rng, (d, d)), requires_grad=True, name=prefix + "w_v")
         self.w_o = t(_glorot(rng, (d, d)), requires_grad=True, name=prefix + "w_o")
-        self.norm1_gain = t(np.ones(d), requires_grad=True, name=prefix + "norm1_gain")
-        self.norm1_bias = t(np.zeros(d), requires_grad=True, name=prefix + "norm1_bias")
-        self.norm2_gain = t(np.ones(d), requires_grad=True, name=prefix + "norm2_gain")
-        self.norm2_bias = t(np.zeros(d), requires_grad=True, name=prefix + "norm2_bias")
-        self.ffn_w1 = t(_glorot(rng, (d, 2 * d)), requires_grad=True, name=prefix + "ffn_w1")
-        self.ffn_b1 = t(np.zeros(2 * d), requires_grad=True, name=prefix + "ffn_b1")
-        self.ffn_w2 = t(_glorot(rng, (2 * d, d)), requires_grad=True, name=prefix + "ffn_w2")
-        self.ffn_b2 = t(np.zeros(d), requires_grad=True, name=prefix + "ffn_b2")
-        self.rb_attn = residual.GateState(d, config.rb_mode, rng, config.rb_alpha,
-                                          config.rb_beta, prefix=prefix + "attn.")
-        self.rb_ffn = residual.GateState(d, config.rb_mode, rng, config.rb_alpha,
-                                         config.rb_beta, prefix=prefix + "ffn.")
+        super().__init__(config, rng, prefix)
 
     def params(self):
-        own = [self.w_q, self.w_k, self.w_v, self.w_o, self.norm1_gain,
-               self.norm1_bias, self.norm2_gain, self.norm2_bias,
-               self.ffn_w1, self.ffn_b1, self.ffn_w2, self.ffn_b2]
-        return own + self.rb_attn.params() + self.rb_ffn.params()
-
-    def gate_states(self):
-        return [self.rb_attn, self.rb_ffn]
-
-
-class NaiveEncoder:
-    """Single global scaled-dot softmax block, same residual scaffolding."""
-
-    def __init__(self, config, rng, prefix="naive."):
-        self.config = config
-        self.p = NaiveParams(config, rng, prefix=prefix)
-
-    def params(self):
-        return self.p.params()
-
-    def gate_states(self):
-        return self.p.gate_states()
+        return [self.w_q, self.w_k, self.w_v, self.w_o] + super().params()
 
     def forward(self, tape, x, traces=None):
         c = self.config
-        p = self.p
         trace = AttentionTrace("naive") if traces is not None else None
 
-        def attn_branch(xin):
-            xn = _norm(tape, xin, p.norm1_gain, p.norm1_bias, c)
-            q = ad.matmul(tape, xn, p.w_q)
-            k = ad.matmul(tape, xn, p.w_k)
-            v = ad.matmul(tape, xn, p.w_v)
+        def attend(xn):
+            q = ad.matmul(tape, xn, self.w_q)
+            k = ad.matmul(tape, xn, self.w_k)
+            v = ad.matmul(tape, xn, self.w_v)
             scores = ad.scale(tape, ad.matmul(tape, q, ad.transpose(tape, k)),
                               1.0 / np.sqrt(c.d_model))
             weights = ad.softmax_rows(tape, scores)
@@ -352,16 +348,9 @@ class NaiveEncoder:
                 trace.q, trace.k, trace.v = q.data.copy(), k.data.copy(), v.data.copy()
                 trace.scores = scores.data.copy()
                 trace.weights = weights.data.copy()
-            return ad.matmul(tape, ad.matmul(tape, weights, v), p.w_o)
+            return ad.matmul(tape, ad.matmul(tape, weights, v), self.w_o)
 
-        def ffn_branch(xin):
-            xn = _norm(tape, xin, p.norm2_gain, p.norm2_bias, c)
-            h = ad.silu_paper(tape, ad.add(tape, ad.matmul(tape, xn, p.ffn_w1),
-                                           p.ffn_b1))
-            return ad.add(tape, ad.matmul(tape, h, p.ffn_w2), p.ffn_b2)
-
-        mid = residual.apply(tape, x, attn_branch, p.rb_attn)
-        out = residual.apply(tape, mid, ffn_branch, p.rb_ffn)
+        out = _block(tape, x, self, c, attend)
         if traces is not None:
             traces.append(trace)
         return out

@@ -38,6 +38,7 @@ def snapshot(model):
 
 
 def restore(model, state):
+    """Copy a snapshot's params and gate caches into the model."""
     for p in model.params():
         p.data = state["params"][p.name].copy()
     for gs, (cf, cx) in zip(model.gate_states(), state["caches"]):
@@ -79,13 +80,12 @@ def _epoch_pass(model, batches, opt, states, momentum):
     for batch in batches:
         tape = ad.Tape()
         batch_loss = None
-        for r in range(len(batch.lengths)):
-            n = int(batch.lengths[r])
-            nll = model.sentence_nll(tape, batch.ids[r, :n], batch.tags[r, :n])
+        for ids, tag_ids in batch:
+            nll = model.sentence_nll(tape, ids, tag_ids)
             batch_loss = nll if batch_loss is None else ad.add(tape, batch_loss, nll)
             total += float(nll.data)
             n_sent += 1
-        loss = ad.scale(tape, batch_loss, 1.0 / len(batch.lengths))
+        loss = ad.scale(tape, batch_loss, 1.0 / len(batch))
         if not np.isfinite(loss.data):
             raise DivergenceError("non-finite training loss")
         if opt is None:

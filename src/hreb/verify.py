@@ -5,6 +5,8 @@ fails if any check fails. Failing numeric checks embed their inputs at full
 precision so a case can be replayed in isolation.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from . import autodiff as ad
@@ -12,10 +14,10 @@ from . import crf as crf_mod
 from . import oracles
 from .config import RunConfig
 from .data import Vocab, Sentence
-from .encoders import embed_tokens, EmbeddingTable
+from .encoders import embed_tokens
 from .gradcheck import finite_diff_check, finite_diff_params
 from .model import HrebModel
-from .moving_average import EmaState, ema, multihead_ema
+from .moving_average import EmaState, multihead_ema
 
 SUITES = ("grad", "crf", "ema")
 
@@ -160,6 +162,10 @@ def op_grad_checks(seed=0, tol=1e-4):
          lambda t, s: ad.crf_path_score(t, s["e"], s["t"], path, n_classes), "e"),
         ("crf_path_score/trans", {"e": a[:, :n_classes], "t": crf_t},
          lambda t, s: ad.crf_path_score(t, s["e"], s["t"], path, n_classes), "t"),
+        # id 3 repeats, so its row's gradient must accumulate
+        ("embed_tokens", {"tb": rng.standard_normal((5, d))},
+         lambda t, s: embed_tokens(t, [3, 2, 3], SimpleNamespace(table=s["tb"], pad_id=0)),
+         "tb"),
     ]
 
     results = []
@@ -169,24 +175,6 @@ def op_grad_checks(seed=0, tol=1e-4):
         if err > tol:
             detail += _dump(**{wrt: inputs[wrt]})
         results.append(CheckResult(f"grad {name}", err <= tol, detail))
-
-    # embedding lookup, including a repeated id
-    emb_rng = np.random.default_rng(seed + 2)
-    emb = EmbeddingTable(5, d, pad_id=0, unk_id=1, rng=emb_rng)
-    eids = np.array([3, 2, 3])
-    w = emb_rng.standard_normal((3, d))
-
-    def f(x):
-        tape = ad.Tape()
-        emb.table.data = x
-        out = embed_tokens(tape, eids, emb)
-        loss = ad.sum_all(tape, ad.mul(tape, out, ad.Tensor(w)))
-        grads = ad.backward(tape, loss)
-        return float(loss.data), grads.get(emb.table.id, np.zeros_like(x))
-
-    err = finite_diff_check(f, emb.table.data.copy())
-    results.append(CheckResult("grad embed_tokens", err <= tol,
-                               f"max rel err {err:.3g} (tol {tol:g})"))
     return results
 
 
@@ -250,12 +238,6 @@ def _random_crf(rng):
     return emissions, params
 
 
-def _crf_pieces(params):
-    c = params.n_classes
-    t = params.trans.data
-    return t[:c, :c], t[c, :c], t[:c, c + 1]
-
-
 def crf_suite(seed=0, instances=200):
     """Exact-inference agreement with brute-force path enumeration."""
     rng = np.random.default_rng(seed)
@@ -263,7 +245,7 @@ def crf_suite(seed=0, instances=200):
     path_fail = None
     for i in range(instances):
         emissions, params = _random_crf(rng)
-        core, start, stop = _crf_pieces(params)
+        core, start, stop = ad.split_transitions(params.trans.data, params.n_classes)
         log_z_ref, best_ref, _ = oracles.crf_enumerate(emissions, core, start, stop)
         log_z = float(crf_mod.log_partition(None, ad.Tensor(emissions), params).data)
         worst_z = max(worst_z, abs(log_z - log_z_ref))
@@ -288,7 +270,7 @@ def crf_suite(seed=0, instances=200):
     worst_m = 0.0
     for i in range(30):
         emissions, params = _random_crf(rng)
-        core, start, stop = _crf_pieces(params)
+        core, start, stop = ad.split_transitions(params.trans.data, params.n_classes)
         unary, pair, first, last = oracles.crf_enumerate_marginals(
             emissions, core, start, stop)
         tape = ad.Tape()
@@ -344,7 +326,6 @@ def ema_suite(seed=0):
         got = ad.ema_scan(None, ad.Tensor(x), ad.Tensor(alpha), ad.Tensor(h0)).data
         ref = oracles.ema_closed_form(x, alpha, h0)
         worst = max(worst, float(np.abs(got - ref).max()))
-        worst = max(worst, float(np.abs(ema(x, alpha, h0) - ref).max()))
     results = [CheckResult(
         "ema scan vs closed form", worst <= 1e-12,
         f"max abs err {worst:.3g} up to t=64 (tol 1e-12)")]

@@ -138,6 +138,22 @@ def test_architecture_mismatch_is_refused(tmp_path):
     assert name in str(e.value)
 
 
+@pytest.mark.parametrize("reduced_bias", ["dynamic", "static"])
+def test_gate_cache_of_the_wrong_length_is_refused(tmp_path, reduced_bias):
+    # static mode never reads the caches, so a bad one would go unnoticed
+    # until the model met a dynamic-mode config
+    cfg, result, path = trained(tmp_path, reduced_bias=reduced_bias)
+    loaded_cfg, vocab, state = checkpoint.load_checkpoint(path)
+    d = cfg.d_model
+    state["caches"][1] = (np.zeros(d + 1), np.zeros(d + 1))
+    p2 = tmp_path / "long_cache.ckpt"
+    checkpoint.save_checkpoint(p2, loaded_cfg, vocab, state)
+    with pytest.raises(CheckpointError) as e:
+        checkpoint.load_model(p2)
+    assert "gate enc.local.ffn.rb" in str(e.value)
+    assert f"length {d + 1} != d_model {d}" in str(e.value)
+
+
 def test_load_model_never_reads_embedding_files(tmp_path):
     # a config trained with embeddings=file must reload from the payload
     # alone, even when the vector file is long gone

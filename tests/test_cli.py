@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hreb import cli
-from hreb.data import parse_conll, synth_corpus, write_conll
+from hreb.data import Vocab, parse_conll, synth_corpus, write_conll
 
 CONFIG = """\
 # compact model for test runs
@@ -110,6 +110,49 @@ def test_unusable_embedding_file_is_a_config_error(workspace, tmp_path, capsys,
     assert rc == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert named in err
+
+
+def test_train_with_embedding_file_prints_coverage(workspace, tmp_path, capsys):
+    train_split = parse_conll(workspace / "train.txt")
+    n_tokens = len(Vocab(train_split).tokens)
+    vec = tmp_path / "vecs.txt"
+    vec.write_text(f"1 8\n{train_split[0].tokens[0]} " + " ".join(["0.5"] * 8)
+                   + "\n", encoding="utf-8")
+    cfg = (workspace / "run.cfg").read_text(encoding="utf-8")
+    (tmp_path / "emb.cfg").write_text(
+        cfg + f"embeddings=file\nembedding_path={vec}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    rc = cli.main(["train", "--config", str(tmp_path / "emb.cfg"),
+                   "--out", str(out)])
+    stdout = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert stdout.count(f"embedding coverage {1 / n_tokens:.6f}") == 1
+    assert "coverage" not in (out / "metrics.log").read_text(encoding="utf-8")
+
+
+def test_failed_model_build_leaves_no_output_directory(workspace, tmp_path,
+                                                       capsys):
+    cfg = (workspace / "run.cfg").read_text(encoding="utf-8")
+    (tmp_path / "emb.cfg").write_text(
+        cfg + "embeddings=file\nembedding_path=nope.vec\n", encoding="utf-8")
+    rc = cli.main(["train", "--config", str(tmp_path / "emb.cfg"),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "nope.vec" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_out_path_that_is_a_file_is_a_config_error(workspace, tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("keep me\n", encoding="utf-8")
+    rc = cli.main(["train", "--config", str(workspace / "run.cfg"),
+                   "--out", str(afile)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert str(afile) in captured.err
+    assert not any(l.startswith("epoch ") for l in captured.out.splitlines())
+    assert afile.read_text(encoding="utf-8") == "keep me\n"
 
 
 def test_diverged_training_exits_4_but_keeps_artifacts(workspace, capsys,

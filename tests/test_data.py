@@ -146,16 +146,18 @@ def test_make_batches_shapes_and_padding():
              Sentence(list("a"), ["O"])]
     v = Vocab(sents)
     batches = data.make_batches(sents, 2, seed=0, vocab=v)
-    assert len(batches) == 2
-    total = 0
+    assert [len(b) for b in batches] == [2, 1]
+    by_length = {len(s): s for s in sents}
+    seen = []
     for b in batches:
-        assert b.ids.shape == b.tags.shape
-        assert b.ids.shape[1] == b.lengths.max()
-        for r in range(b.ids.shape[0]):
-            n = b.lengths[r]
-            assert np.all(b.ids[r, n:] == v.pad_id)
-            total += 1
-    assert total == 3
+        for ids, tags in b:
+            assert len(ids) == len(tags)
+            s = by_length[len(ids)]
+            assert list(ids) == list(v.encode_tokens(s.tokens))
+            assert list(tags) == list(v.encode_tags(s.tags))
+            assert v.pad_id not in ids
+            seen.append(len(ids))
+    assert sorted(seen) == [1, 2, 4]
 
 
 def test_make_batches_seeded_shuffle_is_reproducible():
@@ -164,7 +166,7 @@ def test_make_batches_seeded_shuffle_is_reproducible():
     a = data.make_batches(sents, 3, seed=5, vocab=v)
     b = data.make_batches(sents, 3, seed=5, vocab=v)
     c = data.make_batches(sents, 3, seed=6, vocab=v)
-    flat = lambda bs: [int(x) for batch in bs for x in batch.ids.ravel()]
+    flat = lambda bs: [int(x) for batch in bs for ids, _ in batch for x in ids]
     assert flat(a) == flat(b)
     assert flat(a) != flat(c)
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from hreb import autodiff as ad
 from hreb.errors import ConfigError
-from hreb.moving_average import EmaState, ema, multihead_ema
+from hreb.moving_average import EmaState, multihead_ema
 from hreb.oracles import ema_closed_form
 
 
@@ -19,15 +19,19 @@ def ema_brute(x, alpha, h0):
     return out
 
 
+def scan(x, alpha, h0):
+    return ad.ema_scan(None, ad.Tensor(x), ad.Tensor(alpha), ad.Tensor(h0)).data
+
+
 def test_ema_frozen_example():
-    got = ema(np.array([[1.0], [1.0], [1.0]]), np.array([0.5]))
+    got = scan(np.array([[1.0], [1.0], [1.0]]), np.array([0.5]), np.zeros(1))
     assert np.allclose(got[:, 0], [0.5, 0.75, 0.875], atol=1e-15)
 
 
 def test_ema_alpha_one_passthrough():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((9, 3))
-    assert np.array_equal(ema(x, np.ones(3)), x)
+    assert np.array_equal(scan(x, np.ones(3), rng.standard_normal(3)), x)
 
 
 def test_ema_matches_brute_and_closed_form():
@@ -39,21 +43,8 @@ def test_ema_matches_brute_and_closed_form():
         alpha = rng.uniform(0.05, 1.0, d)
         h0 = rng.standard_normal(d)
         ref = ema_brute(x, alpha, h0)
-        assert np.allclose(ema(x, alpha, h0), ref, atol=1e-12)
+        assert np.allclose(scan(x, alpha, h0), ref, atol=1e-12)
         assert np.abs(ema_closed_form(x, alpha, h0) - ref).max() < 1e-10
-
-
-def test_ema_rejects_alpha_out_of_range():
-    x = np.zeros((3, 2))
-    with pytest.raises(ValueError):
-        ema(x, np.array([0.0, 0.5]))
-    with pytest.raises(ValueError):
-        ema(x, np.array([0.5, 1.5]))
-
-
-def test_ema_default_initial_state_is_zero():
-    x = np.array([[2.0, 2.0]])
-    assert np.allclose(ema(x, np.array([0.25, 0.75])), [[0.5, 1.5]])
 
 
 def test_ema_scan_gradcheck():
@@ -97,7 +88,7 @@ def test_multihead_single_head_identity_reduces_to_scan():
     state.alpha_raw.data = np.array([np.log(alpha / (1 - alpha))])
     x = rng.standard_normal((12, d))
     got = multihead_ema(None, ad.Tensor(x), state).data
-    want = ema(x, np.full(d, alpha))
+    want = ema_brute(x, np.full(d, alpha), np.zeros(d))
     assert np.abs(got - want).max() < 1e-12
 
 
@@ -114,5 +105,5 @@ def test_multihead_per_head_decays_are_blockwise():
     rng = np.random.default_rng(12)
     x = rng.standard_normal((7, d))
     got = multihead_ema(None, ad.Tensor(x), state).data
-    assert np.abs(got[:, :2] - ema(x[:, :2], np.full(2, a0))).max() < 1e-12
-    assert np.abs(got[:, 2:] - ema(x[:, 2:], np.full(2, a1))).max() < 1e-12
+    assert np.abs(got[:, :2] - ema_brute(x[:, :2], np.full(2, a0), np.zeros(2))).max() < 1e-12
+    assert np.abs(got[:, 2:] - ema_brute(x[:, 2:], np.full(2, a1), np.zeros(2))).max() < 1e-12

@@ -1,0 +1,23 @@
+"""perfbench wraps public functions by name from outside src/; a rename
+under src/ must fail here, not only in the benchmark's own self-test."""
+
+import importlib
+import os
+
+import hreb.autodiff
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+def test_every_perfbench_trace_target_exists_and_is_callable(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    spans = importlib.import_module("spans")
+    # the tracer also counts record_op calls, looked up the same way
+    wrapped = [(owner, attr) for owner, attr, _, _ in spans.targets()]
+    wrapped.append((hreb.autodiff, "record_op"))
+    names = {f"{owner.__name__}.{attr}" for owner, attr in wrapped}
+    assert {"hreb.rhema.rhema_block", "hreb.training.make_batches"} <= names
+    missing = [f"{owner.__name__}.{attr}" for owner, attr in wrapped
+               if not callable(owner.__dict__.get(attr))]
+    assert missing == []
