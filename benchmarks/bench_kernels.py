@@ -1,15 +1,20 @@
-"""Timing comparison of the two kernel implementation tables.
+"""Timing comparison of the kernel implementation tables.
 
-Every hot kernel ships twice: a plain numpy version and the same function
-compiled with numba. This script times both tables on identical inputs
-across a few sequence lengths and prints per-call times with the speedup.
-The compiled table is warmed up (triggering jit compilation) before any
-timing. If numba failed to import, only the numpy column is reported.
+Every hot kernel is written twice: scalar loops (the reference, and the
+source numba compiles) and a vectorized numpy version. This script times
+the reference table, the vectorized table and, when numba imports, the
+jitted loops on identical inputs across a few sequence lengths. It prints
+per-call times and each table's speedup over the reference. The jitted
+table is warmed up (triggering compilation) before any timing.
 
 Run from the repository root:
 
-    python3 benchmarks/bench_kernels.py
-    python3 benchmarks/bench_kernels.py --lengths 128 512 2048 --repeats 7
+    OPENBLAS_NUM_THREADS=1 python3 benchmarks/bench_kernels.py
+    OPENBLAS_NUM_THREADS=1 python3 benchmarks/bench_kernels.py --lengths 128 512 2048 --repeats 7
+
+Pin BLAS to one thread, as perfbench does: on a 2-vCPU machine, threaded
+OpenBLAS made the (32, 255) x (255, 128) product that lstm_backward hoists
+out of its time loop take about 16 ms instead of 0.09 ms.
 """
 
 import argparse
@@ -21,7 +26,7 @@ from hreb.kernels import kernel_impls
 
 
 def build_cases(rng, n, d, h, c):
-    """One (args tuple) per kernel name, shared across both tables."""
+    """One (args tuple) per kernel name, shared across the tables."""
     x = rng.standard_normal((n, d))
     alpha = rng.uniform(0.05, 0.95, d)
     h0 = rng.standard_normal(d)
@@ -37,10 +42,10 @@ def build_cases(rng, n, d, h, c):
     start = rng.standard_normal(c)
     stop = rng.standard_normal(c)
 
-    numpy_table = kernel_impls()["numpy"]
-    hist = numpy_table["ema_forward"](x, alpha, h0)
-    hidden, gates, cells = numpy_table["lstm_forward"](xw, u, b4)
-    log_z, fwd = numpy_table["crf_forward"](emissions, trans, start, stop)
+    reference = kernel_impls()["reference"]
+    hist = reference["ema_forward"](x, alpha, h0)
+    hidden, gates, cells = reference["lstm_forward"](xw, u, b4)
+    log_z, fwd = reference["crf_forward"](emissions, trans, start, stop)
 
     return [
         ("ema_forward", (x, alpha, h0)),
@@ -89,13 +94,13 @@ def main():
     args = parser.parse_args()
 
     tables = kernel_impls()
-    have_numba = bool(tables["numba"])
-    if not have_numba:
-        print("numba unavailable: timing the numpy table only")
+    compared = ["numpy"] + (["numba"] if tables["numba"] else [])
+    if not tables["numba"]:
+        print("numba unavailable: timing the reference and numpy tables")
 
-    header = f"{'kernel':<14} {'n':>6} {'numpy':>12}"
-    if have_numba:
-        header += f" {'numba':>12} {'speedup':>8}"
+    header = f"{'kernel':<14} {'n':>6} {'reference':>12}"
+    for label in compared:
+        header += f" {label:>12} {'speedup':>8}"
     print(header)
     print("-" * len(header))
 
@@ -103,14 +108,14 @@ def main():
         rng = np.random.default_rng(args.seed)
         cases = build_cases(rng, n, args.dim, args.hidden, args.classes)
         for name, call_args in cases:
-            t_np = time_call(tables["numpy"][name], call_args,
-                             args.repeats, args.inner)
-            line = f"{name:<14} {n:>6} {fmt(t_np):>12}"
-            if have_numba:
-                jit_fn = tables["numba"][name]
-                jit_fn(*call_args)  # compile outside the timed region
-                t_nb = time_call(jit_fn, call_args, args.repeats, args.inner)
-                line += f" {fmt(t_nb):>12} {t_np / t_nb:>7.1f}x"
+            t_ref = time_call(tables["reference"][name], call_args,
+                              args.repeats, args.inner)
+            line = f"{name:<14} {n:>6} {fmt(t_ref):>12}"
+            for label in compared:
+                fn = tables[label][name]
+                fn(*call_args)  # jit compilation stays outside the timing
+                t = time_call(fn, call_args, args.repeats, args.inner)
+                line += f" {fmt(t):>12} {t_ref / t:>7.1f}x"
             print(line)
         print()
 

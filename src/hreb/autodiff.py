@@ -54,7 +54,7 @@ class Tape:
 
 def record_op(tape, name, inputs, out_data, backward_fn):
     out_data = np.asarray(out_data, dtype=np.float64)
-    if not np.all(np.isfinite(out_data)):
+    if not np.isfinite(out_data).all():
         raise NumericsError(f"op {name!r} produced non-finite values")
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
     if tape is not None and out.requires_grad:

@@ -76,7 +76,8 @@ def cmd_train(args):
     print(f"best epoch {result.best_epoch} F1 {result.best_f1:.6f} "
           f"({result.stop_reason})")
     if result.diverged:
-        print("training diverged; best checkpoint retained", file=sys.stderr)
+        print(f"training aborted ({result.stop_reason}); best checkpoint retained",
+              file=sys.stderr)
         return EXIT_DIVERGED
     return EXIT_OK
 

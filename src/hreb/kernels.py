@@ -1,11 +1,15 @@
 """Hot recurrence kernels: EMA scan, LSTM, and linear-chain CRF dynamic programs.
 
-Every kernel is written once as a plain-numpy function and, by default,
-compiled with numba's @njit. If numba cannot be imported, a warning naming
-the import error is issued and the uncompiled functions run instead. Set
-HREB_BACKEND=numpy to force the uncompiled fallback (useful for debugging
-and for the benchmark baseline). Both paths are float64; callers cast at
-the boundary.
+Every kernel is written twice. The scalar loops are the reference: they are
+what numba's @njit compiles, and the parity tests check the other table
+against them. The vectorized versions run each time step (or each CRF
+position) as whole-array numpy code, with the matrix products hoisted out
+of the time loop where the recurrence allows.
+
+Selection happens at import: the jitted loops when numba imports, otherwise
+the vectorized table (with a warning naming the import error).
+HREB_BACKEND=numpy forces the vectorized table. All paths are float64;
+callers cast at the boundary.
 """
 
 import os
@@ -229,7 +233,7 @@ def _viterbi(emissions, trans, start, stop):
     return path, best
 
 
-_PY_KERNELS = {
+_REF_KERNELS = {
     "ema_forward": _ema_forward,
     "ema_backward": _ema_backward,
     "lstm_forward": _lstm_forward,
@@ -239,13 +243,161 @@ _PY_KERNELS = {
     "viterbi": _viterbi,
 }
 
+
+# ---------------------------------------------------------------------------
+# Vectorized versions of the loops above, same signatures and results (up
+# to float rounding; Viterbi paths are exact).
+# ---------------------------------------------------------------------------
+
+def _ema_forward_vec(x, alpha, h0):
+    ax = alpha * x
+    keep = 1.0 - alpha
+    out = np.empty(x.shape)
+    h = h0
+    for t in range(x.shape[0]):
+        h = np.multiply(keep, h, out=out[t])
+        h += ax[t]
+    return out
+
+
+def _ema_backward_vec(x, alpha, h0, hist, dout):
+    n, d = x.shape
+    keep = 1.0 - alpha
+    g = np.empty((n, d))
+    carry = np.zeros(d)
+    for t in range(n - 1, -1, -1):
+        carry = np.add(dout[t], carry, out=g[t]) * keep
+    prev = np.empty((n, d))
+    prev[0] = h0
+    prev[1:] = hist[:-1]
+    return alpha * g, (g * (x - prev)).sum(0), carry
+
+
+def _lstm_forward_vec(xw, u, b):
+    n = xw.shape[0]
+    h_dim = u.shape[0]
+    xwb = xw + b
+    gates = np.empty((n, 4 * h_dim))
+    cells = np.empty((n, h_dim))
+    hidden = np.empty((n, h_dim))
+    h = np.zeros(h_dim)
+    c = np.zeros(h_dim)
+    cs = slice(2 * h_dim, 3 * h_dim)
+    for t in range(n):
+        a = xwb[t] + h @ u
+        g = gates[t]
+        # sigmoid on all four slices, then tanh overwrites the cell slice
+        np.negative(a, out=g)
+        np.exp(g, out=g)
+        g += 1.0
+        np.reciprocal(g, out=g)
+        np.tanh(a[cs], out=g[cs])
+        c = g[h_dim:2 * h_dim] * c + g[:h_dim] * g[cs]
+        h = g[3 * h_dim:] * np.tanh(c)
+        cells[t] = c
+        hidden[t] = h
+    return hidden, gates, cells
+
+
+def _lstm_backward_vec(gates, cells, hidden, u, dout):
+    n, h_dim = dout.shape
+    g4 = gates.reshape(n, 4, h_dim)
+    i_g, f_g, c_g, o_g = g4[:, 0], g4[:, 1], g4[:, 2], g4[:, 3]
+    tc = np.tanh(cells)
+    c_prev = np.zeros((n, h_dim))
+    c_prev[1:] = cells[:-1]
+    # da[:, :3] = dc_t * k3[t] and da[:, 3] = g_t * k_o[t], where
+    # dc_t = dc_{t+1} * f_{t+1} + g_t * k_c[t] and g_t = dout[t] + u @ da_{t+1}.
+    k3 = np.empty((n, 3, h_dim))
+    k3[:, 0] = c_g * i_g * (1.0 - i_g)
+    k3[:, 1] = c_prev * f_g * (1.0 - f_g)
+    k3[:, 2] = i_g * (1.0 - c_g * c_g)
+    k_o = tc * o_g * (1.0 - o_g)
+    k_c = o_g * (1.0 - tc * tc)
+    dxw = np.empty((n, 4, h_dim))
+    dh = np.zeros(h_dim)
+    dc = np.zeros(h_dim)
+    for t in range(n - 1, -1, -1):
+        g = dout[t] + dh
+        dct = dc + g * k_c[t]
+        np.multiply(k3[t], dct, out=dxw[t, :3])
+        np.multiply(k_o[t], g, out=dxw[t, 3])
+        dc = dct * f_g[t]
+        dh = u @ dxw[t].reshape(-1)
+    dxw = dxw.reshape(n, 4 * h_dim)
+    return dxw, hidden[:-1].T @ dxw[1:], dxw.sum(0)
+
+
+def _logsumexp(s, axis):
+    # Shifted by the max along `axis`; an all -inf slice gives -inf (the
+    # caller silences numpy's divide warning for log(0)).
+    m = s.max(axis)
+    m = np.where(m == _NEG_INF, 0.0, m)
+    return np.log(np.exp(s - np.expand_dims(m, axis)).sum(axis)) + m
+
+
+def _crf_forward_vec(emissions, trans, start, stop):
+    n, c = emissions.shape
+    alpha = np.empty((n, c))
+    alpha[0] = start + emissions[0]
+    with np.errstate(divide="ignore"):
+        for t in range(1, n):
+            alpha[t] = _logsumexp(alpha[t - 1][:, None] + trans, 0) + emissions[t]
+        log_z = _logsumexp(alpha[n - 1] + stop, 0)
+    return log_z, alpha
+
+
+def _crf_backward_vec(emissions, trans, start, stop, alpha, log_z, gscale):
+    n, c = emissions.shape
+    beta = np.empty((n, c))
+    beta[n - 1] = stop
+    with np.errstate(divide="ignore"):
+        for t in range(n - 2, -1, -1):
+            beta[t] = _logsumexp(trans + emissions[t + 1] + beta[t + 1], 1)
+    demis = gscale * np.exp(alpha + beta - log_z)
+    # pairwise posteriors of (y_t = i, y_{t+1} = j), all t at once
+    pair = alpha[:-1, :, None] + trans + emissions[1:, None] + beta[1:, None] - log_z
+    dtrans = gscale * np.exp(pair).sum(0)
+    dstop = gscale * np.exp(alpha[n - 1] + stop - log_z)
+    return demis, dtrans, demis[0].copy(), dstop
+
+
+def _viterbi_vec(emissions, trans, start, stop):
+    # argmax returns the first maximum, so ties pick the lowest class index
+    # exactly as the reference loop's strict comparison does.
+    n, c = emissions.shape
+    delta = start + emissions[0]
+    back = np.zeros((n, c), dtype=np.int64)
+    for t in range(1, n):
+        s = delta[:, None] + trans
+        back[t] = s.argmax(0)
+        delta = s.max(0) + emissions[t]
+    final = delta + stop
+    last = int(final.argmax())
+    path = np.empty(n, dtype=np.int64)
+    path[n - 1] = last
+    for t in range(n - 1, 0, -1):
+        path[t - 1] = back[t, path[t]]
+    return path, final[last]
+
+
+_VEC_KERNELS = {
+    "ema_forward": _ema_forward_vec,
+    "ema_backward": _ema_backward_vec,
+    "lstm_forward": _lstm_forward_vec,
+    "lstm_backward": _lstm_backward_vec,
+    "crf_forward": _crf_forward_vec,
+    "crf_backward": _crf_backward_vec,
+    "viterbi": _viterbi_vec,
+}
+
 if USE_NUMBA:
     _logsumexp_row = njit(cache=True)(_logsumexp_row)
-    _JIT_KERNELS = {name: njit(cache=True)(fn) for name, fn in _PY_KERNELS.items()}
+    _JIT_KERNELS = {name: njit(cache=True)(fn) for name, fn in _REF_KERNELS.items()}
 else:
     _JIT_KERNELS = {}
 
-_ACTIVE = _JIT_KERNELS if USE_NUMBA else _PY_KERNELS
+_ACTIVE = _JIT_KERNELS if USE_NUMBA else _VEC_KERNELS
 
 ema_forward = _ACTIVE["ema_forward"]
 ema_backward = _ACTIVE["ema_backward"]
@@ -261,12 +413,15 @@ def backend_name():
 
 
 def kernel_impls():
-    """Both kernel tables, for parity tests and the benchmark.
+    """Every kernel table, for parity tests and the benchmark.
 
-    The numba table is empty unless the numba backend is active: it is also
-    empty under HREB_BACKEND=numpy when numba is installed.
+    "reference" holds the scalar loops, "numpy" the vectorized versions and
+    "numba" the jitted loops. The numba table is empty unless the numba
+    backend is active: it is also empty under HREB_BACKEND=numpy when numba
+    is installed.
     """
-    return {"numpy": _PY_KERNELS, "numba": _JIT_KERNELS}
+    return {"reference": _REF_KERNELS, "numpy": _VEC_KERNELS,
+            "numba": _JIT_KERNELS}
 
 
 def as_f64(arr):

@@ -8,7 +8,7 @@ from . import autodiff as ad
 from . import residual
 from .config import RunConfig
 from .data import Vocab, decode_spans, make_batches, span_prf
-from .errors import DivergenceError, NumericsError
+from .errors import DegenerateRowError, DivergenceError, NumericsError
 from .model import HrebModel
 from .optim import AdamState
 
@@ -106,7 +106,9 @@ def train(config, corpus, log=None):
     Emits one "epoch N P x R x F1 x loss x" line per epoch (validation
     scores, training loss). Early-stops when validation F1 has not improved
     for `patience` epochs, or immediately once it reaches `stop_f1`. On
-    divergence the run aborts and the best (or initial) weights survive.
+    divergence the run aborts and the best (or initial) weights survive;
+    stop_reason is "degenerate_attention" when an attention row could not
+    be normalized and "diverged" for any other numeric fault.
     A zero learning rate turns every step into a no-op.
     """
     vocab = Vocab.from_corpus(corpus)
@@ -144,7 +146,8 @@ def train(config, corpus, log=None):
             report = evaluate(model, dev)
         except (DivergenceError, NumericsError) as e:
             diverged = True
-            stop_reason = "diverged"
+            stop_reason = ("degenerate_attention"
+                           if isinstance(e, DegenerateRowError) else "diverged")
             emit(f"diverged at epoch {epoch}: {e}")
             break
         history.append({"epoch": epoch, "P": report.precision,

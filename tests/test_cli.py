@@ -173,6 +173,28 @@ def test_diverged_training_exits_4_but_keeps_artifacts(workspace, capsys,
     assert (out / "best.ckpt").exists()
 
 
+def test_degenerate_attention_abort_names_its_reason(workspace, capsys,
+                                                     monkeypatch):
+    import json
+
+    from hreb import training
+    from hreb.errors import DegenerateRowError
+
+    def degenerate(*a, **kw):
+        raise DegenerateRowError("row 6 sums to -3.34; cannot normalize")
+
+    monkeypatch.setattr(training, "_epoch_pass", degenerate)
+    out = workspace / "run_degenerate"
+    rc = cli.main(["train", "--config", str(workspace / "run.cfg"),
+                   "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert "training aborted (degenerate_attention)" in captured.err
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["stop_reason"] == "degenerate_attention"
+    assert summary["diverged"] is True
+
+
 def test_eval_prints_span_report(workspace, capsys):
     rc = cli.main(["eval", "--ckpt", str(workspace / "run1" / "best.ckpt"),
                    "--corpus", str(workspace / "test.txt")])

@@ -134,6 +134,37 @@ def test_divergence_aborts_and_keeps_best_weights(monkeypatch):
         assert np.array_equal(p.data, result.best_state["params"][p.name])
 
 
+def test_degenerate_attention_abort_has_its_own_stop_reason(monkeypatch):
+    # reduced_laplace's row normalization raises on the tape from the second
+    # epoch on; decoding (no tape) is left alone
+    from hreb import autodiff as ad
+    from hreb.errors import DegenerateRowError
+
+    real = ad.normalize_rows
+    epochs = {"n": 0}
+    real_pass = training._epoch_pass
+
+    def count_epochs(*args, **kw):
+        epochs["n"] += 1
+        return real_pass(*args, **kw)
+
+    def degenerate(tape, a, mask=None):
+        if tape is not None and epochs["n"] >= 2:
+            raise DegenerateRowError("row 0 sums to -1.0; cannot normalize")
+        return real(tape, a, mask)
+
+    monkeypatch.setattr(training, "_epoch_pass", count_epochs)
+    monkeypatch.setattr(ad, "normalize_rows", degenerate)
+    cfg = tiny_config(max_epochs=5, attn_fn="reduced_laplace")
+    result = training.train(cfg, tiny_corpus())
+    assert result.diverged
+    assert result.stop_reason == "degenerate_attention"
+    assert result.summary()["stop_reason"] == "degenerate_attention"
+    assert len(result.history) == 1
+    assert result.lines[-1] == ("diverged at epoch 2: "
+                                "row 0 sums to -1.0; cannot normalize")
+
+
 def test_duplicate_parameter_names_are_refused():
     cfg = tiny_config()
     corpus = tiny_corpus()
