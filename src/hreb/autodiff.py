@@ -43,10 +43,14 @@ class Tensor:
 
 
 class Tape:
-    """Ordered op records: (op name, input tensors, output tensor, backward fn)."""
+    """Ordered op records: (op name, input tensors, output tensor, backward fn).
+
+    memo holds values per_tape built once for this tape.
+    """
 
     def __init__(self):
         self.records = []
+        self.memo = {}
 
     def add(self, name, inputs, output, backward_fn):
         self.records.append((name, inputs, output, backward_fn))
@@ -60,6 +64,20 @@ def record_op(tape, name, inputs, out_data, backward_fn):
     if tape is not None and out.requires_grad:
         tape.add(name, inputs, out, backward_fn)
     return out
+
+
+def per_tape(tape, key, build):
+    """build() once per tape under key, or on every call when tape is None.
+
+    For values that depend only on parameters and caches, which stay fixed
+    while one tape (one optimizer step) is alive: every use after the first
+    shares one tensor, so its ops are recorded and swept back once.
+    """
+    if tape is None:
+        return build()
+    if key not in tape.memo:
+        tape.memo[key] = build()
+    return tape.memo[key]
 
 
 def backward(tape, loss, keep=()):
@@ -153,8 +171,42 @@ def matmul(tape, a, b):
     return record_op(tape, "matmul", (a, b), a.data @ b.data, bw)
 
 
-def transpose(tape, a):
-    return record_op(tape, "transpose", (a,), a.data.T.copy(), lambda g: (g.T,))
+def linear(tape, x, w, b):
+    """x @ w + b: a matmul and a bias add recorded as one op."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ValueError(f"linear shapes incompatible: {x.data.shape} x {w.data.shape}")
+
+    def bw(g):
+        return g @ w.data.T, x.data.T @ g, _unbroadcast(g, b.shape)
+    return record_op(tape, "linear", (x, w, b), x.data @ w.data + b.data, bw)
+
+
+def affine(tape, x, s, m):
+    """x * s + m elementwise: a mul and an add recorded as one op."""
+    def bw(g):
+        return (_unbroadcast(g * s.data, x.shape), _unbroadcast(g * x.data, s.shape),
+                _unbroadcast(g, m.shape))
+    return record_op(tape, "affine", (x, s, m), x.data * s.data + m.data, bw)
+
+
+def dot_scores(tape, q, k, c):
+    """c * (q @ k^T): scaled query-key scores as one op."""
+    c = float(c)
+
+    def bw(g):
+        gc = g * c
+        return gc @ k.data, gc.T @ q.data
+    return record_op(tape, "dot_scores", (q, k), (q.data @ k.data.T) * c, bw)
+
+
+def lerp(tape, w, a, b):
+    """w * a + (1 - w) * b elementwise: a convex mix weighted by w."""
+    def bw(g):
+        return (_unbroadcast(g * a.data - g * b.data, w.shape),
+                _unbroadcast(g * w.data, a.shape),
+                _unbroadcast(g * (1.0 - w.data), b.shape))
+    return record_op(tape, "lerp", (w, a, b),
+                     w.data * a.data + (1.0 - w.data) * b.data, bw)
 
 
 def concat_cols(tape, a, b):

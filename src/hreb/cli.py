@@ -111,8 +111,11 @@ def cmd_predict(args):
         for tok, tag in zip(tokens, model.predict_tags(tokens)):
             out_lines.append(f"{tok}\t{tag}\n")
         out_lines.append("\n")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("".join(out_lines))
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write("".join(out_lines))
+    except OSError as e:
+        raise ConfigError(f"cannot write output {args.out}: {e.strerror}")
     if skipped:
         print(f"warning: skipped {skipped} empty input line(s)", file=sys.stderr)
     return EXIT_OK

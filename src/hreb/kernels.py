@@ -331,9 +331,9 @@ def _lstm_backward_vec(gates, cells, hidden, u, dout):
 def _logsumexp(s, axis):
     # Shifted by the max along `axis`; an all -inf slice gives -inf (the
     # caller silences numpy's divide warning for log(0)).
-    m = s.max(axis)
+    m = s.max(axis, keepdims=True)
     m = np.where(m == _NEG_INF, 0.0, m)
-    return np.log(np.exp(s - np.expand_dims(m, axis)).sum(axis)) + m
+    return np.log(np.exp(s - m).sum(axis)) + m.squeeze(axis)
 
 
 def _crf_forward_vec(emissions, trans, start, stop):

@@ -82,7 +82,7 @@ class HrebModel:
         x = embed_tokens(tape, ids, self.embed)
         h = self.encoder.forward(tape, x, traces=traces)
         ctx = self.lstm.forward(tape, h)
-        return ad.add(tape, ad.matmul(tape, ctx, self.w_out), self.b_out)
+        return ad.linear(tape, ctx, self.w_out, self.b_out)
 
     def sentence_nll(self, tape, ids, tag_ids):
         """Training loss for one sentence (a sum over its positions)."""

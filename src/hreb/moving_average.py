@@ -45,12 +45,16 @@ class EmaState:
 
 
 def multihead_ema(tape, x, state):
-    """Project to heads, scan each with its own decay, project back to d."""
+    """Project to heads, scan each with its own decay, project back to d.
+
+    The per-dimension decay depends only on alpha_raw, so it is built once
+    per tape.
+    """
     if x.data.shape[1] != state.d_model:
         raise ConfigError(
             f"input width {x.data.shape[1]} != state d_model {state.d_model}")
-    alpha_head = ad.sigmoid(tape, state.alpha_raw)
-    alpha = ad.repeat_entries(tape, alpha_head, state.head_dim)
+    alpha = ad.per_tape(tape, state, lambda: ad.repeat_entries(
+        tape, ad.sigmoid(tape, state.alpha_raw), state.head_dim))
     down = ad.matmul(tape, x, state.w_down)
     scanned = ad.ema_scan(tape, down, alpha, state.h0)
     return ad.matmul(tape, scanned, state.w_up)

@@ -66,15 +66,21 @@ def apply(tape, x, branch, state):
     if state.mode == "static":
         return ad.add(tape, ad.scale(tape, f, state.alpha),
                       ad.scale(tape, x, state.beta))
-    if state.mode == "dynamic" and tape is not None:
+    if tape is not None:
         state.pending.append((f, x))
+    gate_f, gate_x = ad.per_tape(tape, state, lambda: _gates(tape, state))
+    return ad.add(tape, ad.mul(tape, gate_f, f), ad.mul(tape, gate_x, x))
+
+
+def _gates(tape, state):
+    """(gate_f, gate_x), each (1, d): sigmoid(cache @ W + b).
+
+    Only parameters and caches enter, so apply builds them once per tape.
+    """
     gf = ad.Tensor(state.cache_f.reshape(1, -1), name="rb.cache_f")
     gx = ad.Tensor(state.cache_x.reshape(1, -1), name="rb.cache_x")
-    gate_f = ad.sigmoid(tape, ad.add(tape, ad.matmul(tape, gf, state.w_alpha),
-                                     state.b_alpha))
-    gate_x = ad.sigmoid(tape, ad.add(tape, ad.matmul(tape, gx, state.w_beta),
-                                     state.b_beta))
-    return ad.add(tape, ad.mul(tape, gate_f, f), ad.mul(tape, gate_x, x))
+    return (ad.sigmoid(tape, ad.linear(tape, gf, state.w_alpha, state.b_alpha)),
+            ad.sigmoid(tape, ad.linear(tape, gx, state.w_beta, state.b_beta)))
 
 
 def update_gate_cache(state, grad_f, grad_x, momentum):

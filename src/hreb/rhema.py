@@ -172,27 +172,26 @@ class RhemaParams(BlockParams):
 def shared_rep(tape, x, params, config):
     """Z = silu(EMA(x) @ W_z + b_z) + x."""
     smoothed = multihead_ema(tape, x, params.ema)
-    proj = ad.add(tape, ad.matmul(tape, smoothed, params.w_z), params.b_z)
+    proj = ad.linear(tape, smoothed, params.w_z, params.b_z)
     return ad.add(tape, ad.silu(tape, proj, config.silu_variant), x)
 
 
 def qk_transform(tape, z, params):
     """Per-dimension affine views of Z: cheap extra degrees of freedom."""
-    q = ad.add(tape, ad.mul(tape, z, params.kappa_q), params.mu_q)
-    k = ad.add(tape, ad.mul(tape, z, params.kappa_k), params.mu_k)
+    q = ad.affine(tape, z, params.kappa_q, params.mu_q)
+    k = ad.affine(tape, z, params.kappa_k, params.mu_k)
     return q, k
 
 
 def value_transform(tape, x, params, config):
     """V = silu(x @ W_v + b_v), widening to v_dim."""
-    return ad.silu(tape, ad.add(tape, ad.matmul(tape, x, params.w_v), params.b_v),
+    return ad.silu(tape, ad.linear(tape, x, params.w_v, params.b_v),
                    config.silu_variant)
 
 
 def attention(tape, q, k, v, params, config, pair_mask=None, trace=None):
     """O = f(Q K^T / scale + b_rel) V with the configured score squash."""
-    scores = ad.scale(tape, ad.matmul(tape, q, ad.transpose(tape, k)),
-                      1.0 / config.attn_scale)
+    scores = ad.dot_scores(tape, q, k, 1.0 / config.attn_scale)
     scores = ad.add_rel_bias(tape, scores, params.b_rel)
     if config.attn_fn == "softmax":
         weights = ad.softmax_rows(tape, scores, pair_mask)
@@ -211,17 +210,12 @@ def attention(tape, q, k, v, params, config, pair_mask=None, trace=None):
 
 def gated_output(tape, x, z, o, params, config, trace=None):
     """GRU-style merge: reset-gate the attended values, update-gate the mix."""
-    gamma = ad.sigmoid(tape, ad.add(tape, ad.matmul(tape, z, params.w_gamma),
-                                    params.b_gamma))
-    phi = ad.sigmoid(tape, ad.add(tape, ad.matmul(tape, z, params.w_phi),
-                                  params.b_phi))
+    gamma = ad.sigmoid(tape, ad.linear(tape, z, params.w_gamma, params.b_gamma))
+    phi = ad.sigmoid(tape, ad.linear(tape, z, params.w_phi, params.b_phi))
     inner = ad.add(tape, ad.matmul(tape, z, params.w_h),
-                   ad.add(tape, ad.matmul(tape, ad.mul(tape, gamma, o), params.u_h),
-                          params.b_h))
+                   ad.linear(tape, ad.mul(tape, gamma, o), params.u_h, params.b_h))
     y_hat = ad.silu(tape, inner, config.silu_variant)
-    one = ad.Tensor(np.float64(1.0), name="one")
-    y = ad.add(tape, ad.mul(tape, phi, y_hat),
-               ad.mul(tape, ad.sub(tape, one, phi), x))
+    y = ad.lerp(tape, phi, y_hat, x)
     if trace is not None:
         trace.gamma = gamma.data.copy()
         trace.phi = phi.data.copy()
@@ -256,9 +250,8 @@ def _block(tape, x, p, config, attend):
 
     def ffn_branch(xin):
         xn = _norm(tape, xin, p.norm2_gain, p.norm2_bias, config)
-        h = ad.silu_paper(tape, ad.add(tape, ad.matmul(tape, xn, p.ffn_w1),
-                                       p.ffn_b1))
-        return ad.add(tape, ad.matmul(tape, h, p.ffn_w2), p.ffn_b2)
+        h = ad.silu_paper(tape, ad.linear(tape, xn, p.ffn_w1, p.ffn_b1))
+        return ad.linear(tape, h, p.ffn_w2, p.ffn_b2)
 
     mid = residual.apply(tape, x, attn_branch, p.rb_attn)
     return residual.apply(tape, mid, ffn_branch, p.rb_ffn)
@@ -341,8 +334,7 @@ class NaiveEncoder(BlockParams):
             q = ad.matmul(tape, xn, self.w_q)
             k = ad.matmul(tape, xn, self.w_k)
             v = ad.matmul(tape, xn, self.w_v)
-            scores = ad.scale(tape, ad.matmul(tape, q, ad.transpose(tape, k)),
-                              1.0 / np.sqrt(c.d_model))
+            scores = ad.dot_scores(tape, q, k, 1.0 / np.sqrt(c.d_model))
             weights = ad.softmax_rows(tape, scores)
             if trace is not None:
                 trace.q, trace.k, trace.v = q.data.copy(), k.data.copy(), v.data.copy()

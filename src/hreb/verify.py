@@ -104,7 +104,28 @@ def op_grad_checks(seed=0, tol=1e-4):
         ("clamp_min", {"a": pos}, lambda t, s: ad.clamp_min(t, s["a"], 1.0), "a"),
         ("matmul/a", {"a": a, "b": sq}, lambda t, s: ad.matmul(t, s["a"], s["b"]), "a"),
         ("matmul/b", {"a": a, "b": sq}, lambda t, s: ad.matmul(t, s["a"], s["b"]), "b"),
-        ("transpose", {"a": a}, lambda t, s: ad.transpose(t, s["a"]), "a"),
+        ("linear/x", {"x": a, "w": sq, "b": vec},
+         lambda t, s: ad.linear(t, s["x"], s["w"], s["b"]), "x"),
+        ("linear/w", {"x": a, "w": sq, "b": vec},
+         lambda t, s: ad.linear(t, s["x"], s["w"], s["b"]), "w"),
+        ("linear/b", {"x": a, "w": sq, "b": vec},
+         lambda t, s: ad.linear(t, s["x"], s["w"], s["b"]), "b"),
+        ("affine/x", {"x": a, "s": gain, "m": beta},
+         lambda t, s: ad.affine(t, s["x"], s["s"], s["m"]), "x"),
+        ("affine/scale", {"x": a, "s": gain, "m": beta},
+         lambda t, s: ad.affine(t, s["x"], s["s"], s["m"]), "s"),
+        ("affine/shift", {"x": a, "s": gain, "m": beta},
+         lambda t, s: ad.affine(t, s["x"], s["s"], s["m"]), "m"),
+        ("dot_scores/q", {"q": a, "k": b[:2]},
+         lambda t, s: ad.dot_scores(t, s["q"], s["k"], 0.5), "q"),
+        ("dot_scores/k", {"q": a, "k": b[:2]},
+         lambda t, s: ad.dot_scores(t, s["q"], s["k"], 0.5), "k"),
+        ("lerp/w", {"w": pos / 2.0, "a": a, "b": b},
+         lambda t, s: ad.lerp(t, s["w"], s["a"], s["b"]), "w"),
+        ("lerp/a", {"w": pos / 2.0, "a": a, "b": b},
+         lambda t, s: ad.lerp(t, s["w"], s["a"], s["b"]), "a"),
+        ("lerp/b", {"w": pos / 2.0, "a": a, "b": b},
+         lambda t, s: ad.lerp(t, s["w"], s["a"], s["b"]), "b"),
         ("concat_cols/a", {"a": a, "b": b}, lambda t, s: ad.concat_cols(t, s["a"], s["b"]), "a"),
         ("concat_cols/b", {"a": a, "b": b}, lambda t, s: ad.concat_cols(t, s["a"], s["b"]), "b"),
         ("reverse_rows", {"a": a}, lambda t, s: ad.reverse_rows(t, s["a"]), "a"),

@@ -238,6 +238,20 @@ def test_predict_writes_conll_and_warns_on_empty_lines(workspace, tmp_path,
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_predict_to_an_unwritable_out_path_is_a_config_error(workspace, tmp_path,
+                                                             capsys):
+    raw = tmp_path / "raw.txt"
+    raw.write_text("a b c d\n", encoding="utf-8")
+    out = tmp_path / "nodir" / "pred.txt"
+    rc = cli.main(["predict", "--ckpt", str(workspace / "run1" / "best.ckpt"),
+                   "--in", str(raw), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(out) in err
+    assert not out.parent.exists()
+
+
 def test_inspect_dumps_traces_and_decodes(workspace, capsys):
     rc = cli.main(["inspect", "--ckpt", str(workspace / "run1" / "best.ckpt"),
                    "--sentence", "a b c d"])

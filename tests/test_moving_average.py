@@ -107,3 +107,61 @@ def test_multihead_per_head_decays_are_blockwise():
     got = multihead_ema(None, ad.Tensor(x), state).data
     assert np.abs(got[:, :2] - ema_brute(x[:, :2], np.full(2, a0), np.zeros(2))).max() < 1e-12
     assert np.abs(got[:, 2:] - ema_brute(x[:, 2:], np.full(2, a1), np.zeros(2))).max() < 1e-12
+
+
+def random_multihead_state(seed, d=4, heads=2):
+    rng = np.random.default_rng(seed)
+    state = EmaState(d, heads, rng)
+    state.alpha_raw.data[:] = rng.standard_normal(heads)
+    state.h0.data[:] = rng.standard_normal(d)
+    return state, rng
+
+
+def sentence_loss(tape, state, x_data):
+    out = multihead_ema(tape, ad.Tensor(x_data, requires_grad=True), state)
+    return ad.sum_all(tape, ad.mul(tape, out, out))
+
+
+def test_decay_is_recorded_once_per_tape():
+    state, rng = random_multihead_state(13)
+    tape = ad.Tape()
+    sentence_loss(tape, state, rng.standard_normal((3, 4)))
+    first = len(tape.records)
+    sentence_loss(tape, state, rng.standard_normal((6, 4)))
+    names = [r[0] for r in tape.records]
+    assert names.count("sigmoid") == 1 and names.count("repeat_entries") == 1
+    assert sum(state.alpha_raw in r[1] for r in tape.records) == 1
+    assert len(tape.records) - first == first - 2
+
+
+def test_hoisted_decay_gradient_equals_the_per_sentence_sum():
+    state, rng = random_multihead_state(14)
+    xs = [rng.standard_normal((n, 4)) for n in (2, 7, 4)]
+    shared = ad.Tape()
+    total = sentence_loss(shared, state, xs[0])
+    for x_data in xs[1:]:
+        total = ad.add(shared, total, sentence_loss(shared, state, x_data))
+    got = ad.backward(shared, total)
+    want = {p.id: 0.0 for p in state.params()}
+    for x_data in xs:
+        tape = ad.Tape()
+        grads = ad.backward(tape, sentence_loss(tape, state, x_data))
+        for p in state.params():
+            want[p.id] = want[p.id] + grads[p.id]
+    for p in state.params():
+        assert np.abs(got[p.id] - want[p.id]).max() <= 1e-12, p.name
+
+
+def test_decay_follows_in_place_changes_on_a_new_tape_and_without_one():
+    state, rng = random_multihead_state(15)
+    x = ad.Tensor(rng.standard_normal((5, 4)))
+    saved = state.alpha_raw.data.copy()
+    tape = ad.Tape()
+    before = multihead_ema(tape, x, state).data
+    state.alpha_raw.data += 1.0  # in place, as the optimizer updates
+    assert np.array_equal(multihead_ema(tape, x, state).data, before)
+    fresh = multihead_ema(None, x, state).data
+    assert not np.array_equal(fresh, before)
+    assert np.array_equal(multihead_ema(ad.Tape(), x, state).data, fresh)
+    state.alpha_raw.data[:] = saved
+    assert np.array_equal(multihead_ema(None, x, state).data, before)

@@ -166,3 +166,73 @@ def test_dynamic_gate_gradcheck():
 
     errs = finite_diff_params(build, state.params())
     assert max(errs.values()) < 1e-6
+
+
+def random_dynamic_state(seed):
+    rng = np.random.default_rng(seed)
+    state = make_state("dynamic", d=3, seed=seed)
+    state.cache_f = rng.standard_normal(3) * 0.5
+    state.cache_x = rng.standard_normal(3) * 0.5
+    for p in state.params():
+        p.data[...] = rng.standard_normal(p.data.shape) * 0.3
+    return state, rng
+
+
+def sentence_loss(tape, state, x_data):
+    x = ad.Tensor(x_data, requires_grad=True)
+    out = residual.apply(tape, x, lambda t: ad.silu_standard(tape, t), state)
+    return ad.sum_all(tape, ad.mul(tape, out, out))
+
+
+def test_dynamic_gates_are_recorded_once_per_tape():
+    state, rng = random_dynamic_state(5)
+    tape = ad.Tape()
+    sentence_loss(tape, state, rng.standard_normal((2, 3)))
+    first = len(tape.records)
+    sentence_loss(tape, state, rng.standard_normal((4, 3)))
+    for p in state.params():
+        assert sum(p in inputs for _, inputs, _, _ in tape.records) == 1, p.name
+    assert [r[0] for r in tape.records].count("sigmoid") == 2
+    # the second sentence records only its branch, the mix and its loss
+    assert len(tape.records) - first == first - 4
+
+
+def test_hoisted_gate_gradients_equal_the_per_sentence_sum():
+    state, rng = random_dynamic_state(6)
+    xs = [rng.standard_normal((n, 3)) for n in (2, 5, 3)]
+    shared = ad.Tape()
+    total = sentence_loss(shared, state, xs[0])
+    for x_data in xs[1:]:
+        total = ad.add(shared, total, sentence_loss(shared, state, x_data))
+    got = ad.backward(shared, total)
+    want = {p.id: 0.0 for p in state.params()}
+    for x_data in xs:
+        tape = ad.Tape()
+        grads = ad.backward(tape, sentence_loss(tape, state, x_data))
+        for p in state.params():
+            want[p.id] = want[p.id] + grads[p.id]
+    for p in state.params():
+        assert np.abs(got[p.id] - want[p.id]).max() <= 1e-12, p.name
+
+
+def test_a_new_tape_sees_in_place_parameter_changes():
+    state = make_state("dynamic", d=2)
+    x = ad.Tensor(np.ones((1, 2)))
+    tape = ad.Tape()
+    before = residual.apply(tape, x, double_branch, state).data
+    state.b_alpha.data += 1000.0  # in place, as the optimizer updates
+    # the tape keeps the gates it built ...
+    assert np.array_equal(residual.apply(tape, x, double_branch, state).data, before)
+    # ... and the next tape builds them from the new values
+    after = residual.apply(ad.Tape(), x, double_branch, state).data
+    assert np.array_equal(after, [[2.0 + 0.5, 2.0 + 0.5]])
+
+
+def test_without_a_tape_the_gates_are_rebuilt_on_every_call():
+    state = make_state("dynamic", d=2)
+    x = ad.Tensor(np.ones((1, 2)))
+    assert np.array_equal(residual.apply(None, x, double_branch, state).data,
+                          [[1.0 + 0.5, 1.0 + 0.5]])
+    state.b_alpha.data += 1000.0
+    assert np.array_equal(residual.apply(None, x, double_branch, state).data,
+                          [[2.0 + 0.5, 2.0 + 0.5]])

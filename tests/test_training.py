@@ -208,6 +208,27 @@ def test_gate_caches_move_during_dynamic_training():
     assert moved
 
 
+def test_default_config_sentence_records_at_most_95_ops():
+    # Gates and EMA decays are built once per tape (one optimizer step), so
+    # from the second sentence on a sentence records only its own ops.
+    from hreb import autodiff as ad
+    from hreb.data import Vocab
+    from hreb.model import HrebModel
+
+    corpus = tiny_corpus()
+    vocab = Vocab.from_corpus(corpus)
+    model = HrebModel(RunConfig(), vocab)
+    tape = ad.Tape()
+    counts = []
+    for s in corpus.train[:3]:
+        before = len(tape.records)
+        model.sentence_nll(tape, vocab.encode_tokens(s.tokens),
+                           vocab.encode_tags(s.tags))
+        counts.append(len(tape.records) - before)
+    assert counts[1] <= 95, counts
+    assert counts[1] == counts[2] < counts[0], counts
+
+
 def test_ablate_covers_the_grid_and_isolates_switches():
     cfg = tiny_config(max_epochs=2)
     corpus = tiny_corpus()
