@@ -1,6 +1,6 @@
 """Per-sentence cost of training and decoding on a fixed workload.
 
-Times, for documents of n tokens (default n in {4, 16, 64, 256}):
+Times, for documents of n tokens (n in LENGTHS: 4, 16, 64 and 256):
 
 - train: forward plus backward of one optimizer step's batch (16 documents
   on one tape, as `training` runs it), reported per sentence; the Adam
@@ -8,22 +8,28 @@ Times, for documents of n tokens (default n in {4, 16, 64, 256}):
 - decode: tape-free `HrebModel.decode` of the same 16 documents, reported
   per call.
 
-It also counts the tape ops a training sentence records: the first one on a
-tape, a later one, and the mean over the batch. Each timing is the median
-and quartiles of --repeats runs after two warm-up runs.
+It also counts the `autodiff.record_op` calls of a training sentence's
+forward pass: the first sentence on a tape, a later one, and the mean over
+the batch. The mean is the quantity perfbench traces as
+`autodiff.record_op.per_sentence`, there averaged over its own batches.
+Each timing is the median and quartiles of REPEATS runs after two warm-up
+runs.
 
 The workload is fixed: the default `RunConfig` (seed 0), a vocabulary from
 `synth_corpus(0, 64, 3)`, and documents cut from that corpus's token stream.
 BLAS is pinned to one thread before numpy loads, as perfbench does, and
 the environment record is perfbench's.
 
-Run from the repository root of each commit being compared, with the same
-output file:
+Run from the repository root of each commit being compared (copy this
+script into a checkout that lacks it), with the same output file,
+alternating the two sides over several numbered labels:
 
-    python3 benchmarks/bench_e2e.py --label parent --out BENCH_6.json
-    python3 benchmarks/bench_e2e.py --label change --out BENCH_6.json
+    python3 benchmarks/bench_e2e.py --label "parent 1" --out BENCH_6.json
+    python3 benchmarks/bench_e2e.py --label "change 1" --out BENCH_6.json
 
 The file keeps one entry per label; a rerun replaces that label's entry.
+The script refuses to add to a file whose recorded workload differs from
+its own.
 """
 
 import os
@@ -48,6 +54,18 @@ from hreb.model import HrebModel  # noqa: E402
 
 BATCH = 16
 CORPUS = (0, 64, 3)
+LENGTHS = (4, 16, 64, 256)
+REPEATS = 15
+WORKLOAD = {
+    "config": "RunConfig() defaults",
+    "vocab": f"synth_corpus{CORPUS}",
+    "batch": BATCH,
+    "lengths": list(LENGTHS),
+    "repeats": REPEATS,
+    "train": "forward + backward of one batch on one tape, per sentence",
+    "decode": "HrebModel.decode of the same documents, per call",
+    "record_ops": "autodiff.record_op calls in one sentence's forward pass",
+}
 
 
 def documents(corpus, vocab, n, count):
@@ -79,11 +97,11 @@ def train_step(model, batch):
         gs.pending = []
 
 
-def timed(fn, repeats):
+def timed(fn):
     for _ in range(2):
         fn()
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
@@ -91,37 +109,49 @@ def timed(fn, repeats):
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def per_sentence_ops(model, batch):
-    tape = ad.Tape()
-    counts = []
-    for ids, tag_ids in batch:
-        before = len(tape.records)
-        model.sentence_nll(tape, ids, tag_ids)
-        counts.append(len(tape.records) - before)
+def record_ops_per_sentence(model, batch):
+    """record_op calls of each sentence's forward pass on one tape."""
+    record_op = ad.record_op
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return record_op(*args, **kwargs)
+
+    ad.record_op = counting
+    try:
+        tape = ad.Tape()
+        counts = []
+        for ids, tag_ids in batch:
+            before = calls[0]
+            model.sentence_nll(tape, ids, tag_ids)
+            counts.append(calls[0] - before)
+    finally:
+        ad.record_op = record_op
     for gs in model.gate_states():
         gs.pending = []
     return {"first": counts[0], "later": counts[-1],
-            "mean": sum(counts) / len(counts)}
+            "batch_mean": sum(counts) / len(counts)}
 
 
-def measure(lengths, repeats):
+def measure():
     corpus = synth_corpus(*CORPUS)
     vocab = Vocab.from_corpus(corpus)
     model = HrebModel(RunConfig(), vocab)
     rows = []
-    for n in lengths:
+    for n in LENGTHS:
         batch = documents(corpus, vocab, n, BATCH)
-        train = timed(lambda: train_step(model, batch), repeats)
-        decode = timed(lambda: [model.decode(ids) for ids, _ in batch], repeats)
+        train = timed(lambda: train_step(model, batch))
+        decode = timed(lambda: [model.decode(ids) for ids, _ in batch])
         rows.append({
             "n": n,
             "train_ms_per_sentence": {k: v * 1e3 / BATCH for k, v in train.items()},
             "decode_ms": {k: v * 1e3 / BATCH for k, v in decode.items()},
-            "ops_per_sentence": per_sentence_ops(model, batch),
+            "record_ops_per_sentence": record_ops_per_sentence(model, batch),
         })
         print(f"n={n:4d}  train {rows[-1]['train_ms_per_sentence']['median']:8.3f} ms/sent"
               f"  decode {rows[-1]['decode_ms']['median']:8.3f} ms"
-              f"  ops {rows[-1]['ops_per_sentence']}", flush=True)
+              f"  record_ops {rows[-1]['record_ops_per_sentence']}", flush=True)
     return rows
 
 
@@ -130,27 +160,18 @@ def main():
     parser.add_argument("--label", required=True,
                         help="name of this entry in the output file, e.g. parent")
     parser.add_argument("--out", required=True, help="BENCH_<pr>.json to update")
-    parser.add_argument("--lengths", type=int, nargs="+", default=[4, 16, 64, 256])
-    parser.add_argument("--repeats", type=int, default=15,
-                        help="timed batches per length")
     args = parser.parse_args()
 
-    env = environment()
-    print(json.dumps(env))
-    rows = measure(args.lengths, args.repeats)
-    doc = {}
+    doc = {"workload": WORKLOAD, "runs": {}}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             doc = json.load(fh)
-    doc["workload"] = {
-        "config": "RunConfig() defaults",
-        "vocab": f"synth_corpus{CORPUS}",
-        "batch": BATCH,
-        "repeats": args.repeats,
-        "train": "forward + backward of one batch on one tape, per sentence",
-        "decode": "HrebModel.decode of the same documents, per call",
-    }
-    doc.setdefault("runs", {})[args.label] = {"environment": env, "rows": rows}
+        if doc.get("workload") != WORKLOAD:
+            sys.exit(f"error: {args.out} holds runs of another workload: "
+                     f"{doc.get('workload')}")
+    env = environment()
+    print(json.dumps(env))
+    doc["runs"][args.label] = {"environment": env, "rows": measure()}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
