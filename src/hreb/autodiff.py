@@ -189,14 +189,58 @@ def affine(tape, x, s, m):
     return record_op(tape, "affine", (x, s, m), x.data * s.data + m.data, bw)
 
 
-def dot_scores(tape, q, k, c):
-    """c * (q @ k^T): scaled query-key scores as one op."""
+def _chunked(a, m):
+    """a's rows zero-padded to whole chunks of m, as (n_chunks, m, ...) batches."""
+    pad = -a.shape[0] % m
+    if pad:
+        a = np.concatenate([a, np.zeros((pad,) + a.shape[1:])])
+    return a.reshape((-1, m) + a.shape[1:])
+
+
+def _unchunked(b, n):
+    """The first n rows of (n_chunks, m, ...) batches laid end to end."""
+    return b.reshape((-1,) + b.shape[2:])[:n]
+
+
+def dot_scores(tape, q, k, c, width=None):
+    """c * q_i . k_j for each query i and each key j in i's band, as one op.
+
+    The band of row i is its chunk of `width` consecutive rows: entry (i, r)
+    scores key (i // width) * width + r, so the output is (n, width). width
+    None (or >= n) makes the band every key: the (n, n) matrix c * q @ k^T.
+    Keys past the end of a ragged last chunk score against zero vectors;
+    callers mask them.
+    """
+    if q.data.shape != k.data.shape or q.data.ndim != 2:
+        raise ValueError(f"dot_scores needs 2-D q and k of one shape, "
+                         f"got {q.data.shape} and {k.data.shape}")
     c = float(c)
+    n = q.data.shape[0]
+    m = n if width is None else min(int(width), n)
+    qb, kb = _chunked(q.data, m), _chunked(k.data, m)
 
     def bw(g):
-        gc = g * c
-        return gc @ k.data, gc.T @ q.data
-    return record_op(tape, "dot_scores", (q, k), (q.data @ k.data.T) * c, bw)
+        gb = _chunked(g * c, m)
+        return _unchunked(gb @ kb, n), _unchunked(gb.transpose(0, 2, 1) @ qb, n)
+    return record_op(tape, "dot_scores", (q, k),
+                     _unchunked(qb @ kb.transpose(0, 2, 1), n) * c, bw)
+
+
+def chunk_mix(tape, w, v):
+    """out_i = sum_r w[i, r] * v[(i // m) * m + r]: values mixed over a band.
+
+    w is an (n, m) band laid out as dot_scores lays it out; m = n is w @ v.
+    """
+    n, m = w.data.shape
+    if v.data.ndim != 2 or v.data.shape[0] != n:
+        raise ValueError(f"chunk_mix shapes incompatible: {w.data.shape} and {v.data.shape}")
+    wb, vb = _chunked(w.data, m), _chunked(v.data, m)
+
+    def bw(g):
+        gb = _chunked(g, m)
+        return (_unchunked(gb @ vb.transpose(0, 2, 1), n),
+                _unchunked(wb.transpose(0, 2, 1) @ gb, n))
+    return record_op(tape, "chunk_mix", (w, v), _unchunked(wb @ vb, n), bw)
 
 
 def lerp(tape, w, a, b):
@@ -335,7 +379,7 @@ def feature_norm(tape, x, gain, bias, eps=1e-5):
 def softmax_rows(tape, scores, mask=None):
     """Row softmax over unmasked keys. A row with no unmasked key is an error."""
     allowed = _check_mask(scores.data, mask)
-    shifted = np.where(allowed, scores.data, -np.inf)
+    shifted = _masked(allowed, scores.data, -np.inf)
     shifted = shifted - shifted.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     w = e / e.sum(axis=-1, keepdims=True)
@@ -354,10 +398,10 @@ def laplace_map(tape, scores, mu, sigma_raw, mask=None):
     allowed = _check_mask(scores.data, mask)
     sig = float(np.logaddexp(0.0, sigma_raw.data))
     u = (scores.data - float(mu.data)) / (sig * _SQRT2)
-    out_data = np.where(allowed, 0.5 * (1.0 + _erf(u)), 0.0)
+    out_data = _masked(allowed, 0.5 * (1.0 + _erf(u)), 0.0)
 
     def bw(g):
-        gm = np.where(allowed, g, 0.0)
+        gm = _masked(allowed, g, 0.0)
         dw_du = np.exp(-u * u) / _SQRT_PI
         ds = gm * dw_du / (sig * _SQRT2)
         dmu = -ds.sum()
@@ -374,7 +418,7 @@ def normalize_rows(tape, a, mask=None):
     undefined weight distribution and raises DegenerateRowError.
     """
     allowed = _check_mask(a.data, mask)
-    masked = np.where(allowed, a.data, 0.0)
+    masked = _masked(allowed, a.data, 0.0)
     s = masked.sum(axis=-1, keepdims=True)
     if np.any(s <= 0.0):
         row = int(np.argmax((s <= 0.0).ravel()))
@@ -382,16 +426,17 @@ def normalize_rows(tape, a, mask=None):
     out_data = masked / s
 
     def bw(g):
-        gm = np.where(allowed, g, 0.0)
-        return (np.where(allowed, (gm - (gm * out_data).sum(axis=-1, keepdims=True)) / s, 0.0),)
+        gm = _masked(allowed, g, 0.0)
+        return (_masked(allowed, (gm - (gm * out_data).sum(axis=-1, keepdims=True)) / s, 0.0),)
     return record_op(tape, "normalize_rows", (a,), out_data, bw)
 
 
 def _check_mask(data, mask):
     # Masks may broadcast on trailing axes (e.g. one key-mask row shared by
-    # every query). Every row must keep at least one live entry.
+    # every query). Every row must keep at least one live entry. No mask
+    # stays None: every entry is live and the ops skip their np.where.
     if mask is None:
-        return np.ones(data.shape, dtype=bool)
+        return None
     allowed = np.broadcast_to(np.asarray(mask, dtype=bool), data.shape)
     dead = ~allowed.any(axis=-1)
     if dead.any():
@@ -400,20 +445,25 @@ def _check_mask(data, mask):
     return allowed
 
 
+def _masked(allowed, x, fill):
+    return x if allowed is None else np.where(allowed, x, fill)
+
+
 def add_rel_bias(tape, scores, bias):
     """Add a learned bucketed relative-position bias to (query, key) scores.
 
-    bias has odd length 2w+1; offset j - i is clipped into [-w, w].
+    bias has odd length 2w+1. scores is an (n, m) band as dot_scores lays it
+    out, so entry (i, r) pairs query i with key (i // m) * m + r; its offset
+    key - i (j - i when m >= n) is clipped into [-w, w].
     """
     n, m = scores.data.shape
     w = (bias.data.shape[0] - 1) // 2
-    offs = np.arange(m)[None, :] - np.arange(n)[:, None]
+    rows = np.arange(n)[:, None]
+    offs = rows // m * m + np.arange(m)[None, :] - rows
     idx = np.clip(offs + w, 0, 2 * w)
 
     def bw(g):
-        db = np.zeros_like(bias.data)
-        np.add.at(db, idx, g)
-        return g, db
+        return g, np.bincount(idx.ravel(), weights=g.ravel(), minlength=2 * w + 1)
     return record_op(tape, "add_rel_bias", (scores, bias), scores.data + bias.data[idx], bw)
 
 

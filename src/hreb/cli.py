@@ -10,6 +10,12 @@ import json
 import os
 import sys
 
+# One BLAS thread unless the user set a count; this must run before numpy
+# loads. On a 2-vCPU machine threaded OpenBLAS intermittently made hreb's
+# small matrix products several times slower.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from . import verify as verify_mod
 from .checkpoint import load_model, save_checkpoint
 from .config import parse_config

@@ -8,9 +8,10 @@ from Z by per-dimension affines, values from the input by a widening
 projection, squashes scores with one of three attention functions, and
 merges the attended values back through GRU-style reset/update gates.
 
-The hierarchical encoder stacks a chunk-masked (local) block and a global
-block. The naive encoder, kept for ablations, shares the block scaffold and
-swaps only the attention path for plain scaled-dot softmax attention.
+The hierarchical encoder stacks a chunk-local block, whose scores cover
+only each query's chunk, and a global block. The naive encoder, kept for
+ablations, shares the block scaffold and swaps only the attention path for
+plain scaled-dot softmax attention.
 """
 
 import numpy as np
@@ -189,23 +190,30 @@ def value_transform(tape, x, params, config):
                    config.silu_variant)
 
 
-def attention(tape, q, k, v, params, config, pair_mask=None, trace=None):
-    """O = f(Q K^T / scale + b_rel) V with the configured score squash."""
-    scores = ad.dot_scores(tape, q, k, 1.0 / config.attn_scale)
+def attention(tape, q, k, v, params, config, trace=None):
+    """O = f(Q K^T / scale + b_rel) V with the configured score squash.
+
+    Scores live in the (n, m) band layout of ad.dot_scores: m is the chunk
+    size for the local stage and n for the global one, so the local stage
+    costs O(n * chunk_size). Only a ragged last chunk needs a key mask.
+    """
+    scores = ad.dot_scores(tape, q, k, 1.0 / config.attn_scale,
+                           config.chunk_size or None)
+    key_mask = band_key_mask(*scores.data.shape)
     scores = ad.add_rel_bias(tape, scores, params.b_rel)
     if config.attn_fn == "softmax":
-        weights = ad.softmax_rows(tape, scores, pair_mask)
+        weights = ad.softmax_rows(tape, scores, key_mask)
     elif config.attn_fn == "laplace":
         weights = ad.laplace_map(tape, scores, params.lap_mu,
-                                 params.lap_sigma_raw, pair_mask)
+                                 params.lap_sigma_raw, key_mask)
     else:
         squashed = ad.laplace_map(tape, scores, params.lap_mu,
-                                  params.lap_sigma_raw, pair_mask)
-        weights = ad.normalize_rows(tape, ad.add(tape, squashed, scores), pair_mask)
+                                  params.lap_sigma_raw, key_mask)
+        weights = ad.normalize_rows(tape, ad.add(tape, squashed, scores), key_mask)
     if trace is not None:
-        trace.scores = scores.data.copy()
-        trace.weights = weights.data.copy()
-    return ad.matmul(tape, weights, v)
+        trace.scores = band_to_dense(scores.data, -np.inf)
+        trace.weights = band_to_dense(weights.data, 0.0)
+    return ad.chunk_mix(tape, weights, v)
 
 
 def gated_output(tape, x, z, o, params, config, trace=None):
@@ -234,6 +242,29 @@ def chunk_pair_mask(n, chunk_size):
     return blocks[:, None] == blocks[None, :]
 
 
+def band_key_mask(n, m):
+    """Live keys of the (n, m) band layout, or None when all are live.
+
+    Entry (i, r) is key (i // m) * m + r, which exists iff it is < n; only
+    the ragged last chunk has missing keys, and each row keeps its own.
+    """
+    if n % m == 0:
+        return None
+    rows = np.arange(n)[:, None]
+    return rows // m * m + np.arange(m)[None, :] < n
+
+
+def band_to_dense(band, fill):
+    """The (n, n) query-key matrix of an (n, m) band; out-of-band entries read fill."""
+    n, m = band.shape
+    if m == n:
+        return band.copy()
+    dense = np.full((n, n), fill)
+    live = band_key_mask(n, m)
+    dense[chunk_pair_mask(n, m)] = (band if live is None else band[live]).ravel()
+    return dense
+
+
 def _norm(tape, x, gain, bias, config):
     if config.norm == "batch":
         return ad.feature_norm(tape, x, gain, bias)
@@ -259,8 +290,6 @@ def _block(tape, x, p, config, attend):
 
 def rhema_block(tape, x, params, config, trace=None):
     """One full block: gated-attention sublayer, then feed-forward sublayer."""
-    allowed = chunk_pair_mask(x.data.shape[0], config.chunk_size)
-
     def attend(xn):
         z = shared_rep(tape, xn, params, config)
         q, k = qk_transform(tape, z, params)
@@ -270,7 +299,7 @@ def rhema_block(tape, x, params, config, trace=None):
             trace.q = q.data.copy()
             trace.k = k.data.copy()
             trace.v = v.data.copy()
-        o = attention(tape, q, k, v, params, config, allowed, trace)
+        o = attention(tape, q, k, v, params, config, trace)
         return gated_output(tape, xn, z, o, params, config, trace)
 
     return _block(tape, x, params, config, attend)

@@ -91,6 +91,11 @@ def op_grad_checks(seed=0, tol=1e-4):
     beta = rng.standard_normal(d)
     mu = np.float64(0.3)
     sig_raw = np.float64(-0.8)
+    # a 5-row band of width 2: the last chunk is ragged (one live key)
+    band_n, band_m = 5, 2
+    bq = rng.standard_normal((band_n, d))
+    bk = rng.standard_normal((band_n, d))
+    band = rng.standard_normal((band_n, band_m))
 
     cases = [
         ("add/a", {"a": a, "b": b}, lambda t, s: ad.add(t, s["a"], s["b"]), "a"),
@@ -116,10 +121,14 @@ def op_grad_checks(seed=0, tol=1e-4):
          lambda t, s: ad.affine(t, s["x"], s["s"], s["m"]), "s"),
         ("affine/shift", {"x": a, "s": gain, "m": beta},
          lambda t, s: ad.affine(t, s["x"], s["s"], s["m"]), "m"),
-        ("dot_scores/q", {"q": a, "k": b[:2]},
-         lambda t, s: ad.dot_scores(t, s["q"], s["k"], 0.5), "q"),
-        ("dot_scores/k", {"q": a, "k": b[:2]},
-         lambda t, s: ad.dot_scores(t, s["q"], s["k"], 0.5), "k"),
+        ("dot_scores/q", {"q": bq, "k": bk},
+         lambda t, s: ad.dot_scores(t, s["q"], s["k"], 0.5, band_m), "q"),
+        ("dot_scores/k", {"q": bq, "k": bk},
+         lambda t, s: ad.dot_scores(t, s["q"], s["k"], 0.5, band_m), "k"),
+        ("chunk_mix/w", {"w": band, "v": bk},
+         lambda t, s: ad.chunk_mix(t, s["w"], s["v"]), "w"),
+        ("chunk_mix/v", {"w": band, "v": bk},
+         lambda t, s: ad.chunk_mix(t, s["w"], s["v"]), "v"),
         ("lerp/w", {"w": pos / 2.0, "a": a, "b": b},
          lambda t, s: ad.lerp(t, s["w"], s["a"], s["b"]), "w"),
         ("lerp/a", {"w": pos / 2.0, "a": a, "b": b},
@@ -159,9 +168,10 @@ def op_grad_checks(seed=0, tol=1e-4):
          lambda t, s: ad.normalize_rows(
              t, ad.add(t, ad.laplace_map(t, s["s"], s["mu"], s["sr"], mask), s["s"]),
              mask), "s"),
-        ("add_rel_bias/scores", {"s": a @ a.T, "b": rng.standard_normal(5)},
+        # band offsets run from -1 to 1: every bucket of a width-1 bias
+        ("add_rel_bias/scores", {"s": band, "b": rng.standard_normal(3)},
          lambda t, s: ad.add_rel_bias(t, s["s"], s["b"]), "s"),
-        ("add_rel_bias/bias", {"s": a @ a.T, "b": rng.standard_normal(5)},
+        ("add_rel_bias/bias", {"s": band, "b": rng.standard_normal(3)},
          lambda t, s: ad.add_rel_bias(t, s["s"], s["b"]), "b"),
         ("ema_scan/x", {"x": a, "al": alpha, "h0": h0},
          lambda t, s: ad.ema_scan(t, s["x"], s["al"], s["h0"]), "x"),

@@ -1,4 +1,11 @@
-"""Shared test plumbing: acceptance-criterion reporting."""
+"""Shared test plumbing: BLAS threads and acceptance-criterion reporting."""
+
+import os
+
+# The tests run with one BLAS thread, as the hreb command does, unless the
+# environment sets a count. This runs before any test module loads numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 # test_acceptance.py records one entry per criterion; the summary hook below
 # prints them as a block so a run's verdict is readable at a glance.

@@ -325,6 +325,24 @@ def test_verify_detects_an_injected_gradient_fault():
     assert int(passed) < int(total)
 
 
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_cli_pins_one_blas_thread_unless_the_user_set_a_count(preset):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = preset
+    # the setting only takes effect if numpy has not loaded yet
+    p = subprocess.run(
+        [sys.executable, "-c",
+         "import os, sys; import hreb; early = 'numpy' in sys.modules; "
+         "from hreb import cli; "
+         "print(early, os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"],
+        capture_output=True, text=True, env=env)
+    assert p.returncode == 0, p.stderr
+    want = preset or "1"
+    assert p.stdout.split() == ["False", want, want]
+
+
 def test_stats_three_files(workspace, tmp_path, capsys):
     corpus = synth_corpus(9, n_sentences=6, entity_types=2)
     paths = []

@@ -262,3 +262,80 @@ def test_block_parameter_gradients_spot_check():
     errs = finite_diff_params(build, subset, max_entries=6,
                               rng=np.random.default_rng(15))
     assert max(errs.values()) < 1e-5
+
+
+def dense_attention(tape, q, k, v, params, config):
+    """Reference attention stage: full (n, n) scores under a chunk mask."""
+    n = q.data.shape[0]
+    blocks = np.arange(n) // (config.chunk_size or n)
+    mask = blocks[:, None] == blocks[None, :]
+    scores = ad.dot_scores(tape, q, k, 1.0 / config.attn_scale)
+    scores = ad.add_rel_bias(tape, scores, params.b_rel)
+    if config.attn_fn == "softmax":
+        weights = ad.softmax_rows(tape, scores, mask)
+    elif config.attn_fn == "laplace":
+        weights = ad.laplace_map(tape, scores, params.lap_mu,
+                                 params.lap_sigma_raw, mask)
+    else:
+        squashed = ad.laplace_map(tape, scores, params.lap_mu,
+                                  params.lap_sigma_raw, mask)
+        weights = ad.normalize_rows(tape, ad.add(tape, squashed, scores), mask)
+    return ad.matmul(tape, weights, v), scores, weights, mask
+
+
+def attention_grads(fn, n, chunk, attn_fn, seed):
+    """fn's attention output and the gradients of a fixed random loss."""
+    config, params = make_block(seed=seed, chunk_size=chunk, attn_fn=attn_fn)
+    rng = np.random.default_rng(seed)
+    # positive relative biases keep every reduced_laplace row sum positive
+    params.b_rel.data[:] = rng.uniform(0.5, 1.0, params.b_rel.data.shape)
+    q, k = (ad.Tensor(rng.standard_normal((n, 4)) * 0.3, requires_grad=True)
+            for _ in range(2))
+    v = ad.Tensor(rng.standard_normal((n, 8)), requires_grad=True)
+    tape = ad.Tape()
+    out = fn(tape, q, k, v, params, config)
+    o = out[0] if isinstance(out, tuple) else out
+    loss = ad.sum_all(tape, ad.mul(tape, o, ad.Tensor(rng.standard_normal((n, 8)))))
+    grads = ad.backward(tape, loss)
+    wrt = (q, k, v, params.b_rel, params.lap_mu, params.lap_sigma_raw)
+    return out, [grads.get(t.id, np.zeros_like(t.data)) for t in wrt]
+
+
+def assert_close(got, want, what):
+    err = np.abs(np.asarray(got) - np.asarray(want)).max(initial=0.0)
+    assert err <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0)), f"{what}: {err:.3g}"
+
+
+@pytest.mark.parametrize("attn_fn", rhema.ATTN_FNS)
+@pytest.mark.parametrize("chunk", [1, 2, 3, 8, 16])
+@pytest.mark.parametrize("n", [1, 5, 8, 13, 17, 256])
+def test_band_attention_matches_dense_masked_reference(n, chunk, attn_fn):
+    names = ("q", "k", "v", "b_rel", "lap_mu", "lap_sigma_raw")
+    trace = rhema.AttentionTrace("t")
+
+    def band(tape, q, k, v, params, config):
+        return rhema.attention(tape, q, k, v, params, config, trace)
+
+    out, grads = attention_grads(band, n, chunk, attn_fn, seed=n * 31 + chunk)
+    (ref, scores, weights, mask), ref_grads = attention_grads(
+        dense_attention, n, chunk, attn_fn, seed=n * 31 + chunk)
+    assert_close(out.data, ref.data, "output")
+    for name, g, rg in zip(names, grads, ref_grads):
+        assert_close(g, rg, f"d{name}")
+    # the trace keeps the (n, n) layout: out-of-chunk weights are 0 and
+    # out-of-chunk scores are never computed
+    assert_close(trace.weights, weights.data, "trace weights")
+    assert np.all(trace.weights[~mask] == 0.0)
+    assert_close(trace.scores[mask], scores.data[mask], "trace scores")
+    assert np.all(trace.scores[~mask] == -np.inf)
+
+
+def test_local_stage_scores_are_a_band_on_the_tape():
+    enc = rhema.HierarchicalEncoder(make_config(chunk_size=8, attn_fn="softmax"),
+                                    np.random.default_rng(16))
+    tape = ad.Tape()
+    x = ad.Tensor(np.random.default_rng(17).standard_normal((256, 4)) * 0.3)
+    enc.forward(tape, x)
+    shapes = [out.data.shape for name, _, out, _ in tape.records
+              if name == "dot_scores"]
+    assert shapes == [(256, 8), (256, 256)]  # local, then global
