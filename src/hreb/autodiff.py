@@ -6,17 +6,12 @@ computes all gradients. Each op checks its output for NaN/inf and fails fast.
 """
 
 import itertools
-import os
 
 import numpy as np
 from scipy.special import erf as _erf, expit as _expit
 
 from .errors import DegenerateRowError, NumericsError
 from . import kernels
-
-# Scales the sigmoid backward rule. Anything other than 1.0 corrupts
-# gradients on purpose, so the self-check tooling has a real fault to catch.
-_FAULT_SCALE = float(os.environ.get("HREB_GRAD_FAULT_SCALE", "1.0"))
 
 _ids = itertools.count()
 
@@ -290,7 +285,7 @@ def sigmoid(tape, a):
     y = _expit(a.data)
 
     def bw(g):
-        return (g * y * (1.0 - y) * _FAULT_SCALE,)
+        return (g * y * (1.0 - y),)
     return record_op(tape, "sigmoid", (a,), y, bw)
 
 
@@ -468,37 +463,29 @@ def add_rel_bias(tape, scores, bias):
 
 
 # ---------------------------------------------------------------------------
-# Recurrence ops backed by the compiled kernels.
+# Recurrence ops backed by the kernels module.
 # ---------------------------------------------------------------------------
 
 def ema_scan(tape, x, alpha, h0):
     """h_t = alpha * x_t + (1 - alpha) * h_{t-1}, elementwise over features."""
-    x64 = kernels.as_f64(x.data)
-    a64 = kernels.as_f64(alpha.data)
-    h64 = kernels.as_f64(h0.data)
-    hist = kernels.ema_forward(x64, a64, h64)
+    hist = kernels.ema_forward(x.data, alpha.data, h0.data)
 
     def bw(g):
-        dx, dalpha, dh0 = kernels.ema_backward(x64, a64, h64, hist, kernels.as_f64(g))
-        return dx, dalpha, dh0
+        return kernels.ema_backward(x.data, alpha.data, h0.data, hist, g)
     return record_op(tape, "ema_scan", (x, alpha, h0), hist, bw)
 
 
 def lstm_seq(tape, xw, u, b):
     """One-direction LSTM over pre-projected inputs xw = x @ W (n, 4h)."""
-    xw64 = kernels.as_f64(xw.data)
-    u64 = kernels.as_f64(u.data)
-    b64 = kernels.as_f64(b.data)
-    hidden, gates, cells = kernels.lstm_forward(xw64, u64, b64)
+    hidden, gates, cells = kernels.lstm_forward(xw.data, u.data, b.data)
 
     def bw(g):
-        dxw, du, db = kernels.lstm_backward(gates, cells, hidden, u64, kernels.as_f64(g))
-        return dxw, du, db
+        return kernels.lstm_backward(gates, cells, hidden, u.data, g)
     return record_op(tape, "lstm_seq", (xw, u, b), hidden, bw)
 
 
 def split_transitions(trans_data, n_classes, extra_mask=None):
-    """(core, start, stop) float64 pieces of a (C+2, C+2) transition table.
+    """(core, start, stop) views of a (C+2, C+2) transition table.
 
     core[i, j] scores class i -> class j, start[j] leaving the start state
     (row C) into j, stop[i] leaving i into the stop state (column C+1).
@@ -506,10 +493,7 @@ def split_transitions(trans_data, n_classes, extra_mask=None):
     """
     t = trans_data if extra_mask is None else trans_data + extra_mask
     c = n_classes
-    core = kernels.as_f64(t[:c, :c])
-    start = kernels.as_f64(t[c, :c])
-    stop = kernels.as_f64(t[:c, c + 1])
-    return core, start, stop
+    return t[:c, :c], t[c, :c], t[:c, c + 1]
 
 
 def crf_log_z(tape, emissions, trans, n_classes, extra_mask=None):
@@ -520,14 +504,13 @@ def crf_log_z(tape, emissions, trans, n_classes, extra_mask=None):
     extra_mask, if given, is added to the transition table before the scan
     (use -inf entries to forbid transitions without touching the parameters).
     """
-    em64 = kernels.as_f64(emissions.data)
     core, start, stop = split_transitions(trans.data, n_classes, extra_mask)
-    log_z, alpha = kernels.crf_forward(em64, core, start, stop)
+    log_z, alpha = kernels.crf_forward(emissions.data, core, start, stop)
     c = n_classes
 
     def bw(g):
         demis, dcore, dstart, dstop = kernels.crf_backward(
-            em64, core, start, stop, alpha, log_z, float(g))
+            emissions.data, core, start, stop, alpha, log_z, float(g))
         dt = np.zeros_like(trans.data)
         dt[:c, :c] = dcore
         dt[c, :c] = dstart

@@ -107,6 +107,10 @@ class RunConfig:
             raise ConfigError("key 'adam_eps': must be > 0")
         if not 0.0 <= self.stop_f1 <= 1.0:
             raise ConfigError("key 'stop_f1': must lie in [0, 1]")
+        if self.reduced_bias == "off" and (self.rb_alpha != 1.0 or self.rb_beta != 1.0):
+            raise ConfigError(
+                f"keys 'rb_alpha' ({self.rb_alpha}) and 'rb_beta' ({self.rb_beta}) "
+                "must both be 1 when reduced_bias=off")
         if self.embeddings == "file" and not self.embedding_path:
             raise ConfigError("key 'embedding_path' is required when embeddings=file")
         n_head = self.n_ema_head if self.n_ema_head else self.d_model

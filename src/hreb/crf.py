@@ -80,9 +80,8 @@ def viterbi(emissions, params):
     Ties break toward the lower class index at every backtracking step, so
     the result is deterministic.
     """
-    emissions = np.ascontiguousarray(
-        emissions.data if isinstance(emissions, ad.Tensor) else emissions,
-        dtype=np.float64)
+    if isinstance(emissions, ad.Tensor):
+        emissions = emissions.data
     core, start, stop = ad.split_transitions(params.trans.data, params.n_classes,
                                              params.strict_mask)
     path, score = kernels.viterbi(emissions, core, start, stop)

@@ -34,9 +34,9 @@ class RhemaConfig:
     """Shape and behavior switches for one attention block."""
 
     def __init__(self, d_model, z_dim=None, v_dim=None, n_ema_head=1,
-                 chunk_size=0, attn_fn="reduced_laplace", attn_scale=None,
-                 rel_bias_window=16, silu_variant="paper", norm="layer",
-                 rb_mode="dynamic", rb_alpha=1.0, rb_beta=1.0):
+                 chunk_size=0, attn_fn="reduced_laplace", rel_bias_window=16,
+                 silu_variant="paper", norm="layer", rb_mode="dynamic",
+                 rb_alpha=1.0, rb_beta=1.0):
         self.d_model = int(d_model)
         self.z_dim = self.d_model if z_dim is None else int(z_dim)
         self.v_dim = 2 * self.d_model if v_dim is None else int(v_dim)
@@ -51,9 +51,7 @@ class RhemaConfig:
         if attn_fn not in ATTN_FNS:
             raise ConfigError(f"attn_fn must be one of {ATTN_FNS}, got {attn_fn!r}")
         self.attn_fn = attn_fn
-        self.attn_scale = float(np.sqrt(self.z_dim)) if attn_scale is None else float(attn_scale)
-        if self.attn_scale <= 0:
-            raise ConfigError("attn_scale must be positive")
+        self.attn_scale = float(np.sqrt(self.z_dim))
         self.rel_bias_window = int(rel_bias_window)
         self.silu_variant = silu_variant
         if norm not in NORM_KINDS:

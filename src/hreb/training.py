@@ -191,10 +191,12 @@ def ablate(config, corpus, switches, log=None):
     if unknown:
         raise ValueError(f"unknown ablation switches: {sorted(unknown)}")
     axes = [(SWITCH_KEYS[k], tuple(v)) for k, v in sorted(switches.items())]
+    keys = [k for k, _ in axes]
+    # every combination is validated before the first one trains
+    configs = [RunConfig.from_dict({**config.to_dict(), **dict(zip(keys, combo))})
+               for combo in itertools.product(*(vals for _, vals in axes))]
     rows = []
-    for combo in itertools.product(*(vals for _, vals in axes)):
-        overrides = dict(zip((k for k, _ in axes), combo))
-        cfg = RunConfig.from_dict({**config.to_dict(), **overrides})
+    for cfg in configs:
         result = train(cfg, corpus, log=log)
         report = evaluate(result.model, corpus.test)
         rows.append({

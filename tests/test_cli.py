@@ -7,7 +7,9 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
+from hreb import autodiff as ad
 from hreb import cli
 from hreb.data import Vocab, parse_conll, synth_corpus, write_conll
 
@@ -93,6 +95,18 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
     assert rc == 2
     assert "d_modle" in err and "line 1" in err
     assert "Traceback" not in err
+
+
+def test_reduced_bias_off_with_nonunit_weights_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "bad.cfg").write_text("reduced_bias=off\nrb_beta=2\n",
+                                      encoding="utf-8")
+    rc = cli.main(["train", "--config", str(tmp_path / "bad.cfg"),
+                   "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""  # rejected before the config echo
+    for named in ("rb_alpha", "rb_beta", "reduced_bias=off"):
+        assert named in captured.err
 
 
 @pytest.mark.parametrize("path_line, named", [
@@ -310,17 +324,22 @@ def test_verify_crf_suite_passes(capsys):
     assert out[-1].endswith("checks passed")
 
 
-def test_verify_detects_an_injected_gradient_fault():
+def test_verify_detects_an_injected_gradient_fault(monkeypatch, capsys):
     # corrupting the sigmoid backward rule must fail the gradient suite and
-    # flip the exit code; the scale is read at import, hence a subprocess
-    env = dict(os.environ, HREB_GRAD_FAULT_SCALE="0.9")
-    p = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from hreb import cli; sys.exit(cli.main(['verify', '--suite', 'grad']))"],
-        capture_output=True, text=True, env=env)
-    assert p.returncode == 1
-    assert "FAIL" in p.stdout
-    lines = [l for l in p.stdout.splitlines() if l.endswith("checks passed")]
+    # flip the exit code
+    def faulty(tape, a):
+        y = expit(a.data)
+
+        def bw(g):
+            return (0.9 * g * y * (1.0 - y),)
+        return ad.record_op(tape, "sigmoid", (a,), y, bw)
+
+    monkeypatch.setattr(ad, "sigmoid", faulty)
+    rc = cli.main(["verify", "--suite", "grad"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL" in out
+    lines = [l for l in out.splitlines() if l.endswith("checks passed")]
     passed, total = lines[0].split()[0].split("/")
     assert int(passed) < int(total)
 

@@ -1,20 +1,16 @@
-"""Kernel parity against the scalar reference loops, and the HREB_BACKEND switch."""
-
-import os
-import subprocess
-import sys
+"""Kernel parity against the scalar reference loops in oracles.KERNELS."""
 
 import numpy as np
 
-from hreb import kernels
+from hreb import kernels, oracles
+
+# looked up by name: every kernel must stay a module attribute
+KERNELS = {name: getattr(kernels, name) for name in oracles.KERNELS}
 
 
 def both():
-    """(reference, table) pairs: the vectorized numpy table always, the
-    numba table when it is filled."""
-    impls = kernels.kernel_impls()
-    return [(impls["reference"], impls[name])
-            for name in ("numpy", "numba") if impls[name]]
+    """(reference, kernels) pairs: the scalar loops against hreb.kernels."""
+    return [(oracles.KERNELS, KERNELS)]
 
 
 def assert_same(a, b, tol=1e-12):
@@ -179,14 +175,13 @@ def test_width_one_parity():
 
 
 def test_viterbi_ties_pick_the_lowest_class():
-    # all-zero potentials make every path a maximizer; every table must
-    # return the all-zeros path
+    # all-zero potentials make every path a maximizer; the kernel and its
+    # reference must both return the all-zeros path
     zeros = (np.zeros((5, 4)), np.zeros((4, 4)), np.zeros(4), np.zeros(4))
-    for table in kernels.kernel_impls().values():
-        if table:
-            path, score = table["viterbi"](*zeros)
-            assert np.array_equal(path, np.zeros(5, dtype=np.int64))
-            assert score == 0.0
+    for table in (oracles.KERNELS, KERNELS):
+        path, score = table["viterbi"](*zeros)
+        assert np.array_equal(path, np.zeros(5, dtype=np.int64))
+        assert score == 0.0
 
 
 def test_strict_mask_parity():
@@ -236,93 +231,10 @@ def test_crf_forward_tolerates_minus_inf_transitions():
     trans = np.array([[0.0, -np.inf], [0.0, 0.0]])
     start = np.zeros(2)
     stop = np.zeros(2)
-    for table in kernels.kernel_impls().values():
-        if not table:
-            continue
+    for table in (oracles.KERNELS, KERNELS):
         log_z, alpha = table["crf_forward"](emissions, trans, start, stop)
         assert np.isfinite(log_z)
         path, score = table["viterbi"](emissions, trans, start, stop)
         assert np.isfinite(score)
         assert not any(trans[path[t], path[t + 1]] == -np.inf
                        for t in range(len(path) - 1))
-
-
-def test_as_f64_casts_and_makes_contiguous():
-    a = np.arange(6, dtype=np.int32).reshape(2, 3)[:, ::-1]
-    out = kernels.as_f64(a)
-    assert out.dtype == np.float64
-    assert out.flags["C_CONTIGUOUS"]
-    assert np.array_equal(out, a)
-
-
-def run_probe(env_value, code="from hreb import kernels; print(kernels.backend_name())"):
-    env = dict(os.environ)
-    if env_value is None:
-        env.pop("HREB_BACKEND", None)
-    else:
-        env["HREB_BACKEND"] = env_value
-    return subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=env)
-
-
-# Prints the selected backend, then whether numba imports in the same
-# interpreter: "ok", or the ImportError text.
-DEFAULT_BACKEND_PROBE = """
-from hreb import kernels
-print(kernels.backend_name())
-try:
-    import numba
-except ImportError as exc:
-    print(exc)
-else:
-    print("ok")
-"""
-
-
-def test_backend_defaults_to_numba():
-    # Default: numba when importable, otherwise the numpy kernels plus a
-    # warning that names the import error.
-    p = run_probe(None, DEFAULT_BACKEND_PROBE)
-    assert p.returncode == 0, p.stderr
-    backend, numba_import = p.stdout.rstrip("\n").split("\n", 1)
-    if numba_import == "ok":
-        assert backend == "numba"
-        assert "falling back" not in p.stderr
-    else:
-        assert backend == "numpy"
-        assert (f"numba unavailable ({numba_import}); "
-                "falling back to pure-numpy kernels") in p.stderr
-
-
-def test_backend_env_selects_numpy_fallback():
-    p = run_probe("numpy")
-    assert p.returncode == 0, p.stderr
-    assert p.stdout.strip() == "numpy"
-
-
-def test_backend_env_rejects_unknown_value():
-    p = run_probe("cuda")
-    assert p.returncode != 0
-    assert "HREB_BACKEND" in p.stderr
-
-
-def test_numpy_fallback_computes_same_ema():
-    # cross-process check: the fallback backend must agree with this
-    # process's active backend on real numbers, not just import
-    rng = np.random.default_rng(7)
-    x, alpha, h0 = ema_inputs(rng)
-    here = kernels.ema_forward(x, alpha, h0)
-    code = (
-        "import sys, numpy as np\n"
-        "from hreb import kernels\n"
-        "x = np.frombuffer(sys.stdin.buffer.read()).reshape(9, 3)\n"
-        "out = kernels.ema_forward(np.ascontiguousarray(x[:7]), x[7].copy(), x[8].copy())\n"
-        "sys.stdout.buffer.write(out.tobytes())\n"
-    )
-    blob = np.vstack([x, alpha, h0])
-    env = dict(os.environ, HREB_BACKEND="numpy")
-    p = subprocess.run([sys.executable, "-c", code], input=blob.tobytes(),
-                       capture_output=True, env=env)
-    assert p.returncode == 0, p.stderr.decode()
-    out = np.frombuffer(p.stdout).reshape(7, 3)
-    assert np.abs(out - here).max() < 1e-12

@@ -5,6 +5,7 @@ import importlib
 import os
 
 import hreb.autodiff
+import hreb.kernels
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -21,3 +22,8 @@ def test_every_perfbench_trace_target_exists_and_is_callable(monkeypatch):
     missing = [f"{owner.__name__}.{attr}" for owner, attr in wrapped
                if not callable(owner.__dict__.get(attr))]
     assert missing == []
+
+
+def test_environment_record_names_the_kernel_implementation():
+    # perfbench's environment() records kernels.backend_name()
+    assert hreb.kernels.backend_name() == "numpy"

@@ -31,8 +31,6 @@ def test_config_validation():
         make_config(attn_fn="linear")
     with pytest.raises(ConfigError):
         make_config(norm="rms")
-    with pytest.raises(ConfigError):
-        make_config(attn_scale=0.0)
     c = make_config()
     assert c.z_dim == c.d_model
     assert c.v_dim == 2 * c.d_model

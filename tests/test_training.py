@@ -8,6 +8,7 @@ import pytest
 from hreb import training
 from hreb.config import RunConfig
 from hreb.data import Corpus, synth_corpus
+from hreb.errors import ConfigError
 
 EPOCH_RE = re.compile(
     r"^epoch (\d+) P (\d\.\d{6}) R (\d\.\d{6}) F1 (\d\.\d{6}) loss (-?\d+\.\d{6})$")
@@ -262,6 +263,17 @@ def test_ablate_covers_the_grid_and_isolates_switches():
 def test_ablate_rejects_unknown_switch():
     with pytest.raises(ValueError):
         training.ablate(tiny_config(), tiny_corpus(), {"optimizer": ("a",)})
+
+
+def test_ablate_validates_every_combination_before_training():
+    # the "off" row cannot keep the base's rb_alpha=0.5; the "static" row
+    # before it must not train first
+    logged = []
+    with pytest.raises(ConfigError, match="rb_alpha"):
+        training.ablate(tiny_config(reduced_bias="static", rb_alpha=0.5),
+                        tiny_corpus(), {"reduced_bias": ("static", "off")},
+                        log=logged.append)
+    assert logged == []
 
 
 def test_ablation_table_is_fixed_width():
