@@ -6,7 +6,10 @@ Times, for documents of n tokens (n in LENGTHS: 4, 16, 64 and 256):
   on one tape, as `training` runs it), reported per sentence; the Adam
   step and the gate-cache commit are not included;
 - decode: tape-free `HrebModel.decode` of the same 16 documents, reported
-  per call.
+  per call;
+- bilstm: `model.lstm.forward` on a tape plus its backward, fed each
+  document's encoder output, reported per sentence (the BiLSTM's share of
+  train).
 
 It also counts the `autodiff.record_op` calls of a training sentence's
 forward pass: the first sentence on a tape, a later one, and the mean over
@@ -24,8 +27,8 @@ Run from the repository root of each commit being compared (copy this
 script into a checkout that lacks it), with the same output file,
 alternating the two sides over several numbered labels:
 
-    python3 benchmarks/bench_e2e.py --label "parent 1" --out BENCH_6.json
-    python3 benchmarks/bench_e2e.py --label "change 1" --out BENCH_6.json
+    python3 benchmarks/bench_e2e.py --label "parent 1" --out BENCH_9.json
+    python3 benchmarks/bench_e2e.py --label "change 1" --out BENCH_9.json
 
 The file keeps one entry per label; a rerun replaces that label's entry.
 The script refuses to add to a file whose recorded workload differs from
@@ -50,6 +53,7 @@ import numpy as np  # noqa: E402
 from hreb import autodiff as ad  # noqa: E402
 from hreb.config import RunConfig  # noqa: E402
 from hreb.data import Vocab, synth_corpus  # noqa: E402
+from hreb.encoders import embed_tokens  # noqa: E402
 from hreb.model import HrebModel  # noqa: E402
 
 BATCH = 16
@@ -64,6 +68,7 @@ WORKLOAD = {
     "repeats": REPEATS,
     "train": "forward + backward of one batch on one tape, per sentence",
     "decode": "HrebModel.decode of the same documents, per call",
+    "bilstm": "model.lstm.forward on a tape plus its backward, per sentence",
     "record_ops": "autodiff.record_op calls in one sentence's forward pass",
 }
 
@@ -95,6 +100,20 @@ def train_step(model, batch):
     ad.backward(tape, loss)
     for gs in model.gate_states():
         gs.pending = []
+
+
+def encoder_output(model, ids):
+    """The BiLSTM's input for one document: its tape-free encoder output."""
+    x = model.encoder.forward(None, embed_tokens(None, ids, model.embed))
+    return ad.Tensor(x.data, requires_grad=True)
+
+
+def bilstm_step(model, inputs, weights):
+    """BiLSTM forward on a tape plus its backward, for each input."""
+    for x, w in zip(inputs, weights):
+        tape = ad.Tape()
+        out = model.lstm.forward(tape, x)
+        ad.backward(tape, ad.sum_all(tape, ad.mul(tape, out, w)))
 
 
 def timed(fn):
@@ -138,19 +157,25 @@ def measure():
     corpus = synth_corpus(*CORPUS)
     vocab = Vocab.from_corpus(corpus)
     model = HrebModel(RunConfig(), vocab)
+    rng = np.random.default_rng(0)
     rows = []
     for n in LENGTHS:
         batch = documents(corpus, vocab, n, BATCH)
         train = timed(lambda: train_step(model, batch))
         decode = timed(lambda: [model.decode(ids) for ids, _ in batch])
+        inputs = [encoder_output(model, ids) for ids, _ in batch]
+        weights = [ad.Tensor(rng.standard_normal((n, 2 * model.lstm.h))) for _ in batch]
+        bilstm = timed(lambda: bilstm_step(model, inputs, weights))
         rows.append({
             "n": n,
             "train_ms_per_sentence": {k: v * 1e3 / BATCH for k, v in train.items()},
             "decode_ms": {k: v * 1e3 / BATCH for k, v in decode.items()},
+            "bilstm_ms": {k: v * 1e3 / BATCH for k, v in bilstm.items()},
             "record_ops_per_sentence": record_ops_per_sentence(model, batch),
         })
         print(f"n={n:4d}  train {rows[-1]['train_ms_per_sentence']['median']:8.3f} ms/sent"
               f"  decode {rows[-1]['decode_ms']['median']:8.3f} ms"
+              f"  bilstm {rows[-1]['bilstm_ms']['median']:8.3f} ms"
               f"  record_ops {rows[-1]['record_ops_per_sentence']}", flush=True)
     return rows
 

@@ -248,20 +248,6 @@ def lerp(tape, w, a, b):
                      w.data * a.data + (1.0 - w.data) * b.data, bw)
 
 
-def concat_cols(tape, a, b):
-    split = a.data.shape[1]
-
-    def bw(g):
-        return g[:, :split], g[:, split:]
-    return record_op(tape, "concat_cols", (a, b),
-                     np.concatenate([a.data, b.data], axis=1), bw)
-
-
-def reverse_rows(tape, a):
-    return record_op(tape, "reverse_rows", (a,), a.data[::-1].copy(),
-                     lambda g: (g[::-1],))
-
-
 def repeat_entries(tape, a, reps):
     """Tile each entry of a 1-D tensor `reps` times (head -> per-dim layout)."""
     reps = int(reps)
@@ -475,13 +461,56 @@ def ema_scan(tape, x, alpha, h0):
     return record_op(tape, "ema_scan", (x, alpha, h0), hist, bw)
 
 
-def lstm_seq(tape, xw, u, b):
-    """One-direction LSTM over pre-projected inputs xw = x @ W (n, 4h)."""
-    hidden, gates, cells = kernels.lstm_forward(xw.data, u.data, b.data)
+def _lanes(a_f, a_b):
+    """Interleave two (..., 4h) gate arrays as (..., 8h): [i_f i_b f_f f_b ...]."""
+    lead, h = a_f.shape[:-1], a_f.shape[-1] // 4
+    return np.stack((a_f.reshape(*lead, 4, h), a_b.reshape(*lead, 4, h)),
+                    axis=-2).reshape(*lead, 8 * h)
+
+
+def _lane(a, k):
+    """Lane k's (..., 4h) gate columns of an interleaved (..., 8h) array."""
+    lead, h = a.shape[:-1], a.shape[-1] // 8
+    return a.reshape(*lead, 4, 2, h)[..., k, :].reshape(*lead, 4 * h)
+
+
+def _block_diagonal(u_f, u_b):
+    """The lanes' (2h, 8h) recurrent matrix: u_f and u_b on its diagonal blocks."""
+    h = u_f.shape[0]
+    u = np.zeros((2, h, 4, 2, h))
+    u[0, :, :, 0] = u_f.reshape(h, 4, h)
+    u[1, :, :, 1] = u_b.reshape(h, 4, h)
+    return u.reshape(2 * h, 8 * h)
+
+
+def _flip_lane(a, h):
+    """Reverse the rows of lane 1, the last h columns of a (n, 2h) array."""
+    return np.concatenate((a[:, :h], a[::-1, h:]), axis=1)
+
+
+def bilstm_seq(tape, x, w_f, u_f, b_f, w_b, u_b, b_b):
+    """Bidirectional LSTM over x (n, d_in) -> (n, 2h): [forward | backward].
+
+    Both directions run as one LSTM of width 2h. Lane 0 reads the rows in
+    order and lane 1 in reverse. Gate columns are gate-major with the lanes
+    interleaved, [i_f i_b f_f f_b c_f c_b o_f o_b], and the recurrent
+    matrix is block-diagonal, so no state crosses between lanes.
+    """
+    h = u_f.data.shape[0]
+    x_rev = x.data[::-1].copy()
+    u = per_tape(tape, (u_f, u_b), lambda: _block_diagonal(u_f.data, u_b.data))
+    hidden, gates, cells = kernels.lstm_forward(
+        _lanes(x.data @ w_f.data, x_rev @ w_b.data), u, _lanes(b_f.data, b_b.data))
 
     def bw(g):
-        return kernels.lstm_backward(gates, cells, hidden, u.data, g)
-    return record_op(tape, "lstm_seq", (xw, u, b), hidden, bw)
+        dxw, du, db = kernels.lstm_backward(gates, cells, hidden, u, _flip_lane(g, h))
+        g_f, g_b = _lane(dxw, 0), _lane(dxw, 1)
+        du = du.reshape(2, h, 4, 2, h)
+        return (g_f @ w_f.data.T + (g_b @ w_b.data.T)[::-1],
+                x.data.T @ g_f, du[0, :, :, 0].reshape(h, 4 * h), _lane(db, 0),
+                x_rev.T @ g_b, du[1, :, :, 1].reshape(h, 4 * h), _lane(db, 1))
+    return record_op(tape, "bilstm_seq", (x, w_f, u_f, b_f, w_b, u_b, b_b),
+                     _flip_lane(hidden, h), bw)
 
 
 def split_transitions(trans_data, n_classes, extra_mask=None):

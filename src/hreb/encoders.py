@@ -114,7 +114,10 @@ class LstmParams:
 
 
 class BiLstm:
-    """Left-to-right and right-to-left LSTM passes, concatenated per position."""
+    """Left-to-right and right-to-left LSTM passes, concatenated per position.
+
+    Both run as the two lanes of one recurrence (autodiff.bilstm_seq).
+    """
 
     def __init__(self, d_in, h, rng, prefix="lstm."):
         self.h = h
@@ -126,7 +129,5 @@ class BiLstm:
 
     def forward(self, tape, x):
         """Encode x (seq, d_in) -> (seq, 2h)."""
-        f = ad.lstm_seq(tape, ad.matmul(tape, x, self.fwd.w), self.fwd.u, self.fwd.b)
-        rev = ad.reverse_rows(tape, x)
-        b = ad.lstm_seq(tape, ad.matmul(tape, rev, self.bwd.w), self.bwd.u, self.bwd.b)
-        return ad.concat_cols(tape, f, ad.reverse_rows(tape, b))
+        f, b = self.fwd, self.bwd
+        return ad.bilstm_seq(tape, x, f.w, f.u, f.b, b.w, b.u, b.b)

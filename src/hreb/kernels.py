@@ -141,14 +141,17 @@ def crf_backward(emissions, trans, start, stop, alpha, log_z, gscale):
 
 def viterbi(emissions, trans, start, stop):
     # argmax returns the first maximum, so ties pick the lowest class index
-    # exactly as the reference loop's strict comparison does.
+    # exactly as the reference loop's strict comparison does. Each step's
+    # max is read at its argmax rather than reduced a second time.
     n, c = emissions.shape
     delta = start + emissions[0]
     back = np.zeros((n, c), dtype=np.int64)
+    cols = np.arange(c)
     for t in range(1, n):
         s = delta[:, None] + trans
-        back[t] = s.argmax(0)
-        delta = s.max(0) + emissions[t]
+        best = s.argmax(0)
+        back[t] = best
+        delta = s[best, cols] + emissions[t]
     final = delta + stop
     last = int(final.argmax())
     path = np.empty(n, dtype=np.int64)

@@ -81,10 +81,6 @@ def op_grad_checks(seed=0, tol=1e-4):
     crf_t[:, n_classes] = -np.inf
     crf_t[n_classes + 1, :] = -np.inf
     path = np.array([1, 0, 2])
-    h = 3
-    xw = rng.standard_normal((n, 4 * h))
-    u = rng.standard_normal((h, 4 * h))
-    bias4 = rng.standard_normal(4 * h)
     alpha = rng.uniform(0.1, 0.9, d)
     h0 = rng.standard_normal(d)
     gain = rng.uniform(0.5, 1.5, d)
@@ -96,6 +92,13 @@ def op_grad_checks(seed=0, tol=1e-4):
     bq = rng.standard_normal((band_n, d))
     bk = rng.standard_normal((band_n, d))
     band = rng.standard_normal((band_n, band_m))
+    # bilstm_seq's inputs in argument order: x, then each direction's w, u, b
+    h = 3
+    lstm = {"x": a}
+    for lane in ("f", "b"):
+        lstm.update({"w_" + lane: rng.standard_normal((d, 4 * h)),
+                     "u_" + lane: rng.standard_normal((h, 4 * h)),
+                     "b_" + lane: rng.standard_normal(4 * h)})
 
     cases = [
         ("add/a", {"a": a, "b": b}, lambda t, s: ad.add(t, s["a"], s["b"]), "a"),
@@ -135,9 +138,6 @@ def op_grad_checks(seed=0, tol=1e-4):
          lambda t, s: ad.lerp(t, s["w"], s["a"], s["b"]), "a"),
         ("lerp/b", {"w": pos / 2.0, "a": a, "b": b},
          lambda t, s: ad.lerp(t, s["w"], s["a"], s["b"]), "b"),
-        ("concat_cols/a", {"a": a, "b": b}, lambda t, s: ad.concat_cols(t, s["a"], s["b"]), "a"),
-        ("concat_cols/b", {"a": a, "b": b}, lambda t, s: ad.concat_cols(t, s["a"], s["b"]), "b"),
-        ("reverse_rows", {"a": a}, lambda t, s: ad.reverse_rows(t, s["a"]), "a"),
         ("repeat_entries", {"a": vec}, lambda t, s: ad.repeat_entries(t, s["a"], 3), "a"),
         ("sum_all", {"a": a}, lambda t, s: ad.sum_all(t, s["a"]), "a"),
         ("sigmoid", {"a": a}, lambda t, s: ad.sigmoid(t, s["a"]), "a"),
@@ -179,12 +179,11 @@ def op_grad_checks(seed=0, tol=1e-4):
          lambda t, s: ad.ema_scan(t, s["x"], s["al"], s["h0"]), "al"),
         ("ema_scan/h0", {"x": a, "al": alpha, "h0": h0},
          lambda t, s: ad.ema_scan(t, s["x"], s["al"], s["h0"]), "h0"),
-        ("lstm_seq/xw", {"xw": xw, "u": u, "b": bias4},
-         lambda t, s: ad.lstm_seq(t, s["xw"], s["u"], s["b"]), "xw"),
-        ("lstm_seq/u", {"xw": xw, "u": u, "b": bias4},
-         lambda t, s: ad.lstm_seq(t, s["xw"], s["u"], s["b"]), "u"),
-        ("lstm_seq/b", {"xw": xw, "u": u, "b": bias4},
-         lambda t, s: ad.lstm_seq(t, s["xw"], s["u"], s["b"]), "b"),
+    ] + [
+        (f"bilstm_seq/{k}", lstm,
+         lambda t, s: ad.bilstm_seq(t, *s.values()), k)
+        for k in lstm
+    ] + [
         ("crf_log_z/emissions", {"e": a[:, :n_classes], "t": crf_t},
          lambda t, s: ad.crf_log_z(t, s["e"], s["t"], n_classes), "e"),
         ("crf_log_z/trans", {"e": a[:, :n_classes], "t": crf_t},

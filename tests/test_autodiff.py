@@ -246,21 +246,6 @@ def test_add_rel_bias_bucket_structure():
     assert out[3, 0] == 10.0  # clipped far-left offset
 
 
-def test_slice_pad_reverse_concat_roundtrip():
-    # autodiff has no slice or pad op; the roundtrip slices the concatenated
-    # columns back apart with numpy and reverses the right half again
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((5, 3))
-    rev = ad.reverse_rows(None, ad.Tensor(a))
-    assert np.array_equal(rev.data, a[::-1])
-    cc = ad.concat_cols(None, ad.Tensor(a), rev)
-    assert cc.data.shape == (5, 6)
-    assert np.array_equal(cc.data[:, :3], a)
-    assert np.array_equal(cc.data[:, 3:], a[::-1])
-    back = ad.reverse_rows(None, ad.Tensor(cc.data[:, 3:]))
-    assert np.array_equal(back.data, a)
-
-
 def test_repeat_entries_tiles_and_sums_back():
     tape = ad.Tape()
     v = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)

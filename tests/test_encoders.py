@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hreb import autodiff as ad
-from hreb import encoders
+from hreb import encoders, oracles
 from hreb.data import Sentence, Vocab
 from hreb.errors import ConfigError
 
@@ -141,3 +141,52 @@ def test_bilstm_parameter_gradcheck():
 
     errs = finite_diff_params(build, net.params())
     assert max(errs.values()) < 1e-6
+
+
+def bilstm_inputs(rng, n, h, d=3):
+    """x and each direction's w, u, b, in bilstm_seq's argument order."""
+    x = rng.standard_normal((n, d))
+    lanes = [(rng.standard_normal((d, 4 * h)), rng.standard_normal((h, 4 * h)) * 0.5,
+              rng.standard_normal(4 * h) * 0.1) for _ in range(2)]
+    return [x, *lanes[0], *lanes[1]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 17])
+@pytest.mark.parametrize("h", [1, 4])
+def test_bilstm_seq_matches_two_reference_lstms(n, h):
+    # one reference LSTM per direction, the backward one on reversed rows
+    fwd, bwd = oracles.KERNELS["lstm_forward"], oracles.KERNELS["lstm_backward"]
+    rng = np.random.default_rng(10 * n + h)
+    x, w_f, u_f, b_f, w_b, u_b, b_b = args = bilstm_inputs(rng, n, h)
+    dout = rng.standard_normal((n, 2 * h))
+    x_rev = x[::-1]
+    hid_f, gates_f, cells_f = fwd(x @ w_f, u_f, b_f)
+    hid_b, gates_b, cells_b = fwd(x_rev @ w_b, u_b, b_b)
+    dxw_f, du_f, db_f = bwd(gates_f, cells_f, hid_f, u_f, dout[:, :h])
+    dxw_b, du_b, db_b = bwd(gates_b, cells_b, hid_b, u_b, dout[::-1, h:])
+    want_out = np.concatenate([hid_f, hid_b[::-1]], axis=1)
+    want_grads = [dxw_f @ w_f.T + (dxw_b @ w_b.T)[::-1],
+                  x.T @ dxw_f, du_f, db_f, x_rev.T @ dxw_b, du_b, db_b]
+
+    tape = ad.Tape()
+    ts = [ad.Tensor(a, requires_grad=True) for a in args]
+    out = ad.bilstm_seq(tape, *ts)
+    loss = ad.sum_all(tape, ad.mul(tape, out, ad.Tensor(dout)))
+    grads = ad.backward(tape, loss)
+    assert out.data.shape == (n, 2 * h)
+    assert np.abs(out.data - want_out).max() < 1e-12
+    for t, want in zip(ts, want_grads):
+        assert grads[t.id].shape == want.shape
+        assert np.abs(grads[t.id] - want).max() < 1e-12
+
+
+def test_bilstm_seq_lanes_share_no_state():
+    # a different backward recurrent matrix must leave the forward half
+    # bit-identical: the block-diagonal packing carries nothing across lanes
+    rng = np.random.default_rng(4)
+    args = bilstm_inputs(rng, 9, 4)
+    before = ad.bilstm_seq(None, *map(ad.Tensor, args)).data
+    args[5] = args[5] + rng.standard_normal(args[5].shape)
+    after = ad.bilstm_seq(None, *map(ad.Tensor, args)).data
+    assert np.array_equal(before[:, :4], after[:, :4])
+    assert not np.array_equal(before[:, 4:], after[:, 4:])
