@@ -98,8 +98,6 @@ def train_step(model, batch):
         loss = nll if loss is None else ad.add(tape, loss, nll)
     loss = ad.scale(tape, loss, 1.0 / len(batch))
     ad.backward(tape, loss)
-    for gs in model.gate_states():
-        gs.pending = []
 
 
 def encoder_output(model, ids):
@@ -147,8 +145,6 @@ def record_ops_per_sentence(model, batch):
             counts.append(calls[0] - before)
     finally:
         ad.record_op = record_op
-    for gs in model.gate_states():
-        gs.pending = []
     return {"first": counts[0], "later": counts[-1],
             "batch_mean": sum(counts) / len(counts)}
 

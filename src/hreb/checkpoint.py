@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import RunConfig
 from .data import Vocab
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .model import HrebModel
 from .training import restore
 
@@ -57,6 +57,43 @@ def _read_exact(fh, n, what):
     return data
 
 
+def _is_dims(value):
+    return isinstance(value, list) and all(
+        type(d) is int and d >= 0 for d in value)
+
+
+def _check_header(path, header):
+    """(config, vocab) from a header whose fields have the saved types.
+
+    The header is outside input: a malformed field is a CheckpointError
+    naming it, never a KeyError or TypeError from deeper down.
+    """
+    def bad(field, why):
+        return CheckpointError(f"{path}: checkpoint field {field!r} {why}")
+
+    if not (isinstance(header["params"], list) and all(
+            isinstance(e, dict) and isinstance(e.get("name"), str)
+            and _is_dims(e.get("shape")) for e in header["params"])):
+        raise bad("params", "must list {name, shape} entries")
+    if not _is_dims(header["cache_dims"]):
+        raise bad("cache_dims", "must be a list of sizes")
+    for field in ("tokens", "tags"):
+        if not (isinstance(header[field], list)
+                and all(isinstance(t, str) for t in header[field])):
+            raise bad(field, "must be a list of strings")
+    if not isinstance(header["config"], dict):
+        raise bad("config", "must be a JSON object")
+    try:
+        config = RunConfig.from_dict(header["config"])
+    except (ConfigError, TypeError) as e:
+        raise bad("config", f"is invalid: {e}")
+    try:
+        vocab = Vocab.from_maps(header["tokens"], header["tags"])
+    except KeyError as e:
+        raise bad("tokens", f"lacks {e.args[0]!r}")
+    return config, vocab
+
+
 def load_checkpoint(path):
     """Read (config, vocab, state) back; refuses foreign or newer files."""
     try:
@@ -80,6 +117,7 @@ def load_checkpoint(path):
         missing = [k for k in HEADER_KEYS if k not in header]
         if missing:
             raise CheckpointError(f"{path}: checkpoint header lacks {', '.join(missing)}")
+        config, vocab = _check_header(path, header)
         params = {}
         for entry in header["params"]:
             shape = tuple(entry["shape"])
@@ -93,8 +131,6 @@ def load_checkpoint(path):
             caches.append((cf, cx))
         if fh.read(1):
             raise CheckpointError(f"{path}: unexpected bytes after the last gate cache")
-    config = RunConfig.from_dict(header["config"])
-    vocab = Vocab.from_maps(header["tokens"], header["tags"])
     return config, vocab, {"params": params, "caches": caches}
 
 

@@ -13,7 +13,7 @@ from .errors import ConfigError
 # dimension sentinels means "derive from d_model".
 DEFAULTS = {
     "d_model": (64, "embedding / block width"),
-    "z_dim": (0, "shared-representation width; 0 means d_model"),
+    "z_dim": (0, "shared-representation width: 0 or d_model"),
     "v_dim": (0, "value width; 0 means 2*d_model"),
     "n_ema_head": (0, "EMA heads (must divide d_model); 0 means d_model"),
     "chunk_size": (8, "local-stage attention chunk length"),
@@ -45,7 +45,7 @@ DEFAULTS = {
     "test_path": ("", "test corpus file"),
 }
 
-_CHOICES = {
+CHOICES = {
     "attention_mode": ("hema", "naive"),
     "attn_fn": ("softmax", "laplace", "reduced_laplace"),
     "silu_variant": ("paper", "standard"),
@@ -87,7 +87,7 @@ class RunConfig:
         self.validate()
 
     def validate(self):
-        for key, choices in _CHOICES.items():
+        for key, choices in CHOICES.items():
             if getattr(self, key) not in choices:
                 raise ConfigError(
                     f"key {key!r}: must be one of {choices}, got {getattr(self, key)!r}")
@@ -95,9 +95,13 @@ class RunConfig:
                     "max_epochs", "patience"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"key {key!r}: must be >= 1")
-        for key in ("z_dim", "v_dim", "n_ema_head", "rel_bias_window"):
+        for key in ("v_dim", "n_ema_head", "rel_bias_window"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"key {key!r}: must be >= 0")
+        if self.z_dim not in (0, self.d_model):
+            # the shared representation is added to the input elementwise
+            raise ConfigError(
+                f"key 'z_dim': must be 0 or d_model ({self.d_model}), got {self.z_dim}")
         if self.lr < 0:
             raise ConfigError("key 'lr': must be >= 0")
         for key in ("beta1", "beta2", "gate_momentum"):

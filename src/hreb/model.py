@@ -5,25 +5,7 @@ import numpy as np
 from . import autodiff as ad
 from . import crf as crf_mod
 from .encoders import BiLstm, EmbeddingTable, embed_tokens, load_embedding_file
-from .rhema import HierarchicalEncoder, NaiveEncoder, RhemaConfig, _glorot
-
-
-def block_config(config):
-    """Translate the flat run config into one attention-block config."""
-    return RhemaConfig(
-        d_model=config.d_model,
-        z_dim=config.z_dim or None,
-        v_dim=config.v_dim or None,
-        n_ema_head=config.n_ema_head or config.d_model,
-        chunk_size=config.chunk_size,
-        attn_fn=config.attn_fn,
-        rel_bias_window=config.rel_bias_window,
-        silu_variant=config.silu_variant,
-        norm="batch" if config.batch_norm_fidelity else "layer",
-        rb_mode="classic" if config.reduced_bias == "off" else config.reduced_bias,
-        rb_alpha=config.rb_alpha,
-        rb_beta=config.rb_beta,
-    )
+from .rhema import HierarchicalEncoder, NaiveEncoder, _glorot
 
 
 class HrebModel:
@@ -48,11 +30,10 @@ class HrebModel:
         else:
             self.embed = EmbeddingTable(len(vocab.tokens), d, vocab.pad_id,
                                         vocab.unk_id, rng)
-        block = block_config(config)
         if config.attention_mode == "hema":
-            self.encoder = HierarchicalEncoder(block, rng)
+            self.encoder = HierarchicalEncoder(config, rng)
         else:
-            self.encoder = NaiveEncoder(block, rng)
+            self.encoder = NaiveEncoder(config, rng)
         self.lstm = BiLstm(d, config.h_lstm, rng)
         self.w_out = ad.Tensor(_glorot(rng, (2 * config.h_lstm, n_classes)),
                                requires_grad=True, name="proj.w")

@@ -1,35 +1,34 @@
 """Residual connections with configurable branch/skip weighting.
 
-Three modes:
-  classic  -> F(x) + x
+Three modes, named as RunConfig's reduced_bias values:
+  off      -> F(x) + x
   static   -> a * F(x) + b * x with fixed scalars
   dynamic  -> sigmoid-gated per-feature mixing, where the gates are driven by
               gradient statistics cached from the previous optimizer step
               (the current step's gradients do not exist at forward time).
 The caches are plain arrays, never tape tensors: gradients are not
-differentiated through.
+differentiated through. The (branch output, skip input) pairs whose
+gradients feed the caches live on the tape that recorded them, so a tape
+dropped without a commit takes its pairs with it.
 """
 
 import numpy as np
 
 from . import autodiff as ad
+from .config import CHOICES
 from .errors import DivergenceError
-
-MODES = ("classic", "static", "dynamic")
 
 
 class GateState:
     """Mode, static weights, dynamic gate parameters, and gradient caches."""
 
     def __init__(self, d_model, mode, rng, alpha=1.0, beta=1.0, prefix=""):
-        if mode not in MODES:
+        if mode not in CHOICES["reduced_bias"]:
             raise ValueError(f"unknown residual mode {mode!r}")
         self.d_model = d_model
         self.mode = mode
         self.alpha = float(alpha)
         self.beta = float(beta)
-        if mode == "classic" and (self.alpha != 1.0 or self.beta != 1.0):
-            raise ValueError("classic mode fixes both residual weights at 1")
         self.w_alpha = ad.Tensor(np.zeros((d_model, d_model)),
                                  requires_grad=True, name=prefix + "rb.w_alpha")
         self.b_alpha = ad.Tensor(np.zeros(d_model),
@@ -42,17 +41,23 @@ class GateState:
         # input; zero before the first optimizer step.
         self.cache_f = np.zeros(d_model)
         self.cache_x = np.zeros(d_model)
-        # (branch output, skip input) tensors from forward passes of the
-        # current step, so the training loop can read their gradients.
-        self.pending = []
 
     def params(self):
         if self.mode == "dynamic":
             return [self.w_alpha, self.b_alpha, self.w_beta, self.b_beta]
         return []
 
-    def pending_ids(self):
-        return [t.id for pair in self.pending for t in pair]
+
+def pending(tape, state):
+    """The (branch output, skip input) pairs state's forward passes recorded
+    on tape; commit_gate_caches reads their gradients."""
+    return tape.memo.setdefault((state, "pending"), [])
+
+
+def pending_ids(tape, states):
+    """Tensor ids to keep through autodiff.backward for commit_gate_caches."""
+    return [t.id for state in states for pair in pending(tape, state)
+            for t in pair]
 
 
 def apply(tape, x, branch, state):
@@ -61,13 +66,13 @@ def apply(tape, x, branch, state):
     if f.data.shape != x.data.shape:
         raise ValueError(
             f"branch output shape {f.data.shape} != input shape {x.data.shape}")
-    if state.mode == "classic":
+    if state.mode == "off":
         return ad.add(tape, f, x)
     if state.mode == "static":
         return ad.add(tape, ad.scale(tape, f, state.alpha),
                       ad.scale(tape, x, state.beta))
     if tape is not None:
-        state.pending.append((f, x))
+        pending(tape, state).append((f, x))
     gate_f, gate_x = ad.per_tape(tape, state, lambda: _gates(tape, state))
     return ad.add(tape, ad.mul(tape, gate_f, f), ad.mul(tape, gate_x, x))
 
@@ -100,22 +105,21 @@ def update_gate_cache(state, grad_f, grad_x, momentum):
     return state
 
 
-def commit_gate_caches(states, grads, momentum):
-    """Fold the just-computed gradients of every pending (branch, skip) pair
-    into each dynamic gate's cache, then clear the pending lists.
+def commit_gate_caches(tape, states, grads, momentum):
+    """Fold the just-computed gradients of every (branch, skip) pair the
+    tape holds into each dynamic gate's cache, and take the pairs off it.
 
-    grads is the tensor-id map returned by autodiff.backward (run with the
-    pending ids in keep). Pairs whose gradients never materialized (branch
+    grads is the tensor-id map returned by autodiff.backward (run with
+    pending_ids in keep). Pairs whose gradients never materialized (branch
     not on the loss path) contribute zeros.
     """
     for state in states:
-        if state.mode != "dynamic" or not state.pending:
-            state.pending = []
+        pairs = tape.memo.pop((state, "pending"), [])
+        if state.mode != "dynamic" or not pairs:
             continue
         gf_rows = []
         gx_rows = []
-        for f, x in state.pending:
+        for f, x in pairs:
             gf_rows.append(np.asarray(grads.get(f.id, np.zeros_like(f.data))))
             gx_rows.append(np.asarray(grads.get(x.id, np.zeros_like(x.data))))
         update_gate_cache(state, np.vstack(gf_rows), np.vstack(gx_rows), momentum)
-        state.pending = []

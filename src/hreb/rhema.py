@@ -18,11 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import residual
-from .errors import ConfigError
 from .moving_average import EmaState, multihead_ema
-
-ATTN_FNS = ("softmax", "laplace", "reduced_laplace")
-NORM_KINDS = ("layer", "batch")
 
 # Starting point for the learnable score-squash location/scale: mean and
 # standard deviation of a softmax weight under unit-normal scores.
@@ -31,35 +27,19 @@ LAPLACE_SIGMA_INIT = 0.282095
 
 
 class RhemaConfig:
-    """Shape and behavior switches for one attention block."""
+    """One attention stage's view of a RunConfig.
 
-    def __init__(self, d_model, z_dim=None, v_dim=None, n_ema_head=1,
-                 chunk_size=0, attn_fn="reduced_laplace", rel_bias_window=16,
-                 silu_variant="paper", norm="layer", rb_mode="dynamic",
-                 rb_alpha=1.0, rb_beta=1.0):
-        self.d_model = int(d_model)
-        self.z_dim = self.d_model if z_dim is None else int(z_dim)
-        self.v_dim = 2 * self.d_model if v_dim is None else int(v_dim)
-        if self.z_dim != self.d_model:
-            raise ConfigError(
-                f"z_dim {self.z_dim} must equal d_model {self.d_model}: the "
-                "shared representation is added to the input elementwise")
-        self.n_ema_head = int(n_ema_head)
-        self.chunk_size = int(chunk_size)
-        if self.chunk_size < 0:
-            raise ConfigError("chunk_size must be >= 0 (0 means global)")
-        if attn_fn not in ATTN_FNS:
-            raise ConfigError(f"attn_fn must be one of {ATTN_FNS}, got {attn_fn!r}")
-        self.attn_fn = attn_fn
-        self.attn_scale = float(np.sqrt(self.z_dim))
-        self.rel_bias_window = int(rel_bias_window)
-        self.silu_variant = silu_variant
-        if norm not in NORM_KINDS:
-            raise ConfigError(f"norm must be one of {NORM_KINDS}, got {norm!r}")
-        self.norm = norm
-        self.rb_mode = rb_mode
-        self.rb_alpha = float(rb_alpha)
-        self.rb_beta = float(rb_beta)
+    Carries every setting of the run, which validated it, with the 0
+    sentinels of v_dim and n_ema_head resolved; adds the attention scale and
+    the stage's chunk length (0 means global).
+    """
+
+    def __init__(self, run, chunk_size):
+        vars(self).update(vars(run))
+        self.chunk_size = chunk_size
+        self.v_dim = run.v_dim or 2 * run.d_model
+        self.n_ema_head = run.n_ema_head or run.d_model
+        self.attn_scale = float(np.sqrt(run.d_model))
 
 
 class AttentionTrace:
@@ -111,9 +91,9 @@ class BlockParams:
         self.ffn_b1 = t(np.zeros(2 * d), requires_grad=True, name=prefix + "ffn_b1")
         self.ffn_w2 = t(_glorot(rng, (2 * d, d)), requires_grad=True, name=prefix + "ffn_w2")
         self.ffn_b2 = t(np.zeros(d), requires_grad=True, name=prefix + "ffn_b2")
-        self.rb_attn = residual.GateState(d, config.rb_mode, rng, config.rb_alpha,
+        self.rb_attn = residual.GateState(d, config.reduced_bias, rng, config.rb_alpha,
                                           config.rb_beta, prefix=prefix + "attn.")
-        self.rb_ffn = residual.GateState(d, config.rb_mode, rng, config.rb_alpha,
+        self.rb_ffn = residual.GateState(d, config.reduced_bias, rng, config.rb_alpha,
                                          config.rb_beta, prefix=prefix + "ffn.")
 
     def params(self):
@@ -131,7 +111,8 @@ class RhemaParams(BlockParams):
 
     def __init__(self, config, rng, prefix=""):
         c = config
-        d, z, v = c.d_model, c.z_dim, c.v_dim
+        # z_dim is 0 or d_model: Z is added to the input elementwise
+        d, z, v = c.d_model, c.d_model, c.v_dim
         t = ad.Tensor
 
         self.ema = EmaState(d, c.n_ema_head, rng, prefix=prefix)
@@ -264,7 +245,7 @@ def band_to_dense(band, fill):
 
 
 def _norm(tape, x, gain, bias, config):
-    if config.norm == "batch":
+    if config.batch_norm_fidelity:
         return ad.feature_norm(tape, x, gain, bias)
     return ad.layer_norm(tape, x, gain, bias)
 
@@ -306,11 +287,9 @@ def rhema_block(tape, x, params, config, trace=None):
 class HierarchicalEncoder:
     """Chunk-local block feeding a global block."""
 
-    def __init__(self, config, rng, prefix="enc."):
-        if config.chunk_size < 1:
-            raise ConfigError("hierarchical encoder needs chunk_size >= 1")
-        self.local_config = config
-        self.global_config = _with_chunk(config, 0)
+    def __init__(self, run, rng, prefix="enc."):
+        self.local_config = RhemaConfig(run, run.chunk_size)
+        self.global_config = RhemaConfig(run, 0)
         self.local = RhemaParams(self.local_config, rng, prefix=prefix + "local.")
         self.global_ = RhemaParams(self.global_config, rng, prefix=prefix + "global.")
 
@@ -330,25 +309,18 @@ class HierarchicalEncoder:
         return out
 
 
-def _with_chunk(config, chunk_size):
-    c = RhemaConfig.__new__(RhemaConfig)
-    c.__dict__.update(config.__dict__)
-    c.chunk_size = chunk_size
-    return c
-
-
 class NaiveEncoder(BlockParams):
     """Single global scaled-dot softmax block, same residual scaffolding."""
 
-    def __init__(self, config, rng, prefix="naive."):
-        d = config.d_model
+    def __init__(self, run, rng, prefix="naive."):
+        d = run.d_model
         t = ad.Tensor
-        self.config = config
+        self.config = run
         self.w_q = t(_glorot(rng, (d, d)), requires_grad=True, name=prefix + "w_q")
         self.w_k = t(_glorot(rng, (d, d)), requires_grad=True, name=prefix + "w_k")
         self.w_v = t(_glorot(rng, (d, d)), requires_grad=True, name=prefix + "w_v")
         self.w_o = t(_glorot(rng, (d, d)), requires_grad=True, name=prefix + "w_o")
-        super().__init__(config, rng, prefix)
+        super().__init__(run, rng, prefix)
 
     def params(self):
         return [self.w_q, self.w_k, self.w_v, self.w_o] + super().params()

@@ -90,13 +90,10 @@ def _epoch_pass(model, batches, opt, states, momentum):
             raise DivergenceError("non-finite training loss")
         if opt is None:
             # Null optimizer: nothing may move, gate caches included.
-            for gs in states:
-                gs.pending = []
             continue
-        keep = [i for gs in states for i in gs.pending_ids()]
-        grads = ad.backward(tape, loss, keep=keep)
+        grads = ad.backward(tape, loss, keep=residual.pending_ids(tape, states))
         opt.step(model.params(), grads)
-        residual.commit_gate_caches(states, grads, momentum)
+        residual.commit_gate_caches(tape, states, grads, momentum)
     return total / n_sent
 
 

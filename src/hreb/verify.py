@@ -235,8 +235,6 @@ def model_grad_check(attn_fn="reduced_laplace", reduced_bias="dynamic",
     tag_ids = vocab.encode_tags(sents[0].tags)
 
     def build():
-        for gs in model.gate_states():
-            gs.pending = []
         tape = ad.Tape()
         return model.sentence_nll(tape, ids, tag_ids), tape
 

@@ -1,6 +1,9 @@
-"""Shared test plumbing: BLAS threads and acceptance-criterion reporting."""
+"""Shared test plumbing: BLAS threads, acceptance-criterion reporting and
+checkpoint-header surgery."""
 
+import json
 import os
+import struct
 
 # The tests run with one BLAS thread, as the hreb command does, unless the
 # environment sets a count. This runs before any test module loads numpy.
@@ -25,3 +28,14 @@ def pytest_terminal_summary(terminalreporter):
         # None marks a conditional check whose inputs were not supplied
         verdict = "SKIP" if passed is None else ("PASS" if passed else "FAIL")
         terminalreporter.write_line(f"criterion {number} [{verdict}] {title}")
+
+
+def rewrite_checkpoint_header(src, dst, edit):
+    """Copy checkpoint src to dst with edit(header dict) applied to its JSON
+    header; the payload is copied unchanged."""
+    blob = src.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + hlen])
+    edit(header)
+    new = json.dumps(header).encode("utf-8")
+    dst.write_bytes(blob[:8] + struct.pack("<Q", len(new)) + new + blob[16 + hlen:])

@@ -169,8 +169,8 @@ def test_criterion_4_gate_identities():
     ok = False
     try:
         rng = np.random.default_rng(104)
-        cfg = rhema.RhemaConfig(d_model=6, v_dim=8, n_ema_head=2,
-                                rel_bias_window=3)
+        cfg = rhema.RhemaConfig(RunConfig(d_model=6, v_dim=8, n_ema_head=2,
+                                          rel_bias_window=3), 0)
         params = rhema.RhemaParams(cfg, rng)
         n = 5
         x = ad.Tensor(rng.standard_normal((n, 6)))
@@ -204,15 +204,15 @@ def test_criterion_4_gate_identities():
         x_res = ad.Tensor(rng.standard_normal((n, d)))
         f_out = ad.Tensor(rng.standard_normal((n, d)))
         branch = lambda _x: f_out
-        classic = residual.GateState(d, "classic", np.random.default_rng(1))
-        y_classic = residual.apply(None, x_res, branch, classic)
-        assert np.array_equal(y_classic.data, f_out.data + x_res.data)
+        off = residual.GateState(d, "off", np.random.default_rng(1))
+        y_off = residual.apply(None, x_res, branch, off)
+        assert np.array_equal(y_off.data, f_out.data + x_res.data)
 
         # unit static weights collapse onto the plain mode bitwise
         static = residual.GateState(d, "static", np.random.default_rng(1),
                                     alpha=1.0, beta=1.0)
         y_static = residual.apply(None, x_res, branch, static)
-        assert np.array_equal(y_static.data, y_classic.data)
+        assert np.array_equal(y_static.data, y_off.data)
         ok = True
     finally:
         record_criterion(4, "output-gate and residual-weight identities hold",

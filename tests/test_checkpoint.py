@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import rewrite_checkpoint_header
 from hreb import checkpoint, training
 from hreb.config import RunConfig
 from hreb.data import synth_corpus
@@ -114,6 +115,26 @@ def test_header_without_the_required_keys_is_refused(tmp_path, header, named):
     with pytest.raises(CheckpointError) as e:
         checkpoint.load_checkpoint(p)
     assert named in str(e.value)
+
+
+def _drop_pad(header):
+    header["tokens"].remove("<pad>")
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda h: h["params"][0].pop("shape"), "params"),
+    (lambda h: h.update(cache_dims=[str(d) for d in h["cache_dims"]]), "cache_dims"),
+    (lambda h: h.update(config=list(h["config"].items())), "config"),
+    (lambda h: h["config"].update(d_modle=8), "config"),
+    (_drop_pad, "tokens"),
+], ids=["param_without_shape", "string_cache_dims", "config_as_list",
+        "unknown_config_key", "tokens_without_pad"])
+def test_malformed_header_field_is_refused_by_name(tmp_path, edit, field):
+    cfg, result, path = trained(tmp_path)
+    bad = tmp_path / "bad.ckpt"
+    rewrite_checkpoint_header(path, bad, edit)
+    with pytest.raises(CheckpointError, match=f"checkpoint field '{field}'"):
+        checkpoint.load_checkpoint(bad)
 
 
 def test_trailing_bytes_after_payload_are_detected(tmp_path):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from conftest import rewrite_checkpoint_header
 from hreb import autodiff as ad
 from hreb import cli
 from hreb.data import Vocab, parse_conll, synth_corpus, write_conll
@@ -107,6 +108,19 @@ def test_reduced_bias_off_with_nonunit_weights_is_a_config_error(tmp_path, capsy
     assert captured.out == ""  # rejected before the config echo
     for named in ("rb_alpha", "rb_beta", "reduced_bias=off"):
         assert named in captured.err
+
+
+def test_z_dim_other_than_d_model_is_rejected_before_any_output(
+        workspace, tmp_path, capsys):
+    (tmp_path / "bad.cfg").write_text(
+        f"train_path={workspace / 'train.txt'}\nz_dim=8\n", encoding="utf-8")
+    rc = cli.main(["train", "--config", str(tmp_path / "bad.cfg"),
+                   "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "z_dim" in captured.err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("path_line, named", [
@@ -228,6 +242,18 @@ def test_eval_rejects_foreign_version_with_exit_3(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert "version 99" in err
+
+
+def test_eval_rejects_malformed_header_with_exit_3(workspace, tmp_path, capsys):
+    bad = tmp_path / "bad.ckpt"
+    rewrite_checkpoint_header(workspace / "run1" / "best.ckpt", bad,
+                              lambda h: h["params"][0].pop("shape"))
+    rc = cli.main(["eval", "--ckpt", str(bad),
+                   "--corpus", str(workspace / "test.txt")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "'params'" in err
 
 
 def test_predict_writes_conll_and_warns_on_empty_lines(workspace, tmp_path,

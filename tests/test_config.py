@@ -1,0 +1,23 @@
+"""RunConfig is the one place a setting is validated."""
+
+import pytest
+
+from hreb.config import RunConfig
+from hreb.errors import ConfigError
+
+
+@pytest.mark.parametrize("key, value", [
+    ("chunk_size", 0),
+    ("attn_fn", "linear"),
+    ("reduced_bias", "classic"),
+    ("z_dim", 8),
+    ("z_dim", 128),
+])
+def test_bad_encoder_setting_is_rejected_naming_its_key(key, value):
+    with pytest.raises(ConfigError, match=key):
+        RunConfig(**{key: value})
+
+
+def test_z_dim_accepts_zero_and_d_model():
+    assert RunConfig(z_dim=0).z_dim == 0
+    assert RunConfig(d_model=16, z_dim=16).z_dim == 16

@@ -6,6 +6,9 @@ import os
 
 import hreb.autodiff
 import hreb.kernels
+from hreb.config import RunConfig
+from hreb.data import Vocab, synth_corpus
+from hreb.model import HrebModel
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -27,3 +30,20 @@ def test_every_perfbench_trace_target_exists_and_is_callable(monkeypatch):
 def test_environment_record_names_the_kernel_implementation():
     # perfbench's environment() records kernels.backend_name()
     assert hreb.kernels.backend_name() == "numpy"
+
+
+def test_tracer_labels_the_local_and_global_attention_stages(monkeypatch):
+    # spans._block_name reads the stage's chunk_size off rhema_block's config
+    monkeypatch.syspath_prepend(PERFBENCH)
+    spans = importlib.import_module("spans")
+    corpus = synth_corpus(0, n_sentences=4)
+    vocab = Vocab.from_corpus(corpus)
+    model = HrebModel(RunConfig(), vocab)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        model.emissions(None, vocab.encode_tokens(corpus.train[0].tokens))
+    finally:
+        tracer.uninstall()
+    stages = [s[0] for s in tracer.spans if s[0].startswith("rhema.")]
+    assert stages == ["rhema.local", "rhema.global"]

@@ -1,4 +1,4 @@
-"""Residual modes: classic sum, static scaling, gradient-gated dynamic mix."""
+"""Residual modes: plain sum (off), static scaling, gradient-gated dynamic mix."""
 
 import numpy as np
 import pytest
@@ -19,14 +19,9 @@ def make_state(mode, d=3, seed=0, **kw):
 def test_classic_is_bitwise_branch_plus_skip():
     rng = np.random.default_rng(0)
     x = ad.Tensor(rng.standard_normal((4, 3)))
-    state = make_state("classic")
+    state = make_state("off")
     out = residual.apply(None, x, double_branch, state)
     assert np.array_equal(out.data, 2.0 * x.data + x.data)
-
-
-def test_classic_rejects_nonunit_weights():
-    with pytest.raises(ValueError):
-        make_state("classic", alpha=0.5)
 
 
 def test_unknown_mode_rejected():
@@ -45,7 +40,7 @@ def test_static_scales_each_side():
 def test_static_unit_weights_match_classic_bitwise():
     rng = np.random.default_rng(2)
     x = ad.Tensor(rng.standard_normal((5, 3)))
-    a = residual.apply(None, x, double_branch, make_state("classic"))
+    a = residual.apply(None, x, double_branch, make_state("off"))
     b = residual.apply(None, x, double_branch, make_state("static"))
     assert np.array_equal(a.data, b.data)
 
@@ -74,19 +69,20 @@ def test_dynamic_records_pending_only_under_a_tape():
     state = make_state("dynamic")
     x = ad.Tensor(np.ones((2, 3)), requires_grad=True)
     residual.apply(None, x, double_branch, state)
-    assert state.pending == []
     tape = ad.Tape()
+    assert residual.pending(tape, state) == []
     out = residual.apply(tape, x, lambda t: ad.scale(tape, t, 2.0), state)
-    assert len(state.pending) == 1
-    f, skip = state.pending[0]
+    assert len(residual.pending(tape, state)) == 1
+    f, skip = residual.pending(tape, state)[0]
     assert skip is x
     assert np.array_equal(f.data, 2.0 * x.data)
-    assert set(state.pending_ids()) == {f.id, x.id}
+    assert set(residual.pending_ids(tape, [state])) == {f.id, x.id}
+    assert residual.pending(ad.Tape(), state) == []
     assert out.data.shape == x.data.shape
 
 
 def test_params_exposed_only_in_dynamic_mode():
-    assert make_state("classic").params() == []
+    assert make_state("off").params() == []
     assert make_state("static").params() == []
     names = [p.name for p in make_state("dynamic", prefix="L.").params()]
     assert names == ["L.rb.w_alpha", "L.rb.b_alpha", "L.rb.w_beta", "L.rb.b_beta"]
@@ -118,12 +114,12 @@ def test_commit_folds_backward_gradients_and_clears_pending():
     x = ad.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
     out = residual.apply(tape, x, lambda t: ad.mul(tape, t, t), state)
     loss = ad.sum_all(tape, out)
-    grads = ad.backward(tape, loss, keep=state.pending_ids())
-    f, skip = state.pending[0]
+    grads = ad.backward(tape, loss, keep=residual.pending_ids(tape, [state]))
+    f, skip = residual.pending(tape, state)[0]
     gf = grads[f.id]
     gx = grads[skip.id]
-    residual.commit_gate_caches([state], grads, 0.9)
-    assert state.pending == []
+    residual.commit_gate_caches(tape, [state], grads, 0.9)
+    assert residual.pending(tape, state) == []
     assert np.allclose(state.cache_f, 0.1 * gf.mean(axis=0))
     assert np.allclose(state.cache_x, 0.1 * gx.mean(axis=0))
 
@@ -134,16 +130,17 @@ def test_commit_uses_zeros_for_absent_gradients():
     x = ad.Tensor(np.ones((1, 2)), requires_grad=True)
     residual.apply(tape, x, lambda t: ad.scale(tape, t, 2.0), state)
     state.cache_f[:] = 1.0
-    residual.commit_gate_caches([state], {}, 0.5)
+    residual.commit_gate_caches(tape, [state], {}, 0.5)
     assert np.allclose(state.cache_f, 0.5)
-    assert state.pending == []
+    assert residual.pending(tape, state) == []
 
 
 def test_commit_clears_pending_on_nondynamic_states_too():
-    state = make_state("classic")
-    state.pending = [("sentinel", "sentinel")]
-    residual.commit_gate_caches([state], {}, 0.9)
-    assert state.pending == []
+    state = make_state("off")
+    tape = ad.Tape()
+    residual.pending(tape, state).append(("sentinel", "sentinel"))
+    residual.commit_gate_caches(tape, [state], {}, 0.9)
+    assert residual.pending(tape, state) == []
 
 
 def test_dynamic_gate_gradcheck():
@@ -158,7 +155,6 @@ def test_dynamic_gate_gradcheck():
     x_data = rng.standard_normal((4, 3))
 
     def build():
-        state.pending = []
         tape = ad.Tape()
         x = ad.Tensor(x_data, requires_grad=True)
         out = residual.apply(tape, x, lambda t: ad.silu_standard(tape, t), state)

@@ -5,15 +5,20 @@ import pytest
 
 from hreb import autodiff as ad
 from hreb import rhema
+from hreb.config import CHOICES, RunConfig
 from hreb.errors import ConfigError
 
 
-def make_config(**kw):
+def make_run(**kw):
     kw.setdefault("d_model", 4)
     kw.setdefault("n_ema_head", 2)
     kw.setdefault("rel_bias_window", 3)
-    kw.setdefault("rb_mode", "classic")
-    return rhema.RhemaConfig(**kw)
+    kw.setdefault("reduced_bias", "off")
+    return RunConfig(**kw)
+
+
+def make_config(chunk_size=0, **kw):
+    return rhema.RhemaConfig(make_run(**kw), chunk_size)
 
 
 def make_block(seed=0, **kw):
@@ -23,18 +28,15 @@ def make_block(seed=0, **kw):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        make_config(z_dim=8)  # must match d_model
-    with pytest.raises(ConfigError):
-        make_config(chunk_size=-1)
-    with pytest.raises(ConfigError):
-        make_config(attn_fn="linear")
-    with pytest.raises(ConfigError):
-        make_config(norm="rms")
+    # the stage view adds no check: RunConfig rejects a bad setting first
+    with pytest.raises(ConfigError, match="z_dim"):
+        make_config(z_dim=8)
     c = make_config()
-    assert c.z_dim == c.d_model
+    assert c.chunk_size == 0
     assert c.v_dim == 2 * c.d_model
-    assert c.attn_scale == np.sqrt(c.z_dim)
+    assert c.n_ema_head == 2
+    assert make_config(n_ema_head=0).n_ema_head == c.d_model
+    assert c.attn_scale == np.sqrt(c.d_model)
 
 
 def test_chunk_pair_mask_block_structure():
@@ -67,7 +69,7 @@ def test_laplace_parameters_start_at_documented_values():
 def test_block_output_shape_for_every_attention_fn():
     rng = np.random.default_rng(1)
     x_data = rng.standard_normal((6, 4)) * 0.5
-    for fn in rhema.ATTN_FNS:
+    for fn in CHOICES["attn_fn"]:
         config, params = make_block(attn_fn=fn, chunk_size=2)
         out = rhema.rhema_block(None, ad.Tensor(x_data), params, config)
         assert out.data.shape == (6, 4)
@@ -186,15 +188,9 @@ def test_trace_lines_format():
         int(i), int(j), float(val)
 
 
-def test_hierarchical_encoder_requires_chunking():
-    with pytest.raises(ConfigError):
-        rhema.HierarchicalEncoder(make_config(chunk_size=0),
-                                  np.random.default_rng(0))
-
-
 def test_hierarchical_encoder_stages_and_traces():
-    config = make_config(chunk_size=2, attn_fn="softmax")
-    enc = rhema.HierarchicalEncoder(config, np.random.default_rng(9))
+    run = make_run(chunk_size=2, attn_fn="softmax")
+    enc = rhema.HierarchicalEncoder(run, np.random.default_rng(9))
     assert enc.local_config.chunk_size == 2
     assert enc.global_config.chunk_size == 0
     rng = np.random.default_rng(10)
@@ -209,7 +205,7 @@ def test_hierarchical_encoder_stages_and_traces():
 
 
 def test_hierarchical_param_names_are_stage_prefixed():
-    enc = rhema.HierarchicalEncoder(make_config(chunk_size=2),
+    enc = rhema.HierarchicalEncoder(make_run(chunk_size=2),
                                     np.random.default_rng(0))
     names = [p.name for p in enc.params()]
     assert len(names) == len(set(names))
@@ -220,8 +216,8 @@ def test_hierarchical_param_names_are_stage_prefixed():
 
 
 def test_naive_encoder_census_and_forward():
-    config = make_config(rb_mode="dynamic")
-    enc = rhema.NaiveEncoder(config, np.random.default_rng(11))
+    enc = rhema.NaiveEncoder(make_run(reduced_bias="dynamic"),
+                             np.random.default_rng(11))
     names = [p.name for p in enc.params()]
     assert "naive.w_q" in names
     assert not any("ema" in n or "kappa" in n or "w_gamma" in n for n in names)
@@ -240,7 +236,7 @@ def test_block_parameter_gradients_spot_check():
     from hreb.gradcheck import finite_diff_params
 
     config, params = make_block(chunk_size=2, attn_fn="reduced_laplace",
-                                rb_mode="dynamic", seed=13)
+                                reduced_bias="dynamic", seed=13)
     rng = np.random.default_rng(14)
     x_data = rng.standard_normal((4, 4)) * 0.3
     for st in params.gate_states():
@@ -248,8 +244,6 @@ def test_block_parameter_gradients_spot_check():
         st.cache_x = rng.standard_normal(4) * 0.1
 
     def build():
-        for st in params.gate_states():
-            st.pending = []
         tape = ad.Tape()
         x = ad.Tensor(x_data, requires_grad=True)
         y = rhema.rhema_block(tape, x, params, config)
@@ -304,7 +298,7 @@ def assert_close(got, want, what):
     assert err <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0)), f"{what}: {err:.3g}"
 
 
-@pytest.mark.parametrize("attn_fn", rhema.ATTN_FNS)
+@pytest.mark.parametrize("attn_fn", CHOICES["attn_fn"])
 @pytest.mark.parametrize("chunk", [1, 2, 3, 8, 16])
 @pytest.mark.parametrize("n", [1, 5, 8, 13, 17, 256])
 def test_band_attention_matches_dense_masked_reference(n, chunk, attn_fn):
@@ -329,7 +323,7 @@ def test_band_attention_matches_dense_masked_reference(n, chunk, attn_fn):
 
 
 def test_local_stage_scores_are_a_band_on_the_tape():
-    enc = rhema.HierarchicalEncoder(make_config(chunk_size=8, attn_fn="softmax"),
+    enc = rhema.HierarchicalEncoder(make_run(chunk_size=8, attn_fn="softmax"),
                                     np.random.default_rng(16))
     tape = ad.Tape()
     x = ad.Tensor(np.random.default_rng(17).standard_normal((256, 4)) * 0.3)

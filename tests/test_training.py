@@ -5,10 +5,13 @@ import re
 import numpy as np
 import pytest
 
+from hreb import autodiff as ad
 from hreb import training
 from hreb.config import RunConfig
-from hreb.data import Corpus, synth_corpus
+from hreb.data import Corpus, Vocab, make_batches, synth_corpus
 from hreb.errors import ConfigError
+from hreb.model import HrebModel
+from hreb.optim import AdamState
 
 EPOCH_RE = re.compile(
     r"^epoch (\d+) P (\d\.\d{6}) R (\d\.\d{6}) F1 (\d\.\d{6}) loss (-?\d+\.\d{6})$")
@@ -50,7 +53,28 @@ def test_zero_lr_freezes_everything_and_loss_is_constant():
     # gate caches never committed either
     for gs in result.model.gate_states():
         assert np.all(gs.cache_f == 0.0) and np.all(gs.cache_x == 0.0)
-        assert gs.pending == []
+
+
+def test_a_tape_dropped_without_a_commit_leaves_the_next_step_alone():
+    # an aborted run drops its last tape uncommitted; its (branch, skip)
+    # pairs must not reach the next step's gate caches
+    cfg = tiny_config(reduced_bias="dynamic")
+    corpus = tiny_corpus()
+    vocab = Vocab.from_corpus(corpus)
+    batches = make_batches(corpus.train, cfg.batch_size, cfg.seed, vocab)[:1]
+    caches = []
+    for dropped in (False, True):
+        model = HrebModel(cfg, vocab)
+        if dropped:
+            ids, tag_ids = batches[0][0]
+            model.sentence_nll(ad.Tape(), ids, tag_ids)
+        opt = AdamState(model.params(), lr=cfg.lr)
+        training._epoch_pass(model, batches, opt, model.gate_states(),
+                             cfg.gate_momentum)
+        caches.append([(gs.cache_f, gs.cache_x) for gs in model.gate_states()])
+    for (fresh_f, fresh_x), (f, x) in zip(*caches):
+        assert np.any(fresh_f != 0.0)
+        assert np.array_equal(f, fresh_f) and np.array_equal(x, fresh_x)
 
 
 def test_training_reduces_loss_and_emits_wellformed_lines():
