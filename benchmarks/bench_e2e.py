@@ -5,8 +5,7 @@ Times, for documents of n tokens (n in LENGTHS: 4, 16, 64 and 256):
 - train: forward plus backward of one optimizer step's batch (16 documents
   on one tape, as `training` runs it), reported per sentence; the Adam
   step and the gate-cache commit are not included;
-- decode: tape-free `HrebModel.decode` of the same 16 documents, reported
-  per call;
+- decode: `HrebModel.decode` of the same 16 documents, reported per call;
 - bilstm: `model.lstm.forward` on a tape plus its backward, fed each
   document's encoder output, reported per sentence (the BiLSTM's share of
   train).
@@ -15,6 +14,8 @@ It also counts the `autodiff.record_op` calls of a training sentence's
 forward pass: the first sentence on a tape, a later one, and the mean over
 the batch. The mean is the quantity perfbench traces as
 `autodiff.record_op.per_sentence`, there averaged over its own batches.
+And it counts the `record_op` calls of one `HrebModel.decode` call: the
+first call of a fresh model and a later one.
 Each timing is the median and quartiles of REPEATS runs after two warm-up
 runs.
 
@@ -27,8 +28,8 @@ Run from the repository root of each commit being compared (copy this
 script into a checkout that lacks it), with the same output file,
 alternating the two sides over several numbered labels:
 
-    python3 benchmarks/bench_e2e.py --label "parent 1" --out BENCH_9.json
-    python3 benchmarks/bench_e2e.py --label "change 1" --out BENCH_9.json
+    python3 benchmarks/bench_e2e.py --label "parent 1" --out BENCH_11.json
+    python3 benchmarks/bench_e2e.py --label "change 1" --out BENCH_11.json
 
 The file keeps one entry per label; a rerun replaces that label's entry.
 The script refuses to add to a file whose recorded workload differs from
@@ -70,6 +71,8 @@ WORKLOAD = {
     "decode": "HrebModel.decode of the same documents, per call",
     "bilstm": "model.lstm.forward on a tape plus its backward, per sentence",
     "record_ops": "autodiff.record_op calls in one sentence's forward pass",
+    "decode_record_ops": "autodiff.record_op calls in one HrebModel.decode "
+                         "call of a fresh model: the first call and the last",
 }
 
 
@@ -126,8 +129,8 @@ def timed(fn):
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def record_ops_per_sentence(model, batch):
-    """record_op calls of each sentence's forward pass on one tape."""
+def record_op_counts(calls_of):
+    """The record_op calls made by each of calls_of's zero-argument calls."""
     record_op = ad.record_op
     calls = [0]
 
@@ -137,16 +140,32 @@ def record_ops_per_sentence(model, batch):
 
     ad.record_op = counting
     try:
-        tape = ad.Tape()
         counts = []
-        for ids, tag_ids in batch:
+        for call in calls_of:
             before = calls[0]
-            model.sentence_nll(tape, ids, tag_ids)
+            call()
             counts.append(calls[0] - before)
     finally:
         ad.record_op = record_op
+    return counts
+
+
+def record_ops_per_sentence(model, batch):
+    """record_op calls of each sentence's forward pass on one tape."""
+    tape = ad.Tape()
+    counts = record_op_counts(
+        [lambda ids=ids, tag_ids=tag_ids: model.sentence_nll(tape, ids, tag_ids)
+         for ids, tag_ids in batch])
     return {"first": counts[0], "later": counts[-1],
             "batch_mean": sum(counts) / len(counts)}
+
+
+def record_ops_per_decode(config, vocab, batch):
+    """record_op calls of each decode call of a fresh model."""
+    model = HrebModel(config, vocab)
+    counts = record_op_counts(
+        [lambda ids=ids: model.decode(ids) for ids, _ in batch])
+    return {"first": counts[0], "later": counts[-1]}
 
 
 def measure():
@@ -168,11 +187,13 @@ def measure():
             "decode_ms": {k: v * 1e3 / BATCH for k, v in decode.items()},
             "bilstm_ms": {k: v * 1e3 / BATCH for k, v in bilstm.items()},
             "record_ops_per_sentence": record_ops_per_sentence(model, batch),
+            "record_ops_per_decode": record_ops_per_decode(model.config, vocab, batch),
         })
         print(f"n={n:4d}  train {rows[-1]['train_ms_per_sentence']['median']:8.3f} ms/sent"
               f"  decode {rows[-1]['decode_ms']['median']:8.3f} ms"
               f"  bilstm {rows[-1]['bilstm_ms']['median']:8.3f} ms"
-              f"  record_ops {rows[-1]['record_ops_per_sentence']}", flush=True)
+              f"  record_ops {rows[-1]['record_ops_per_sentence']}"
+              f"  decode record_ops {rows[-1]['record_ops_per_decode']}", flush=True)
     return rows
 
 

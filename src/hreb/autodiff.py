@@ -40,10 +40,13 @@ class Tensor:
 class Tape:
     """Ordered op records: (op name, input tensors, output tensor, backward fn).
 
-    memo holds values per_tape built once for this tape.
+    memo holds values per_tape built once for this tape. A tape made with
+    record=False records no op: it serves forward-only passes that share
+    its memo across calls (HrebModel.decode).
     """
 
-    def __init__(self):
+    def __init__(self, record=True):
+        self.record = record
         self.records = []
         self.memo = {}
 
@@ -56,7 +59,7 @@ def record_op(tape, name, inputs, out_data, backward_fn):
     if not np.isfinite(out_data).all():
         raise NumericsError(f"op {name!r} produced non-finite values")
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
-    if tape is not None and out.requires_grad:
+    if tape is not None and tape.record and out.requires_grad:
         tape.add(name, inputs, out, backward_fn)
     return out
 
@@ -66,7 +69,9 @@ def per_tape(tape, key, build):
 
     For values that depend only on parameters and caches, which stay fixed
     while one tape (one optimizer step) is alive: every use after the first
-    shares one tensor, so its ops are recorded and swept back once.
+    shares one tensor, so its ops are recorded and swept back once. A
+    non-recording decode tape outlives many calls; its owner replaces it
+    once a parameter or cache array it was built from is replaced.
     """
     if tape is None:
         return build()
@@ -314,10 +319,11 @@ def silu(tape, a, variant):
 def layer_norm(tape, x, gain, bias, eps=1e-5):
     """Per-row standardization over features, then affine."""
     d = x.data.shape[-1]
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    xc = x.data - mu
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = xc * inv
     out_data = xhat * gain.data + bias.data
 
     def bw(g):
@@ -339,18 +345,19 @@ def feature_norm(tape, x, gain, bias, eps=1e-5):
     This is the batch-statistics alternative to layer_norm.
     """
     n = x.data.shape[0]
-    mu = x.data.mean(axis=0)
-    var = x.data.var(axis=0)
+    mu = np.add.reduce(x.data, axis=0) / n
+    xc = x.data - mu
+    var = np.add.reduce(xc * xc, axis=0) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = xc * inv
     out_data = xhat * gain.data + bias.data
 
     def bw(g):
         dxhat = g * gain.data
-        dvar = (dxhat * (x.data - mu)).sum(axis=0) * (-0.5) * inv ** 3
+        dvar = (dxhat * xc).sum(axis=0) * (-0.5) * inv ** 3
         dmu = (dxhat * -inv).sum(axis=0)
         dx = dxhat * inv
-        dx += dvar * 2.0 * (x.data - mu) / n + dmu / n
+        dx += dvar * 2.0 * xc / n + dmu / n
         dgain = _unbroadcast(g * xhat, gain.shape)
         dbias = _unbroadcast(g, bias.shape)
         return dx, dgain, dbias
@@ -430,6 +437,26 @@ def _masked(allowed, x, fill):
     return x if allowed is None else np.where(allowed, x, fill)
 
 
+_rel_bias_indexes = {}
+
+
+def _rel_bias_index(n, m, w):
+    """add_rel_bias's (n, m) bucket index, a slice of one array per layout.
+
+    The m = n layout (offset j - i) and the fixed-chunk one (m < n) are each
+    a prefix of the same layout at a larger n, so each is kept at the
+    longest n seen and rebuilt only for a longer one. The m = n array holds
+    n * n entries, as many as the scores it indexes.
+    """
+    key = (0 if m == n else m, w)
+    idx = _rel_bias_indexes.get(key)
+    if idx is None or idx.shape[0] < n:
+        rows = np.arange(n)[:, None]
+        offs = rows // m * m + np.arange(m)[None, :] - rows
+        idx = _rel_bias_indexes[key] = np.clip(offs + w, 0, 2 * w)
+    return idx[:n, :m]
+
+
 def add_rel_bias(tape, scores, bias):
     """Add a learned bucketed relative-position bias to (query, key) scores.
 
@@ -439,9 +466,7 @@ def add_rel_bias(tape, scores, bias):
     """
     n, m = scores.data.shape
     w = (bias.data.shape[0] - 1) // 2
-    rows = np.arange(n)[:, None]
-    offs = rows // m * m + np.arange(m)[None, :] - rows
-    idx = np.clip(offs + w, 0, 2 * w)
+    idx = _rel_bias_index(n, m, w)
 
     def bw(g):
         return g, np.bincount(idx.ravel(), weights=g.ravel(), minlength=2 * w + 1)

@@ -1,5 +1,7 @@
 """The full tagger: embeddings, attention encoder, BiLSTM, projection, CRF."""
 
+import operator
+
 import numpy as np
 
 from . import autodiff as ad
@@ -41,6 +43,8 @@ class HrebModel:
                                name="proj.b")
         self.crf = crf_mod.CrfParams(n_classes, tags=vocab.tags,
                                      strict=config.strict_transitions)
+        self._decode_arrays = []
+        self._decode_tape = None
 
     def params(self):
         out = (self.embed.params() + self.encoder.params() + self.lstm.params()
@@ -76,9 +80,27 @@ class HrebModel:
         onehot[np.arange(tag_ids.size), tag_ids] = 1.0
         return crf_mod.token_nll(tape, probs, onehot)
 
+    def decode_tape(self):
+        """The non-recording tape decode runs on.
+
+        Its memo keeps the values per_tape builds from parameters and gate
+        caches (the gates, the EMA decays, the BiLSTM's recurrent matrix)
+        from one call to the next. It is replaced once any parameter or
+        cache array is not the object it was built from, so every writer
+        replaces those arrays instead of writing into them.
+        """
+        arrays = [p.data for p in self.params()]
+        for gs in self.gate_states():
+            arrays += (gs.cache_f, gs.cache_x)
+        if (len(arrays) != len(self._decode_arrays)
+                or not all(map(operator.is_, arrays, self._decode_arrays))):
+            self._decode_arrays = arrays
+            self._decode_tape = ad.Tape(record=False)
+        return self._decode_tape
+
     def decode(self, ids, traces=None):
-        """Best tag-id path for one true-length id sequence, no tape."""
-        e = self.emissions(None, ids, traces=traces)
+        """Best tag-id path for one true-length id sequence."""
+        e = self.emissions(self.decode_tape(), ids, traces=traces)
         if self.config.loss_head == "crf":
             path, _ = crf_mod.viterbi(e, self.crf)
             return np.asarray(path, dtype=np.int64)

@@ -22,7 +22,11 @@ class AdamState:
         self.v = {p.id: np.zeros_like(p.data) for p in params}
 
     def step(self, params, grads):
-        """Update params in place. Params absent from grads are left untouched."""
+        """Update params. Params absent from grads are left untouched.
+
+        Each updated p.data is a new array, so a memo built from the old
+        one (HrebModel's decode tape) sees the change.
+        """
         for p in params:
             g = grads.get(p.id)
             if g is not None and not np.all(np.isfinite(g)):
@@ -42,4 +46,4 @@ class AdamState:
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * np.square(g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)

@@ -22,7 +22,7 @@ from .errors import DivergenceError
 class GateState:
     """Mode, static weights, dynamic gate parameters, and gradient caches."""
 
-    def __init__(self, d_model, mode, rng, alpha=1.0, beta=1.0, prefix=""):
+    def __init__(self, d_model, mode, alpha=1.0, beta=1.0, prefix=""):
         if mode not in CHOICES["reduced_bias"]:
             raise ValueError(f"unknown residual mode {mode!r}")
         self.d_model = d_model
@@ -71,7 +71,7 @@ def apply(tape, x, branch, state):
     if state.mode == "static":
         return ad.add(tape, ad.scale(tape, f, state.alpha),
                       ad.scale(tape, x, state.beta))
-    if tape is not None:
+    if tape is not None and tape.record:
         pending(tape, state).append((f, x))
     gate_f, gate_x = ad.per_tape(tape, state, lambda: _gates(tape, state))
     return ad.add(tape, ad.mul(tape, gate_f, f), ad.mul(tape, gate_x, x))
@@ -81,6 +81,8 @@ def _gates(tape, state):
     """(gate_f, gate_x), each (1, d): sigmoid(cache @ W + b).
 
     Only parameters and caches enter, so apply builds them once per tape.
+    The caches are replaced, never written into, so a decode tape built
+    from them can tell when they change.
     """
     gf = ad.Tensor(state.cache_f.reshape(1, -1), name="rb.cache_f")
     gx = ad.Tensor(state.cache_x.reshape(1, -1), name="rb.cache_x")

@@ -91,9 +91,9 @@ class BlockParams:
         self.ffn_b1 = t(np.zeros(2 * d), requires_grad=True, name=prefix + "ffn_b1")
         self.ffn_w2 = t(_glorot(rng, (2 * d, d)), requires_grad=True, name=prefix + "ffn_w2")
         self.ffn_b2 = t(np.zeros(d), requires_grad=True, name=prefix + "ffn_b2")
-        self.rb_attn = residual.GateState(d, config.reduced_bias, rng, config.rb_alpha,
+        self.rb_attn = residual.GateState(d, config.reduced_bias, config.rb_alpha,
                                           config.rb_beta, prefix=prefix + "attn.")
-        self.rb_ffn = residual.GateState(d, config.reduced_bias, rng, config.rb_alpha,
+        self.rb_ffn = residual.GateState(d, config.reduced_bias, config.rb_alpha,
                                          config.rb_beta, prefix=prefix + "ffn.")
 
     def params(self):

@@ -204,13 +204,12 @@ def test_criterion_4_gate_identities():
         x_res = ad.Tensor(rng.standard_normal((n, d)))
         f_out = ad.Tensor(rng.standard_normal((n, d)))
         branch = lambda _x: f_out
-        off = residual.GateState(d, "off", np.random.default_rng(1))
+        off = residual.GateState(d, "off")
         y_off = residual.apply(None, x_res, branch, off)
         assert np.array_equal(y_off.data, f_out.data + x_res.data)
 
         # unit static weights collapse onto the plain mode bitwise
-        static = residual.GateState(d, "static", np.random.default_rng(1),
-                                    alpha=1.0, beta=1.0)
+        static = residual.GateState(d, "static", alpha=1.0, beta=1.0)
         y_static = residual.apply(None, x_res, branch, static)
         assert np.array_equal(y_static.data, y_off.data)
         ok = True

@@ -169,6 +169,21 @@ def test_feature_norm_standardizes_each_feature():
     assert np.allclose(out, (x - mu) / sd)
 
 
+@pytest.mark.parametrize("n", [1, 17, 256])
+def test_norms_center_once_with_the_bits_of_mean_and_var(n):
+    # One centering pass runs the reductions np.mean and np.var run, in
+    # the same order, so the output keeps every bit.
+    rng = np.random.default_rng(n)
+    d = 16
+    x = rng.standard_normal((n, d)) * 3 + 1
+    gain, bias = rng.standard_normal(d), rng.standard_normal(d)
+    for op, axis in ((ad.layer_norm, -1), (ad.feature_norm, 0)):
+        mu = x.mean(axis=axis, keepdims=True)
+        inv = 1.0 / np.sqrt(x.var(axis=axis, keepdims=True) + 1e-5)
+        out = op(None, ad.Tensor(x), ad.Tensor(gain), ad.Tensor(bias))
+        assert np.array_equal(out.data, (x - mu) * inv * gain + bias), op.__name__
+
+
 def test_softmax_rows_simplex_and_masked_zeros():
     rng = np.random.default_rng(2)
     s = rng.standard_normal((5, 5))
@@ -244,6 +259,21 @@ def test_add_rel_bias_bucket_structure():
     assert np.array_equal(out, want)
     assert out[0, 3] == 30.0  # clipped far-right offset
     assert out[3, 0] == 10.0  # clipped far-left offset
+
+
+@pytest.mark.parametrize("m", [None, 3])
+def test_add_rel_bias_index_is_a_slice_of_the_longest_seen(m):
+    # The index is kept per layout at the longest n seen; shorter and
+    # longer calls in any order read what a fresh build would give.
+    w = 2
+    bias = ad.Tensor(np.arange(2.0 * w + 1))
+    for n in (5, 11, 2, 7, 13, 1):
+        mm = n if m is None else min(m, n)
+        rows = np.arange(n)[:, None]
+        offs = rows // mm * mm + np.arange(mm)[None, :] - rows
+        want = bias.data[np.clip(offs + w, 0, 2 * w)]
+        out = ad.add_rel_bias(None, ad.Tensor(np.zeros((n, mm))), bias).data
+        assert np.array_equal(out, want), n
 
 
 def test_repeat_entries_tiles_and_sums_back():

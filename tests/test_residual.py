@@ -12,8 +12,8 @@ def double_branch(x):
     return ad.scale(None, x, 2.0)
 
 
-def make_state(mode, d=3, seed=0, **kw):
-    return residual.GateState(d, mode, np.random.default_rng(seed), **kw)
+def make_state(mode, d=3, **kw):
+    return residual.GateState(d, mode, **kw)
 
 
 def test_classic_is_bitwise_branch_plus_skip():
@@ -147,7 +147,7 @@ def test_dynamic_gate_gradcheck():
     from hreb.gradcheck import finite_diff_params
 
     rng = np.random.default_rng(4)
-    state = make_state("dynamic", d=3, seed=4)
+    state = make_state("dynamic", d=3)
     state.cache_f = rng.standard_normal(3) * 0.5
     state.cache_x = rng.standard_normal(3) * 0.5
     state.w_alpha.data[:] = rng.standard_normal((3, 3)) * 0.3
@@ -166,7 +166,7 @@ def test_dynamic_gate_gradcheck():
 
 def random_dynamic_state(seed):
     rng = np.random.default_rng(seed)
-    state = make_state("dynamic", d=3, seed=seed)
+    state = make_state("dynamic", d=3)
     state.cache_f = rng.standard_normal(3) * 0.5
     state.cache_x = rng.standard_normal(3) * 0.5
     for p in state.params():

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from hreb import autodiff as ad
-from hreb import training
+from hreb import residual, training
 from hreb.config import RunConfig
 from hreb.data import Corpus, Vocab, make_batches, synth_corpus
-from hreb.errors import ConfigError
+from hreb.errors import ConfigError, NumericsError
 from hreb.model import HrebModel
 from hreb.optim import AdamState
 
@@ -252,6 +252,79 @@ def test_default_config_sentence_records_at_most_95_ops():
         counts.append(len(tape.records) - before)
     assert counts[1] <= 95, counts
     assert counts[1] == counts[2] < counts[0], counts
+
+
+def decode_model():
+    corpus = tiny_corpus()
+    cfg = tiny_config(reduced_bias="dynamic")
+    vocab = Vocab.from_corpus(corpus)
+    docs = [vocab.encode_tokens(s.tokens) for s in corpus.train + corpus.test]
+    return cfg, corpus, vocab, HrebModel(cfg, vocab), docs
+
+
+def test_decode_memo_follows_every_change_of_the_parameters():
+    # decode keeps the gates, EMA decays and BiLSTM matrix between calls;
+    # after each change below it must equal a fresh model restored from
+    # the same snapshot, and the change must show in the emissions.
+    cfg, corpus, vocab, model, docs = decode_model()
+    states = model.gate_states()
+    rng = np.random.default_rng(0)
+    for p in (p for gs in states for p in gs.params()):
+        p.data = rng.standard_normal(p.data.shape)  # zero gate weights hide the caches
+    opt = AdamState(model.params(), lr=0.05)
+    seen = [[model.emissions(model.decode_tape(), ids).data for ids in docs]]
+
+    def check():
+        fresh = HrebModel(cfg, vocab)
+        training.restore(fresh, training.snapshot(model))
+        now = []
+        for ids in docs:
+            assert np.array_equal(model.decode(ids), fresh.decode(ids))
+            e = model.emissions(model.decode_tape(), ids).data
+            assert np.array_equal(e, fresh.emissions(None, ids).data)
+            now.append(e)
+        assert not all(np.array_equal(a, b) for a, b in zip(now, seen[-1]))
+        seen.append(now)
+
+    batches = make_batches(corpus.train, cfg.batch_size, 1, vocab)
+    training._epoch_pass(model, batches[:1], opt, states, cfg.gate_momentum)
+    check()
+    stepped = training.snapshot(model)
+
+    tape = ad.Tape()
+    ids, tags = batches[1][0]
+    loss = model.sentence_nll(tape, ids, tags)
+    grads = ad.backward(tape, loss, keep=residual.pending_ids(tape, states))
+    residual.commit_gate_caches(tape, states, grads, cfg.gate_momentum)
+    check()
+    opt.step(model.params(), grads)  # an optimizer step alone, caches kept
+    check()
+
+    training.restore(model, stepped)
+    check()
+
+    block = model.encoder.local
+    for p in (block.ema.alpha_raw, model.lstm.bwd.u, block.rb_ffn.w_alpha):
+        p.data = p.data + 0.5
+        check()
+
+
+def test_decode_tape_stays_empty_and_checks_every_op():
+    cfg, corpus, vocab, model, docs = decode_model()
+    for i in range(200):
+        model.decode(docs[i % len(docs)])
+    tape = model.decode_tape()
+    assert tape.records == []
+    assert not any(isinstance(k, tuple) and "pending" in k for k in tape.memo)
+    assert len(tape.memo) == 4 + 2 + 1  # gates, EMA decays, BiLSTM matrix
+    w = model.encoder.global_.w_z
+    w.data = np.full(w.data.shape, np.inf)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericsError) as tape_free:
+        model.emissions(None, docs[0])
+    with np.errstate(invalid="ignore"), pytest.raises(NumericsError) as decoded:
+        model.decode(docs[0])
+    assert str(decoded.value) == str(tape_free.value)
+    assert "op 'linear'" in str(decoded.value)
 
 
 def test_ablate_covers_the_grid_and_isolates_switches():
