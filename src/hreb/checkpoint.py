@@ -8,6 +8,8 @@ gate-cache dims. Weights round-trip bit-identically.
 """
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -62,11 +64,12 @@ def _is_dims(value):
         type(d) is int and d >= 0 for d in value)
 
 
-def _check_header(path, header):
-    """(config, vocab) from a header whose fields have the saved types.
+def _check_header(path, header, payload_bytes):
+    """(config, vocab) from a header whose fields have the saved types and
+    whose arrays fit in the payload_bytes that follow it.
 
     The header is outside input: a malformed field is a CheckpointError
-    naming it, never a KeyError or TypeError from deeper down.
+    naming it, never a KeyError, TypeError or MemoryError from deeper down.
     """
     def bad(field, why):
         return CheckpointError(f"{path}: checkpoint field {field!r} {why}")
@@ -77,6 +80,13 @@ def _check_header(path, header):
         raise bad("params", "must list {name, shape} entries")
     if not _is_dims(header["cache_dims"]):
         raise bad("cache_dims", "must be a list of sizes")
+    need = 0
+    for field, n in (("params", sum(math.prod(e["shape"]) for e in header["params"])),
+                     ("cache_dims", 2 * sum(header["cache_dims"]))):
+        need += 8 * n
+        if need > payload_bytes:
+            raise bad(field, f"needs {need} payload bytes but {payload_bytes} "
+                      "remain (truncated checkpoint)")
     for field in ("tokens", "tags"):
         if not (isinstance(header[field], list)
                 and all(isinstance(t, str) for t in header[field])):
@@ -85,7 +95,7 @@ def _check_header(path, header):
         raise bad("config", "must be a JSON object")
     try:
         config = RunConfig.from_dict(header["config"])
-    except (ConfigError, TypeError) as e:
+    except ConfigError as e:
         raise bad("config", f"is invalid: {e}")
     try:
         vocab = Vocab.from_maps(header["tokens"], header["tags"])
@@ -117,12 +127,12 @@ def load_checkpoint(path):
         missing = [k for k in HEADER_KEYS if k not in header]
         if missing:
             raise CheckpointError(f"{path}: checkpoint header lacks {', '.join(missing)}")
-        config, vocab = _check_header(path, header)
+        config, vocab = _check_header(
+            path, header, os.fstat(fh.fileno()).st_size - fh.tell())
         params = {}
         for entry in header["params"]:
             shape = tuple(entry["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(fh, 8 * n, f"parameter {entry['name']}")
+            raw = _read_exact(fh, 8 * math.prod(shape), f"parameter {entry['name']}")
             params[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         caches = []
         for d in header["cache_dims"]:

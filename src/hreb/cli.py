@@ -20,7 +20,7 @@ from . import verify as verify_mod
 from .checkpoint import load_model, save_checkpoint
 from .config import parse_config
 from .data import Corpus, corpus_stats, decode_spans, parse_conll
-from .errors import CheckpointError, ConfigError, DivergenceError, NumericsError
+from .errors import CheckpointError, ConfigError, NumericsError
 from .training import evaluate, train
 
 EXIT_OK = 0
@@ -30,28 +30,28 @@ EXIT_CKPT = 3
 EXIT_DIVERGED = 4
 
 
-def _read_corpus_file(key, path):
-    if not path:
-        raise ConfigError(f"config key {key!r} is required for this command")
+def _read_corpus_file(path, source="--corpus"):
+    """parse_conll(path), failing with a ConfigError that names the file."""
     try:
         return parse_conll(path)
     except OSError as e:
-        raise ConfigError(f"config key {key!r}: cannot read {path}: {e.strerror}")
+        raise ConfigError(f"{source}: cannot read {path}: {e.strerror}")
     except ValueError as e:
-        raise ConfigError(f"config key {key!r}: {path}: {e}")
+        raise ConfigError(f"{source}: {path}: {e}")
 
 
 def _load_corpus(cfg):
-    train_split = _read_corpus_file("train_path", cfg.train_path)
-    test_split = (_read_corpus_file("test_path", cfg.test_path)
-                  if cfg.test_path else [])
-    if cfg.dev_path:
-        dev_split = _read_corpus_file("dev_path", cfg.dev_path)
-    elif test_split:
-        dev_split = test_split  # alias: validation reuses the test file
-    else:
-        dev_split = train_split
-    return Corpus(train_split, dev_split, test_split)
+    if not cfg.train_path:
+        raise ConfigError("config key 'train_path' is required for this command")
+
+    def read(key):
+        path = getattr(cfg, key)
+        return _read_corpus_file(path, f"config key {key!r}") if path else []
+
+    train_split, test_split, dev_split = map(
+        read, ("train_path", "test_path", "dev_path"))
+    # a parsed split is never empty: validation falls back to test, then train
+    return Corpus(train_split, dev_split or test_split or train_split, test_split)
 
 
 def cmd_train(args):
@@ -90,11 +90,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     model, _ = load_model(args.ckpt)
-    try:
-        sentences = parse_conll(args.corpus)
-    except OSError as e:
-        raise ConfigError(f"cannot read corpus {args.corpus}: {e.strerror}")
-    report = evaluate(model, sentences)
+    report = evaluate(model, _read_corpus_file(args.corpus))
     for line in report.lines():
         print(line)
     return EXIT_OK
@@ -157,13 +153,7 @@ def cmd_verify(args):
 
 
 def cmd_stats(args):
-    paths = args.corpus
-    splits = []
-    for p in paths:
-        try:
-            splits.append(parse_conll(p))
-        except OSError as e:
-            raise ConfigError(f"cannot read corpus {p}: {e.strerror}")
+    splits = [_read_corpus_file(p) for p in args.corpus]
     if len(splits) == 1:
         corpus = Corpus(splits[0], [], [])
     elif len(splits) == 2:
@@ -229,16 +219,13 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as e:
+    except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except CheckpointError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CKPT
-    except (DivergenceError, NumericsError) as e:
+    except NumericsError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DIVERGED
 

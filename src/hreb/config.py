@@ -87,6 +87,13 @@ class RunConfig:
         self.validate()
 
     def validate(self):
+        for key, (default, _) in DEFAULTS.items():
+            # a bool is never an int; an int stands for a float
+            kind, value = type(default), getattr(self, key)
+            if (isinstance(value, bool) is not (kind is bool) or not isinstance(
+                    value, (int, float) if kind is float else kind)):
+                raise ConfigError(
+                    f"key {key!r}: expected {kind.__name__}, got {value!r}")
         for key, choices in CHOICES.items():
             if getattr(self, key) not in choices:
                 raise ConfigError(

@@ -6,35 +6,6 @@ from .autodiff import backward
 from .errors import VerificationError
 
 
-def finite_diff_check(f, x, eps=1e-5):
-    """Compare f's analytic gradient against central differences.
-
-    f maps a float64 array to (scalar loss, gradient array of x's shape).
-    The baseline is evaluated twice; a mismatch means f is nondeterministic
-    and the comparison would be meaningless. Returns the max over entries of
-    |analytic - numeric| / max(1, |analytic|).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    loss0, grad = f(x)
-    loss1, _ = f(x)
-    if not loss0 == loss1:
-        raise VerificationError(
-            f"function is not deterministic: {loss0!r} != {loss1!r}")
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != x.shape:
-        raise VerificationError(
-            f"gradient shape {grad.shape} does not match input {x.shape}")
-    numeric = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xp.flat[i] += eps
-        xm = x.copy()
-        xm.flat[i] -= eps
-        numeric.flat[i] = (f(xp)[0] - f(xm)[0]) / (2.0 * eps)
-    rel = np.abs(grad - numeric) / np.maximum(1.0, np.abs(grad))
-    return float(rel.max())
-
-
 def finite_diff_params(build_loss, params, eps=1e-5, max_entries=None, rng=None):
     """Check analytic parameter gradients of a rebuildable scalar loss.
 

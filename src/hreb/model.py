@@ -1,6 +1,6 @@
 """The full tagger: embeddings, attention encoder, BiLSTM, projection, CRF."""
 
-import operator
+import weakref
 
 import numpy as np
 
@@ -8,6 +8,15 @@ from . import autodiff as ad
 from . import crf as crf_mod
 from .encoders import BiLstm, EmbeddingTable, embed_tokens, load_embedding_file
 from .rhema import HierarchicalEncoder, NaiveEncoder, _glorot
+
+
+def _ref(a):
+    """A weak reference to array a. A numpy scalar (what an update of a 0-d
+    parameter yields) takes no weak reference; it is held as it is."""
+    try:
+        return weakref.ref(a)
+    except TypeError:
+        return lambda: a
 
 
 class HrebModel:
@@ -87,14 +96,15 @@ class HrebModel:
         caches (the gates, the EMA decays, the BiLSTM's recurrent matrix)
         from one call to the next. It is replaced once any parameter or
         cache array is not the object it was built from, so every writer
-        replaces those arrays instead of writing into them.
+        replaces those arrays instead of writing into them. They are held
+        by weak reference (_ref), so a replaced one is freed at once.
         """
         arrays = [p.data for p in self.params()]
         for gs in self.gate_states():
             arrays += (gs.cache_f, gs.cache_x)
         if (len(arrays) != len(self._decode_arrays)
-                or not all(map(operator.is_, arrays, self._decode_arrays))):
-            self._decode_arrays = arrays
+                or not all(r() is a for r, a in zip(self._decode_arrays, arrays))):
+            self._decode_arrays = [_ref(a) for a in arrays]
             self._decode_tape = ad.Tape(record=False)
         return self._decode_tape
 

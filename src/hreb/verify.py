@@ -15,7 +15,7 @@ from . import oracles
 from .config import RunConfig
 from .data import Vocab, Sentence
 from .encoders import embed_tokens
-from .gradcheck import finite_diff_check, finite_diff_params
+from .gradcheck import finite_diff_params
 from .model import HrebModel
 from .moving_average import EmaState, multihead_ema
 
@@ -40,33 +40,14 @@ def _dump(**arrays):
 
 # ----------------------------------------------------------------- gradients
 
-def _grad_of(build, inputs, wrt, rng):
-    """Finite-difference error of `build`'s output gradient w.r.t. one input.
-
-    build(tape, tensors) returns the op output; the loss is a fixed random
-    weighting of it, so every output entry influences the scalar.
-    """
-    tensors = {k: ad.Tensor(v, requires_grad=True, name=k)
-               for k, v in inputs.items()}
-    probe = build(ad.Tape(), tensors)
-    w = rng.standard_normal(probe.data.shape) if probe.data.shape else np.float64(1.0)
-
-    def f(x):
-        tape = ad.Tape()
-        ts = {k: ad.Tensor(v, requires_grad=True, name=k)
-              for k, v in inputs.items()}
-        ts[wrt] = ad.Tensor(x, requires_grad=True, name=wrt)
-        out = build(tape, ts)
-        loss = ad.sum_all(tape, ad.mul(tape, out, ad.Tensor(w)))
-        grads = ad.backward(tape, loss)
-        return float(loss.data), grads.get(ts[wrt].id, np.zeros_like(x))
-
-    return finite_diff_check(f, inputs[wrt])
-
-
 def op_grad_checks(seed=0, tol=1e-4):
     """Finite-difference check of every differentiable op, one entry per
-    (op, input) pair."""
+    (op, input) pair.
+
+    Each case is (op, {input name: array}, build); build(tape, *tensors)
+    returns the op output in the inputs' order. The loss is a fixed random
+    weighting of that output, so every output entry influences the scalar.
+    """
     rng = np.random.default_rng(seed)
     n, d = 3, 4
     a = rng.standard_normal((n, d))
@@ -80,13 +61,13 @@ def op_grad_checks(seed=0, tol=1e-4):
     crf_t = rng.standard_normal((n_classes + 2, n_classes + 2))
     crf_t[:, n_classes] = -np.inf
     crf_t[n_classes + 1, :] = -np.inf
+    crf_in = {"emissions": a[:, :n_classes], "trans": crf_t}
     path = np.array([1, 0, 2])
     alpha = rng.uniform(0.1, 0.9, d)
     h0 = rng.standard_normal(d)
     gain = rng.uniform(0.5, 1.5, d)
     beta = rng.standard_normal(d)
-    mu = np.float64(0.3)
-    sig_raw = np.float64(-0.8)
+    norm_in = {"x": a, "gain": gain, "bias": beta}
     # a 5-row band of width 2: the last chunk is ragged (one live key)
     band_n, band_m = 5, 2
     bq = rng.standard_normal((band_n, d))
@@ -101,110 +82,66 @@ def op_grad_checks(seed=0, tol=1e-4):
                      "b_" + lane: rng.standard_normal(4 * h)})
 
     cases = [
-        ("add/a", {"a": a, "b": b}, lambda t, s: ad.add(t, s["a"], s["b"]), "a"),
-        ("add/bias", {"a": a, "b": vec}, lambda t, s: ad.add(t, s["a"], s["b"]), "b"),
-        ("sub/a", {"a": a, "b": b}, lambda t, s: ad.sub(t, s["a"], s["b"]), "a"),
-        ("sub/b", {"a": a, "b": b}, lambda t, s: ad.sub(t, s["a"], s["b"]), "b"),
-        ("mul/a", {"a": a, "b": vec}, lambda t, s: ad.mul(t, s["a"], s["b"]), "a"),
-        ("mul/b", {"a": a, "b": vec}, lambda t, s: ad.mul(t, s["a"], s["b"]), "b"),
-        ("neg", {"a": a}, lambda t, s: ad.neg(t, s["a"]), "a"),
-        ("scale", {"a": a}, lambda t, s: ad.scale(t, s["a"], 1.7), "a"),
-        ("clamp_min", {"a": pos}, lambda t, s: ad.clamp_min(t, s["a"], 1.0), "a"),
-        ("matmul/a", {"a": a, "b": sq}, lambda t, s: ad.matmul(t, s["a"], s["b"]), "a"),
-        ("matmul/b", {"a": a, "b": sq}, lambda t, s: ad.matmul(t, s["a"], s["b"]), "b"),
-        ("linear/x", {"x": a, "w": sq, "b": vec},
-         lambda t, s: ad.linear(t, s["x"], s["w"], s["b"]), "x"),
-        ("linear/w", {"x": a, "w": sq, "b": vec},
-         lambda t, s: ad.linear(t, s["x"], s["w"], s["b"]), "w"),
-        ("linear/b", {"x": a, "w": sq, "b": vec},
-         lambda t, s: ad.linear(t, s["x"], s["w"], s["b"]), "b"),
-        ("affine/x", {"x": a, "s": gain, "m": beta},
-         lambda t, s: ad.affine(t, s["x"], s["s"], s["m"]), "x"),
-        ("affine/scale", {"x": a, "s": gain, "m": beta},
-         lambda t, s: ad.affine(t, s["x"], s["s"], s["m"]), "s"),
-        ("affine/shift", {"x": a, "s": gain, "m": beta},
-         lambda t, s: ad.affine(t, s["x"], s["s"], s["m"]), "m"),
-        ("dot_scores/q", {"q": bq, "k": bk},
-         lambda t, s: ad.dot_scores(t, s["q"], s["k"], 0.5, band_m), "q"),
-        ("dot_scores/k", {"q": bq, "k": bk},
-         lambda t, s: ad.dot_scores(t, s["q"], s["k"], 0.5, band_m), "k"),
-        ("chunk_mix/w", {"w": band, "v": bk},
-         lambda t, s: ad.chunk_mix(t, s["w"], s["v"]), "w"),
-        ("chunk_mix/v", {"w": band, "v": bk},
-         lambda t, s: ad.chunk_mix(t, s["w"], s["v"]), "v"),
-        ("lerp/w", {"w": pos / 2.0, "a": a, "b": b},
-         lambda t, s: ad.lerp(t, s["w"], s["a"], s["b"]), "w"),
-        ("lerp/a", {"w": pos / 2.0, "a": a, "b": b},
-         lambda t, s: ad.lerp(t, s["w"], s["a"], s["b"]), "a"),
-        ("lerp/b", {"w": pos / 2.0, "a": a, "b": b},
-         lambda t, s: ad.lerp(t, s["w"], s["a"], s["b"]), "b"),
-        ("repeat_entries", {"a": vec}, lambda t, s: ad.repeat_entries(t, s["a"], 3), "a"),
-        ("sum_all", {"a": a}, lambda t, s: ad.sum_all(t, s["a"]), "a"),
-        ("sigmoid", {"a": a}, lambda t, s: ad.sigmoid(t, s["a"]), "a"),
-        ("log", {"a": pos}, lambda t, s: ad.log(t, s["a"]), "a"),
-        ("silu_standard", {"a": a}, lambda t, s: ad.silu_standard(t, s["a"]), "a"),
-        ("silu_paper", {"a": a}, lambda t, s: ad.silu_paper(t, s["a"]), "a"),
-        ("layer_norm/x", {"x": a, "g": gain, "b": beta},
-         lambda t, s: ad.layer_norm(t, s["x"], s["g"], s["b"]), "x"),
-        ("layer_norm/gain", {"x": a, "g": gain, "b": beta},
-         lambda t, s: ad.layer_norm(t, s["x"], s["g"], s["b"]), "g"),
-        ("layer_norm/bias", {"x": a, "g": gain, "b": beta},
-         lambda t, s: ad.layer_norm(t, s["x"], s["g"], s["b"]), "b"),
-        ("feature_norm/x", {"x": a, "g": gain, "b": beta},
-         lambda t, s: ad.feature_norm(t, s["x"], s["g"], s["b"]), "x"),
-        ("feature_norm/gain", {"x": a, "g": gain, "b": beta},
-         lambda t, s: ad.feature_norm(t, s["x"], s["g"], s["b"]), "g"),
-        ("feature_norm/bias", {"x": a, "g": gain, "b": beta},
-         lambda t, s: ad.feature_norm(t, s["x"], s["g"], s["b"]), "b"),
+        ("add", {"a": a, "bias": vec}, ad.add),
+        ("sub", {"a": a, "b": b}, ad.sub),
+        ("mul", {"a": a, "b": vec}, ad.mul),
+        ("neg", {"a": a}, ad.neg),
+        ("scale", {"a": a}, lambda t, x: ad.scale(t, x, 1.7)),
+        ("clamp_min", {"a": pos}, lambda t, x: ad.clamp_min(t, x, 1.0)),
+        ("matmul", {"a": a, "b": sq}, ad.matmul),
+        ("linear", {"x": a, "w": sq, "b": vec}, ad.linear),
+        ("affine", {"x": a, "scale": gain, "shift": beta}, ad.affine),
+        ("dot_scores", {"q": bq, "k": bk},
+         lambda t, q, k: ad.dot_scores(t, q, k, 0.5, band_m)),
+        ("chunk_mix", {"w": band, "v": bk}, ad.chunk_mix),
+        ("lerp", {"w": pos / 2.0, "a": a, "b": b}, ad.lerp),
+        ("repeat_entries", {"a": vec}, lambda t, x: ad.repeat_entries(t, x, 3)),
+        ("sum_all", {"a": a}, ad.sum_all),
+        ("sigmoid", {"a": a}, ad.sigmoid),
+        ("log", {"a": pos}, ad.log),
+        ("silu_standard", {"a": a}, ad.silu_standard),
+        ("silu_paper", {"a": a}, ad.silu_paper),
+        ("layer_norm", norm_in, ad.layer_norm),
+        ("feature_norm", norm_in, ad.feature_norm),
         ("softmax_rows", {"s": a @ a.T},
-         lambda t, s: ad.softmax_rows(t, s["s"], mask), "s"),
-        ("laplace_map/scores", {"s": a @ a.T, "mu": mu, "sr": sig_raw},
-         lambda t, s: ad.laplace_map(t, s["s"], s["mu"], s["sr"], mask), "s"),
-        ("laplace_map/mu", {"s": a @ a.T, "mu": mu, "sr": sig_raw},
-         lambda t, s: ad.laplace_map(t, s["s"], s["mu"], s["sr"], mask), "mu"),
-        ("laplace_map/sigma", {"s": a @ a.T, "mu": mu, "sr": sig_raw},
-         lambda t, s: ad.laplace_map(t, s["s"], s["mu"], s["sr"], mask), "sr"),
-        ("normalize_rows", {"s": np.abs(a @ a.T) + 0.5, "mu": mu, "sr": sig_raw},
-         lambda t, s: ad.normalize_rows(
-             t, ad.add(t, ad.laplace_map(t, s["s"], s["mu"], s["sr"], mask), s["s"]),
-             mask), "s"),
+         lambda t, s: ad.softmax_rows(t, s, mask)),
+        ("laplace_map", {"scores": a @ a.T, "mu": 0.3, "sigma": -0.8},
+         lambda t, s, mu, sr: ad.laplace_map(t, s, mu, sr, mask)),
+        ("normalize_rows", {"s": np.abs(a @ a.T) + 0.5},
+         lambda t, s: ad.normalize_rows(t, s, mask)),
         # band offsets run from -1 to 1: every bucket of a width-1 bias
-        ("add_rel_bias/scores", {"s": band, "b": rng.standard_normal(3)},
-         lambda t, s: ad.add_rel_bias(t, s["s"], s["b"]), "s"),
-        ("add_rel_bias/bias", {"s": band, "b": rng.standard_normal(3)},
-         lambda t, s: ad.add_rel_bias(t, s["s"], s["b"]), "b"),
-        ("ema_scan/x", {"x": a, "al": alpha, "h0": h0},
-         lambda t, s: ad.ema_scan(t, s["x"], s["al"], s["h0"]), "x"),
-        ("ema_scan/alpha", {"x": a, "al": alpha, "h0": h0},
-         lambda t, s: ad.ema_scan(t, s["x"], s["al"], s["h0"]), "al"),
-        ("ema_scan/h0", {"x": a, "al": alpha, "h0": h0},
-         lambda t, s: ad.ema_scan(t, s["x"], s["al"], s["h0"]), "h0"),
-    ] + [
-        (f"bilstm_seq/{k}", lstm,
-         lambda t, s: ad.bilstm_seq(t, *s.values()), k)
-        for k in lstm
-    ] + [
-        ("crf_log_z/emissions", {"e": a[:, :n_classes], "t": crf_t},
-         lambda t, s: ad.crf_log_z(t, s["e"], s["t"], n_classes), "e"),
-        ("crf_log_z/trans", {"e": a[:, :n_classes], "t": crf_t},
-         lambda t, s: ad.crf_log_z(t, s["e"], s["t"], n_classes), "t"),
-        ("crf_path_score/emissions", {"e": a[:, :n_classes], "t": crf_t},
-         lambda t, s: ad.crf_path_score(t, s["e"], s["t"], path, n_classes), "e"),
-        ("crf_path_score/trans", {"e": a[:, :n_classes], "t": crf_t},
-         lambda t, s: ad.crf_path_score(t, s["e"], s["t"], path, n_classes), "t"),
+        ("add_rel_bias", {"scores": band, "bias": rng.standard_normal(3)},
+         ad.add_rel_bias),
+        ("ema_scan", {"x": a, "alpha": alpha, "h0": h0}, ad.ema_scan),
+        ("bilstm_seq", lstm, ad.bilstm_seq),
+        ("crf_log_z", crf_in,
+         lambda t, e, tr: ad.crf_log_z(t, e, tr, n_classes)),
+        ("crf_path_score", crf_in,
+         lambda t, e, tr: ad.crf_path_score(t, e, tr, path, n_classes)),
         # id 3 repeats, so its row's gradient must accumulate
-        ("embed_tokens", {"tb": rng.standard_normal((5, d))},
-         lambda t, s: embed_tokens(t, [3, 2, 3], SimpleNamespace(table=s["tb"], pad_id=0)),
-         "tb"),
+        ("embed_tokens", {"table": rng.standard_normal((5, d))},
+         lambda t, tb: embed_tokens(t, [3, 2, 3], SimpleNamespace(table=tb, pad_id=0))),
     ]
 
     results = []
-    for name, inputs, build, wrt in cases:
-        err = _grad_of(build, inputs, wrt, np.random.default_rng(seed + 1))
-        detail = f"max rel err {err:.3g} (tol {tol:g})"
-        if err > tol:
-            detail += _dump(**{wrt: inputs[wrt]})
-        results.append(CheckResult(f"grad {name}", err <= tol, detail))
+    for op, inputs, build in cases:
+        tensors = [ad.Tensor(np.array(v, dtype=np.float64), requires_grad=True,
+                             name=k) for k, v in inputs.items()]
+        shape = build(ad.Tape(), *tensors).data.shape
+        w = ad.Tensor(np.random.default_rng(seed + 1).standard_normal(shape)
+                      if shape else 1.0)
+
+        def loss():
+            tape = ad.Tape()
+            return ad.sum_all(tape, ad.mul(tape, build(tape, *tensors), w)), tape
+
+        errs = finite_diff_params(loss, tensors)
+        for name, err in errs.items():
+            detail = f"max rel err {err:.3g} (tol {tol:g})"
+            if err > tol:
+                detail += _dump(**{name: inputs[name]})
+            label = op if len(inputs) == 1 else f"{op}/{name}"
+            results.append(CheckResult(f"grad {label}", err <= tol, detail))
     return results
 
 

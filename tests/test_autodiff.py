@@ -10,7 +10,7 @@ import pytest
 from hreb import autodiff as ad
 from hreb import encoders, verify
 from hreb.errors import DegenerateRowError, NumericsError, VerificationError
-from hreb.gradcheck import finite_diff_check, finite_diff_params
+from hreb.gradcheck import finite_diff_params
 
 
 def erf_series(x, terms=40):
@@ -85,17 +85,14 @@ def test_backward_keep_retains_intermediate_gradients():
 def test_broadcast_gradients_unbroadcast_correctly():
     rng = np.random.default_rng(0)
     a0 = rng.standard_normal((3, 4))
-    b0 = rng.standard_normal(4)
+    b = ad.Tensor(rng.standard_normal(4), requires_grad=True, name="b")
 
-    def f(b):
+    def build():
         tape = ad.Tape()
-        bt = ad.Tensor(b, requires_grad=True)
-        out = ad.add(tape, ad.Tensor(a0), bt)
-        loss = ad.sum_all(tape, ad.mul(tape, out, out))
-        grads = ad.backward(tape, loss)
-        return float(loss.data), grads[bt.id]
+        out = ad.add(tape, ad.Tensor(a0), b)
+        return ad.sum_all(tape, ad.mul(tape, out, out)), tape
 
-    assert finite_diff_check(f, b0) < 1e-8
+    assert finite_diff_params(build, [b])["b"] < 1e-8
 
 
 def test_matmul_rejects_bad_shapes_naming_them():
@@ -296,15 +293,17 @@ def test_tape_records_only_gradient_relevant_ops():
     assert len(tape.records) == 1
 
 
-def test_finite_diff_check_flags_nondeterministic_function():
+def test_finite_diff_params_flags_nondeterministic_loss():
     state = {"n": 0}
+    x = ad.Tensor(np.zeros(2), requires_grad=True, name="x")
 
-    def f(x):
+    def build():
         state["n"] += 1
-        return float(x.sum()) + state["n"], np.ones_like(x)
+        tape = ad.Tape()
+        return ad.add(tape, ad.sum_all(tape, x), ad.Tensor(state["n"])), tape
 
     with pytest.raises(VerificationError):
-        finite_diff_check(f, np.zeros(2))
+        finite_diff_params(build, [x])
 
 
 def test_finite_diff_params_reports_per_parameter_errors():

@@ -256,6 +256,24 @@ def test_eval_rejects_malformed_header_with_exit_3(workspace, tmp_path, capsys):
     assert "'params'" in err
 
 
+@pytest.mark.parametrize("edit, named", [
+    (lambda h: h["params"][0].update(shape=[1 << 20, 1 << 20]), ("'params'", "truncated")),
+    (lambda h: h["config"].update(d_model=8.0), ("'config'", "'d_model'")),
+    (lambda h: h["config"].update(h_lstm=True), ("'config'", "'h_lstm'")),
+    (lambda h: h["config"].update(chunk_size=2.5), ("'config'", "'chunk_size'")),
+], ids=["payload_larger_than_file", "float_d_model", "bool_h_lstm", "float_chunk_size"])
+def test_eval_rejects_a_header_it_cannot_load_with_exit_3(
+        workspace, tmp_path, capsys, edit, named):
+    bad = tmp_path / "bad.ckpt"
+    rewrite_checkpoint_header(workspace / "run1" / "best.ckpt", bad, edit)
+    rc = cli.main(["eval", "--ckpt", str(bad),
+                   "--corpus", str(workspace / "test.txt")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert all(word in err for word in named), err
+
+
 def test_predict_writes_conll_and_warns_on_empty_lines(workspace, tmp_path,
                                                        capsys):
     raw = tmp_path / "raw.txt"
@@ -431,3 +449,17 @@ def test_missing_corpus_file_is_a_config_error(workspace, capsys):
                    "--corpus", "/nonexistent/x.txt"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "stats"])
+def test_malformed_corpus_is_a_config_error_naming_the_file(
+        workspace, tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("a O\nb O extra\n", encoding="utf-8")
+    argv = {"eval": ["eval", "--ckpt", str(workspace / "run1" / "best.ckpt")],
+            "stats": ["stats"]}[command]
+    rc = cli.main(argv + ["--corpus", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(bad) in err and "line 2" in err

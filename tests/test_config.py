@@ -12,6 +12,10 @@ from hreb.errors import ConfigError
     ("reduced_bias", "classic"),
     ("z_dim", 8),
     ("z_dim", 128),
+    ("d_model", 8.0),
+    ("h_lstm", True),
+    ("chunk_size", 2.5),
+    ("batch_norm_fidelity", 1),
 ])
 def test_bad_encoder_setting_is_rejected_naming_its_key(key, value):
     with pytest.raises(ConfigError, match=key):
@@ -21,3 +25,7 @@ def test_bad_encoder_setting_is_rejected_naming_its_key(key, value):
 def test_z_dim_accepts_zero_and_d_model():
     assert RunConfig(z_dim=0).z_dim == 0
     assert RunConfig(d_model=16, z_dim=16).z_dim == 16
+
+
+def test_int_stands_for_a_float():
+    assert RunConfig(lr=1).lr == 1

@@ -1,6 +1,8 @@
 """Training loop behavior: freezing, progress, early stop, divergence."""
 
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -307,6 +309,18 @@ def test_decode_memo_follows_every_change_of_the_parameters():
     for p in (block.ema.alpha_raw, model.lstm.bwd.u, block.rb_ffn.w_alpha):
         p.data = p.data + 0.5
         check()
+
+
+def test_decode_memo_frees_the_arrays_a_step_replaces():
+    cfg, corpus, vocab, model, docs = decode_model()
+    model.decode(docs[0])
+    old_table = weakref.ref(model.embed.table.data)
+    opt = AdamState(model.params(), lr=0.05)
+    batches = make_batches(corpus.train, cfg.batch_size, 1, vocab)
+    training._epoch_pass(model, batches[:1], opt, model.gate_states(),
+                         cfg.gate_momentum)
+    gc.collect()
+    assert old_table() is None
 
 
 def test_decode_tape_stays_empty_and_checks_every_op():
