@@ -37,6 +37,32 @@ class Tensor:
         return f"Tensor({tag}, shape={self.data.shape}, grad={self.requires_grad})"
 
 
+class Module:
+    """A part of the model: its trainable tensors and child modules, each
+    declared once, in the order params() lists them. That order is the
+    seeded draw order and the checkpoint's payload order.
+    """
+
+    def __init__(self, prefix=""):
+        self.prefix = prefix
+        self._members = []
+
+    def param(self, name, data):
+        """A trainable Tensor named prefix + name, recorded in order."""
+        t = Tensor(data, requires_grad=True, name=self.prefix + name)
+        self._members.append(t)
+        return t
+
+    def sub(self, module):
+        """Record a child module; its params() follow in order."""
+        self._members.append(module)
+        return module
+
+    def params(self):
+        return [t for m in self._members
+                for t in (m.params() if isinstance(m, Module) else [m])]
+
+
 class Tape:
     """Ordered op records: (op name, input tensors, output tensor, backward fn).
 

@@ -170,9 +170,8 @@ def load_model(path):
         raise CheckpointError("gate cache count does not match this architecture")
     for gs, (cf, _) in zip(gate_states, state["caches"]):
         if cf.shape != (gs.d_model,):
-            gate = gs.w_alpha.name[:-len(".w_alpha")]
-            raise CheckpointError(
-                f"gate {gate}: stored cache length {cf.shape[0]} != d_model {gs.d_model}")
+            raise CheckpointError(f"gate {gs.prefix[:-1]}: stored cache length "
+                                  f"{cf.shape[0]} != d_model {gs.d_model}")
     restore(model, state)
     model.config = config
     return model, config

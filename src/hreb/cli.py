@@ -126,7 +126,7 @@ def cmd_predict(args):
 def cmd_inspect(args):
     model, _ = load_model(args.ckpt)
     text = args.sentence
-    tokens = text.split() if " " in text else list(text)
+    tokens = text.split() if any(c.isspace() for c in text) else list(text)
     if not tokens:
         raise ConfigError("empty sentence")
     ids = model.vocab.encode_tokens(tokens)

@@ -16,25 +16,23 @@ from .errors import NumericsError
 PROB_FLOOR = 1e-12
 
 
-class CrfParams:
+class CrfParams(ad.Module):
     """Transition parameters over C classes plus start/stop."""
 
-    def __init__(self, n_classes, tags=None, strict=False, name="crf.trans"):
+    def __init__(self, n_classes, tags=None, strict=False):
+        super().__init__("crf.")
         self.n_classes = n_classes
         self.start = n_classes
         self.stop = n_classes + 1
         data = np.zeros((n_classes + 2, n_classes + 2))
         data[:, self.start] = -np.inf
         data[self.stop, :] = -np.inf
-        self.trans = ad.Tensor(data, requires_grad=True, name=name)
+        self.trans = self.param("trans", data)
         self.strict_mask = None
         if strict:
             if tags is None:
                 raise ValueError("strict transition masking needs the tag names")
             self.strict_mask = build_strict_mask(tags)
-
-    def params(self):
-        return [self.trans]
 
 
 def build_strict_mask(tags):

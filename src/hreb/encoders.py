@@ -9,10 +9,11 @@ PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 
 
-class EmbeddingTable:
+class EmbeddingTable(ad.Module):
     """vocab_size x d_model lookup matrix with reserved padding/unknown rows."""
 
-    def __init__(self, vocab_size, d_model, pad_id, unk_id, rng, name="embed.table"):
+    def __init__(self, vocab_size, d_model, pad_id, unk_id, rng):
+        super().__init__("embed.")
         self.vocab_size = vocab_size
         self.d_model = d_model
         self.pad_id = pad_id
@@ -20,10 +21,7 @@ class EmbeddingTable:
         self.coverage = None
         data = rng.uniform(-0.1, 0.1, (vocab_size, d_model))
         data[pad_id] = 0.0
-        self.table = ad.Tensor(data, requires_grad=True, name=name)
-
-    def params(self):
-        return [self.table]
+        self.table = self.param("table", data)
 
 
 def embed_tokens(tape, ids, table):
@@ -66,7 +64,8 @@ def load_embedding_file(path, vocab, d_model, seed=0):
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            cols = line.rstrip("\n").split(" ")
+            # word2vec's text writer ends each line with a space
+            cols = line.rstrip().split(" ")
             if len(cols) != dim + 1:
                 raise ValueError(
                     f"{path}:{lineno}: expected token plus {dim} values, got "
@@ -96,36 +95,30 @@ def load_embedding_file(path, vocab, d_model, seed=0):
     return table
 
 
-class LstmParams:
+class LstmParams(ad.Module):
     """One direction's input/recurrent/bias weights, gate order i,f,c,o."""
 
-    def __init__(self, d_in, h, rng, name):
+    def __init__(self, d_in, h, rng, prefix):
+        super().__init__(prefix)
         s_w = np.sqrt(6.0 / (d_in + 4 * h))
         s_u = np.sqrt(6.0 / (h + 4 * h))
         self.h = h
-        self.w = ad.Tensor(rng.uniform(-s_w, s_w, (d_in, 4 * h)),
-                           requires_grad=True, name=name + ".w")
-        self.u = ad.Tensor(rng.uniform(-s_u, s_u, (h, 4 * h)),
-                           requires_grad=True, name=name + ".u")
-        self.b = ad.Tensor(np.zeros(4 * h), requires_grad=True, name=name + ".b")
-
-    def params(self):
-        return [self.w, self.u, self.b]
+        self.w = self.param("w", rng.uniform(-s_w, s_w, (d_in, 4 * h)))
+        self.u = self.param("u", rng.uniform(-s_u, s_u, (h, 4 * h)))
+        self.b = self.param("b", np.zeros(4 * h))
 
 
-class BiLstm:
+class BiLstm(ad.Module):
     """Left-to-right and right-to-left LSTM passes, concatenated per position.
 
     Both run as the two lanes of one recurrence (autodiff.bilstm_seq).
     """
 
     def __init__(self, d_in, h, rng, prefix="lstm."):
+        super().__init__(prefix)
         self.h = h
-        self.fwd = LstmParams(d_in, h, rng, prefix + "fwd")
-        self.bwd = LstmParams(d_in, h, rng, prefix + "bwd")
-
-    def params(self):
-        return self.fwd.params() + self.bwd.params()
+        self.fwd = self.sub(LstmParams(d_in, h, rng, prefix + "fwd."))
+        self.bwd = self.sub(LstmParams(d_in, h, rng, prefix + "bwd."))
 
     def forward(self, tape, x):
         """Encode x (seq, d_in) -> (seq, 2h)."""

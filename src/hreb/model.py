@@ -10,23 +10,15 @@ from .encoders import BiLstm, EmbeddingTable, embed_tokens, load_embedding_file
 from .rhema import HierarchicalEncoder, NaiveEncoder, _glorot
 
 
-def _ref(a):
-    """A weak reference to array a. A numpy scalar (what an update of a 0-d
-    parameter yields) takes no weak reference; it is held as it is."""
-    try:
-        return weakref.ref(a)
-    except TypeError:
-        return lambda: a
-
-
-class HrebModel:
+class HrebModel(ad.Module):
     """Per-sentence forward pass producing class emissions and losses.
 
     Sentences are processed one at a time at their true length. All floats
-    are 64-bit.
+    are 64-bit. The parameter list is fixed at construction.
     """
 
     def __init__(self, config, vocab):
+        super().__init__()
         self.config = config
         self.vocab = vocab
         rng = np.random.default_rng(config.seed)
@@ -36,31 +28,26 @@ class HrebModel:
             raise ValueError("vocab carries no tags")
 
         if config.embeddings == "file":
-            self.embed = load_embedding_file(config.embedding_path, vocab, d,
-                                             seed=config.seed)
+            self.embed = self.sub(load_embedding_file(
+                config.embedding_path, vocab, d, seed=config.seed))
         else:
-            self.embed = EmbeddingTable(len(vocab.tokens), d, vocab.pad_id,
-                                        vocab.unk_id, rng)
-        if config.attention_mode == "hema":
-            self.encoder = HierarchicalEncoder(config, rng)
-        else:
-            self.encoder = NaiveEncoder(config, rng)
-        self.lstm = BiLstm(d, config.h_lstm, rng)
-        self.w_out = ad.Tensor(_glorot(rng, (2 * config.h_lstm, n_classes)),
-                               requires_grad=True, name="proj.w")
-        self.b_out = ad.Tensor(np.zeros(n_classes), requires_grad=True,
-                               name="proj.b")
+            self.embed = self.sub(EmbeddingTable(
+                len(vocab.tokens), d, vocab.pad_id, vocab.unk_id, rng))
+        encoder = HierarchicalEncoder if config.attention_mode == "hema" else NaiveEncoder
+        self.encoder = self.sub(encoder(config, rng))
+        self.lstm = self.sub(BiLstm(d, config.h_lstm, rng))
+        self.w_out = self.param("proj.w", _glorot(rng, (2 * config.h_lstm, n_classes)))
+        self.b_out = self.param("proj.b", np.zeros(n_classes))
         self.crf = crf_mod.CrfParams(n_classes, tags=vocab.tags,
                                      strict=config.strict_transitions)
+        if config.loss_head == "crf":
+            self.sub(self.crf)
+        self._params = super().params()
         self._decode_arrays = []
         self._decode_tape = None
 
     def params(self):
-        out = (self.embed.params() + self.encoder.params() + self.lstm.params()
-               + [self.w_out, self.b_out])
-        if self.config.loss_head == "crf":
-            out = out + self.crf.params()
-        return out
+        return list(self._params)
 
     def param_names(self):
         return [p.name for p in self.params()]
@@ -97,14 +84,14 @@ class HrebModel:
         from one call to the next. It is replaced once any parameter or
         cache array is not the object it was built from, so every writer
         replaces those arrays instead of writing into them. They are held
-        by weak reference (_ref), so a replaced one is freed at once.
+        by weak reference, so a replaced one is freed at once.
         """
-        arrays = [p.data for p in self.params()]
+        arrays = [p.data for p in self._params]
         for gs in self.gate_states():
             arrays += (gs.cache_f, gs.cache_x)
         if (len(arrays) != len(self._decode_arrays)
                 or not all(r() is a for r, a in zip(self._decode_arrays, arrays))):
-            self._decode_arrays = [_ref(a) for a in arrays]
+            self._decode_arrays = [weakref.ref(a) for a in arrays]
             self._decode_tape = ad.Tape(record=False)
         return self._decode_tape
 

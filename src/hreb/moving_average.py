@@ -11,7 +11,7 @@ from . import autodiff as ad
 from .errors import ConfigError
 
 
-class EmaState:
+class EmaState(ad.Module):
     """Multi-head EMA parameters.
 
     Each head projects the full d-dim input down to d/n_head dims, runs its
@@ -26,6 +26,7 @@ class EmaState:
         if d_model % n_head != 0:
             raise ConfigError(
                 f"d_model {d_model} not divisible by n_head {n_head}")
+        super().__init__(prefix + "ema.")
         self.d_model = d_model
         self.n_head = n_head
         self.head_dim = d_model // n_head
@@ -33,15 +34,10 @@ class EmaState:
         eff = np.geomspace(0.05, 0.95, n_head)
         raw = np.log(eff / (1.0 - eff))
         s = np.sqrt(6.0 / (2.0 * d_model))
-        self.alpha_raw = ad.Tensor(raw, requires_grad=True, name=prefix + "ema.alpha_raw")
-        self.h0 = ad.Tensor(np.zeros(d_model), requires_grad=True, name=prefix + "ema.h0")
-        self.w_down = ad.Tensor(rng.uniform(-s, s, (d_model, d_model)),
-                                requires_grad=True, name=prefix + "ema.w_down")
-        self.w_up = ad.Tensor(rng.uniform(-s, s, (d_model, d_model)),
-                              requires_grad=True, name=prefix + "ema.w_up")
-
-    def params(self):
-        return [self.alpha_raw, self.h0, self.w_down, self.w_up]
+        self.alpha_raw = self.param("alpha_raw", raw)
+        self.h0 = self.param("h0", np.zeros(d_model))
+        self.w_down = self.param("w_down", rng.uniform(-s, s, (d_model, d_model)))
+        self.w_up = self.param("w_up", rng.uniform(-s, s, (d_model, d_model)))
 
 
 def multihead_ema(tape, x, state):

@@ -25,7 +25,8 @@ class AdamState:
         """Update params. Params absent from grads are left untouched.
 
         Each updated p.data is a new array, so a memo built from the old
-        one (HrebModel's decode tape) sees the change.
+        one (HrebModel's decode tape) sees the change. asarray keeps a 0-d
+        parameter an array: numpy arithmetic on 0-d arrays yields scalars.
         """
         for p in params:
             g = grads.get(p.id)
@@ -46,4 +47,5 @@ class AdamState:
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * np.square(g)
-            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data = np.asarray(
+                p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps))

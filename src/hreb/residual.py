@@ -19,33 +19,27 @@ from .config import CHOICES
 from .errors import DivergenceError
 
 
-class GateState:
-    """Mode, static weights, dynamic gate parameters, and gradient caches."""
+class GateState(ad.Module):
+    """Mode, static weights, gradient caches, and the gate parameters,
+    which exist only in dynamic mode, the one mode that reads them."""
 
     def __init__(self, d_model, mode, alpha=1.0, beta=1.0, prefix=""):
         if mode not in CHOICES["reduced_bias"]:
             raise ValueError(f"unknown residual mode {mode!r}")
+        super().__init__(prefix + "rb.")
         self.d_model = d_model
         self.mode = mode
         self.alpha = float(alpha)
         self.beta = float(beta)
-        self.w_alpha = ad.Tensor(np.zeros((d_model, d_model)),
-                                 requires_grad=True, name=prefix + "rb.w_alpha")
-        self.b_alpha = ad.Tensor(np.zeros(d_model),
-                                 requires_grad=True, name=prefix + "rb.b_alpha")
-        self.w_beta = ad.Tensor(np.zeros((d_model, d_model)),
-                                requires_grad=True, name=prefix + "rb.w_beta")
-        self.b_beta = ad.Tensor(np.zeros(d_model),
-                                requires_grad=True, name=prefix + "rb.b_beta")
+        if mode == "dynamic":
+            self.w_alpha = self.param("w_alpha", np.zeros((d_model, d_model)))
+            self.b_alpha = self.param("b_alpha", np.zeros(d_model))
+            self.w_beta = self.param("w_beta", np.zeros((d_model, d_model)))
+            self.b_beta = self.param("b_beta", np.zeros(d_model))
         # Previous-step mean gradients of the branch output and the skip
         # input; zero before the first optimizer step.
         self.cache_f = np.zeros(d_model)
         self.cache_x = np.zeros(d_model)
-
-    def params(self):
-        if self.mode == "dynamic":
-            return [self.w_alpha, self.b_alpha, self.w_beta, self.b_beta]
-        return []
 
 
 def pending(tape, state):

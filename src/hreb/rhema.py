@@ -71,36 +71,29 @@ def _glorot(rng, shape):
     return rng.uniform(-s, s, shape)
 
 
-class BlockParams:
+class BlockParams(ad.Module):
     """The scaffold every encoder block shares: the two pre-norms, the
     feed-forward sublayer, and one residual gate per sublayer.
 
-    Subclasses draw their attention tensors first and then call this
-    constructor, so the seeded draw order and the params() order are
-    attention, norms and feed-forward, gates.
+    Subclasses declare their attention tensors in attention_params, which
+    runs first.
     """
 
-    def __init__(self, config, rng, prefix):
+    def __init__(self, config, rng, prefix=""):
+        super().__init__(prefix)
+        self.attention_params(config, rng)
         d = config.d_model
-        t = ad.Tensor
-        self.norm1_gain = t(np.ones(d), requires_grad=True, name=prefix + "norm1_gain")
-        self.norm1_bias = t(np.zeros(d), requires_grad=True, name=prefix + "norm1_bias")
-        self.norm2_gain = t(np.ones(d), requires_grad=True, name=prefix + "norm2_gain")
-        self.norm2_bias = t(np.zeros(d), requires_grad=True, name=prefix + "norm2_bias")
-        self.ffn_w1 = t(_glorot(rng, (d, 2 * d)), requires_grad=True, name=prefix + "ffn_w1")
-        self.ffn_b1 = t(np.zeros(2 * d), requires_grad=True, name=prefix + "ffn_b1")
-        self.ffn_w2 = t(_glorot(rng, (2 * d, d)), requires_grad=True, name=prefix + "ffn_w2")
-        self.ffn_b2 = t(np.zeros(d), requires_grad=True, name=prefix + "ffn_b2")
-        self.rb_attn = residual.GateState(d, config.reduced_bias, config.rb_alpha,
-                                          config.rb_beta, prefix=prefix + "attn.")
-        self.rb_ffn = residual.GateState(d, config.reduced_bias, config.rb_alpha,
-                                         config.rb_beta, prefix=prefix + "ffn.")
-
-    def params(self):
-        own = [self.norm1_gain, self.norm1_bias, self.norm2_gain,
-               self.norm2_bias, self.ffn_w1, self.ffn_b1, self.ffn_w2,
-               self.ffn_b2]
-        return own + self.rb_attn.params() + self.rb_ffn.params()
+        self.norm1_gain = self.param("norm1_gain", np.ones(d))
+        self.norm1_bias = self.param("norm1_bias", np.zeros(d))
+        self.norm2_gain = self.param("norm2_gain", np.ones(d))
+        self.norm2_bias = self.param("norm2_bias", np.zeros(d))
+        self.ffn_w1 = self.param("ffn_w1", _glorot(rng, (d, 2 * d)))
+        self.ffn_b1 = self.param("ffn_b1", np.zeros(2 * d))
+        self.ffn_w2 = self.param("ffn_w2", _glorot(rng, (2 * d, d)))
+        self.ffn_b2 = self.param("ffn_b2", np.zeros(d))
+        self.rb_attn, self.rb_ffn = (self.sub(residual.GateState(
+            d, config.reduced_bias, config.rb_alpha, config.rb_beta,
+            prefix=prefix + sublayer)) for sublayer in ("attn.", "ffn."))
 
     def gate_states(self):
         return [self.rb_attn, self.rb_ffn]
@@ -109,44 +102,30 @@ class BlockParams:
 class RhemaParams(BlockParams):
     """All learnable tensors of one gated-attention block."""
 
-    def __init__(self, config, rng, prefix=""):
-        c = config
+    def attention_params(self, config, rng):
         # z_dim is 0 or d_model: Z is added to the input elementwise
-        d, z, v = c.d_model, c.d_model, c.v_dim
-        t = ad.Tensor
-
-        self.ema = EmaState(d, c.n_ema_head, rng, prefix=prefix)
-        self.w_z = t(_glorot(rng, (d, z)), requires_grad=True, name=prefix + "w_z")
-        self.b_z = t(np.zeros(z), requires_grad=True, name=prefix + "b_z")
-        self.kappa_q = t(np.ones(z), requires_grad=True, name=prefix + "kappa_q")
-        self.mu_q = t(np.zeros(z), requires_grad=True, name=prefix + "mu_q")
-        self.kappa_k = t(np.ones(z), requires_grad=True, name=prefix + "kappa_k")
-        self.mu_k = t(np.zeros(z), requires_grad=True, name=prefix + "mu_k")
-        self.w_v = t(_glorot(rng, (d, v)), requires_grad=True, name=prefix + "w_v")
-        self.b_v = t(np.zeros(v), requires_grad=True, name=prefix + "b_v")
-        self.b_rel = t(np.zeros(2 * c.rel_bias_window + 1), requires_grad=True,
-                       name=prefix + "b_rel")
-        self.w_h = t(_glorot(rng, (z, d)), requires_grad=True, name=prefix + "w_h")
-        self.u_h = t(_glorot(rng, (v, d)), requires_grad=True, name=prefix + "u_h")
-        self.b_h = t(np.zeros(d), requires_grad=True, name=prefix + "b_h")
-        self.w_gamma = t(_glorot(rng, (z, v)), requires_grad=True, name=prefix + "w_gamma")
-        self.b_gamma = t(np.zeros(v), requires_grad=True, name=prefix + "b_gamma")
-        self.w_phi = t(_glorot(rng, (z, d)), requires_grad=True, name=prefix + "w_phi")
-        self.b_phi = t(np.zeros(d), requires_grad=True, name=prefix + "b_phi")
-        self.lap_mu = t(np.float64(LAPLACE_MU_INIT), requires_grad=True,
-                        name=prefix + "lap_mu")
+        d, z, v = config.d_model, config.d_model, config.v_dim
+        self.ema = self.sub(EmaState(d, config.n_ema_head, rng, prefix=self.prefix))
+        self.w_z = self.param("w_z", _glorot(rng, (d, z)))
+        self.b_z = self.param("b_z", np.zeros(z))
+        self.kappa_q = self.param("kappa_q", np.ones(z))
+        self.mu_q = self.param("mu_q", np.zeros(z))
+        self.kappa_k = self.param("kappa_k", np.ones(z))
+        self.mu_k = self.param("mu_k", np.zeros(z))
+        self.w_v = self.param("w_v", _glorot(rng, (d, v)))
+        self.b_v = self.param("b_v", np.zeros(v))
+        self.b_rel = self.param("b_rel", np.zeros(2 * config.rel_bias_window + 1))
+        self.w_h = self.param("w_h", _glorot(rng, (z, d)))
+        self.u_h = self.param("u_h", _glorot(rng, (v, d)))
+        self.b_h = self.param("b_h", np.zeros(d))
+        self.w_gamma = self.param("w_gamma", _glorot(rng, (z, v)))
+        self.b_gamma = self.param("b_gamma", np.zeros(v))
+        self.w_phi = self.param("w_phi", _glorot(rng, (z, d)))
+        self.b_phi = self.param("b_phi", np.zeros(d))
+        self.lap_mu = self.param("lap_mu", LAPLACE_MU_INIT)
         # softplus(raw) == the intended starting scale
-        raw = float(np.log(np.expm1(LAPLACE_SIGMA_INIT)))
-        self.lap_sigma_raw = t(np.float64(raw), requires_grad=True,
-                               name=prefix + "lap_sigma_raw")
-        super().__init__(config, rng, prefix)
-
-    def params(self):
-        own = [self.w_z, self.b_z, self.kappa_q, self.mu_q, self.kappa_k,
-               self.mu_k, self.w_v, self.b_v, self.b_rel, self.w_h, self.u_h,
-               self.b_h, self.w_gamma, self.b_gamma, self.w_phi, self.b_phi,
-               self.lap_mu, self.lap_sigma_raw]
-        return self.ema.params() + own + super().params()
+        self.lap_sigma_raw = self.param(
+            "lap_sigma_raw", np.log(np.expm1(LAPLACE_SIGMA_INIT)))
 
 
 def shared_rep(tape, x, params, config):
@@ -284,17 +263,15 @@ def rhema_block(tape, x, params, config, trace=None):
     return _block(tape, x, params, config, attend)
 
 
-class HierarchicalEncoder:
+class HierarchicalEncoder(ad.Module):
     """Chunk-local block feeding a global block."""
 
     def __init__(self, run, rng, prefix="enc."):
+        super().__init__(prefix)
         self.local_config = RhemaConfig(run, run.chunk_size)
         self.global_config = RhemaConfig(run, 0)
-        self.local = RhemaParams(self.local_config, rng, prefix=prefix + "local.")
-        self.global_ = RhemaParams(self.global_config, rng, prefix=prefix + "global.")
-
-    def params(self):
-        return self.local.params() + self.global_.params()
+        self.local = self.sub(RhemaParams(self.local_config, rng, prefix + "local."))
+        self.global_ = self.sub(RhemaParams(self.global_config, rng, prefix + "global."))
 
     def gate_states(self):
         return self.local.gate_states() + self.global_.gate_states()
@@ -313,17 +290,13 @@ class NaiveEncoder(BlockParams):
     """Single global scaled-dot softmax block, same residual scaffolding."""
 
     def __init__(self, run, rng, prefix="naive."):
-        d = run.d_model
-        t = ad.Tensor
         self.config = run
-        self.w_q = t(_glorot(rng, (d, d)), requires_grad=True, name=prefix + "w_q")
-        self.w_k = t(_glorot(rng, (d, d)), requires_grad=True, name=prefix + "w_k")
-        self.w_v = t(_glorot(rng, (d, d)), requires_grad=True, name=prefix + "w_v")
-        self.w_o = t(_glorot(rng, (d, d)), requires_grad=True, name=prefix + "w_o")
         super().__init__(run, rng, prefix)
 
-    def params(self):
-        return [self.w_q, self.w_k, self.w_v, self.w_o] + super().params()
+    def attention_params(self, config, rng):
+        d = config.d_model
+        self.w_q, self.w_k, self.w_v, self.w_o = (
+            self.param(n, _glorot(rng, (d, d))) for n in ("w_q", "w_k", "w_v", "w_o"))
 
     def forward(self, tape, x, traces=None):
         c = self.config

@@ -352,6 +352,15 @@ def test_inspect_splits_unsegmented_text_into_characters(workspace, capsys):
     assert "tokens a b c d" in out
 
 
+def test_inspect_splits_on_any_whitespace_as_predict_does(workspace, capsys):
+    rc = cli.main(["inspect", "--ckpt", str(workspace / "run1" / "best.ckpt"),
+                   "--sentence", "ab\tc"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert "tokens ab c" in out
+    assert len([l for l in out if l.startswith("tags ")][0].split()) == 3
+
+
 def test_verify_command_reports_each_check(capsys):
     rc = cli.main(["verify", "--suite", "ema"])
     out = capsys.readouterr().out.splitlines()

@@ -61,6 +61,16 @@ def test_load_embedding_file_hits_misses_and_coverage(tmp_path):
     assert not np.array_equal(t2.table.data[dog_id], t3.table.data[dog_id])
 
 
+@pytest.mark.parametrize("ending", [" \n", "\r\n", " \r\n"])
+def test_load_embedding_file_accepts_trailing_space_and_crlf(tmp_path, ending):
+    # word2vec's text writer ends every vector line with a space
+    p = tmp_path / "vecs.txt"
+    p.write_bytes(f"1 2{ending}cat 1.5 -2.0{ending}".encode("utf-8"))
+    t = encoders.load_embedding_file(p, small_vocab(), 2)
+    assert np.array_equal(t.table.data[small_vocab().token_to_id["cat"]], [1.5, -2.0])
+    assert t.coverage == pytest.approx(1 / 5)
+
+
 def test_load_embedding_file_error_positions(tmp_path):
     vocab = small_vocab()
     p = tmp_path / "bad.txt"

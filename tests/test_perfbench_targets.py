@@ -6,6 +6,7 @@ import os
 
 import hreb.autodiff
 import hreb.kernels
+from hreb import training
 from hreb.config import RunConfig
 from hreb.data import Vocab, synth_corpus
 from hreb.model import HrebModel
@@ -47,3 +48,18 @@ def test_tracer_labels_the_local_and_global_attention_stages(monkeypatch):
         tracer.uninstall()
     stages = [s[0] for s in tracer.spans if s[0].startswith("rhema.")]
     assert stages == ["rhema.local", "rhema.global"]
+
+
+def test_perfbench_output_checks_pass_on_a_trained_model(monkeypatch):
+    # run.decode_problems and run.gradient_problems read the model through
+    # params(), gate_states(), crf and emissions(None, ...)
+    monkeypatch.syspath_prepend(PERFBENCH)
+    run = importlib.import_module("run")
+    inputs = importlib.import_module("inputs")
+    w = inputs.tiny_workload("train_short", 3)
+    result = training.train(run.run_config(3), w.corpus)
+    assert not result.diverged
+    model = result.model
+    for sent in w.decode:
+        assert run.decode_problems(model, sent, model.predict_tags(sent.tokens)) == []
+    assert run.gradient_problems(model, w.decode[0], 3) == []

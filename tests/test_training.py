@@ -323,6 +323,24 @@ def test_decode_memo_frees_the_arrays_a_step_replaces():
     assert old_table() is None
 
 
+def test_a_step_keeps_every_parameter_an_array_of_its_shape():
+    # numpy arithmetic turns a 0-d array into a scalar, into which an
+    # in-place write (finite_diff_params' p.data.flat[i] = ...) is lost;
+    # the laplace squash trains the four 0-d parameters
+    cfg = tiny_config(attn_fn="laplace")
+    corpus = tiny_corpus()
+    vocab = Vocab.from_corpus(corpus)
+    model = HrebModel(cfg, vocab)
+    shapes = [p.data.shape for p in model.params()]
+    assert () in shapes
+    opt = AdamState(model.params(), lr=0.05)
+    batches = make_batches(corpus.train, cfg.batch_size, 1, vocab)
+    training._epoch_pass(model, batches[:1], opt, model.gate_states(),
+                         cfg.gate_momentum)
+    for p, shape in zip(model.params(), shapes):
+        assert type(p.data) is np.ndarray and p.data.shape == shape, p.name
+
+
 def test_decode_tape_stays_empty_and_checks_every_op():
     cfg, corpus, vocab, model, docs = decode_model()
     for i in range(200):
