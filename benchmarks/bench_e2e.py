@@ -1,23 +1,28 @@
 """Per-sentence cost of training and decoding on a fixed workload.
 
-Times, for documents of n tokens (n in LENGTHS: 4, 16, 64 and 256):
+Times, for 16 documents of n tokens (n in LENGTHS: 4, 16, 64 and 256), and
+for a ragged row of documents at the 24 training lengths of perfbench's
+train_short workload (6 to 26 tokens; n is reported as 0):
 
-- train: forward plus backward of one optimizer step's batch (16 documents
-  on one tape, as `training` runs it), reported per sentence; the Adam
-  step and the gate-cache commit are not included;
-- decode: `HrebModel.decode` of the same 16 documents, reported per call;
+- train: forward plus backward of each optimizer step's batch, through
+  `training.batch_loss` as `training` runs it (one pack of up to 16
+  documents on one tape), reported per sentence; the Adam step and the
+  gate-cache commit are not included;
+- decode: `HrebModel.decode` of the same documents, one call each,
+  reported per call;
 - bilstm: `model.lstm.forward` on a tape plus its backward, fed each
-  document's encoder output, reported per sentence (the BiLSTM's share of
+  batch's encoder output, reported per sentence (the BiLSTM's share of
   train).
 
-It also counts the `autodiff.record_op` calls of a training sentence's
-forward pass: the first sentence on a tape, a later one, and the mean over
-the batch. The mean is the quantity perfbench traces as
-`autodiff.record_op.per_sentence`, there averaged over its own batches.
+It also counts the `autodiff.record_op` calls of a training batch's
+forward pass: the first batch on a tape, a later one, and the later one
+per sentence. A batch's forward pass is what perfbench traces as
+`training.forward`, and its count there is `autodiff.record_op.per_sentence`.
 And it counts the `record_op` calls of one `HrebModel.decode` call: the
 first call of a fresh model and a later one.
 Each timing is the median and quartiles of REPEATS runs after two warm-up
-runs.
+runs. A checkout from before packed batches (no `training.batch_loss`)
+runs each batch one sentence at a time, as its training did.
 
 The workload is fixed: the default `RunConfig` (seed 0), a vocabulary from
 `synth_corpus(0, 64, 3)`, and documents cut from that corpus's token stream.
@@ -28,8 +33,8 @@ Run from the repository root of each commit being compared (copy this
 script into a checkout that lacks it), with the same output file,
 alternating the two sides over several numbered labels:
 
-    python3 benchmarks/bench_e2e.py --label "parent 1" --out BENCH_11.json
-    python3 benchmarks/bench_e2e.py --label "change 1" --out BENCH_11.json
+    python3 benchmarks/bench_e2e.py --label "parent 1" --out BENCH_15.json
+    python3 benchmarks/bench_e2e.py --label "change 1" --out BENCH_15.json
 
 The file keeps one entry per label; a rerun replaces that label's entry.
 The script refuses to add to a file whose recorded workload differs from
@@ -44,6 +49,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from run import environment  # noqa: E402
+from inputs import SHORT_LENGTHS  # noqa: E402
 
 import argparse  # noqa: E402
 import json  # noqa: E402
@@ -52,9 +58,11 @@ import time  # noqa: E402
 import numpy as np  # noqa: E402
 
 from hreb import autodiff as ad  # noqa: E402
+from hreb import training  # noqa: E402
 from hreb.config import RunConfig  # noqa: E402
 from hreb.data import Vocab, synth_corpus  # noqa: E402
 from hreb.encoders import embed_tokens  # noqa: E402
+import hreb.model  # noqa: E402
 from hreb.model import HrebModel  # noqa: E402
 
 BATCH = 16
@@ -66,54 +74,78 @@ WORKLOAD = {
     "vocab": f"synth_corpus{CORPUS}",
     "batch": BATCH,
     "lengths": list(LENGTHS),
+    "ragged": SHORT_LENGTHS,
     "repeats": REPEATS,
-    "train": "forward + backward of one batch on one tape, per sentence",
+    "train": "forward + backward of each batch on one tape "
+             "(training.batch_loss), per sentence",
     "decode": "HrebModel.decode of the same documents, per call",
-    "bilstm": "model.lstm.forward on a tape plus its backward, per sentence",
-    "record_ops": "autodiff.record_op calls in one sentence's forward pass",
+    "bilstm": "model.lstm.forward of each batch on a tape plus its "
+              "backward, per sentence",
+    "record_ops": "autodiff.record_op calls in one batch's forward pass",
     "decode_record_ops": "autodiff.record_op calls in one HrebModel.decode "
                          "call of a fresh model: the first call and the last",
 }
+PACKED = hasattr(training, "batch_loss")
 
 
-def documents(corpus, vocab, n, count):
-    """count (ids, tag ids) windows of n tokens from the corpus token stream."""
+def documents(corpus, vocab, lengths):
+    """(ids, tag ids) windows of the given lengths from the corpus token stream."""
     sents = corpus.train + corpus.dev + corpus.test
     tokens = [t for s in sents for t in s.tokens]
     tags = [t for s in sents for t in s.tags]
-    reps = -(-n * count // len(tokens))
+    reps = -(-sum(lengths) // len(tokens))
     tokens, tags = tokens * reps, tags * reps
     out = []
-    for i in range(count):
-        tok, tag = tokens[i * n:(i + 1) * n], tags[i * n:(i + 1) * n]
+    at = 0
+    for n in lengths:
+        tok, tag = tokens[at:at + n], tags[at:at + n]
+        at += n
         if tag[0].startswith("I-"):
             tag = ["B-" + tag[0][2:]] + tag[1:]
         out.append((vocab.encode_tokens(tok), vocab.encode_tags(tag)))
     return out
 
 
-def train_step(model, batch):
-    """Forward and backward of one batch on one tape."""
-    tape = ad.Tape()
+def batch_forward(model, tape, batch):
+    """A batch's training loss on tape, as this checkout's training runs it."""
+    if PACKED:
+        return training.batch_loss(model, tape, batch)[0]
     loss = None
     for ids, tag_ids in batch:
         nll = model.sentence_nll(tape, ids, tag_ids)
         loss = nll if loss is None else ad.add(tape, loss, nll)
-    loss = ad.scale(tape, loss, 1.0 / len(batch))
-    ad.backward(tape, loss)
+    return ad.scale(tape, loss, 1.0 / len(batch))
 
 
-def encoder_output(model, ids):
-    """The BiLSTM's input for one document: its tape-free encoder output."""
-    x = model.encoder.forward(None, embed_tokens(None, ids, model.embed))
-    return ad.Tensor(x.data, requires_grad=True)
-
-
-def bilstm_step(model, inputs, weights):
-    """BiLSTM forward on a tape plus its backward, for each input."""
-    for x, w in zip(inputs, weights):
+def train_step(model, batches):
+    """Forward and backward of each batch on its own tape."""
+    for batch in batches:
         tape = ad.Tape()
-        out = model.lstm.forward(tape, x)
+        ad.backward(tape, batch_forward(model, tape, batch))
+
+
+def bilstm_inputs(model, batch, rng):
+    """(encoder output, output weighting, keywords) of each BiLSTM call of a
+    batch: one call for the batch's pack, or one per document before packed
+    batches."""
+    if PACKED:
+        groups = [hreb.model.pack_ids([ids for ids, _ in batch])]
+    else:
+        groups = [(ids, None) for ids, _ in batch]
+    out = []
+    for ids, pack in groups:
+        kw = {} if pack is None else {"pack": pack}
+        x = model.encoder.forward(None, embed_tokens(None, ids, model.embed), **kw)
+        w = ad.Tensor(rng.standard_normal((ids.size, 2 * model.lstm.h)))
+        out.append((ad.Tensor(x.data, requires_grad=True), w, kw))
+    return out
+
+
+def bilstm_step(model, inputs):
+    """BiLSTM forward on a tape plus its backward, for each input."""
+    for x, w, kw in inputs:
+        tape = ad.Tape()
+        out = model.lstm.forward(tape, x, **kw)
         ad.backward(tape, ad.sum_all(tape, ad.mul(tape, out, w)))
 
 
@@ -150,14 +182,13 @@ def record_op_counts(calls_of):
     return counts
 
 
-def record_ops_per_sentence(model, batch):
-    """record_op calls of each sentence's forward pass on one tape."""
+def record_ops_per_batch(model, batch):
+    """record_op calls of a batch's forward pass: the first on a tape and a
+    later one."""
     tape = ad.Tape()
-    counts = record_op_counts(
-        [lambda ids=ids, tag_ids=tag_ids: model.sentence_nll(tape, ids, tag_ids)
-         for ids, tag_ids in batch])
-    return {"first": counts[0], "later": counts[-1],
-            "batch_mean": sum(counts) / len(counts)}
+    counts = record_op_counts([lambda: batch_forward(model, tape, batch)] * 2)
+    return {"first": counts[0], "later": counts[1],
+            "later_per_sentence": counts[1] / len(batch)}
 
 
 def record_ops_per_decode(config, vocab, batch):
@@ -174,25 +205,25 @@ def measure():
     model = HrebModel(RunConfig(), vocab)
     rng = np.random.default_rng(0)
     rows = []
-    for n in LENGTHS:
-        batch = documents(corpus, vocab, n, BATCH)
-        train = timed(lambda: train_step(model, batch))
-        decode = timed(lambda: [model.decode(ids) for ids, _ in batch])
-        inputs = [encoder_output(model, ids) for ids, _ in batch]
-        weights = [ad.Tensor(rng.standard_normal((n, 2 * model.lstm.h))) for _ in batch]
-        bilstm = timed(lambda: bilstm_step(model, inputs, weights))
+    for n in LENGTHS + (0,):
+        docs = documents(corpus, vocab, [n] * BATCH if n else SHORT_LENGTHS)
+        batches = [docs[i:i + BATCH] for i in range(0, len(docs), BATCH)]
+        train = timed(lambda: train_step(model, batches))
+        decode = timed(lambda: [model.decode(ids) for ids, _ in docs])
+        inputs = [x for batch in batches for x in bilstm_inputs(model, batch, rng)]
+        bilstm = timed(lambda: bilstm_step(model, inputs))
         rows.append({
             "n": n,
-            "train_ms_per_sentence": {k: v * 1e3 / BATCH for k, v in train.items()},
-            "decode_ms": {k: v * 1e3 / BATCH for k, v in decode.items()},
-            "bilstm_ms": {k: v * 1e3 / BATCH for k, v in bilstm.items()},
-            "record_ops_per_sentence": record_ops_per_sentence(model, batch),
-            "record_ops_per_decode": record_ops_per_decode(model.config, vocab, batch),
+            "train_ms_per_sentence": {k: v * 1e3 / len(docs) for k, v in train.items()},
+            "decode_ms": {k: v * 1e3 / len(docs) for k, v in decode.items()},
+            "bilstm_ms": {k: v * 1e3 / len(docs) for k, v in bilstm.items()},
+            "record_ops_per_batch": record_ops_per_batch(model, batches[0]),
+            "record_ops_per_decode": record_ops_per_decode(model.config, vocab, docs),
         })
         print(f"n={n:4d}  train {rows[-1]['train_ms_per_sentence']['median']:8.3f} ms/sent"
               f"  decode {rows[-1]['decode_ms']['median']:8.3f} ms"
               f"  bilstm {rows[-1]['bilstm_ms']['median']:8.3f} ms"
-              f"  record_ops {rows[-1]['record_ops_per_sentence']}"
+              f"  record_ops {rows[-1]['record_ops_per_batch']}"
               f"  decode record_ops {rows[-1]['record_ops_per_decode']}", flush=True)
     return rows
 

@@ -12,6 +12,7 @@ from scipy.special import erf as _erf, expit as _expit
 
 from .errors import DegenerateRowError, NumericsError
 from . import kernels
+from .pack import resolve
 
 _ids = itertools.count()
 
@@ -215,58 +216,51 @@ def affine(tape, x, s, m):
     return record_op(tape, "affine", (x, s, m), x.data * s.data + m.data, bw)
 
 
-def _chunked(a, m):
-    """a's rows zero-padded to whole chunks of m, as (n_chunks, m, ...) batches."""
-    pad = -a.shape[0] % m
-    if pad:
-        a = np.concatenate([a, np.zeros((pad,) + a.shape[1:])])
-    return a.reshape((-1, m) + a.shape[1:])
-
-
-def _unchunked(b, n):
-    """The first n rows of (n_chunks, m, ...) batches laid end to end."""
-    return b.reshape((-1,) + b.shape[2:])[:n]
-
-
-def dot_scores(tape, q, k, c, width=None):
+def dot_scores(tape, q, k, c, width=None, pack=None):
     """c * q_i . k_j for each query i and each key j in i's band, as one op.
 
-    The band of row i is its chunk of `width` consecutive rows: entry (i, r)
-    scores key (i // width) * width + r, so the output is (n, width). width
-    None (or >= n) makes the band every key: the (n, n) matrix c * q @ k^T.
-    Keys past the end of a ragged last chunk score against zero vectors;
-    callers mask them.
+    The band of row i is its chunk of `width` consecutive rows of its
+    sentence, chunks starting at the sentence's first row: for one sentence
+    entry (i, r) scores key (i // width) * width + r, so the output is
+    (n, width). width None (or >= the longest sentence) makes the band the
+    whole sentence: for one sentence the (n, n) matrix c * q @ k^T. Keys
+    past the end of a chunk's sentence score against zero vectors; callers
+    mask them.
     """
     if q.data.shape != k.data.shape or q.data.ndim != 2:
         raise ValueError(f"dot_scores needs 2-D q and k of one shape, "
                          f"got {q.data.shape} and {k.data.shape}")
     c = float(c)
-    n = q.data.shape[0]
-    m = n if width is None else min(int(width), n)
-    qb, kb = _chunked(q.data, m), _chunked(k.data, m)
+    pack = resolve(pack, q.data.shape[0])
+    m = pack.n_max if width is None else min(int(width), pack.n_max)
+    scores = pack.chunks(q.data, m) @ pack.chunks(k.data, m).transpose(0, 2, 1)
+    scores *= c
 
     def bw(g):
-        gb = _chunked(g * c, m)
-        return _unchunked(gb @ kb, n), _unchunked(gb.transpose(0, 2, 1) @ qb, n)
-    return record_op(tape, "dot_scores", (q, k),
-                     _unchunked(qb @ kb.transpose(0, 2, 1), n) * c, bw)
+        # the chunks are gathered again rather than kept alive on the tape
+        gb = pack.chunks(g * c, m)
+        return (pack.unchunked(gb @ pack.chunks(k.data, m), m),
+                pack.unchunked(gb.transpose(0, 2, 1) @ pack.chunks(q.data, m), m))
+    return record_op(tape, "dot_scores", (q, k), pack.unchunked(scores, m), bw)
 
 
-def chunk_mix(tape, w, v):
-    """out_i = sum_r w[i, r] * v[(i // m) * m + r]: values mixed over a band.
+def chunk_mix(tape, w, v, pack=None):
+    """out_i = sum_r w[i, r] * v[key r of i's chunk]: values mixed over a band.
 
-    w is an (n, m) band laid out as dot_scores lays it out; m = n is w @ v.
+    w is an (n, m) band laid out as dot_scores lays it out; for one sentence
+    m = n is w @ v.
     """
     n, m = w.data.shape
     if v.data.ndim != 2 or v.data.shape[0] != n:
         raise ValueError(f"chunk_mix shapes incompatible: {w.data.shape} and {v.data.shape}")
-    wb, vb = _chunked(w.data, m), _chunked(v.data, m)
+    pack = resolve(pack, n)
 
     def bw(g):
-        gb = _chunked(g, m)
-        return (_unchunked(gb @ vb.transpose(0, 2, 1), n),
-                _unchunked(wb.transpose(0, 2, 1) @ gb, n))
-    return record_op(tape, "chunk_mix", (w, v), _unchunked(wb @ vb, n), bw)
+        gb = pack.chunks(g, m)
+        return (pack.unchunked(gb @ pack.chunks(v.data, m).transpose(0, 2, 1), m),
+                pack.unchunked(pack.chunks(w.data, m).transpose(0, 2, 1) @ gb, m))
+    return record_op(tape, "chunk_mix", (w, v),
+                     pack.unchunked(pack.chunks(w.data, m) @ pack.chunks(v.data, m), m), bw)
 
 
 def lerp(tape, w, a, b):
@@ -292,6 +286,17 @@ def sum_all(tape, a):
     def bw(g):
         return (np.full(a.shape, float(g)),)
     return record_op(tape, "sum_all", (a,), a.data.sum(), bw)
+
+
+def sentence_sums(tape, a, pack=None):
+    """Each sentence's sum of its rows' entries: (B,), or a scalar for one."""
+    pack = resolve(pack, a.data.shape[0])
+
+    def bw(g):
+        per_row = np.reshape(pack.per_row(g), (-1,) + (1,) * (a.data.ndim - 1))
+        return (np.broadcast_to(per_row, a.shape).copy(),)
+    rows = a.data.reshape(a.data.shape[0], -1)
+    return record_op(tape, "sentence_sums", (a,), pack.sums(rows).sum(-1), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -365,25 +370,21 @@ def layer_norm(tape, x, gain, bias, eps=1e-5):
     return record_op(tape, "layer_norm", (x, gain, bias), out_data, bw)
 
 
-def feature_norm(tape, x, gain, bias, eps=1e-5):
-    """Standardize each feature over the sequence positions, then affine.
+def feature_norm(tape, x, gain, bias, eps=1e-5, pack=None):
+    """Standardize each feature over its sentence's positions, then affine.
 
-    This is the batch-statistics alternative to layer_norm.
+    This is the batch-statistics alternative to layer_norm; each sentence
+    of a pack keeps its own statistics.
     """
-    n = x.data.shape[0]
-    mu = np.add.reduce(x.data, axis=0) / n
-    xc = x.data - mu
-    var = np.add.reduce(xc * xc, axis=0) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    mean = resolve(pack, x.data.shape[0]).means
+    xc = x.data - mean(x.data)
+    inv = 1.0 / np.sqrt(mean(xc * xc) + eps)
     xhat = xc * inv
     out_data = xhat * gain.data + bias.data
 
     def bw(g):
         dxhat = g * gain.data
-        dvar = (dxhat * xc).sum(axis=0) * (-0.5) * inv ** 3
-        dmu = (dxhat * -inv).sum(axis=0)
-        dx = dxhat * inv
-        dx += dvar * 2.0 * xc / n + dmu / n
+        dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
         dgain = _unbroadcast(g * xhat, gain.shape)
         dbias = _unbroadcast(g, bias.shape)
         return dx, dgain, dbias
@@ -436,7 +437,8 @@ def normalize_rows(tape, a, mask=None):
     s = masked.sum(axis=-1, keepdims=True)
     if np.any(s <= 0.0):
         row = int(np.argmax((s <= 0.0).ravel()))
-        raise DegenerateRowError(f"row {row} sums to {float(s.ravel()[row])}; cannot normalize")
+        raise DegenerateRowError(
+            "{row} sums to " + f"{float(s.ravel()[row])}; cannot normalize", row)
     out_data = masked / s
 
     def bw(g):
@@ -455,7 +457,7 @@ def _check_mask(data, mask):
     dead = ~allowed.any(axis=-1)
     if dead.any():
         row = int(np.argmax(dead.ravel()))
-        raise DegenerateRowError(f"attention row {row} has every key masked")
+        raise DegenerateRowError("attention {row} has every key masked", row)
     return allowed
 
 
@@ -483,33 +485,43 @@ def _rel_bias_index(n, m, w):
     return idx[:n, :m]
 
 
-def add_rel_bias(tape, scores, bias):
+def add_rel_bias(tape, scores, bias, pack=None):
     """Add a learned bucketed relative-position bias to (query, key) scores.
 
     bias has odd length 2w+1. scores is an (n, m) band as dot_scores lays it
-    out, so entry (i, r) pairs query i with key (i // m) * m + r; its offset
-    key - i (j - i when m >= n) is clipped into [-w, w].
+    out, so for one sentence entry (i, r) pairs query i with key
+    (i // m) * m + r; its offset key - i (j - i when m >= n) is clipped into
+    [-w, w]. In a pack, i is the query's position within its sentence.
     """
     n, m = scores.data.shape
     w = (bias.data.shape[0] - 1) // 2
-    idx = _rel_bias_index(n, m, w)
+    pack = resolve(pack, n)
+    table = _rel_bias_index(pack.n_max, m, w)
 
     def bw(g):
-        return g, np.bincount(idx.ravel(), weights=g.ravel(), minlength=2 * w + 1)
-    return record_op(tape, "add_rel_bias", (scores, bias), scores.data + bias.data[idx], bw)
+        return g, np.bincount(pack.at_positions(table).ravel(), weights=g.ravel(),
+                              minlength=2 * w + 1)
+    return record_op(tape, "add_rel_bias", (scores, bias),
+                     scores.data + pack.at_positions(bias.data[table]), bw)
 
 
 # ---------------------------------------------------------------------------
 # Recurrence ops backed by the kernels module.
 # ---------------------------------------------------------------------------
 
-def ema_scan(tape, x, alpha, h0):
-    """h_t = alpha * x_t + (1 - alpha) * h_{t-1}, elementwise over features."""
-    hist = kernels.ema_forward(x.data, alpha.data, h0.data)
+def ema_scan(tape, x, alpha, h0, pack=None):
+    """h_t = alpha * x_t + (1 - alpha) * h_{t-1}, elementwise over features.
+
+    Each sentence of a pack starts from h0.
+    """
+    pack = resolve(pack, x.data.shape[0])
+    hist = kernels.ema_forward(pack.padded(x.data), alpha.data, h0.data)
 
     def bw(g):
-        return kernels.ema_backward(x.data, alpha.data, h0.data, hist, g)
-    return record_op(tape, "ema_scan", (x, alpha, h0), hist, bw)
+        dx, dalpha, dh0 = kernels.ema_backward(pack.padded(x.data), alpha.data,
+                                               h0.data, hist, pack.padded(g))
+        return pack.unpadded(dx), dalpha, dh0
+    return record_op(tape, "ema_scan", (x, alpha, h0), pack.unpadded(hist), bw)
 
 
 def _lanes(a_f, a_b):
@@ -534,34 +546,46 @@ def _block_diagonal(u_f, u_b):
     return u.reshape(2 * h, 8 * h)
 
 
-def _flip_lane(a, h):
-    """Reverse the rows of lane 1, the last h columns of a (n, 2h) array."""
-    return np.concatenate((a[:, :h], a[::-1, h:]), axis=1)
+def _lane_steps(pack, a, h):
+    """(n, 2h) rows as the lanes' time steps: lane 1 runs each sentence back
+    to front."""
+    return np.concatenate((pack.padded(a[:, :h]), pack.padded(a[:, h:], True)),
+                          axis=-1)
 
 
-def bilstm_seq(tape, x, w_f, u_f, b_f, w_b, u_b, b_b):
+def _lane_rows(pack, a, h):
+    """The (n, 2h) rows of the lanes' time steps (inverse of _lane_steps)."""
+    return np.concatenate((pack.unpadded(a[..., :h]),
+                           pack.unpadded(a[..., h:], True)), axis=1)
+
+
+def bilstm_seq(tape, x, w_f, u_f, b_f, w_b, u_b, b_b, pack=None):
     """Bidirectional LSTM over x (n, d_in) -> (n, 2h): [forward | backward].
 
-    Both directions run as one LSTM of width 2h. Lane 0 reads the rows in
-    order and lane 1 in reverse. Gate columns are gate-major with the lanes
-    interleaved, [i_f i_b f_f f_b c_f c_b o_f o_b], and the recurrent
-    matrix is block-diagonal, so no state crosses between lanes.
+    Both directions run as one LSTM of width 2h. Lane 0 reads each
+    sentence's rows in order and lane 1 in reverse, so a pack of B
+    sentences runs 2B lanes whose padding always trails. Gate columns are
+    gate-major with the lanes interleaved, [i_f i_b f_f f_b c_f c_b o_f
+    o_b], and the recurrent matrix is block-diagonal, so no state crosses
+    between lanes.
     """
     h = u_f.data.shape[0]
-    x_rev = x.data[::-1].copy()
+    pack = resolve(pack, x.data.shape[0])
     u = per_tape(tape, (u_f, u_b), lambda: _block_diagonal(u_f.data, u_b.data))
     hidden, gates, cells = kernels.lstm_forward(
-        _lanes(x.data @ w_f.data, x_rev @ w_b.data), u, _lanes(b_f.data, b_b.data))
+        _lanes(pack.padded(x.data @ w_f.data), pack.padded(x.data @ w_b.data, True)),
+        u, _lanes(b_f.data, b_b.data))
 
     def bw(g):
-        dxw, du, db = kernels.lstm_backward(gates, cells, hidden, u, _flip_lane(g, h))
-        g_f, g_b = _lane(dxw, 0), _lane(dxw, 1)
+        dxw, du, db = kernels.lstm_backward(gates, cells, hidden, u,
+                                            _lane_steps(pack, g, h))
+        g_f, g_b = pack.unpadded(_lane(dxw, 0)), pack.unpadded(_lane(dxw, 1), True)
         du = du.reshape(2, h, 4, 2, h)
-        return (g_f @ w_f.data.T + (g_b @ w_b.data.T)[::-1],
+        return (g_f @ w_f.data.T + g_b @ w_b.data.T,
                 x.data.T @ g_f, du[0, :, :, 0].reshape(h, 4 * h), _lane(db, 0),
-                x_rev.T @ g_b, du[1, :, :, 1].reshape(h, 4 * h), _lane(db, 1))
+                x.data.T @ g_b, du[1, :, :, 1].reshape(h, 4 * h), _lane(db, 1))
     return record_op(tape, "bilstm_seq", (x, w_f, u_f, b_f, w_b, u_b, b_b),
-                     _flip_lane(hidden, h), bw)
+                     _lane_rows(pack, hidden, h), bw)
 
 
 def split_transitions(trans_data, n_classes, extra_mask=None):
@@ -576,49 +600,55 @@ def split_transitions(trans_data, n_classes, extra_mask=None):
     return t[:c, :c], t[c, :c], t[:c, c + 1]
 
 
-def crf_log_z(tape, emissions, trans, n_classes, extra_mask=None):
-    """Log partition of a linear-chain CRF.
+def crf_log_z(tape, emissions, trans, n_classes, extra_mask=None, pack=None):
+    """Log partition of a linear-chain CRF: per sentence (B,) for a pack.
 
     trans is (C+2, C+2) with the start state at row C and the stop state at
     column C+1; entries into start and out of stop are never read.
     extra_mask, if given, is added to the transition table before the scan
     (use -inf entries to forbid transitions without touching the parameters).
+    Each sentence of a pack starts and stops at its own ends.
     """
     core, start, stop = split_transitions(trans.data, n_classes, extra_mask)
-    log_z, alpha = kernels.crf_forward(emissions.data, core, start, stop)
+    pack = resolve(pack, emissions.data.shape[0])
+    steps = pack.padded(emissions.data)
+    log_z, alpha = kernels.crf_forward(steps, core, start, stop, pack.lengths)
     c = n_classes
 
     def bw(g):
         demis, dcore, dstart, dstop = kernels.crf_backward(
-            emissions.data, core, start, stop, alpha, log_z, float(g))
+            steps, core, start, stop, alpha, log_z, g, pack.lengths)
         dt = np.zeros_like(trans.data)
         dt[:c, :c] = dcore
         dt[c, :c] = dstart
         dt[:c, c + 1] = dstop
-        return demis, dt
-    return record_op(tape, "crf_log_z", (emissions, trans), np.float64(log_z), bw)
+        return pack.unpadded(demis), dt
+    return record_op(tape, "crf_log_z", (emissions, trans), log_z, bw)
 
 
-def crf_path_score(tape, emissions, trans, path, n_classes, extra_mask=None):
-    """Unnormalized log score of one tag path under the same CRF layout."""
+def crf_path_score(tape, emissions, trans, path, n_classes, extra_mask=None,
+                   pack=None):
+    """Unnormalized log score of a tag path under the same CRF layout: one
+    path per sentence of a pack, laid out as its rows."""
     path = np.asarray(path, dtype=np.int64)
     n = emissions.data.shape[0]
     if path.shape != (n,):
         raise ValueError(f"path length {path.shape} != sequence length {n}")
     core, start, stop = split_transitions(trans.data, n_classes, extra_mask)
-    s = start[path[0]] + stop[path[-1]] + emissions.data[np.arange(n), path].sum()
-    if n > 1:
-        s += core[path[:-1], path[1:]].sum()
+    pack = resolve(pack, n)
+    first, last, nxt = path[pack.starts], path[pack.lasts], pack.follows
+    rows = emissions.data[np.arange(n), path]
+    rows[nxt] += core[path[nxt - 1], path[nxt]]
+    s = start[first] + stop[last] + pack.sums(rows)
     c = n_classes
 
     def bw(g):
-        g = float(g)
+        per_row = np.broadcast_to(pack.per_row(g), (n,))
         demis = np.zeros_like(emissions.data)
-        demis[np.arange(n), path] = g
+        demis[np.arange(n), path] = per_row
         dt = np.zeros_like(trans.data)
-        dt[c, path[0]] += g
-        dt[path[-1], c + 1] += g
-        if n > 1:
-            np.add.at(dt, (path[:-1], path[1:]), g)
+        np.add.at(dt, (c, first), g)
+        np.add.at(dt, (last, c + 1), g)
+        np.add.at(dt, (path[nxt - 1], path[nxt]), per_row[nxt])
         return demis, dt
-    return record_op(tape, "crf_path_score", (emissions, trans), np.float64(s), bw)
+    return record_op(tape, "crf_path_score", (emissions, trans), s, bw)

@@ -54,22 +54,22 @@ def build_strict_mask(tags):
     return mask
 
 
-def sequence_score(tape, emissions, tags, params):
-    """Unnormalized log score of one tag path."""
+def sequence_score(tape, emissions, tags, params, pack=None):
+    """Unnormalized log score of one tag path (per sentence of a pack)."""
     return ad.crf_path_score(tape, emissions, params.trans, tags,
-                             params.n_classes, params.strict_mask)
+                             params.n_classes, params.strict_mask, pack)
 
 
-def log_partition(tape, emissions, params):
+def log_partition(tape, emissions, params, pack=None):
     """Log of the path-sum, via the forward algorithm in log space."""
     return ad.crf_log_z(tape, emissions, params.trans,
-                        params.n_classes, params.strict_mask)
+                        params.n_classes, params.strict_mask, pack)
 
 
-def crf_nll(tape, emissions, tags, params):
-    """Negative log conditional likelihood of the gold path."""
-    return ad.sub(tape, log_partition(tape, emissions, params),
-                  sequence_score(tape, emissions, tags, params))
+def crf_nll(tape, emissions, tags, params, pack=None):
+    """Negative log conditional likelihood of the gold path (per sentence)."""
+    return ad.sub(tape, log_partition(tape, emissions, params, pack),
+                  sequence_score(tape, emissions, tags, params, pack))
 
 
 def viterbi(emissions, params):
@@ -88,8 +88,9 @@ def viterbi(emissions, params):
     return path, float(score)
 
 
-def token_nll(tape, probs, onehot):
-    """Per-token cross entropy, summed: the no-decoder ablation loss.
+def token_nll(tape, probs, onehot, pack=None):
+    """Per-token cross entropy, summed per sentence: the no-decoder ablation
+    loss.
 
     probs rows must already be simplexes. Gold-label probabilities below
     PROB_FLOOR are clamped there; each such batch trips a warning naming
@@ -103,4 +104,4 @@ def token_nll(tape, probs, onehot):
             f"{n_low} gold-label probabilities fell below {PROB_FLOOR}; clamped")
     clamped = ad.clamp_min(tape, probs, PROB_FLOOR)
     picked = ad.mul(tape, ad.log(tape, clamped), ad.Tensor(onehot, name="onehot"))
-    return ad.neg(tape, ad.sum_all(tape, picked))
+    return ad.neg(tape, ad.sentence_sums(tape, picked, pack))

@@ -14,7 +14,20 @@ class NumericsError(HrebError):
 
 
 class DegenerateRowError(NumericsError):
-    """An attention row has no unmasked key, or normalization hit a non-positive sum."""
+    """An attention row has no unmasked key, or normalization hit a non-positive sum.
+
+    An op that knows the row passes it, and a message whose {row} field
+    names it ("row 3"); named() names it again, e.g. within its sentence.
+    """
+
+    def __init__(self, message, row=None):
+        self.row = row
+        self.template = message
+        super().__init__(message if row is None else message.format(row=f"row {row}"))
+
+    def named(self, name):
+        """The same error with the row called name."""
+        return DegenerateRowError(self.template.format(row=name))
 
 
 class DivergenceError(NumericsError):

@@ -2,9 +2,12 @@
 
 Each kernel runs one time step (or one CRF position) as whole-array numpy
 code, with the matrix products hoisted out of the time loop where the
-recurrence allows. The scalar-loop references the tests compare against
-are `hreb.oracles.KERNELS`, with the same signatures and results (up to
-float rounding; Viterbi paths are exact). All arrays are float64.
+recurrence allows. Time is axis 0 of the first argument. The EMA, LSTM and
+CRF kernels take an optional batch axis after it: (T, B, ...) runs B
+sequences side by side, each padded at its end, and the parameter
+gradients sum over them. The scalar-loop references the tests compare
+against are `hreb.oracles.KERNELS`, with the same signatures and results
+(up to float rounding; Viterbi paths are exact). All arrays are float64.
 """
 
 import numpy as np
@@ -28,16 +31,17 @@ def ema_forward(x, alpha, h0):
 
 
 def ema_backward(x, alpha, h0, hist, dout):
-    n, d = x.shape
+    n, d = x.shape[0], x.shape[-1]
     keep = 1.0 - alpha
-    g = np.empty((n, d))
-    carry = np.zeros(d)
+    g = np.empty(x.shape)
+    carry = np.zeros(x.shape[1:])
     for t in range(n - 1, -1, -1):
         carry = np.add(dout[t], carry, out=g[t]) * keep
-    prev = np.empty((n, d))
+    prev = np.empty(x.shape)
     prev[0] = h0
     prev[1:] = hist[:-1]
-    return alpha * g, (g * (x - prev)).sum(0), carry
+    return (alpha * g, (g * (x - prev)).reshape(-1, d).sum(0),
+            carry.reshape(-1, d).sum(0))
 
 
 # ---------------------------------------------------------------------------
@@ -49,12 +53,14 @@ def lstm_forward(xw, u, b):
     n = xw.shape[0]
     h_dim = u.shape[0]
     xwb = xw + b
-    gates = np.empty((n, 4 * h_dim))
-    cells = np.empty((n, h_dim))
-    hidden = np.empty((n, h_dim))
-    h = np.zeros(h_dim)
-    c = np.zeros(h_dim)
-    cs = slice(2 * h_dim, 3 * h_dim)
+    gates = np.empty(xw.shape)
+    cells = np.empty(xw.shape[:-1] + (h_dim,))
+    hidden = np.empty(cells.shape)
+    # (n, ..., h) views of each gate's columns
+    i_g, f_g, c_g, o_g = np.moveaxis(gates.reshape(cells.shape[:-1] + (4, h_dim)), -2, 0)
+    cs = (Ellipsis, slice(2 * h_dim, 3 * h_dim))
+    h = np.zeros(cells.shape[1:])
+    c = np.zeros(h.shape)
     for t in range(n):
         a = xwb[t] + h @ u
         g = gates[t]
@@ -63,41 +69,44 @@ def lstm_forward(xw, u, b):
         np.exp(g, out=g)
         g += 1.0
         np.reciprocal(g, out=g)
-        np.tanh(a[cs], out=g[cs])
-        c = g[h_dim:2 * h_dim] * c + g[:h_dim] * g[cs]
-        h = g[3 * h_dim:] * np.tanh(c)
+        np.tanh(a[cs], out=c_g[t])
+        c = f_g[t] * c + i_g[t] * c_g[t]
+        h = o_g[t] * np.tanh(c)
         cells[t] = c
         hidden[t] = h
     return hidden, gates, cells
 
 
 def lstm_backward(gates, cells, hidden, u, dout):
-    n, h_dim = dout.shape
-    g4 = gates.reshape(n, 4, h_dim)
-    i_g, f_g, c_g, o_g = g4[:, 0], g4[:, 1], g4[:, 2], g4[:, 3]
+    n, h_dim = dout.shape[0], dout.shape[-1]
+    g4 = gates.reshape(gates.shape[:-1] + (4, h_dim))
+    i_g, f_g, c_g, o_g = (g4[..., k, :] for k in range(4))
     tc = np.tanh(cells)
-    c_prev = np.zeros((n, h_dim))
+    c_prev = np.zeros(cells.shape)
     c_prev[1:] = cells[:-1]
-    # da[:, :3] = dc_t * k3[t] and da[:, 3] = g_t * k_o[t], where
+    # da[.., :3] = dc_t * k3[t] and da[.., 3] = g_t * k_o[t], where
     # dc_t = dc_{t+1} * f_{t+1} + g_t * k_c[t] and g_t = dout[t] + u @ da_{t+1}.
-    k3 = np.empty((n, 3, h_dim))
-    k3[:, 0] = c_g * i_g * (1.0 - i_g)
-    k3[:, 1] = c_prev * f_g * (1.0 - f_g)
-    k3[:, 2] = i_g * (1.0 - c_g * c_g)
+    k3 = np.empty(g4.shape[:-2] + (3, h_dim))
+    k3[..., 0, :] = c_g * i_g * (1.0 - i_g)
+    k3[..., 1, :] = c_prev * f_g * (1.0 - f_g)
+    k3[..., 2, :] = i_g * (1.0 - c_g * c_g)
     k_o = tc * o_g * (1.0 - o_g)
     k_c = o_g * (1.0 - tc * tc)
-    dxw = np.empty((n, 4, h_dim))
-    dh = np.zeros(h_dim)
-    dc = np.zeros(h_dim)
+    dxw = np.empty(g4.shape)
+    dh = np.zeros(dout.shape[1:])
+    dc = np.zeros(dout.shape[1:])
+    u_t = u.T
     for t in range(n - 1, -1, -1):
         g = dout[t] + dh
         dct = dc + g * k_c[t]
-        np.multiply(k3[t], dct, out=dxw[t, :3])
-        np.multiply(k_o[t], g, out=dxw[t, 3])
+        np.multiply(k3[t], dct[..., None, :], out=dxw[t, ..., :3, :])
+        np.multiply(k_o[t], g, out=dxw[t, ..., 3, :])
         dc = dct * f_g[t]
-        dh = u @ dxw[t].reshape(-1)
-    dxw = dxw.reshape(n, 4 * h_dim)
-    return dxw, hidden[:-1].T @ dxw[1:], dxw.sum(0)
+        dh = dxw[t].reshape(dout.shape[1:-1] + (-1,)) @ u_t
+    dxw = dxw.reshape(gates.shape)
+    flat = dxw.reshape(n, -1, 4 * h_dim)
+    return (dxw, hidden[:-1].reshape(-1, h_dim).T @ flat[1:].reshape(-1, 4 * h_dim),
+            flat.reshape(-1, 4 * h_dim).sum(0))
 
 
 # ---------------------------------------------------------------------------
@@ -113,30 +122,51 @@ def _logsumexp(s, axis):
     return np.log(np.exp(s - m).sum(axis)) + m.squeeze(axis)
 
 
-def crf_forward(emissions, trans, start, stop):
-    n, c = emissions.shape
-    alpha = np.empty((n, c))
+def _last(alpha, lengths):
+    """Each sequence's row at its final step: alpha[lengths - 1] per lane."""
+    if lengths is None:
+        return alpha[-1]
+    return alpha[lengths - 1, np.arange(lengths.size)]
+
+
+def crf_forward(emissions, trans, start, stop, lengths=None):
+    # lengths (B,) gives each lane's true length; steps past it read -inf.
+    n = emissions.shape[0]
+    alpha = np.empty(emissions.shape)
     alpha[0] = start + emissions[0]
     with np.errstate(divide="ignore"):
         for t in range(1, n):
-            alpha[t] = _logsumexp(alpha[t - 1][:, None] + trans, 0) + emissions[t]
-        log_z = _logsumexp(alpha[n - 1] + stop, 0)
+            alpha[t] = _logsumexp(alpha[t - 1][..., :, None] + trans, -2) + emissions[t]
+        if lengths is not None:
+            alpha[np.arange(n)[:, None] >= lengths] = _NEG_INF
+        log_z = _logsumexp(_last(alpha, lengths) + stop, -1)
     return log_z, alpha
 
 
-def crf_backward(emissions, trans, start, stop, alpha, log_z, gscale):
-    n, c = emissions.shape
-    beta = np.empty((n, c))
+def crf_backward(emissions, trans, start, stop, alpha, log_z, gscale, lengths=None):
+    n, c = emissions.shape[0], emissions.shape[-1]
+    beta = np.empty(emissions.shape)
     beta[n - 1] = stop
+    ends = None
+    if lengths is not None:
+        # a lane's beta is stop at its last step and -inf past it
+        ends = np.arange(n)[:, None] == lengths - 1
+        beta[n - 1][~ends[n - 1]] = _NEG_INF
     with np.errstate(divide="ignore"):
         for t in range(n - 2, -1, -1):
-            beta[t] = _logsumexp(trans + emissions[t + 1] + beta[t + 1], 1)
-    demis = gscale * np.exp(alpha + beta - log_z)
+            beta[t] = _logsumexp(trans + (emissions[t + 1] + beta[t + 1])[..., None, :], -1)
+            if ends is not None:
+                beta[t][ends[t]] = stop
+    lz = np.expand_dims(log_z, -1)
+    gs = np.expand_dims(gscale, -1)
+    demis = gs * np.exp(alpha + beta - lz)
     # pairwise posteriors of (y_t = i, y_{t+1} = j), all t at once
-    pair = alpha[:-1, :, None] + trans + emissions[1:, None] + beta[1:, None] - log_z
-    dtrans = gscale * np.exp(pair).sum(0)
-    dstop = gscale * np.exp(alpha[n - 1] + stop - log_z)
-    return demis, dtrans, demis[0].copy(), dstop
+    pair = (alpha[:-1, ..., :, None] + trans
+            + (emissions[1:] + beta[1:])[..., None, :] - lz[..., None])
+    dtrans = (gs[..., None] * np.exp(pair).sum(0)).reshape(-1, c, c).sum(0)
+    dstop = gs * np.exp(_last(alpha, lengths) + stop - lz)
+    return (demis, dtrans, demis[0].reshape(-1, c).sum(0),
+            dstop.reshape(-1, c).sum(0))
 
 
 def viterbi(emissions, trans, start, stop):

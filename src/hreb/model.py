@@ -7,14 +7,28 @@ import numpy as np
 from . import autodiff as ad
 from . import crf as crf_mod
 from .encoders import BiLstm, EmbeddingTable, embed_tokens, load_embedding_file
+from .pack import Pack, SinglePack
 from .rhema import HierarchicalEncoder, NaiveEncoder, _glorot
 
 
-class HrebModel(ad.Module):
-    """Per-sentence forward pass producing class emissions and losses.
+def pack_ids(ids):
+    """(row ids, pack) of one id sequence, or of a list of them laid end to end."""
+    if len(ids) and np.ndim(ids[0]) == 1:
+        seqs = [np.asarray(s, dtype=np.int64) for s in ids]
+        pack = Pack([s.size for s in seqs])
+        return np.concatenate(seqs), pack
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 1 or ids.size == 0:
+        raise ValueError("expected a non-empty 1-d id sequence")
+    return ids, SinglePack(ids.size)
 
-    Sentences are processed one at a time at their true length. All floats
-    are 64-bit. The parameter list is fixed at construction.
+
+class HrebModel(ad.Module):
+    """Forward pass producing class emissions and losses.
+
+    It runs one sentence, or a batch of them packed end to end as one
+    sequence of rows (hreb.pack), each at its true length. All floats are
+    64-bit. The parameter list is fixed at construction.
     """
 
     def __init__(self, config, vocab):
@@ -56,25 +70,32 @@ class HrebModel(ad.Module):
         return self.encoder.gate_states()
 
     def emissions(self, tape, ids, traces=None):
-        """(n, C) class scores for one true-length id sequence."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim != 1 or ids.size == 0:
-            raise ValueError("expected a non-empty 1-d id sequence")
+        """(n, C) class scores: one true-length id sequence's rows, or a
+        list of sequences' rows end to end. traces needs one sequence."""
+        return self._emissions(tape, *pack_ids(ids), traces)
+
+    def _emissions(self, tape, ids, pack, traces=None):
+        if traces is not None and pack.batched:
+            raise ValueError("attention traces need one id sequence, not a list")
         x = embed_tokens(tape, ids, self.embed)
-        h = self.encoder.forward(tape, x, traces=traces)
-        ctx = self.lstm.forward(tape, h)
+        h = self.encoder.forward(tape, x, traces=traces, pack=pack)
+        ctx = self.lstm.forward(tape, h, pack)
         return ad.linear(tape, ctx, self.w_out, self.b_out)
 
     def sentence_nll(self, tape, ids, tag_ids):
-        """Training loss for one sentence (a sum over its positions)."""
-        e = self.emissions(tape, ids)
-        tag_ids = np.asarray(tag_ids, dtype=np.int64)
+        """Training loss, a sum over positions: a scalar for one id
+        sequence, and (B,) per-sentence losses for a list of B, run as one
+        pack."""
+        ids, pack = pack_ids(ids)
+        e = self._emissions(tape, ids, pack)
+        tag_ids = np.asarray(np.concatenate(tag_ids) if pack.batched else tag_ids,
+                             dtype=np.int64)
         if self.config.loss_head == "crf":
-            return crf_mod.crf_nll(tape, e, tag_ids, self.crf)
+            return crf_mod.crf_nll(tape, e, tag_ids, self.crf, pack)
         probs = ad.softmax_rows(tape, e)
         onehot = np.zeros(e.data.shape)
         onehot[np.arange(tag_ids.size), tag_ids] = 1.0
-        return crf_mod.token_nll(tape, probs, onehot)
+        return crf_mod.token_nll(tape, probs, onehot, pack)
 
     def decode_tape(self):
         """The non-recording tape decode runs on.
@@ -96,12 +117,18 @@ class HrebModel(ad.Module):
         return self._decode_tape
 
     def decode(self, ids, traces=None):
-        """Best tag-id path for one true-length id sequence."""
-        e = self.emissions(self.decode_tape(), ids, traces=traces)
+        """Best tag-id path for one true-length id sequence; for a list of
+        them, one pass over their pack and a list of paths."""
+        ids, pack = pack_ids(ids)
+        e = self._emissions(self.decode_tape(), ids, pack, traces).data
+        paths = [self._best_path(e[a:a + n]) for a, n in pack.spans()]
+        return paths if pack.batched else paths[0]
+
+    def _best_path(self, e):
         if self.config.loss_head == "crf":
             path, _ = crf_mod.viterbi(e, self.crf)
             return np.asarray(path, dtype=np.int64)
-        return np.argmax(e.data, axis=1).astype(np.int64)
+        return np.argmax(e, axis=1).astype(np.int64)
 
     def predict_tags(self, tokens):
         """Tag names for one tokenized sentence."""

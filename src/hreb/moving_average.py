@@ -40,11 +40,11 @@ class EmaState(ad.Module):
         self.w_up = self.param("w_up", rng.uniform(-s, s, (d_model, d_model)))
 
 
-def multihead_ema(tape, x, state):
+def multihead_ema(tape, x, state, pack=None):
     """Project to heads, scan each with its own decay, project back to d.
 
-    The per-dimension decay depends only on alpha_raw, so it is built once
-    per tape.
+    Each sentence of a pack is scanned from h0. The per-dimension decay
+    depends only on alpha_raw, so it is built once per tape.
     """
     if x.data.shape[1] != state.d_model:
         raise ConfigError(
@@ -52,5 +52,5 @@ def multihead_ema(tape, x, state):
     alpha = ad.per_tape(tape, state, lambda: ad.repeat_entries(
         tape, ad.sigmoid(tape, state.alpha_raw), state.head_dim))
     down = ad.matmul(tape, x, state.w_down)
-    scanned = ad.ema_scan(tape, down, alpha, state.h0)
+    scanned = ad.ema_scan(tape, down, alpha, state.h0, pack)
     return ad.matmul(tape, scanned, state.w_up)

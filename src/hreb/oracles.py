@@ -5,7 +5,8 @@ one scalar per statement) and the enumerations are only feasible at small
 sizes. The fast implementations must agree with these within the
 documented tolerances. KERNELS maps each kernel name in hreb.kernels to its
 scalar-loop reference, which takes the same arguments and returns the same
-results.
+results. Given a batch axis, a reference runs each sequence on its own and
+sums the parameter gradients.
 """
 
 import itertools
@@ -285,12 +286,64 @@ def _viterbi(emissions, trans, start, stop):
     return path, best
 
 
+# ---------------------------------------------------------------------------
+# Batches: a (T, B, ...) first argument runs B sequences, one at a time.
+# ---------------------------------------------------------------------------
+
+def _over_lanes(fn, lane_args, lane_outs):
+    """fn run on each lane b of a batch: the arguments in lane_args are cut
+    to [:, b], the results in lane_outs are stacked on axis 1, and the
+    other results (parameter gradients) are summed over the lanes."""
+    def run(*args):
+        if args[0].ndim == 2:
+            return fn(*args)
+        per = [fn(*(a[:, b] if i in lane_args else a for i, a in enumerate(args)))
+               for b in range(args[0].shape[1])]
+        if not isinstance(per[0], tuple):
+            return np.stack(per, axis=1)
+        return tuple(np.stack(out, axis=1) if i in lane_outs else sum(out)
+                     for i, out in enumerate(zip(*per)))
+    return run
+
+
+def _crf_lengths(emissions, lengths):
+    n, nb = emissions.shape[:2]
+    return [n] * nb if lengths is None else [int(x) for x in lengths]
+
+
+def _crf_forward_lanes(emissions, trans, start, stop, lengths=None):
+    # steps past a lane's length read -inf, as the kernel leaves them
+    if emissions.ndim == 2:
+        return _crf_forward(emissions, trans, start, stop)
+    alpha = np.full(emissions.shape, _NEG_INF)
+    log_z = np.empty(emissions.shape[1])
+    for b, n in enumerate(_crf_lengths(emissions, lengths)):
+        log_z[b], alpha[:n, b] = _crf_forward(emissions[:n, b], trans, start, stop)
+    return log_z, alpha
+
+
+def _crf_backward_lanes(emissions, trans, start, stop, alpha, log_z, gscale,
+                        lengths=None):
+    if emissions.ndim == 2:
+        return _crf_backward(emissions, trans, start, stop, alpha, log_z, gscale)
+    c = emissions.shape[-1]
+    demis = np.zeros(emissions.shape)
+    dtrans, dstart, dstop = np.zeros((c, c)), np.zeros(c), np.zeros(c)
+    for b, n in enumerate(_crf_lengths(emissions, lengths)):
+        demis[:n, b], dt, ds, dst = _crf_backward(
+            emissions[:n, b], trans, start, stop, alpha[:n, b], log_z[b], gscale[b])
+        dtrans += dt
+        dstart += ds
+        dstop += dst
+    return demis, dtrans, dstart, dstop
+
+
 KERNELS = {
-    "ema_forward": _ema_forward,
-    "ema_backward": _ema_backward,
-    "lstm_forward": _lstm_forward,
-    "lstm_backward": _lstm_backward,
-    "crf_forward": _crf_forward,
-    "crf_backward": _crf_backward,
+    "ema_forward": _over_lanes(_ema_forward, {0}, ()),
+    "ema_backward": _over_lanes(_ema_backward, {0, 3, 4}, {0}),
+    "lstm_forward": _over_lanes(_lstm_forward, {0}, {0, 1, 2}),
+    "lstm_backward": _over_lanes(_lstm_backward, {0, 1, 2, 4}, {0}),
+    "crf_forward": _crf_forward_lanes,
+    "crf_backward": _crf_backward_lanes,
     "viterbi": _viterbi,
 }

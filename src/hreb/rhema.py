@@ -18,7 +18,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import residual
+from .errors import DegenerateRowError
 from .moving_average import EmaState, multihead_ema
+from .pack import SinglePack, resolve
 
 # Starting point for the learnable score-squash location/scale: mean and
 # standard deviation of a softmax weight under unit-normal scores.
@@ -128,9 +130,9 @@ class RhemaParams(BlockParams):
             "lap_sigma_raw", np.log(np.expm1(LAPLACE_SIGMA_INIT)))
 
 
-def shared_rep(tape, x, params, config):
+def shared_rep(tape, x, params, config, pack=None):
     """Z = silu(EMA(x) @ W_z + b_z) + x."""
-    smoothed = multihead_ema(tape, x, params.ema)
+    smoothed = multihead_ema(tape, x, params.ema, pack)
     proj = ad.linear(tape, smoothed, params.w_z, params.b_z)
     return ad.add(tape, ad.silu(tape, proj, config.silu_variant), x)
 
@@ -148,30 +150,37 @@ def value_transform(tape, x, params, config):
                    config.silu_variant)
 
 
-def attention(tape, q, k, v, params, config, trace=None):
+def attention(tape, q, k, v, params, config, trace=None, pack=None):
     """O = f(Q K^T / scale + b_rel) V with the configured score squash.
 
     Scores live in the (n, m) band layout of ad.dot_scores: m is the chunk
-    size for the local stage and n for the global one, so the local stage
-    costs O(n * chunk_size). Only a ragged last chunk needs a key mask.
+    size for the local stage and the longest sentence for the global one,
+    so the local stage costs O(n * chunk_size) and no sentence of a pack
+    attends to another. Only keys past a chunk's sentence end are masked.
     """
+    pack = resolve(pack, q.data.shape[0])
     scores = ad.dot_scores(tape, q, k, 1.0 / config.attn_scale,
-                           config.chunk_size or None)
-    key_mask = band_key_mask(*scores.data.shape)
-    scores = ad.add_rel_bias(tape, scores, params.b_rel)
-    if config.attn_fn == "softmax":
-        weights = ad.softmax_rows(tape, scores, key_mask)
-    elif config.attn_fn == "laplace":
-        weights = ad.laplace_map(tape, scores, params.lap_mu,
-                                 params.lap_sigma_raw, key_mask)
-    else:
-        squashed = ad.laplace_map(tape, scores, params.lap_mu,
-                                  params.lap_sigma_raw, key_mask)
-        weights = ad.normalize_rows(tape, ad.add(tape, squashed, scores), key_mask)
+                           config.chunk_size or None, pack)
+    key_mask = pack.key_mask(scores.data.shape[1])
+    scores = ad.add_rel_bias(tape, scores, params.b_rel, pack)
+    try:
+        if config.attn_fn == "softmax":
+            weights = ad.softmax_rows(tape, scores, key_mask)
+        elif config.attn_fn == "laplace":
+            weights = ad.laplace_map(tape, scores, params.lap_mu,
+                                     params.lap_sigma_raw, key_mask)
+        else:
+            squashed = ad.laplace_map(tape, scores, params.lap_mu,
+                                      params.lap_sigma_raw, key_mask)
+            weights = ad.normalize_rows(tape, ad.add(tape, squashed, scores), key_mask)
+    except DegenerateRowError as e:
+        if e.row is None:
+            raise
+        raise e.named(pack.row_name(e.row)) from None
     if trace is not None:
         trace.scores = band_to_dense(scores.data, -np.inf)
         trace.weights = band_to_dense(weights.data, 0.0)
-    return ad.chunk_mix(tape, weights, v)
+    return ad.chunk_mix(tape, weights, v, pack)
 
 
 def gated_output(tape, x, z, o, params, config, trace=None):
@@ -200,45 +209,34 @@ def chunk_pair_mask(n, chunk_size):
     return blocks[:, None] == blocks[None, :]
 
 
-def band_key_mask(n, m):
-    """Live keys of the (n, m) band layout, or None when all are live.
-
-    Entry (i, r) is key (i // m) * m + r, which exists iff it is < n; only
-    the ragged last chunk has missing keys, and each row keeps its own.
-    """
-    if n % m == 0:
-        return None
-    rows = np.arange(n)[:, None]
-    return rows // m * m + np.arange(m)[None, :] < n
-
-
 def band_to_dense(band, fill):
-    """The (n, n) query-key matrix of an (n, m) band; out-of-band entries read fill."""
+    """The (n, n) query-key matrix of one sentence's (n, m) band; out-of-band
+    entries read fill."""
     n, m = band.shape
     if m == n:
         return band.copy()
     dense = np.full((n, n), fill)
-    live = band_key_mask(n, m)
+    live = SinglePack(n).key_mask(m)
     dense[chunk_pair_mask(n, m)] = (band if live is None else band[live]).ravel()
     return dense
 
 
-def _norm(tape, x, gain, bias, config):
+def _norm(tape, x, gain, bias, config, pack):
     if config.batch_norm_fidelity:
-        return ad.feature_norm(tape, x, gain, bias)
+        return ad.feature_norm(tape, x, gain, bias, pack=pack)
     return ad.layer_norm(tape, x, gain, bias)
 
 
-def _block(tape, x, p, config, attend):
+def _block(tape, x, p, config, attend, pack):
     """Pre-norm attention residual, then pre-norm feed-forward residual.
 
     attend maps the normalized input to the attention sublayer's output.
     """
     def attn_branch(xin):
-        return attend(_norm(tape, xin, p.norm1_gain, p.norm1_bias, config))
+        return attend(_norm(tape, xin, p.norm1_gain, p.norm1_bias, config, pack))
 
     def ffn_branch(xin):
-        xn = _norm(tape, xin, p.norm2_gain, p.norm2_bias, config)
+        xn = _norm(tape, xin, p.norm2_gain, p.norm2_bias, config, pack)
         h = ad.silu_paper(tape, ad.linear(tape, xn, p.ffn_w1, p.ffn_b1))
         return ad.linear(tape, h, p.ffn_w2, p.ffn_b2)
 
@@ -246,10 +244,10 @@ def _block(tape, x, p, config, attend):
     return residual.apply(tape, mid, ffn_branch, p.rb_ffn)
 
 
-def rhema_block(tape, x, params, config, trace=None):
+def rhema_block(tape, x, params, config, trace=None, pack=None):
     """One full block: gated-attention sublayer, then feed-forward sublayer."""
     def attend(xn):
-        z = shared_rep(tape, xn, params, config)
+        z = shared_rep(tape, xn, params, config, pack)
         q, k = qk_transform(tape, z, params)
         v = value_transform(tape, xn, params, config)
         if trace is not None:
@@ -257,10 +255,10 @@ def rhema_block(tape, x, params, config, trace=None):
             trace.q = q.data.copy()
             trace.k = k.data.copy()
             trace.v = v.data.copy()
-        o = attention(tape, q, k, v, params, config, trace)
+        o = attention(tape, q, k, v, params, config, trace, pack)
         return gated_output(tape, xn, z, o, params, config, trace)
 
-    return _block(tape, x, params, config, attend)
+    return _block(tape, x, params, config, attend, pack)
 
 
 class HierarchicalEncoder(ad.Module):
@@ -276,11 +274,12 @@ class HierarchicalEncoder(ad.Module):
     def gate_states(self):
         return self.local.gate_states() + self.global_.gate_states()
 
-    def forward(self, tape, x, traces=None):
+    def forward(self, tape, x, traces=None, pack=None):
         t_local = AttentionTrace("local") if traces is not None else None
         t_global = AttentionTrace("global") if traces is not None else None
-        mid = rhema_block(tape, x, self.local, self.local_config, t_local)
-        out = rhema_block(tape, mid, self.global_, self.global_config, t_global)
+        mid = rhema_block(tape, x, self.local, self.local_config, t_local, pack)
+        out = rhema_block(tape, mid, self.global_, self.global_config, t_global,
+                          pack)
         if traces is not None:
             traces.extend([t_local, t_global])
         return out
@@ -298,23 +297,24 @@ class NaiveEncoder(BlockParams):
         self.w_q, self.w_k, self.w_v, self.w_o = (
             self.param(n, _glorot(rng, (d, d))) for n in ("w_q", "w_k", "w_v", "w_o"))
 
-    def forward(self, tape, x, traces=None):
+    def forward(self, tape, x, traces=None, pack=None):
         c = self.config
         trace = AttentionTrace("naive") if traces is not None else None
+        pack = resolve(pack, x.data.shape[0])
 
         def attend(xn):
             q = ad.matmul(tape, xn, self.w_q)
             k = ad.matmul(tape, xn, self.w_k)
             v = ad.matmul(tape, xn, self.w_v)
-            scores = ad.dot_scores(tape, q, k, 1.0 / np.sqrt(c.d_model))
-            weights = ad.softmax_rows(tape, scores)
+            scores = ad.dot_scores(tape, q, k, 1.0 / np.sqrt(c.d_model), None, pack)
+            weights = ad.softmax_rows(tape, scores, pack.key_mask(scores.data.shape[1]))
             if trace is not None:
                 trace.q, trace.k, trace.v = q.data.copy(), k.data.copy(), v.data.copy()
                 trace.scores = scores.data.copy()
                 trace.weights = weights.data.copy()
-            return ad.matmul(tape, ad.matmul(tape, weights, v), self.w_o)
+            return ad.matmul(tape, ad.chunk_mix(tape, weights, v, pack), self.w_o)
 
-        out = _block(tape, x, self, c, attend)
+        out = _block(tape, x, self, c, attend, pack)
         if traces is not None:
             traces.append(trace)
         return out

@@ -18,6 +18,7 @@ from .encoders import embed_tokens
 from .gradcheck import finite_diff_params
 from .model import HrebModel
 from .moving_average import EmaState, multihead_ema
+from .pack import Pack
 
 SUITES = ("grad", "crf", "ema")
 
@@ -47,6 +48,8 @@ def op_grad_checks(seed=0, tol=1e-4):
     Each case is (op, {input name: array}, build); build(tape, *tensors)
     returns the op output in the inputs' order. The loss is a fixed random
     weighting of that output, so every output entry influences the scalar.
+    The ops that see sentence boundaries run on a ragged pack of three
+    sentences, one of them a single token.
     """
     rng = np.random.default_rng(seed)
     n, d = 3, 4
@@ -61,21 +64,22 @@ def op_grad_checks(seed=0, tol=1e-4):
     crf_t = rng.standard_normal((n_classes + 2, n_classes + 2))
     crf_t[:, n_classes] = -np.inf
     crf_t[n_classes + 1, :] = -np.inf
-    crf_in = {"emissions": a[:, :n_classes], "trans": crf_t}
-    path = np.array([1, 0, 2])
     alpha = rng.uniform(0.1, 0.9, d)
     h0 = rng.standard_normal(d)
     gain = rng.uniform(0.5, 1.5, d)
     beta = rng.standard_normal(d)
-    norm_in = {"x": a, "gain": gain, "bias": beta}
-    # a 5-row band of width 2: the last chunk is ragged (one live key)
-    band_n, band_m = 5, 2
-    bq = rng.standard_normal((band_n, d))
-    bk = rng.standard_normal((band_n, d))
-    band = rng.standard_normal((band_n, band_m))
+    # the ops that see sentence boundaries run on this ragged pack; with
+    # band width 2 its first sentence ends in a one-key chunk, and its
+    # second is a single token
+    rag = Pack([3, 1, 4])
+    band_m = 2
+    x, q, k = (rng.standard_normal((rag.n, d)) for _ in range(3))
+    band = rng.standard_normal((rag.n, band_m))
+    crf_in = {"emissions": rng.standard_normal((rag.n, n_classes)), "trans": crf_t}
+    path = np.array([1, 0, 2, 2, 0, 1, 1, 2])
     # bilstm_seq's inputs in argument order: x, then each direction's w, u, b
     h = 3
-    lstm = {"x": a}
+    lstm = {"x": x}
     for lane in ("f", "b"):
         lstm.update({"w_" + lane: rng.standard_normal((d, 4 * h)),
                      "u_" + lane: rng.standard_normal((h, 4 * h)),
@@ -91,18 +95,21 @@ def op_grad_checks(seed=0, tol=1e-4):
         ("matmul", {"a": a, "b": sq}, ad.matmul),
         ("linear", {"x": a, "w": sq, "b": vec}, ad.linear),
         ("affine", {"x": a, "scale": gain, "shift": beta}, ad.affine),
-        ("dot_scores", {"q": bq, "k": bk},
-         lambda t, q, k: ad.dot_scores(t, q, k, 0.5, band_m)),
-        ("chunk_mix", {"w": band, "v": bk}, ad.chunk_mix),
+        ("dot_scores", {"q": q, "k": k},
+         lambda t, q, k: ad.dot_scores(t, q, k, 0.5, band_m, rag)),
+        ("chunk_mix", {"w": band, "v": k},
+         lambda t, w, v: ad.chunk_mix(t, w, v, rag)),
         ("lerp", {"w": pos / 2.0, "a": a, "b": b}, ad.lerp),
         ("repeat_entries", {"a": vec}, lambda t, x: ad.repeat_entries(t, x, 3)),
         ("sum_all", {"a": a}, ad.sum_all),
+        ("sentence_sums", {"a": x}, lambda t, a: ad.sentence_sums(t, a, rag)),
         ("sigmoid", {"a": a}, ad.sigmoid),
         ("log", {"a": pos}, ad.log),
         ("silu_standard", {"a": a}, ad.silu_standard),
         ("silu_paper", {"a": a}, ad.silu_paper),
-        ("layer_norm", norm_in, ad.layer_norm),
-        ("feature_norm", norm_in, ad.feature_norm),
+        ("layer_norm", {"x": a, "gain": gain, "bias": beta}, ad.layer_norm),
+        ("feature_norm", {"x": x, "gain": gain, "bias": beta},
+         lambda t, xs, g, bs: ad.feature_norm(t, xs, g, bs, pack=rag)),
         ("softmax_rows", {"s": a @ a.T},
          lambda t, s: ad.softmax_rows(t, s, mask)),
         ("laplace_map", {"scores": a @ a.T, "mu": 0.3, "sigma": -0.8},
@@ -111,13 +118,14 @@ def op_grad_checks(seed=0, tol=1e-4):
          lambda t, s: ad.normalize_rows(t, s, mask)),
         # band offsets run from -1 to 1: every bucket of a width-1 bias
         ("add_rel_bias", {"scores": band, "bias": rng.standard_normal(3)},
-         ad.add_rel_bias),
-        ("ema_scan", {"x": a, "alpha": alpha, "h0": h0}, ad.ema_scan),
-        ("bilstm_seq", lstm, ad.bilstm_seq),
+         lambda t, s, b: ad.add_rel_bias(t, s, b, rag)),
+        ("ema_scan", {"x": x, "alpha": alpha, "h0": h0},
+         lambda t, xs, al, h: ad.ema_scan(t, xs, al, h, rag)),
+        ("bilstm_seq", lstm, lambda t, *ts: ad.bilstm_seq(t, *ts, pack=rag)),
         ("crf_log_z", crf_in,
-         lambda t, e, tr: ad.crf_log_z(t, e, tr, n_classes)),
+         lambda t, e, tr: ad.crf_log_z(t, e, tr, n_classes, pack=rag)),
         ("crf_path_score", crf_in,
-         lambda t, e, tr: ad.crf_path_score(t, e, tr, path, n_classes)),
+         lambda t, e, tr: ad.crf_path_score(t, e, tr, path, n_classes, pack=rag)),
         # id 3 repeats, so its row's gradient must accumulate
         ("embed_tokens", {"table": rng.standard_normal((5, d))},
          lambda t, tb: embed_tokens(t, [3, 2, 3], SimpleNamespace(table=tb, pad_id=0))),
@@ -153,7 +161,8 @@ def _tiny_vocab():
 
 def model_grad_check(attn_fn="reduced_laplace", reduced_bias="dynamic",
                      loss_head="crf", seed=0, max_entries=None):
-    """Finite-difference check of the whole model's parameter gradients.
+    """Finite-difference check of the whole model's parameter gradients,
+    on the summed losses of a ragged pack of two sentences.
 
     Returns (worst rel err, {param name: rel err}). max_entries caps the
     probes per parameter (seeded sampling) to keep large sweeps affordable.
@@ -168,12 +177,13 @@ def model_grad_check(attn_fn="reduced_laplace", reduced_bias="dynamic",
     for gs in model.gate_states():
         gs.cache_f = rng.normal(0.0, 0.1, gs.cache_f.shape)
         gs.cache_x = rng.normal(0.0, 0.1, gs.cache_x.shape)
-    ids = vocab.encode_tokens(sents[0].tokens)
-    tag_ids = vocab.encode_tags(sents[0].tags)
+    # both sentences as one ragged pack: the second cut to 3 tokens
+    ids = [vocab.encode_tokens(sents[0].tokens), vocab.encode_tokens(sents[1].tokens[:3])]
+    tag_ids = [vocab.encode_tags(sents[0].tags), vocab.encode_tags(sents[1].tags[:3])]
 
     def build():
         tape = ad.Tape()
-        return model.sentence_nll(tape, ids, tag_ids), tape
+        return ad.sum_all(tape, model.sentence_nll(tape, ids, tag_ids)), tape
 
     errs = finite_diff_params(build, model.params(), max_entries=max_entries,
                               rng=np.random.default_rng(seed + 11))

@@ -238,3 +238,35 @@ def test_crf_forward_tolerates_minus_inf_transitions():
         assert np.isfinite(score)
         assert not any(trans[path[t], path[t + 1]] == -np.inf
                        for t in range(len(path) - 1))
+
+
+def test_batched_kernels_match_each_lane_run_alone():
+    # a (T, B, ...) batch with ragged lengths, one lane a single step: each
+    # lane equals its own reference run, and parameter gradients sum
+    T, lengths = 9, np.array([9, 1, 5, 8])
+    B = lengths.size
+    for ref, impl in both():
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((T, B, 3))
+        alpha, h0 = rng.uniform(0.05, 0.95, 3), rng.standard_normal(3)
+        assert_same(ref["ema_forward"](x, alpha, h0), impl["ema_forward"](x, alpha, h0))
+        check_ema_backward(ref, impl, x, alpha, h0, rng.standard_normal(x.shape))
+        xw = rng.standard_normal((T, B, 16))
+        u, b = rng.standard_normal((4, 16)) * 0.3, rng.standard_normal(16) * 0.1
+        assert_same(ref["lstm_forward"](xw, u, b), impl["lstm_forward"](xw, u, b))
+        check_lstm_backward(ref, impl, xw, u, b, rng.standard_normal((T, B, 4)))
+        emissions, trans, start, stop = crf_inputs(rng, n=T * B, c=4)
+        emissions = emissions.reshape(T, B, 4)
+        trans[:, 1] = -np.inf  # a strict-mask column
+        args = (emissions, trans, start, stop)
+        log_z, alpha_c = ref["crf_forward"](*args, lengths)
+        assert_same((log_z, alpha_c), impl["crf_forward"](*args, lengths))
+        for lane, n in enumerate(lengths):
+            lz, al = ref["crf_forward"](emissions[:n, lane], trans, start, stop)
+            assert_same((lz, al), (log_z[lane], alpha_c[:n, lane]))
+            assert np.all(alpha_c[n:, lane] == -np.inf)
+        gscale = rng.standard_normal(B)
+        got = impl["crf_backward"](*args, alpha_c, log_z, gscale, lengths)
+        assert_same(ref["crf_backward"](*args, alpha_c, log_z, gscale, lengths), got)
+        demis = got[0]
+        assert not any(demis[n:, lane].any() for lane, n in enumerate(lengths))

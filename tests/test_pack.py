@@ -1,0 +1,262 @@
+"""Packed batches: the layout, and a pack against separate per-sentence tapes.
+
+A pack runs B sentences as one sequence of rows on one tape. Each
+sentence's loss, the parameter gradients and the dynamic-gate caches must
+equal those of per-sentence tapes, and no sentence may see another.
+"""
+
+import numpy as np
+import pytest
+
+from hreb import autodiff as ad
+from hreb import residual, rhema, training
+from hreb.config import RunConfig
+from hreb.data import Vocab, synth_corpus
+from hreb.errors import DegenerateRowError
+from hreb.model import HrebModel, pack_ids
+from hreb.pack import Pack, SinglePack
+
+CONFIGS = {
+    "default": {},
+    "naive": {"attention_mode": "naive"},
+    "batch_norm_fidelity": {"batch_norm_fidelity": True},
+    "token_head": {"loss_head": "token"},
+    "strict": {"strict_transitions": True},
+    "rb_off": {"reduced_bias": "off"},
+    "rb_static": {"reduced_bias": "static", "rb_alpha": 0.7, "rb_beta": 1.2},
+    "rb_dynamic": {"reduced_bias": "dynamic"},
+}
+# one token, below chunk_size (8), ragged, and 26 (the longest train_short
+# sentence: four chunks and a ragged one)
+LENGTHS = {"one": [1], "below_chunk": [5, 3], "ragged": [7, 1, 12, 9],
+           "long": [26, 4, 26]}
+
+
+def assert_rel(got, want, what, tol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, what
+    err = np.abs(got - want).max(initial=0.0)
+    assert err <= tol * max(1.0, np.abs(want).max(initial=0.0)), f"{what}: {err:.3g}"
+
+
+def small_model(**kw):
+    corpus = synth_corpus(2, n_sentences=16, entity_types=2)
+    vocab = Vocab.from_corpus(corpus)
+    cfg = RunConfig(d_model=16, n_ema_head=4, h_lstm=8, rel_bias_window=6,
+                    seed=3, **kw)
+    model = HrebModel(cfg, vocab)
+    rng = np.random.default_rng(5)
+    # off the zero-gradient fixed point: nonzero caches, gates and CRF
+    for gs in model.gate_states():
+        gs.cache_f = rng.normal(0.0, 0.1, gs.cache_f.shape)
+        gs.cache_x = rng.normal(0.0, 0.1, gs.cache_x.shape)
+        for p in gs.params():
+            p.data = rng.normal(0.0, 0.3, p.data.shape)
+    crf = model.crf.trans.data
+    c = model.vocab.n_classes
+    crf[:c, :c] = rng.normal(0.0, 0.5, (c, c))
+    crf[c, :c] = rng.normal(0.0, 0.5, c)
+    crf[:c, c + 1] = rng.normal(0.0, 0.5, c)
+    return model, corpus
+
+
+def sentences(model, corpus, lengths, seed=0):
+    """(ids, tag ids) windows of the given lengths from the corpus stream."""
+    rng = np.random.default_rng(seed)
+    toks = [t for s in corpus.train for t in s.tokens]
+    tags = [t for s in corpus.train for t in s.tags]
+    out = []
+    for n in lengths:
+        at = int(rng.integers(0, len(toks) - n))
+        tag = tags[at:at + n]
+        if tag[0].startswith("I-"):
+            tag[0] = "B-" + tag[0][2:]
+        out.append((model.vocab.encode_tokens(toks[at:at + n]), model.vocab.encode_tags(tag)))
+    return out
+
+
+def grads_of(model, tape, loss):
+    grads = ad.backward(tape, loss)
+    return [grads.get(p.id, np.zeros_like(p.data)) for p in model.params()]
+
+
+def caches_after_commit(model, build):
+    """Each gate's (cache_f, cache_x) after one commit of the tape whose
+    loss build(tape) returns; the model's caches are left as they were."""
+    states = model.gate_states()
+    saved = [(gs.cache_f, gs.cache_x) for gs in states]
+    tape = ad.Tape()
+    loss = build(tape)
+    grads = ad.backward(tape, loss, keep=residual.pending_ids(tape, states))
+    residual.commit_gate_caches(tape, states, grads, 0.9)
+    out = [(gs.cache_f, gs.cache_x) for gs in states]
+    for gs, (f, x) in zip(states, saved):
+        gs.cache_f, gs.cache_x = f, x
+    return out
+
+
+@pytest.mark.parametrize("lengths", LENGTHS.values(), ids=LENGTHS.keys())
+@pytest.mark.parametrize("kw", CONFIGS.values(), ids=CONFIGS.keys())
+def test_pack_equals_separate_sentence_tapes(kw, lengths):
+    model, corpus = small_model(**kw)
+    batch = sentences(model, corpus, lengths)
+    ids, tags = [i for i, _ in batch], [t for _, t in batch]
+    tape = ad.Tape()
+    nlls = model.sentence_nll(tape, ids, tags)
+    assert nlls.data.shape == (len(batch),)
+    grads = grads_of(model, tape, ad.sum_all(tape, nlls))
+
+    want = [np.zeros_like(p.data) for p in model.params()]
+    for b, (i, t) in enumerate(batch):
+        tape = ad.Tape()
+        nll = model.sentence_nll(tape, i, t)
+        assert_rel(nlls.data[b], nll.data, f"sentence {b} nll")
+        want = [w + g for w, g in zip(want, grads_of(model, tape, nll))]
+    for p, g, w in zip(model.params(), grads, want):
+        assert_rel(g, w, p.name)
+
+    # the caches fold in every row of the batch once, as they did when each
+    # sentence ran its own forward pass on the step's tape
+    def one_pass_each(tape):
+        total = ad.Tensor(0.0)
+        for i, t in batch:
+            total = ad.add(tape, total, model.sentence_nll(tape, i, t))
+        return total
+    packed = caches_after_commit(
+        model, lambda tape: ad.sum_all(tape, model.sentence_nll(tape, ids, tags)))
+    for (f, x), (wf, wx) in zip(packed, caches_after_commit(model, one_pass_each)):
+        assert_rel(f, wf, "cache_f")
+        assert_rel(x, wx, "cache_x")
+
+
+@pytest.mark.parametrize("kw", CONFIGS.values(), ids=CONFIGS.keys())
+def test_a_sentence_is_blind_to_the_rest_of_its_pack(kw):
+    model, corpus = small_model(**kw)
+    lengths = [9, 1, 26, 4]
+    batch = sentences(model, corpus, lengths)
+    other = sentences(model, corpus, lengths, seed=7)
+    ids = [i for i, _ in batch]
+    tags = [t for _, t in batch]
+    base_e = model.emissions(None, ids).data
+    base_nll = model.sentence_nll(None, ids, tags).data
+    ids[2], tags[2] = other[2]
+    assert not np.array_equal(ids[2], batch[2][0])
+    e = model.emissions(None, ids).data
+    nll = model.sentence_nll(None, ids, tags).data
+    rest = np.r_[0:10, 36:40]
+    assert np.array_equal(e[rest], base_e[rest])
+    assert np.array_equal(nll[[0, 1, 3]], base_nll[[0, 1, 3]])
+    assert nll[2] != base_nll[2]
+
+
+def test_a_pack_of_one_runs_todays_arrays():
+    model, corpus = small_model()
+    (ids, tags), = sentences(model, corpus, [11])
+    single = model.sentence_nll(None, ids, tags)
+    assert single.data.shape == ()
+    packed = model.sentence_nll(None, [ids], [tags])
+    assert packed.data.shape == (1,)
+    assert_rel(packed.data[0], single.data, "nll")
+    assert np.array_equal(model.decode([ids])[0], model.decode(ids))
+
+
+def test_a_pack_records_as_many_ops_as_one_sentence():
+    # ops run once per pack, not once per sentence
+    model, corpus = small_model()
+    batch = sentences(model, corpus, [6, 1, 14, 26, 9])
+    counts = []
+    for group in (batch[:1], batch):
+        tape = ad.Tape()
+        model.sentence_nll(tape, [i for i, _ in group], [t for _, t in group])
+        counts.append(len(tape.records))
+    assert counts[0] == counts[1] <= 100, counts
+
+
+def test_evaluate_in_packs_matches_one_decode_per_sentence():
+    model, corpus = small_model(batch_size=3)
+    paths = model.decode([model.vocab.encode_tokens(s.tokens) for s in corpus.dev])
+    for s, path in zip(corpus.dev, paths):
+        assert np.array_equal(path, model.decode(model.vocab.encode_tokens(s.tokens)))
+    report = training.evaluate(model, corpus.dev)
+    model.config.batch_size = 1
+    assert training.evaluate(model, corpus.dev).lines() == report.lines()
+
+
+def test_pack_layout_roundtrips():
+    pack = Pack([3, 1, 5])
+    a = np.arange(9.0 * 2).reshape(9, 2)
+    steps = pack.padded(a)
+    assert steps.shape == (5, 3, 2)
+    assert np.array_equal(steps[:3, 0], a[:3]) and np.array_equal(steps[0, 1], a[3])
+    assert not steps[1:, 1].any() and not steps[3:, 0].any()
+    back = pack.padded(a, reverse=True)
+    assert np.array_equal(back[:3, 0], a[2::-1]) and np.array_equal(back[:5, 2], a[8:3:-1])
+    for rev in (False, True):
+        assert np.array_equal(pack.unpadded(pack.padded(a, rev), rev), a)
+    for m in (1, 2, 3, 5):
+        c = pack.chunks(a, m)
+        assert np.array_equal(pack.unchunked(c, m), a)
+        # every chunk holds rows of one sentence only
+        sent = pack.chunks(pack.sentence[:, None] + 1.0, m)[..., 0]
+        assert all(len(set(row[row > 0])) <= 1 for row in sent)
+    assert pack.key_mask(5)[:3].sum(1).tolist() == [3, 3, 3]
+    assert np.array_equal(pack.sums(a), [a[:3].sum(0), a[3], a[4:].sum(0)])
+    assert np.array_equal(pack.per_row(np.arange(3)), pack.sentence)
+    assert list(pack.spans()) == [(0, 3), (3, 1), (4, 5)]
+    with pytest.raises(ValueError, match="non-empty"):
+        Pack([2, 0])
+    ids, single = pack_ids([4, 2, 7])
+    assert isinstance(single, SinglePack) and single.n == 3
+    # one sentence passes through: no gather, no scatter
+    assert single.padded(a) is a and single.unpadded(a) is a
+
+
+def test_pack_key_mask_matches_each_sentence_alone():
+    # a sentence shorter than the band sees its own keys, then masked ones
+    pack = Pack([5, 1, 8, 3])
+    for m in (2, 3, 8):
+        got = pack.key_mask(m)
+        for start, n in pack.spans():
+            w = min(m, n)
+            alone = SinglePack(n).key_mask(w)
+            rows = got[start:start + n]
+            assert np.array_equal(rows[:, :w], np.ones((n, w), bool)
+                                  if alone is None else alone)
+            assert not rows[:, w:].any()
+
+
+def degenerate_inputs(lengths, bad):
+    """q, k, v whose reduced_laplace weights have a negative row sum in
+    sentence `bad` only."""
+    cfg = rhema.RhemaConfig(RunConfig(d_model=4, n_ema_head=2, rel_bias_window=3,
+                                      reduced_bias="off"), 0)
+    params = rhema.RhemaParams(cfg, np.random.default_rng(0))
+    pack = Pack(lengths) if len(lengths) > 1 else None
+    n = sum(lengths)
+    q = np.zeros((n, 4))
+    start = sum(lengths[:bad])
+    q[start + 1:start + lengths[bad]] = -10.0
+    return [ad.Tensor(a) for a in (q, np.ones((n, 4)), np.ones((n, 8)))], params, cfg, pack
+
+
+def test_degenerate_row_names_its_sentence_in_a_pack():
+    (q, k, v), params, cfg, pack = degenerate_inputs([2, 3, 4], bad=1)
+    with pytest.raises(DegenerateRowError, match=r"^row 1 of sentence 1 sums to -"):
+        rhema.attention(None, q, k, v, params, cfg, pack=pack)
+    # a pack of one keeps the plain row number
+    (q, k, v), params, cfg, pack = degenerate_inputs([3], bad=0)
+    with pytest.raises(DegenerateRowError, match=r"^row 1 sums to -"):
+        rhema.attention(None, q, k, v, params, cfg, pack=pack)
+    with pytest.raises(DegenerateRowError, match=r"^row 1 sums to -"):
+        rhema.attention(None, q, k, v, params, cfg, pack=Pack([3]))
+
+
+def test_masked_row_error_names_its_sentence():
+    mask = np.ones((5, 2), bool)
+    mask[3] = False
+    with pytest.raises(DegenerateRowError) as e:
+        ad.softmax_rows(None, ad.Tensor(np.zeros((5, 2))), mask)
+    assert str(e.value) == "attention row 3 has every key masked"
+    pack = Pack([2, 3])
+    assert (str(e.value.named(pack.row_name(e.value.row)))
+            == "attention row 1 of sentence 1 has every key masked")
