@@ -289,14 +289,17 @@ def sum_all(tape, a):
 
 
 def sentence_sums(tape, a, pack=None):
-    """Each sentence's sum of its rows' entries: (B,), or a scalar for one."""
+    """Each sentence's sum of its rows' entries, in the shape of the pack's
+    lengths."""
     pack = resolve(pack, a.data.shape[0])
 
     def bw(g):
-        per_row = np.reshape(pack.per_row(g), (-1,) + (1,) * (a.data.ndim - 1))
+        per_row = pack.per_row(np.reshape(g, pack.b))
+        per_row = per_row.reshape((-1,) + (1,) * (a.data.ndim - 1))
         return (np.broadcast_to(per_row, a.shape).copy(),)
     rows = a.data.reshape(a.data.shape[0], -1)
-    return record_op(tape, "sentence_sums", (a,), pack.sums(rows).sum(-1), bw)
+    return record_op(tape, "sentence_sums", (a,),
+                     pack.per_sentence(pack.sums(rows).sum(-1)), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +604,7 @@ def split_transitions(trans_data, n_classes, extra_mask=None):
 
 
 def crf_log_z(tape, emissions, trans, n_classes, extra_mask=None, pack=None):
-    """Log partition of a linear-chain CRF: per sentence (B,) for a pack.
+    """Log partition of a linear-chain CRF, per sentence of a pack.
 
     trans is (C+2, C+2) with the start state at row C and the stop state at
     column C+1; entries into start and out of stop are never read.
@@ -617,13 +620,15 @@ def crf_log_z(tape, emissions, trans, n_classes, extra_mask=None, pack=None):
 
     def bw(g):
         demis, dcore, dstart, dstop = kernels.crf_backward(
-            steps, core, start, stop, alpha, log_z, g, pack.lengths)
+            steps, core, start, stop, alpha, log_z, np.reshape(g, pack.b),
+            pack.lengths)
         dt = np.zeros_like(trans.data)
         dt[:c, :c] = dcore
         dt[c, :c] = dstart
         dt[:c, c + 1] = dstop
         return pack.unpadded(demis), dt
-    return record_op(tape, "crf_log_z", (emissions, trans), log_z, bw)
+    return record_op(tape, "crf_log_z", (emissions, trans),
+                     pack.per_sentence(log_z), bw)
 
 
 def crf_path_score(tape, emissions, trans, path, n_classes, extra_mask=None,
@@ -643,7 +648,8 @@ def crf_path_score(tape, emissions, trans, path, n_classes, extra_mask=None,
     c = n_classes
 
     def bw(g):
-        per_row = np.broadcast_to(pack.per_row(g), (n,))
+        g = np.reshape(g, pack.b)
+        per_row = pack.per_row(g)
         demis = np.zeros_like(emissions.data)
         demis[np.arange(n), path] = per_row
         dt = np.zeros_like(trans.data)
@@ -651,4 +657,5 @@ def crf_path_score(tape, emissions, trans, path, n_classes, extra_mask=None,
         np.add.at(dt, (last, c + 1), g)
         np.add.at(dt, (path[nxt - 1], path[nxt]), per_row[nxt])
         return demis, dt
-    return record_op(tape, "crf_path_score", (emissions, trans), s, bw)
+    return record_op(tape, "crf_path_score", (emissions, trans),
+                     pack.per_sentence(s), bw)

@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from .config import RunConfig
+from .config import DEFAULTS, RunConfig
 from .data import Vocab
 from .errors import CheckpointError, ConfigError
 from .model import HrebModel
@@ -93,8 +93,14 @@ def _check_header(path, header, payload_bytes):
             raise bad(field, "must be a list of strings")
     if not isinstance(header["config"], dict):
         raise bad("config", "must be a JSON object")
+    stored = dict(header["config"])
+    # files from before z_dim was deleted store it; 0 and d_model built the
+    # model this build builds
+    z_dim = stored.pop("z_dim", 0)
+    if z_dim not in (0, stored.get("d_model", DEFAULTS["d_model"][0])):
+        raise bad("config", f"has z_dim {z_dim!r}: only 0 or d_model was valid")
     try:
-        config = RunConfig.from_dict(header["config"])
+        config = RunConfig.from_dict(stored)
     except ConfigError as e:
         raise bad("config", f"is invalid: {e}")
     try:

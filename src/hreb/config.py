@@ -13,7 +13,6 @@ from .errors import ConfigError
 # dimension sentinels means "derive from d_model".
 DEFAULTS = {
     "d_model": (64, "embedding / block width"),
-    "z_dim": (0, "shared-representation width: 0 or d_model"),
     "v_dim": (0, "value width; 0 means 2*d_model"),
     "n_ema_head": (0, "EMA heads (must divide d_model); 0 means d_model"),
     "chunk_size": (8, "local-stage attention chunk length"),
@@ -105,10 +104,6 @@ class RunConfig:
         for key in ("v_dim", "n_ema_head", "rel_bias_window"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"key {key!r}: must be >= 0")
-        if self.z_dim not in (0, self.d_model):
-            # the shared representation is added to the input elementwise
-            raise ConfigError(
-                f"key 'z_dim': must be 0 or d_model ({self.d_model}), got {self.z_dim}")
         if self.lr < 0:
             raise ConfigError("key 'lr': must be >= 0")
         for key in ("beta1", "beta2", "gate_momentum"):

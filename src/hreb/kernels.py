@@ -2,12 +2,15 @@
 
 Each kernel runs one time step (or one CRF position) as whole-array numpy
 code, with the matrix products hoisted out of the time loop where the
-recurrence allows. Time is axis 0 of the first argument. The EMA, LSTM and
-CRF kernels take an optional batch axis after it: (T, B, ...) runs B
+recurrence allows. Time is axis 0 of the first argument. The EMA and LSTM
+kernels take an optional batch axis after it, and the CRF forward and
+backward always take one, with each lane's length: (T, B, ...) runs B
 sequences side by side, each padded at its end, and the parameter
-gradients sum over them. The scalar-loop references the tests compare
-against are `hreb.oracles.KERNELS`, with the same signatures and results
-(up to float rounding; Viterbi paths are exact). All arrays are float64.
+gradients sum over them. One sentence (hreb.pack's Pack(n)) is B = 1.
+Viterbi decodes one (T, C) sequence. The scalar-loop references the tests
+compare against are `hreb.oracles.KERNELS`, with the same signatures and
+results (up to float rounding; Viterbi paths are exact). All arrays are
+float64.
 """
 
 import numpy as np
@@ -19,24 +22,34 @@ _NEG_INF = -np.inf
 # EMA scan: h_t = a * x_t + (1 - a) * h_{t-1}, per dimension.
 # ---------------------------------------------------------------------------
 
+def _flat_step(v, x):
+    """v repeated across one time step of x, flat. The EMA loops run each
+    step as one flat row, so a batch axis costs them nothing per step."""
+    reps = x[0].size // v.size
+    return v if reps == 1 else np.tile(v, reps)
+
+
 def ema_forward(x, alpha, h0):
-    ax = alpha * x
+    alpha = _flat_step(alpha, x)
+    ax = alpha * x.reshape(x.shape[0], -1)
     keep = 1.0 - alpha
-    out = np.empty(x.shape)
-    h = h0
+    out = np.empty(ax.shape)
+    h = _flat_step(h0, x)
     for t in range(x.shape[0]):
         h = np.multiply(keep, h, out=out[t])
         h += ax[t]
-    return out
+    return out.reshape(x.shape)
 
 
 def ema_backward(x, alpha, h0, hist, dout):
     n, d = x.shape[0], x.shape[-1]
-    keep = 1.0 - alpha
-    g = np.empty(x.shape)
-    carry = np.zeros(x.shape[1:])
+    keep = _flat_step(1.0 - alpha, x)
+    rows = dout.reshape(n, -1)
+    g = np.empty(rows.shape)
+    carry = np.zeros(keep.shape)
     for t in range(n - 1, -1, -1):
-        carry = np.add(dout[t], carry, out=g[t]) * keep
+        carry = np.add(rows[t], carry, out=g[t]) * keep
+    g = g.reshape(x.shape)
     prev = np.empty(x.shape)
     prev[0] = h0
     prev[1:] = hist[:-1]
@@ -123,40 +136,35 @@ def _logsumexp(s, axis):
 
 
 def _last(alpha, lengths):
-    """Each sequence's row at its final step: alpha[lengths - 1] per lane."""
-    if lengths is None:
-        return alpha[-1]
+    """Each lane's row at its final step: alpha[lengths - 1] per lane."""
     return alpha[lengths - 1, np.arange(lengths.size)]
 
 
-def crf_forward(emissions, trans, start, stop, lengths=None):
-    # lengths (B,) gives each lane's true length; steps past it read -inf.
+def crf_forward(emissions, trans, start, stop, lengths):
+    # (T, B, C) emissions; lengths (B,) gives each lane's true length, and
+    # steps past it read -inf.
     n = emissions.shape[0]
     alpha = np.empty(emissions.shape)
     alpha[0] = start + emissions[0]
     with np.errstate(divide="ignore"):
         for t in range(1, n):
             alpha[t] = _logsumexp(alpha[t - 1][..., :, None] + trans, -2) + emissions[t]
-        if lengths is not None:
-            alpha[np.arange(n)[:, None] >= lengths] = _NEG_INF
+        alpha[np.arange(n)[:, None] >= lengths] = _NEG_INF
         log_z = _logsumexp(_last(alpha, lengths) + stop, -1)
     return log_z, alpha
 
 
-def crf_backward(emissions, trans, start, stop, alpha, log_z, gscale, lengths=None):
+def crf_backward(emissions, trans, start, stop, alpha, log_z, gscale, lengths):
     n, c = emissions.shape[0], emissions.shape[-1]
     beta = np.empty(emissions.shape)
     beta[n - 1] = stop
-    ends = None
-    if lengths is not None:
-        # a lane's beta is stop at its last step and -inf past it
-        ends = np.arange(n)[:, None] == lengths - 1
-        beta[n - 1][~ends[n - 1]] = _NEG_INF
+    # a lane's beta is stop at its last step and -inf past it
+    ends = np.arange(n)[:, None] == lengths - 1
+    beta[n - 1][~ends[n - 1]] = _NEG_INF
     with np.errstate(divide="ignore"):
         for t in range(n - 2, -1, -1):
             beta[t] = _logsumexp(trans + (emissions[t + 1] + beta[t + 1])[..., None, :], -1)
-            if ends is not None:
-                beta[t][ends[t]] = stop
+            beta[t][ends[t]] = stop
     lz = np.expand_dims(log_z, -1)
     gs = np.expand_dims(gscale, -1)
     demis = gs * np.exp(alpha + beta - lz)

@@ -7,20 +7,20 @@ import numpy as np
 from . import autodiff as ad
 from . import crf as crf_mod
 from .encoders import BiLstm, EmbeddingTable, embed_tokens, load_embedding_file
-from .pack import Pack, SinglePack
+from .pack import Pack, one
 from .rhema import HierarchicalEncoder, NaiveEncoder, _glorot
 
 
 def pack_ids(ids):
-    """(row ids, pack) of one id sequence, or of a list of them laid end to end."""
+    """(row ids, pack) of one id sequence, whose pack is Pack(n), or of a
+    list of them laid end to end."""
     if len(ids) and np.ndim(ids[0]) == 1:
         seqs = [np.asarray(s, dtype=np.int64) for s in ids]
-        pack = Pack([s.size for s in seqs])
-        return np.concatenate(seqs), pack
+        return np.concatenate(seqs), Pack([s.size for s in seqs])
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1 or ids.size == 0:
         raise ValueError("expected a non-empty 1-d id sequence")
-    return ids, SinglePack(ids.size)
+    return ids, one(ids.size)
 
 
 class HrebModel(ad.Module):
@@ -75,7 +75,7 @@ class HrebModel(ad.Module):
         return self._emissions(tape, *pack_ids(ids), traces)
 
     def _emissions(self, tape, ids, pack, traces=None):
-        if traces is not None and pack.batched:
+        if traces is not None and pack.shape:
             raise ValueError("attention traces need one id sequence, not a list")
         x = embed_tokens(tape, ids, self.embed)
         h = self.encoder.forward(tape, x, traces=traces, pack=pack)
@@ -88,8 +88,7 @@ class HrebModel(ad.Module):
         pack."""
         ids, pack = pack_ids(ids)
         e = self._emissions(tape, ids, pack)
-        tag_ids = np.asarray(np.concatenate(tag_ids) if pack.batched else tag_ids,
-                             dtype=np.int64)
+        tag_ids = np.asarray(np.hstack(tag_ids), dtype=np.int64)
         if self.config.loss_head == "crf":
             return crf_mod.crf_nll(tape, e, tag_ids, self.crf, pack)
         probs = ad.softmax_rows(tape, e)
@@ -122,7 +121,7 @@ class HrebModel(ad.Module):
         ids, pack = pack_ids(ids)
         e = self._emissions(self.decode_tape(), ids, pack, traces).data
         paths = [self._best_path(e[a:a + n]) for a, n in pack.spans()]
-        return paths if pack.batched else paths[0]
+        return paths if pack.shape else paths[0]
 
     def _best_path(self, e):
         if self.config.loss_head == "crf":

@@ -7,69 +7,82 @@ run on the rows as they are. The ops that mix positions (the EMA scan, the
 attention bands, the BiLSTM, the CRF and feature_norm) read the sentence
 boundaries from a Pack, so no sentence sees another.
 
-A SinglePack is one sentence with no batch axis: every array passes
-through as it is, and per-sentence results are scalars. An op given no
-pack treats its rows as one.
+One sentence is Pack(n) with an int n, and is what an op given no pack
+runs. Per-sentence results take the shape of the lengths, as numpy's do
+for a 0-d input: () for Pack(n) and (B,) for Pack([a, b, ...]). The time
+steps of a pack of one are views of its rows, and one() keeps the
+one-sentence packs of recent lengths, so a decode builds no layout that an
+earlier one of the same length built.
 """
+
+from functools import lru_cache, wraps
 
 import numpy as np
 
 
-class Pack:
-    """B >= 1 sentences of the given lengths; per-sentence results are (B,)."""
+def _kept(layout):
+    """A layout method whose result each pack keeps, per argument."""
+    @wraps(layout)
+    def kept(self, arg):
+        key = (layout.__name__, arg)
+        if key not in self._memo:
+            self._memo[key] = layout(self, arg)
+        return self._memo[key]
+    return kept
 
-    batched = True
+
+class Pack:
+    """Sentences of the given lengths: one int, or a list of B >= 1."""
 
     def __init__(self, lengths):
         lengths = np.asarray(lengths, dtype=np.int64)
-        if lengths.ndim != 1 or lengths.size == 0 or (lengths < 1).any():
+        if lengths.ndim > 1 or lengths.size == 0 or (lengths < 1).any():
             raise ValueError(f"a pack needs one or more non-empty sentences, "
                              f"got lengths {np.atleast_1d(lengths).tolist()}")
-        self.lengths = lengths
-        self.b = lengths.size
-        self.n = int(lengths.sum())
-        self.n_max = int(lengths.max())
-        self.starts = np.cumsum(lengths) - lengths
+        self.shape = lengths.shape
+        self.lengths = lengths.reshape(-1)
+        self.b = self.lengths.size
+        self.n = int(self.lengths.sum())
+        self.n_max = int(self.lengths.max())
+        self.starts = np.cumsum(self.lengths) - self.lengths
         # each row's sentence, and its position within it
-        self.sentence = np.repeat(np.arange(self.b), lengths)
+        self.sentence = np.repeat(np.arange(self.b), self.lengths)
         self.pos = np.arange(self.n) - self.starts[self.sentence]
-        self.lasts = self.starts + lengths - 1
+        self.lasts = self.starts + self.lengths - 1
         self.follows = np.flatnonzero(self.pos > 0)
         self._memo = {}
 
-    def _cached(self, key, build):
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
-
+    @_kept
     def _cells(self, reverse):
-        def build():
-            p = self.lengths[self.sentence] - 1 - self.pos if reverse else self.pos
-            return p * self.b + self.sentence
-        return self._cached(("cells", reverse), build)
+        """Each row's cell of the (T * B) time steps."""
+        p = self.lengths[self.sentence] - 1 - self.pos if reverse else self.pos
+        return p * self.b + self.sentence
 
     def padded(self, a, reverse=False):
         """a's rows as (T, B, ...) time steps, T = n_max, zero past each
         sentence's end. reverse runs each sentence back to front, so its
-        padding trails too."""
+        padding trails too. For one sentence this is a view of a."""
+        if self.b == 1:
+            return a[::-1, None] if reverse else a[:, None]
         out = np.zeros((self.n_max * self.b,) + a.shape[1:])
         out[self._cells(reverse)] = a
         return out.reshape((self.n_max, self.b) + a.shape[1:])
 
     def unpadded(self, p, reverse=False):
         """The (N, ...) rows of (T, B, ...) time steps laid out as padded does."""
+        if self.b == 1:
+            return p[::-1, 0] if reverse else p[:, 0]
         return p.reshape((self.n_max * self.b,) + p.shape[2:])[self._cells(reverse)]
 
+    @_kept
     def _slots(self, m):
         """Each row's place in the chunks of width m, or None when no
         sentence needs padding and the rows are the chunks as they are."""
-        def build():
-            if not (self.lengths % m).any():
-                return None
-            per = -(-self.lengths // m)
-            first = np.cumsum(per) - per
-            return first[self.sentence] * m + self.pos, int(per.sum())
-        return self._cached(("slots", m), build)
+        if not (self.lengths % m).any():
+            return None
+        per = -(-self.lengths // m)
+        first = np.cumsum(per) - per
+        return first[self.sentence] * m + self.pos, int(per.sum())
 
     def chunks(self, a, m):
         """a's rows as (n_chunks, m, ...) chunks: each sentence starts a
@@ -87,30 +100,39 @@ class Pack:
         slots = self._slots(m)
         return rows if slots is None else rows[slots[0]]
 
+    @_kept
     def key_mask(self, m):
         """Live keys of an (N, m) band, or None when every key is live.
 
         Entry (i, r) is key r of row i's chunk, which exists iff it falls
         before the end of row i's sentence.
         """
-        def build():
-            if not (self.lengths % m).any():
-                return None
-            return ((self.pos // m * m)[:, None] + np.arange(m)
-                    < self.lengths[self.sentence][:, None])
-        return self._cached(("keys", m), build)
+        if not (self.lengths % m).any():
+            return None
+        return ((self.pos // m * m)[:, None] + np.arange(m)
+                < self.lengths[self.sentence][:, None])
 
     def at_positions(self, table):
-        """table's rows at each row's position within its sentence."""
-        return table[self.pos]
+        """table's rows at each row's position within its sentence: for one
+        sentence, table itself."""
+        return table if self.b == 1 else table[self.pos]
 
     def sums(self, a):
-        """Each sentence's sum of a's rows: (B, ...)."""
-        return np.add.reduceat(a, self.starts, axis=0)
+        """Each sentence's sum of a's rows, (B, ...), added in row order, so
+        a sentence's sum has the bits it has alone."""
+        steps = self.padded(a)
+        if steps[0].size == 1:
+            # numpy sums a single column pairwise; accumulate keeps row order
+            return np.add.accumulate(steps, axis=0)[-1]
+        return np.add.reduce(steps, axis=0)
 
     def per_row(self, v):
         """Per-sentence values (B, ...) repeated for each row of the sentence."""
         return v[self.sentence]
+
+    def per_sentence(self, v):
+        """(B,) per-sentence values in the shape of lengths: 0-d for Pack(n)."""
+        return v.reshape(self.shape)
 
     def means(self, a):
         """Each row's sentence mean of a's rows, one row per row of a."""
@@ -129,59 +151,14 @@ class Pack:
         return f"row {self.pos[row]} of sentence {self.sentence[row]}"
 
 
-class SinglePack(Pack):
-    """One sentence of n rows, with no batch axis."""
-
-    batched = False
-    lengths = None
-
-    def __init__(self, n):
-        self.b = 1
-        self.n = self.n_max = n
-        self.starts = 0
-        self.lasts = n - 1
-        self.follows = np.arange(1, n)
-
-    def padded(self, a, reverse=False):
-        return a[::-1] if reverse else a
-
-    def unpadded(self, p, reverse=False):
-        return p[::-1] if reverse else p
-
-    def chunks(self, a, m):
-        pad = -a.shape[0] % m
-        if pad:
-            a = np.concatenate([a, np.zeros((pad,) + a.shape[1:])])
-        return a.reshape((-1, m) + a.shape[1:])
-
-    def unchunked(self, c, m):
-        return c.reshape((-1,) + c.shape[2:])[:self.n]
-
-    def key_mask(self, m):
-        if self.n % m == 0:
-            return None
-        rows = np.arange(self.n)[:, None]
-        return rows // m * m + np.arange(m)[None, :] < self.n
-
-    def at_positions(self, table):
-        return table
-
-    def sums(self, a):
-        return np.add.reduce(a, axis=0)
-
-    def per_row(self, v):
-        return v
-
-    def means(self, a):
-        return np.add.reduce(a, axis=0) / self.n
-
-    def spans(self):
-        return [(0, self.n)]
-
-    def row_name(self, row):
-        return f"row {row}"
+@lru_cache(maxsize=256)
+def one(n):
+    """Pack(n), kept for each of the last 256 lengths asked for, so that
+    one-sentence calls (decoding) build each length's layout once. Callers
+    share it, so none may write into its arrays."""
+    return Pack(n)
 
 
 def resolve(pack, n):
-    """pack, or the SinglePack of n rows when it is None."""
-    return SinglePack(n) if pack is None else pack
+    """pack, or the one-sentence Pack(n) when it is None."""
+    return one(n) if pack is None else pack

@@ -20,7 +20,7 @@ from . import autodiff as ad
 from . import residual
 from .errors import DegenerateRowError
 from .moving_average import EmaState, multihead_ema
-from .pack import SinglePack, resolve
+from .pack import Pack, resolve
 
 # Starting point for the learnable score-squash location/scale: mean and
 # standard deviation of a softmax weight under unit-normal scores.
@@ -105,7 +105,7 @@ class RhemaParams(BlockParams):
     """All learnable tensors of one gated-attention block."""
 
     def attention_params(self, config, rng):
-        # z_dim is 0 or d_model: Z is added to the input elementwise
+        # Z is d_model wide: it is added to the input elementwise
         d, z, v = config.d_model, config.d_model, config.v_dim
         self.ema = self.sub(EmaState(d, config.n_ema_head, rng, prefix=self.prefix))
         self.w_z = self.param("w_z", _glorot(rng, (d, z)))
@@ -216,7 +216,7 @@ def band_to_dense(band, fill):
     if m == n:
         return band.copy()
     dense = np.full((n, n), fill)
-    live = SinglePack(n).key_mask(m)
+    live = Pack(n).key_mask(m)
     dense[chunk_pair_mask(n, m)] = (band if live is None else band[live]).ravel()
     return dense
 

@@ -167,7 +167,7 @@ def model_grad_check(attn_fn="reduced_laplace", reduced_bias="dynamic",
     Returns (worst rel err, {param name: rel err}). max_entries caps the
     probes per parameter (seeded sampling) to keep large sweeps affordable.
     """
-    cfg = RunConfig(d_model=8, z_dim=8, v_dim=16, n_ema_head=2, chunk_size=2,
+    cfg = RunConfig(d_model=8, v_dim=16, n_ema_head=2, chunk_size=2,
                     rel_bias_window=4, h_lstm=5, attn_fn=attn_fn,
                     reduced_bias=reduced_bias, loss_head=loss_head, seed=seed)
     vocab, sents = _tiny_vocab()

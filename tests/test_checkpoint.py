@@ -137,6 +137,40 @@ def test_malformed_header_field_is_refused_by_name(tmp_path, edit, field):
         checkpoint.load_checkpoint(bad)
 
 
+def _with_z_dim(z_dim):
+    """A header edit that stores z_dim after d_model, as files written
+    before the key was deleted do."""
+    def edit(header):
+        config = header.pop("config")
+        header["config"] = {}
+        for key, value in config.items():
+            header["config"][key] = value
+            if key == "d_model":
+                header["config"]["z_dim"] = z_dim
+    return edit
+
+
+def test_a_stored_z_dim_of_0_or_d_model_is_dropped_on_load(tmp_path):
+    cfg, result, path = trained(tmp_path)
+    want = [p.data for p in checkpoint.load_model(path)[0].params()]
+    for z_dim in (0, cfg.d_model):
+        old = tmp_path / f"z{z_dim}.ckpt"
+        rewrite_checkpoint_header(path, old, _with_z_dim(z_dim))
+        model, loaded_cfg = checkpoint.load_model(old)
+        assert loaded_cfg.to_dict() == cfg.to_dict()
+        for p, w in zip(model.params(), want):
+            assert np.array_equal(p.data, w), p.name
+
+
+def test_a_stored_z_dim_that_never_built_a_model_is_refused(tmp_path):
+    cfg, result, path = trained(tmp_path)
+    bad = tmp_path / "bad.ckpt"
+    rewrite_checkpoint_header(path, bad, _with_z_dim(cfg.d_model + 1))
+    with pytest.raises(CheckpointError,
+                       match="checkpoint field 'config' has z_dim 9"):
+        checkpoint.load_checkpoint(bad)
+
+
 def test_trailing_bytes_after_payload_are_detected(tmp_path):
     cfg, result, path = trained(tmp_path)
     long = tmp_path / "long.ckpt"

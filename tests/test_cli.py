@@ -110,10 +110,11 @@ def test_reduced_bias_off_with_nonunit_weights_is_a_config_error(tmp_path, capsy
         assert named in captured.err
 
 
-def test_z_dim_other_than_d_model_is_rejected_before_any_output(
+def test_the_deleted_z_dim_key_is_rejected_before_any_output(
         workspace, tmp_path, capsys):
+    # 64 is d_model, a value the key once accepted
     (tmp_path / "bad.cfg").write_text(
-        f"train_path={workspace / 'train.txt'}\nz_dim=8\n", encoding="utf-8")
+        f"train_path={workspace / 'train.txt'}\nz_dim=64\n", encoding="utf-8")
     rc = cli.main(["train", "--config", str(tmp_path / "bad.cfg"),
                    "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()

@@ -10,8 +10,6 @@ from hreb.errors import ConfigError
     ("chunk_size", 0),
     ("attn_fn", "linear"),
     ("reduced_bias", "classic"),
-    ("z_dim", 8),
-    ("z_dim", 128),
     ("d_model", 8.0),
     ("h_lstm", True),
     ("chunk_size", 2.5),
@@ -22,9 +20,10 @@ def test_bad_encoder_setting_is_rejected_naming_its_key(key, value):
         RunConfig(**{key: value})
 
 
-def test_z_dim_accepts_zero_and_d_model():
-    assert RunConfig(z_dim=0).z_dim == 0
-    assert RunConfig(d_model=16, z_dim=16).z_dim == 16
+def test_z_dim_is_not_a_key():
+    # z_dim could only be 0 or d_model, and both built the same model
+    with pytest.raises(ConfigError, match="unknown config key 'z_dim'"):
+        RunConfig(z_dim=0)
 
 
 def test_int_stands_for_a_float():

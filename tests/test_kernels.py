@@ -104,22 +104,34 @@ def crf_inputs(rng, n=5, c=3):
     return emissions, trans, start, stop
 
 
+def one_lane(args):
+    """One sequence's CRF inputs as the forward and backward kernels take
+    them, (n, 1, c) emissions, and its lengths [n]."""
+    emissions, trans, start, stop = args
+    return (emissions[:, None], trans, start, stop), np.array([emissions.shape[0]])
+
+
 def test_crf_forward_parity():
     for ref, impl in both():
         rng = np.random.default_rng(4)
         for _ in range(5):
-            args = crf_inputs(rng)
-            assert_same(ref["crf_forward"](*args), impl["crf_forward"](*args))
+            args, lengths = one_lane(crf_inputs(rng))
+            assert_same(ref["crf_forward"](*args, lengths),
+                        impl["crf_forward"](*args, lengths))
 
 
 def check_crf(ref, impl, args, tol=1e-12):
-    """Forward, backward (from the reference's alpha) and Viterbi parity."""
-    log_z, alpha = ref["crf_forward"](*args)
-    assert_same((log_z, alpha), impl["crf_forward"](*args), tol)
-    got = impl["crf_backward"](*args, alpha, log_z, 0.7)
-    assert_same(ref["crf_backward"](*args, alpha, log_z, 0.7), got, tol)
+    """Forward, backward (from the reference's alpha) and Viterbi parity.
+
+    Returns the kernel's gradients, with demis as (n, c)."""
+    lane, lengths = one_lane(args)
+    log_z, alpha = ref["crf_forward"](*lane, lengths)
+    assert_same((log_z, alpha), impl["crf_forward"](*lane, lengths), tol)
+    gscale = np.array([0.7])
+    got = impl["crf_backward"](*lane, alpha, log_z, gscale, lengths)
+    assert_same(ref["crf_backward"](*lane, alpha, log_z, gscale, lengths), got, tol)
     assert_same(ref["viterbi"](*args), impl["viterbi"](*args), tol)
-    return got
+    return (got[0][:, 0],) + got[1:]
 
 
 def test_crf_backward_parity():
@@ -219,7 +231,7 @@ def test_long_document_parity():
         xw, u, b = lstm_inputs(rng, n=n, h=16)
         check_lstm_backward(ref, impl, xw, u, b, rng.standard_normal((n, 16)))
         args = crf_inputs(rng, n=n, c=7)
-        log_z, _ = ref["crf_forward"](*args)
+        (log_z,), _ = ref["crf_forward"](*one_lane(args)[0], [n])
         assert abs(log_z) > 100
         check_crf(ref, impl, args, tol=1e-12 * max(1.0, abs(log_z)))
 
@@ -231,9 +243,10 @@ def test_crf_forward_tolerates_minus_inf_transitions():
     trans = np.array([[0.0, -np.inf], [0.0, 0.0]])
     start = np.zeros(2)
     stop = np.zeros(2)
+    lane, lengths = one_lane((emissions, trans, start, stop))
     for table in (oracles.KERNELS, KERNELS):
-        log_z, alpha = table["crf_forward"](emissions, trans, start, stop)
-        assert np.isfinite(log_z)
+        log_z, alpha = table["crf_forward"](*lane, lengths)
+        assert np.isfinite(log_z).all()
         path, score = table["viterbi"](emissions, trans, start, stop)
         assert np.isfinite(score)
         assert not any(trans[path[t], path[t + 1]] == -np.inf

@@ -14,7 +14,7 @@ from hreb.config import RunConfig
 from hreb.data import Vocab, synth_corpus
 from hreb.errors import DegenerateRowError
 from hreb.model import HrebModel, pack_ids
-from hreb.pack import Pack, SinglePack
+from hreb.pack import Pack
 
 CONFIGS = {
     "default": {},
@@ -206,9 +206,19 @@ def test_pack_layout_roundtrips():
     with pytest.raises(ValueError, match="non-empty"):
         Pack([2, 0])
     ids, single = pack_ids([4, 2, 7])
-    assert isinstance(single, SinglePack) and single.n == 3
-    # one sentence passes through: no gather, no scatter
-    assert single.padded(a) is a and single.unpadded(a) is a
+    assert single.shape == () and single.n == 3
+
+
+def test_a_pack_of_one_steps_through_views_of_its_rows():
+    # one sentence's time steps are its rows: no gather, no scatter
+    single = Pack(9)
+    a = np.arange(9.0 * 2).reshape(9, 2)
+    for rev in (False, True):
+        steps = single.padded(a, rev)
+        assert steps.shape == (9, 1, 2) and np.shares_memory(steps, a)
+        assert np.array_equal(steps[:, 0], a[::-1] if rev else a)
+        back = single.unpadded(steps, rev)
+        assert np.shares_memory(back, a) and np.array_equal(back, a)
 
 
 def test_pack_key_mask_matches_each_sentence_alone():
@@ -218,7 +228,7 @@ def test_pack_key_mask_matches_each_sentence_alone():
         got = pack.key_mask(m)
         for start, n in pack.spans():
             w = min(m, n)
-            alone = SinglePack(n).key_mask(w)
+            alone = Pack(n).key_mask(w)
             rows = got[start:start + n]
             assert np.array_equal(rows[:, :w], np.ones((n, w), bool)
                                   if alone is None else alone)
@@ -260,3 +270,80 @@ def test_masked_row_error_names_its_sentence():
     pack = Pack([2, 3])
     assert (str(e.value.named(pack.row_name(e.value.row)))
             == "attention row 1 of sentence 1 has every key masked")
+
+
+RAGGED = [5, 17, 9, 40]
+
+
+def crf_op_inputs(rng, n, c=4):
+    """Emissions, a (c+2, c+2) transition table and a tag path of n rows."""
+    trans = rng.standard_normal((c + 2, c + 2))
+    return (ad.Tensor(rng.standard_normal((n, c)), requires_grad=True),
+            ad.Tensor(trans, requires_grad=True), rng.integers(0, c, n))
+
+
+def test_a_packs_sums_have_the_bits_of_each_sentence_alone():
+    # a sentence's statistics, summed losses and path score come out the
+    # same to the last bit whichever pack it runs in
+    rng = np.random.default_rng(13)
+    pack, n = Pack(RAGGED), sum(RAGGED)
+    spans = list(pack.spans())
+    x = rng.standard_normal((n, 16)) * 3 + 1
+    gain, bias = ad.Tensor(rng.standard_normal(16)), ad.Tensor(rng.standard_normal(16))
+    g = rng.standard_normal((n, 16))
+
+    def norm(rows, grad, p=None):
+        """feature_norm's output and its input gradient under grad."""
+        tape = ad.Tape()
+        out = ad.feature_norm(tape, ad.Tensor(rows, requires_grad=True), gain, bias,
+                              pack=p)
+        return out.data, tape.records[-1][3](grad)[0]
+
+    out, dx = norm(x, g, pack)
+    for a, m in spans:
+        alone, dx_alone = norm(x[a:a + m], g[a:a + m])
+        assert np.array_equal(out[a:a + m], alone)
+        assert np.array_equal(dx[a:a + m], dx_alone)
+
+    for width in (3, 1):
+        rows = rng.standard_normal((n, width))
+        sums = ad.sentence_sums(None, ad.Tensor(rows), pack).data
+        assert sums.shape == (pack.b,)
+        for b, (a, m) in enumerate(spans):
+            assert sums[b] == ad.sentence_sums(None, ad.Tensor(rows[a:a + m])).data
+
+    e, trans, path = crf_op_inputs(rng, n)
+    scores = ad.crf_path_score(None, e, trans, path, 4, pack=pack).data
+    for b, (a, m) in enumerate(spans):
+        alone = ad.crf_path_score(None, ad.Tensor(e.data[a:a + m]), trans,
+                                  path[a:a + m], 4)
+        assert scores[b] == alone.data
+
+
+@pytest.mark.parametrize("op", ["sentence_sums", "crf_log_z", "crf_path_score"])
+def test_pack_of_n_is_pack_of_n_listed_with_0d_results(op):
+    rng = np.random.default_rng(14)
+    n, c = 11, 4
+    e, trans, path = crf_op_inputs(rng, n, c)
+    run = {
+        "sentence_sums": lambda tape, p: ad.sentence_sums(tape, e, p),
+        "crf_log_z": lambda tape, p: ad.crf_log_z(tape, e, trans, c, pack=p),
+        "crf_path_score": lambda tape, p: ad.crf_path_score(tape, e, trans, path, c,
+                                                            pack=p),
+    }[op]
+    results, grads = [], []
+    for pack in (Pack(n), Pack([n])):
+        tape = ad.Tape()
+        out = run(tape, pack)
+        results.append(out.data)
+        # the 0-d result takes a 0-d upstream gradient
+        loss = out if out.data.shape == () else ad.sum_all(tape, out)
+        got = ad.backward(tape, ad.scale(tape, loss, 0.7))
+        grads.append([got.get(t.id) for t in (e, trans)])
+    assert results[0].shape == () and results[1].shape == (1,)
+    assert results[0] == results[1][0]
+    for one, listed in zip(*grads):
+        assert (one is None) == (listed is None)
+        assert one is None or np.array_equal(one, listed)
+    # an op given no pack runs Pack(n)
+    assert np.array_equal(run(None, None).data, results[0])

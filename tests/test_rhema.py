@@ -29,8 +29,8 @@ def make_block(seed=0, **kw):
 
 def test_config_validation():
     # the stage view adds no check: RunConfig rejects a bad setting first
-    with pytest.raises(ConfigError, match="z_dim"):
-        make_config(z_dim=8)
+    with pytest.raises(ConfigError, match="n_ema_head 3 does not divide"):
+        make_config(n_ema_head=3)
     c = make_config()
     assert c.chunk_size == 0
     assert c.v_dim == 2 * c.d_model
