@@ -21,8 +21,7 @@ per sentence. A batch's forward pass is what perfbench traces as
 And it counts the `record_op` calls of one `HrebModel.decode` call: the
 first call of a fresh model and a later one.
 Each timing is the median and quartiles of REPEATS runs after two warm-up
-runs. A checkout from before packed batches (no `training.batch_loss`)
-runs each batch one sentence at a time, as its training did.
+runs.
 
 The workload is fixed: the default `RunConfig` (seed 0), a vocabulary from
 `synth_corpus(0, 64, 3)`, and documents cut from that corpus's token stream.
@@ -62,8 +61,7 @@ from hreb import training  # noqa: E402
 from hreb.config import RunConfig  # noqa: E402
 from hreb.data import Vocab, synth_corpus  # noqa: E402
 from hreb.encoders import embed_tokens  # noqa: E402
-import hreb.model  # noqa: E402
-from hreb.model import HrebModel  # noqa: E402
+from hreb.model import HrebModel, pack_ids  # noqa: E402
 
 BATCH = 16
 CORPUS = (0, 64, 3)
@@ -85,7 +83,6 @@ WORKLOAD = {
     "decode_record_ops": "autodiff.record_op calls in one HrebModel.decode "
                          "call of a fresh model: the first call and the last",
 }
-PACKED = hasattr(training, "batch_loss")
 
 
 def documents(corpus, vocab, lengths):
@@ -107,14 +104,8 @@ def documents(corpus, vocab, lengths):
 
 
 def batch_forward(model, tape, batch):
-    """A batch's training loss on tape, as this checkout's training runs it."""
-    if PACKED:
-        return training.batch_loss(model, tape, batch)[0]
-    loss = None
-    for ids, tag_ids in batch:
-        nll = model.sentence_nll(tape, ids, tag_ids)
-        loss = nll if loss is None else ad.add(tape, loss, nll)
-    return ad.scale(tape, loss, 1.0 / len(batch))
+    """A batch's training loss on tape, as training runs it."""
+    return training.batch_loss(model, tape, batch)[0]
 
 
 def train_step(model, batches):
@@ -124,28 +115,19 @@ def train_step(model, batches):
         ad.backward(tape, batch_forward(model, tape, batch))
 
 
-def bilstm_inputs(model, batch, rng):
-    """(encoder output, output weighting, keywords) of each BiLSTM call of a
-    batch: one call for the batch's pack, or one per document before packed
-    batches."""
-    if PACKED:
-        groups = [hreb.model.pack_ids([ids for ids, _ in batch])]
-    else:
-        groups = [(ids, None) for ids, _ in batch]
-    out = []
-    for ids, pack in groups:
-        kw = {} if pack is None else {"pack": pack}
-        x = model.encoder.forward(None, embed_tokens(None, ids, model.embed), **kw)
-        w = ad.Tensor(rng.standard_normal((ids.size, 2 * model.lstm.h)))
-        out.append((ad.Tensor(x.data, requires_grad=True), w, kw))
-    return out
+def bilstm_input(model, batch, rng):
+    """(encoder output, output weighting, pack) of a batch's BiLSTM call."""
+    ids, pack = pack_ids([ids for ids, _ in batch])
+    x = model.encoder.forward(None, embed_tokens(None, ids, model.embed), pack=pack)
+    w = ad.Tensor(rng.standard_normal((ids.size, 2 * model.lstm.h)))
+    return ad.Tensor(x.data, requires_grad=True), w, pack
 
 
 def bilstm_step(model, inputs):
     """BiLSTM forward on a tape plus its backward, for each input."""
-    for x, w, kw in inputs:
+    for x, w, pack in inputs:
         tape = ad.Tape()
-        out = model.lstm.forward(tape, x, **kw)
+        out = model.lstm.forward(tape, x, pack=pack)
         ad.backward(tape, ad.sum_all(tape, ad.mul(tape, out, w)))
 
 
@@ -210,7 +192,7 @@ def measure():
         batches = [docs[i:i + BATCH] for i in range(0, len(docs), BATCH)]
         train = timed(lambda: train_step(model, batches))
         decode = timed(lambda: [model.decode(ids) for ids, _ in docs])
-        inputs = [x for batch in batches for x in bilstm_inputs(model, batch, rng)]
+        inputs = [bilstm_input(model, batch, rng) for batch in batches]
         bilstm = timed(lambda: bilstm_step(model, inputs))
         rows.append({
             "n": n,

@@ -12,7 +12,7 @@ from scipy.special import erf as _erf, expit as _expit
 
 from .errors import DegenerateRowError, NumericsError
 from . import kernels
-from .pack import resolve
+from .pack import Pack, resolve
 
 _ids = itertools.count()
 
@@ -169,10 +169,6 @@ def mul(tape, a, b):
     return record_op(tape, "mul", (a, b), a.data * b.data, bw)
 
 
-def neg(tape, a):
-    return record_op(tape, "neg", (a,), -a.data, lambda g: (-g,))
-
-
 def scale(tape, a, c):
     c = float(c)
     return record_op(tape, "scale", (a,), a.data * c, lambda g: (g * c,))
@@ -220,12 +216,11 @@ def dot_scores(tape, q, k, c, width=None, pack=None):
     """c * q_i . k_j for each query i and each key j in i's band, as one op.
 
     The band of row i is its chunk of `width` consecutive rows of its
-    sentence, chunks starting at the sentence's first row: for one sentence
-    entry (i, r) scores key (i // width) * width + r, so the output is
-    (n, width). width None (or >= the longest sentence) makes the band the
-    whole sentence: for one sentence the (n, n) matrix c * q @ k^T. Keys
-    past the end of a chunk's sentence score against zero vectors; callers
-    mask them.
+    sentence, and entry (i, r) scores the key that Pack.band_keys(width)
+    places there, so the output is (n, width). width None (or >= the
+    longest sentence) makes the band the whole sentence: for one sentence
+    the (n, n) matrix c * q @ k^T. Keys past the end of a chunk's sentence
+    score against zero vectors; callers mask them.
     """
     if q.data.shape != k.data.shape or q.data.ndim != 2:
         raise ValueError(f"dot_scores needs 2-D q and k of one shape, "
@@ -350,26 +345,26 @@ def silu(tape, a, variant):
 # Row-wise normalizations.
 # ---------------------------------------------------------------------------
 
-def layer_norm(tape, x, gain, bias, eps=1e-5):
-    """Per-row standardization over features, then affine."""
-    d = x.data.shape[-1]
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
-    xc = x.data - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+def _standardize(x, gain, bias, eps, sums, counts):
+    """(output, backward) of x standardized over `counts` entries, then
+    affine; sums(a) is a's sum over those entries, broadcast back to a."""
+    xc = x.data - sums(x.data) / counts
+    inv = 1.0 / np.sqrt(sums(xc * xc) / counts + eps)
     xhat = xc * inv
-    out_data = xhat * gain.data + bias.data
 
     def bw(g):
         dxhat = g * gain.data
-        dx = (inv / d) * (
-            d * dxhat
-            - dxhat.sum(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
-        )
-        dgain = _unbroadcast(g * xhat, gain.shape)
-        dbias = _unbroadcast(g, bias.shape)
-        return dx, dgain, dbias
+        dx = (inv / counts) * (
+            counts * dxhat - sums(dxhat) - xhat * sums(dxhat * xhat))
+        return dx, _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape)
+    return xhat * gain.data + bias.data, bw
+
+
+def layer_norm(tape, x, gain, bias, eps=1e-5):
+    """Per-row standardization over features (Ba et al. 2016), then affine."""
+    out_data, bw = _standardize(
+        x, gain, bias, eps,
+        lambda a: np.add.reduce(a, axis=-1, keepdims=True), x.data.shape[-1])
     return record_op(tape, "layer_norm", (x, gain, bias), out_data, bw)
 
 
@@ -379,18 +374,10 @@ def feature_norm(tape, x, gain, bias, eps=1e-5, pack=None):
     This is the batch-statistics alternative to layer_norm; each sentence
     of a pack keeps its own statistics.
     """
-    mean = resolve(pack, x.data.shape[0]).means
-    xc = x.data - mean(x.data)
-    inv = 1.0 / np.sqrt(mean(xc * xc) + eps)
-    xhat = xc * inv
-    out_data = xhat * gain.data + bias.data
-
-    def bw(g):
-        dxhat = g * gain.data
-        dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
-        dgain = _unbroadcast(g * xhat, gain.shape)
-        dbias = _unbroadcast(g, bias.shape)
-        return dx, dgain, dbias
+    pack = resolve(pack, x.data.shape[0])
+    out_data, bw = _standardize(
+        x, gain, bias, eps, lambda a: pack.per_row(pack.sums(a)),
+        pack.per_row(pack.lengths)[:, None])
     return record_op(tape, "feature_norm", (x, gain, bias), out_data, bw)
 
 
@@ -474,16 +461,15 @@ _rel_bias_indexes = {}
 def _rel_bias_index(n, m, w):
     """add_rel_bias's (n, m) bucket index, a slice of one array per layout.
 
-    The m = n layout (offset j - i) and the fixed-chunk one (m < n) are each
-    a prefix of the same layout at a larger n, so each is kept at the
-    longest n seen and rebuilt only for a longer one. The m = n array holds
-    n * n entries, as many as the scores it indexes.
+    The m = n layout (offset j - i) and the fixed-chunk one (m < n) of
+    Pack.band_keys are each a prefix of the same layout at a larger n, so
+    each is kept at the longest n seen and rebuilt only for a longer one.
+    The m = n array holds n * n entries, as many as the scores it indexes.
     """
     key = (0 if m == n else m, w)
     idx = _rel_bias_indexes.get(key)
     if idx is None or idx.shape[0] < n:
-        rows = np.arange(n)[:, None]
-        offs = rows // m * m + np.arange(m)[None, :] - rows
+        offs = Pack(n).band_keys(m) - np.arange(n)[:, None]
         idx = _rel_bias_indexes[key] = np.clip(offs + w, 0, 2 * w)
     return idx[:n, :m]
 
@@ -492,9 +478,9 @@ def add_rel_bias(tape, scores, bias, pack=None):
     """Add a learned bucketed relative-position bias to (query, key) scores.
 
     bias has odd length 2w+1. scores is an (n, m) band as dot_scores lays it
-    out, so for one sentence entry (i, r) pairs query i with key
-    (i // m) * m + r; its offset key - i (j - i when m >= n) is clipped into
-    [-w, w]. In a pack, i is the query's position within its sentence.
+    out, so entry (i, r) pairs query i with the key at Pack.band_keys(m)[i,
+    r]; that key's offset from i (j - i when m >= n) is clipped into [-w, w].
+    In a pack, i is the query's position within its sentence.
     """
     n, m = scores.data.shape
     w = (bias.data.shape[0] - 1) // 2

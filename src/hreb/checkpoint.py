@@ -100,7 +100,7 @@ def _check_header(path, header, payload_bytes):
     if z_dim not in (0, stored.get("d_model", DEFAULTS["d_model"][0])):
         raise bad("config", f"has z_dim {z_dim!r}: only 0 or d_model was valid")
     try:
-        config = RunConfig.from_dict(stored)
+        config = RunConfig(**stored)
     except ConfigError as e:
         raise bad("config", f"is invalid: {e}")
     try:
@@ -157,8 +157,8 @@ def load_model(path):
     config says embeddings=file; the trained rows are in the payload.
     """
     config, vocab, state = load_checkpoint(path)
-    build_cfg = RunConfig.from_dict(
-        {**config.to_dict(), "embeddings": "scratch", "embedding_path": ""})
+    build_cfg = RunConfig(
+        **{**config.to_dict(), "embeddings": "scratch", "embedding_path": ""})
     model = HrebModel(build_cfg, vocab)
     stored = set(state["params"])
     current = set(model.param_names())

@@ -5,6 +5,7 @@ default. '#' starts a comment, full-line or trailing. Every key has a
 default; a config file only states what differs.
 """
 
+import math
 import os
 
 from .errors import ConfigError
@@ -93,6 +94,9 @@ class RunConfig:
                     value, (int, float) if kind is float else kind)):
                 raise ConfigError(
                     f"key {key!r}: expected {kind.__name__}, got {value!r}")
+            # nan fails every comparison below, so those checks cannot catch it
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"key {key!r}: must be finite, got {value!r}")
         for key, choices in CHOICES.items():
             if getattr(self, key) not in choices:
                 raise ConfigError(
@@ -101,7 +105,7 @@ class RunConfig:
                     "max_epochs", "patience"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"key {key!r}: must be >= 1")
-        for key in ("v_dim", "n_ema_head", "rel_bias_window"):
+        for key in ("v_dim", "n_ema_head", "rel_bias_window", "seed"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"key {key!r}: must be >= 0")
         if self.lr < 0:
@@ -135,10 +139,6 @@ class RunConfig:
                 value = "true" if value else "false"
             out.append(f"{key}={value}")
         return out
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 def parse_config(source):

@@ -104,4 +104,4 @@ def token_nll(tape, probs, onehot, pack=None):
             f"{n_low} gold-label probabilities fell below {PROB_FLOOR}; clamped")
     clamped = ad.clamp_min(tape, probs, PROB_FLOOR)
     picked = ad.mul(tape, ad.log(tape, clamped), ad.Tensor(onehot, name="onehot"))
-    return ad.neg(tape, ad.sentence_sums(tape, picked, pack))
+    return ad.scale(tape, ad.sentence_sums(tape, picked, pack), -1.0)

@@ -44,7 +44,7 @@ def load_embedding_file(path, vocab, d_model, seed=0):
     token, UTF-8. Vocab tokens missing from the file get seeded
     uniform(-0.1, 0.1) rows; the hit fraction lands in table.coverage.
     """
-    vectors = {}
+    vectors, line_of = {}, {}
     try:
         fh = open(path, encoding="utf-8")
     except OSError as e:
@@ -70,6 +70,11 @@ def load_embedding_file(path, vocab, d_model, seed=0):
                 raise ValueError(
                     f"{path}:{lineno}: expected token plus {dim} values, got "
                     f"{len(cols)} fields")
+            if cols[0] in line_of:
+                raise ValueError(
+                    f"{path}:{lineno}: token {cols[0]!r} repeats the vector "
+                    f"of line {line_of[cols[0]]}")
+            line_of[cols[0]] = lineno
             try:
                 vectors[cols[0]] = np.array([float(c) for c in cols[1:]])
             except ValueError:

@@ -100,17 +100,18 @@ class Pack:
         slots = self._slots(m)
         return rows if slots is None else rows[slots[0]]
 
+    def band_keys(self, m):
+        """Entry (i, r) of the (N, m) band: the position within row i's
+        sentence of key r of its width-m chunk, chunks counted from the
+        sentence's first row. Keys at or past the sentence's end are padding."""
+        return (self.pos // m * m)[:, None] + np.arange(m)
+
     @_kept
     def key_mask(self, m):
-        """Live keys of an (N, m) band, or None when every key is live.
-
-        Entry (i, r) is key r of row i's chunk, which exists iff it falls
-        before the end of row i's sentence.
-        """
+        """Live keys of an (N, m) band, or None when every key is live."""
         if not (self.lengths % m).any():
             return None
-        return ((self.pos // m * m)[:, None] + np.arange(m)
-                < self.lengths[self.sentence][:, None])
+        return self.band_keys(m) < self.lengths[self.sentence][:, None]
 
     def at_positions(self, table):
         """table's rows at each row's position within its sentence: for one
@@ -133,11 +134,6 @@ class Pack:
     def per_sentence(self, v):
         """(B,) per-sentence values in the shape of lengths: 0-d for Pack(n)."""
         return v.reshape(self.shape)
-
-    def means(self, a):
-        """Each row's sentence mean of a's rows, one row per row of a."""
-        return self.per_row(self.sums(a) / self.lengths.reshape(
-            (-1,) + (1,) * (a.ndim - 1)))
 
     def spans(self):
         """(first row, length) of each sentence."""

@@ -197,27 +197,14 @@ def gated_output(tape, x, z, o, params, config, trace=None):
     return y
 
 
-def chunk_pair_mask(n, chunk_size):
-    """(i, j) allowed iff both fall in the same length-chunk_size block.
-
-    chunk_size 0 (or >= n) imposes nothing. The trailing ragged chunk is its
-    own block.
-    """
-    if chunk_size <= 0:
-        return np.ones((n, n), dtype=bool)
-    blocks = np.arange(n) // chunk_size
-    return blocks[:, None] == blocks[None, :]
-
-
 def band_to_dense(band, fill):
-    """The (n, n) query-key matrix of one sentence's (n, m) band; out-of-band
-    entries read fill."""
+    """The (n, n) query-key matrix of one sentence's (n, m) band, each entry
+    at its key in Pack(n).band_keys(m); out-of-band entries read fill."""
     n, m = band.shape
-    if m == n:
-        return band.copy()
+    keys = Pack(n).band_keys(m)
+    live = keys < n
     dense = np.full((n, n), fill)
-    live = Pack(n).key_mask(m)
-    dense[chunk_pair_mask(n, m)] = (band if live is None else band[live]).ravel()
+    dense[np.nonzero(live)[0], keys[live]] = band[live]
     return dense
 
 

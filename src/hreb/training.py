@@ -196,7 +196,7 @@ def ablate(config, corpus, switches, log=None):
     axes = [(SWITCH_KEYS[k], tuple(v)) for k, v in sorted(switches.items())]
     keys = [k for k, _ in axes]
     # every combination is validated before the first one trains
-    configs = [RunConfig.from_dict({**config.to_dict(), **dict(zip(keys, combo))})
+    configs = [RunConfig(**{**config.to_dict(), **dict(zip(keys, combo))})
                for combo in itertools.product(*(vals for _, vals in axes))]
     rows = []
     for cfg in configs:

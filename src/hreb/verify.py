@@ -89,7 +89,6 @@ def op_grad_checks(seed=0, tol=1e-4):
         ("add", {"a": a, "bias": vec}, ad.add),
         ("sub", {"a": a, "b": b}, ad.sub),
         ("mul", {"a": a, "b": vec}, ad.mul),
-        ("neg", {"a": a}, ad.neg),
         ("scale", {"a": a}, lambda t, x: ad.scale(t, x, 1.7)),
         ("clamp_min", {"a": pos}, lambda t, x: ad.clamp_min(t, x, 1.0)),
         ("matmul", {"a": a, "b": sq}, ad.matmul),

@@ -166,6 +166,25 @@ def test_feature_norm_standardizes_each_feature():
     assert np.allclose(out, (x - mu) / sd)
 
 
+def test_feature_norm_of_a_sentence_is_layer_norm_of_its_transpose():
+    # both standardize with one body; only the axis of their sums differs
+    rng = np.random.default_rng(3)
+    n, d = 7, 5
+    x = rng.standard_normal((n, d)) * 2 + 0.5
+    w = rng.standard_normal((n, d))
+    results = []
+    for op, xin, win in ((ad.feature_norm, x, w), (ad.layer_norm, x.T, w.T)):
+        tape = ad.Tape()
+        xt = ad.Tensor(xin, requires_grad=True)
+        out = op(tape, xt, ad.Tensor(np.ones(xin.shape[1])),
+                 ad.Tensor(np.zeros(xin.shape[1])))
+        grads = ad.backward(tape, ad.sum_all(tape, ad.mul(tape, out, ad.Tensor(win))))
+        results.append((out.data, grads[xt.id]))
+    (f_out, f_dx), (l_out, l_dx) = results
+    assert np.abs(f_out - l_out.T).max() < 1e-12
+    assert np.abs(f_dx - l_dx.T).max() < 1e-12
+
+
 @pytest.mark.parametrize("n", [1, 17, 256])
 def test_norms_center_once_with_the_bits_of_mean_and_var(n):
     # One centering pass runs the reductions np.mean and np.var run, in

@@ -110,6 +110,22 @@ def test_reduced_bias_off_with_nonunit_weights_is_a_config_error(tmp_path, capsy
         assert named in captured.err
 
 
+@pytest.mark.parametrize("line, key", [
+    ("lr=nan", "lr"), ("adam_eps=inf", "adam_eps"), ("seed=-1", "seed"),
+])
+def test_a_non_finite_float_or_negative_seed_is_rejected_before_any_output(
+        workspace, tmp_path, capsys, line, key):
+    (tmp_path / "bad.cfg").write_text(
+        f"train_path={workspace / 'train.txt'}\n{line}\n", encoding="utf-8")
+    rc = cli.main(["train", "--config", str(tmp_path / "bad.cfg"),
+                   "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: key {key!r}")
+    assert not (tmp_path / "o").exists()
+
+
 def test_the_deleted_z_dim_key_is_rejected_before_any_output(
         workspace, tmp_path, capsys):
     # 64 is d_model, a value the key once accepted

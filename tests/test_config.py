@@ -2,7 +2,7 @@
 
 import pytest
 
-from hreb.config import RunConfig
+from hreb.config import DEFAULTS, RunConfig
 from hreb.errors import ConfigError
 
 
@@ -28,3 +28,21 @@ def test_z_dim_is_not_a_key():
 
 def test_int_stands_for_a_float():
     assert RunConfig(lr=1).lr == 1
+
+
+FLOAT_KEYS = [key for key, (default, _) in DEFAULTS.items()
+              if isinstance(default, float)]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_a_non_finite_float_is_rejected_naming_its_key(key, value):
+    # nan fails every range comparison, so it must be refused on its own
+    with pytest.raises(ConfigError, match=f"key '{key}': must be finite"):
+        RunConfig(**{key: value})
+
+
+def test_a_negative_seed_is_rejected():
+    with pytest.raises(ConfigError, match="key 'seed': must be >= 0"):
+        RunConfig(seed=-1)
+    assert RunConfig(seed=0).seed == 0

@@ -105,6 +105,14 @@ def test_load_embedding_file_error_positions(tmp_path):
         encoders.load_embedding_file(p, vocab, 2)
 
 
+def test_load_embedding_file_names_a_repeated_token(tmp_path):
+    p = tmp_path / "dup.txt"
+    p.write_text("2 2\ncat 1.0 2.0\n\ncat 3.0 4.0\n", encoding="utf-8")
+    with pytest.raises(ValueError) as e:
+        encoders.load_embedding_file(p, small_vocab(), 2)
+    assert str(e.value) == f"{p}:4: token 'cat' repeats the vector of line 2"
+
+
 def lstm_brute(x, w, u, b):
     """Step-by-step single-direction LSTM, gate order i,f,c,o."""
     n = x.shape[0]

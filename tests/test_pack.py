@@ -224,9 +224,15 @@ def test_a_pack_of_one_steps_through_views_of_its_rows():
 def test_pack_key_mask_matches_each_sentence_alone():
     # a sentence shorter than the band sees its own keys, then masked ones
     pack = Pack([5, 1, 8, 3])
+    assert Pack(5).band_keys(2).tolist() == [[0, 1], [0, 1], [2, 3], [2, 3],
+                                             [4, 5]]
     for m in (2, 3, 8):
         got = pack.key_mask(m)
+        keys = pack.band_keys(m)
+        assert np.array_equal(got, keys < pack.per_row(pack.lengths)[:, None])
         for start, n in pack.spans():
+            # each sentence's band keys are its own, counted from its start
+            assert np.array_equal(keys[start:start + n], Pack(n).band_keys(m))
             w = min(m, n)
             alone = Pack(n).key_mask(w)
             rows = got[start:start + n]

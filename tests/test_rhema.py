@@ -7,6 +7,7 @@ from hreb import autodiff as ad
 from hreb import rhema
 from hreb.config import CHOICES, RunConfig
 from hreb.errors import ConfigError
+from hreb.pack import Pack
 
 
 def make_run(**kw):
@@ -39,18 +40,28 @@ def test_config_validation():
     assert c.attn_scale == np.sqrt(c.d_model)
 
 
-def test_chunk_pair_mask_block_structure():
-    m = rhema.chunk_pair_mask(4, 2)
-    want = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]],
-                    dtype=bool)
-    assert np.array_equal(m, want)
-    # ragged tail is its own block
-    m5 = rhema.chunk_pair_mask(5, 2)
-    assert m5[4].tolist() == [False, False, False, False, True]
-    assert np.array_equal(m5[:4, :4], want)
-    # zero or oversized chunk imposes nothing
-    assert rhema.chunk_pair_mask(3, 0).all()
-    assert rhema.chunk_pair_mask(3, 7).all()
+def in_band(n, m):
+    """(n, n) bool: key j is one of query i's Pack(n).band_keys(m)."""
+    return (Pack(n).band_keys(m)[:, :, None] == np.arange(n)).any(axis=1)
+
+
+def test_band_to_dense_places_each_band_entry_at_its_key():
+    # n = 5, m = 2: chunks {0, 1}, {2, 3} and the ragged {4}, whose second
+    # band entry is padding and is dropped
+    band = np.arange(10.0).reshape(5, 2) + 1.0
+    dense = rhema.band_to_dense(band, -7.0)
+    want = np.full((5, 5), -7.0)
+    want[0, :2], want[1, :2] = band[0], band[1]
+    want[2, 2:4], want[3, 2:4] = band[2], band[3]
+    want[4, 4] = band[4, 0]
+    assert np.array_equal(dense, want)
+    assert np.array_equal(dense != -7.0, in_band(5, 2))
+    # a band as wide as the sentence is the dense matrix itself; a wider
+    # one keeps its live keys, the first n
+    wide = np.arange(15.0).reshape(5, 3)
+    assert np.array_equal(rhema.band_to_dense(wide[:3], 0.0), wide[:3])
+    assert np.array_equal(rhema.band_to_dense(wide[:2], 0.0), wide[:2, :2])
+    assert not np.shares_memory(rhema.band_to_dense(wide[:3], 0.0), wide)
 
 
 def test_glorot_bound():
@@ -155,8 +166,7 @@ def test_softmax_weights_respect_chunk_mask():
     trace = rhema.AttentionTrace("t")
     rhema.rhema_block(None, x, params, config, trace=trace)
     w = trace.weights
-    mask = rhema.chunk_pair_mask(4, 2)
-    assert np.all(w[~mask] == 0.0)
+    assert np.all(w[~in_band(4, 2)] == 0.0)
     assert np.abs(w.sum(axis=1) - 1.0).max() < 1e-12
 
 
@@ -200,7 +210,7 @@ def test_hierarchical_encoder_stages_and_traces():
     assert out.data.shape == (6, 4)
     assert [t.label for t in traces] == ["local", "global"]
     local_w, global_w = traces[0].weights, traces[1].weights
-    assert np.all(local_w[~rhema.chunk_pair_mask(6, 2)] == 0.0)
+    assert np.all(local_w[~in_band(6, 2)] == 0.0)
     assert np.all(global_w > 0.0)
 
 
