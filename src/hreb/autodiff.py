@@ -77,9 +77,6 @@ class Tape:
         self.records = []
         self.memo = {}
 
-    def add(self, name, inputs, output, backward_fn):
-        self.records.append((name, inputs, output, backward_fn))
-
 
 def record_op(tape, name, inputs, out_data, backward_fn):
     out_data = np.asarray(out_data, dtype=np.float64)
@@ -87,7 +84,7 @@ def record_op(tape, name, inputs, out_data, backward_fn):
         raise NumericsError(f"op {name!r} produced non-finite values")
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
     if tape is not None and tape.record and out.requires_grad:
-        tape.add(name, inputs, out, backward_fn)
+        tape.records.append((name, inputs, out, backward_fn))
     return out
 
 
@@ -606,8 +603,7 @@ def crf_log_z(tape, emissions, trans, n_classes, extra_mask=None, pack=None):
 
     def bw(g):
         demis, dcore, dstart, dstop = kernels.crf_backward(
-            steps, core, start, stop, alpha, log_z, np.reshape(g, pack.b),
-            pack.lengths)
+            steps, core, stop, alpha, log_z, np.reshape(g, pack.b), pack.lengths)
         dt = np.zeros_like(trans.data)
         dt[:c, :c] = dcore
         dt[c, :c] = dstart

@@ -91,6 +91,8 @@ def _check_header(path, header, payload_bytes):
         if not (isinstance(header[field], list)
                 and all(isinstance(t, str) for t in header[field])):
             raise bad(field, "must be a list of strings")
+    if not header["tags"]:
+        raise bad("tags", "is empty: a model needs at least one tag")
     if not isinstance(header["config"], dict):
         raise bad("config", "must be a JSON object")
     stored = dict(header["config"])

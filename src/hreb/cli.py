@@ -30,10 +30,10 @@ EXIT_CKPT = 3
 EXIT_DIVERGED = 4
 
 
-def _read_corpus_file(path, source="--corpus"):
-    """parse_conll(path), failing with a ConfigError that names the file."""
+def _read_corpus_file(path, source="--corpus", bio=True):
+    """parse_conll(path, bio), failing with a ConfigError that names the file."""
     try:
-        return parse_conll(path)
+        return parse_conll(path, bio)
     except OSError as e:
         raise ConfigError(f"{source}: cannot read {path}: {e.strerror}")
     except ValueError as e:
@@ -153,7 +153,7 @@ def cmd_verify(args):
 
 
 def cmd_stats(args):
-    splits = [_read_corpus_file(p) for p in args.corpus]
+    splits = [_read_corpus_file(p, bio=False) for p in args.corpus]
     if len(splits) == 1:
         corpus = Corpus(splits[0], [], [])
     elif len(splits) == 2:

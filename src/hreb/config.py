@@ -146,9 +146,12 @@ def parse_config(source):
     if isinstance(source, (str, os.PathLike)):
         try:
             with open(source, encoding="utf-8") as fh:
-                return parse_config(fh.readlines())
+                lines = fh.readlines()
         except OSError as e:
             raise ConfigError(f"cannot read config file {source}: {e.strerror}")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"config file {source} is not UTF-8: {e}")
+        return parse_config(lines)
     overrides = {}
     for lineno, raw in enumerate(source, start=1):
         line = raw.split("#", 1)[0].strip()

@@ -1,7 +1,8 @@
 """Corpus ingestion, vocabulary, span metrics, batching, synthetic data.
 
-Corpora are BIO-tagged sentences in CoNLL shape: one "token tag" line per
-token (tab or space separated), blank line between sentences, UTF-8.
+Corpora are tagged sentences in CoNLL shape: one "token tag" line per token
+(tab or space separated), blank line between sentences, UTF-8. Training and
+scoring need BIO tags; corpus statistics read any one-letter X-TYPE scheme.
 """
 
 import os
@@ -98,16 +99,24 @@ class Vocab:
             raise ConfigError(f"tag {e.args[0]!r} not in the training tag set")
 
 
-def parse_conll(source):
-    """Read BIO sentences from a path or an iterable of lines.
+def _is_tag(tag, bio=True):
+    """Whether tag is O or a one-letter head, '-' and a type: the head B or
+    I when bio is set, any letter (BMES, BIOES) otherwise."""
+    return tag == "O" or (len(tag) > 2 and tag[1] == "-"
+                          and (tag[0] in "BI" if bio else tag[0].isalpha()))
+
+
+def parse_conll(source, bio=True):
+    """Read tagged sentences from a path or an iterable of lines.
 
     Each non-blank line is "token tag" (tab or space separated); a blank
-    line closes the current sentence. Raises on malformed lines (with the
-    line number) and on an empty corpus.
+    line closes the current sentence. Raises on malformed lines and on tags
+    that fail _is_tag(tag, bio) (with the line number), and on an empty
+    corpus.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, encoding="utf-8") as fh:
-            return parse_conll(fh.readlines())
+            return parse_conll(fh.readlines(), bio)
     sentences = []
     toks, tags = [], []
     for lineno, raw in enumerate(source, start=1):
@@ -121,6 +130,9 @@ def parse_conll(source):
         if len(fields) != 2:
             raise ValueError(
                 f"line {lineno}: expected 'token tag', got {len(fields)} fields")
+        if not _is_tag(fields[1], bio):
+            raise ValueError(f"line {lineno}: tag {fields[1]!r} is not "
+                             + ("a BIO tag" if bio else "O or an X-TYPE tag"))
         toks.append(fields[0])
         tags.append(fields[1])
     if toks:
@@ -156,7 +168,7 @@ def decode_spans(tags, mode="strict"):
                 spans.append((start, i, kind))
                 start, kind = None, None
             continue
-        if len(tag) < 3 or tag[1] != "-" or tag[0] not in "BI":
+        if not _is_tag(tag):
             raise ValueError(f"position {i}: {tag!r} is not a BIO tag")
         head, body = tag[0], tag[2:]
         if head == "B":

@@ -12,12 +12,9 @@ UNK_TOKEN = "<unk>"
 class EmbeddingTable(ad.Module):
     """vocab_size x d_model lookup matrix with reserved padding/unknown rows."""
 
-    def __init__(self, vocab_size, d_model, pad_id, unk_id, rng):
+    def __init__(self, vocab_size, d_model, pad_id, rng):
         super().__init__("embed.")
-        self.vocab_size = vocab_size
-        self.d_model = d_model
         self.pad_id = pad_id
-        self.unk_id = unk_id
         self.coverage = None
         data = rng.uniform(-0.1, 0.1, (vocab_size, d_model))
         data[pad_id] = 0.0
@@ -46,45 +43,47 @@ def load_embedding_file(path, vocab, d_model, seed=0):
     """
     vectors, line_of = {}, {}
     try:
-        fh = open(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as e:
         raise ConfigError(f"cannot read embedding file {path}: {e.strerror}")
-    with fh:
-        header = fh.readline()
-        parts = header.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}:1: header must be 'count dim', got {header!r}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"embedding file {path} is not UTF-8: {e}")
+    header = lines[0] if lines else ""
+    parts = header.split()
+    if len(parts) != 2:
+        raise ValueError(f"{path}:1: header must be 'count dim', got {header!r}")
+    try:
+        count, dim = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValueError(f"{path}:1: header must be two integers, got {header!r}")
+    if dim != d_model:
+        raise ConfigError(
+            f"embedding file dim {dim} does not match configured d_model {d_model}")
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        # word2vec's text writer ends each line with a space
+        cols = line.rstrip().split(" ")
+        if len(cols) != dim + 1:
+            raise ValueError(
+                f"{path}:{lineno}: expected token plus {dim} values, got "
+                f"{len(cols)} fields")
+        if cols[0] in line_of:
+            raise ValueError(
+                f"{path}:{lineno}: token {cols[0]!r} repeats the vector "
+                f"of line {line_of[cols[0]]}")
+        line_of[cols[0]] = lineno
         try:
-            count, dim = int(parts[0]), int(parts[1])
+            vectors[cols[0]] = np.array([float(c) for c in cols[1:]])
         except ValueError:
-            raise ValueError(f"{path}:1: header must be two integers, got {header!r}")
-        if dim != d_model:
-            raise ConfigError(
-                f"embedding file dim {dim} does not match configured d_model {d_model}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            # word2vec's text writer ends each line with a space
-            cols = line.rstrip().split(" ")
-            if len(cols) != dim + 1:
-                raise ValueError(
-                    f"{path}:{lineno}: expected token plus {dim} values, got "
-                    f"{len(cols)} fields")
-            if cols[0] in line_of:
-                raise ValueError(
-                    f"{path}:{lineno}: token {cols[0]!r} repeats the vector "
-                    f"of line {line_of[cols[0]]}")
-            line_of[cols[0]] = lineno
-            try:
-                vectors[cols[0]] = np.array([float(c) for c in cols[1:]])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric vector component")
+            raise ValueError(f"{path}:{lineno}: non-numeric vector component")
     if len(vectors) != count:
         raise ValueError(
             f"{path}: header promised {count} vectors, file held {len(vectors)}")
 
     rng = np.random.default_rng(seed)
-    table = EmbeddingTable(len(vocab.tokens), d_model, vocab.pad_id, vocab.unk_id, rng)
+    table = EmbeddingTable(len(vocab.tokens), d_model, vocab.pad_id, rng)
     hits = 0
     # Iterate in id order so missing-token rows are drawn in a reproducible
     # sequence regardless of file order.
@@ -107,7 +106,6 @@ class LstmParams(ad.Module):
         super().__init__(prefix)
         s_w = np.sqrt(6.0 / (d_in + 4 * h))
         s_u = np.sqrt(6.0 / (h + 4 * h))
-        self.h = h
         self.w = self.param("w", rng.uniform(-s_w, s_w, (d_in, 4 * h)))
         self.u = self.param("u", rng.uniform(-s_u, s_u, (h, 4 * h)))
         self.b = self.param("b", np.zeros(4 * h))

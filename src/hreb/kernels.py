@@ -8,9 +8,9 @@ backward always take one, with each lane's length: (T, B, ...) runs B
 sequences side by side, each padded at its end, and the parameter
 gradients sum over them. One sentence (hreb.pack's Pack(n)) is B = 1.
 Viterbi decodes one (T, C) sequence. The scalar-loop references the tests
-compare against are `hreb.oracles.KERNELS`, with the same signatures and
-results (up to float rounding; Viterbi paths are exact). All arrays are
-float64.
+compare against are `hreb.oracles.KERNELS`: the same signatures for one
+sequence, and each lane's results (up to float rounding; Viterbi paths are
+exact). All arrays are float64.
 """
 
 import numpy as np
@@ -154,7 +154,7 @@ def crf_forward(emissions, trans, start, stop, lengths):
     return log_z, alpha
 
 
-def crf_backward(emissions, trans, start, stop, alpha, log_z, gscale, lengths):
+def crf_backward(emissions, trans, stop, alpha, log_z, gscale, lengths):
     n, c = emissions.shape[0], emissions.shape[-1]
     beta = np.empty(emissions.shape)
     beta[n - 1] = stop

@@ -45,8 +45,7 @@ class HrebModel(ad.Module):
             self.embed = self.sub(load_embedding_file(
                 config.embedding_path, vocab, d, seed=config.seed))
         else:
-            self.embed = self.sub(EmbeddingTable(
-                len(vocab.tokens), d, vocab.pad_id, vocab.unk_id, rng))
+            self.embed = self.sub(EmbeddingTable(len(vocab.tokens), d, vocab.pad_id, rng))
         encoder = HierarchicalEncoder if config.attention_mode == "hema" else NaiveEncoder
         self.encoder = self.sub(encoder(config, rng))
         self.lstm = self.sub(BiLstm(d, config.h_lstm, rng))

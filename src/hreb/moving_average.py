@@ -28,7 +28,6 @@ class EmaState(ad.Module):
                 f"d_model {d_model} not divisible by n_head {n_head}")
         super().__init__(prefix + "ema.")
         self.d_model = d_model
-        self.n_head = n_head
         self.head_dim = d_model // n_head
         # Decays spread geometrically so heads start at distinct timescales.
         eff = np.geomspace(0.05, 0.95, n_head)

@@ -4,9 +4,10 @@ Everything here is deliberately naive (path enumeration, closed-form sums,
 one scalar per statement) and the enumerations are only feasible at small
 sizes. The fast implementations must agree with these within the
 documented tolerances. KERNELS maps each kernel name in hreb.kernels to its
-scalar-loop reference, which takes the same arguments and returns the same
-results. Given a batch axis, a reference runs each sequence on its own and
-sums the parameter gradients.
+scalar-loop reference for one sequence: the same arguments without the
+batch axis and the lengths. A kernel's lane b, cut to its length, must
+match the reference run on that lane alone, and its parameter gradients
+the sum of the lanes' references.
 """
 
 import itertools
@@ -17,6 +18,23 @@ import numpy as np
 _NEG_INF = -np.inf
 
 
+def _scored_paths(emissions, trans, start, stop):
+    """Every tag path of a linear-chain CRF, scored explicitly: (paths,
+    their scores, log_z)."""
+    n, c = emissions.shape
+    paths = list(itertools.product(range(c), repeat=n))
+    scores = []
+    for path in paths:
+        s = start[path[0]] + stop[path[-1]]
+        for t in range(n):
+            s += emissions[t, path[t]]
+        for t in range(n - 1):
+            s += trans[path[t], path[t + 1]]
+        scores.append(s)
+    scores = np.array(scores)
+    return paths, scores, float(np.logaddexp.reduce(scores))
+
+
 def crf_enumerate(emissions, trans, start, stop):
     """Score every tag path of a linear-chain CRF explicitly.
 
@@ -25,20 +43,8 @@ def crf_enumerate(emissions, trans, start, stop):
     from the last position backwards, matching a lowest-index argmax at each
     backtracking step of the fast decoder.
     """
-    emissions = np.asarray(emissions, dtype=np.float64)
-    n, c = emissions.shape
-    scores = []
-    paths = []
-    for path in itertools.product(range(c), repeat=n):
-        s = start[path[0]] + stop[path[-1]]
-        for t in range(n):
-            s += emissions[t, path[t]]
-        for t in range(n - 1):
-            s += trans[path[t], path[t + 1]]
-        scores.append(s)
-        paths.append(path)
-    scores = np.array(scores)
-    log_z = float(np.logaddexp.reduce(scores))
+    paths, scores, log_z = _scored_paths(
+        np.asarray(emissions, dtype=np.float64), trans, start, stop)
     best_score = scores.max()
     winners = [p for p, s in zip(paths, scores) if s == best_score]
     best = min(winners, key=lambda p: tuple(reversed(p)))
@@ -53,17 +59,12 @@ def crf_enumerate_marginals(emissions, trans, start, stop):
     """
     emissions = np.asarray(emissions, dtype=np.float64)
     n, c = emissions.shape
-    log_z, _, _ = crf_enumerate(emissions, trans, start, stop)
+    paths, scores, log_z = _scored_paths(emissions, trans, start, stop)
     unary = np.zeros((n, c))
     pair = np.zeros((c, c))
     first = np.zeros(c)
     last = np.zeros(c)
-    for path in itertools.product(range(c), repeat=n):
-        s = start[path[0]] + stop[path[-1]]
-        for t in range(n):
-            s += emissions[t, path[t]]
-        for t in range(n - 1):
-            s += trans[path[t], path[t + 1]]
+    for path, s in zip(paths, scores):
         p = math.exp(s - log_z)
         for t in range(n):
             unary[t, path[t]] += p
@@ -221,7 +222,7 @@ def _crf_forward(emissions, trans, start, stop):
     return _logsumexp_row(final), alpha
 
 
-def _crf_backward(emissions, trans, start, stop, alpha, log_z, gscale):
+def _crf_backward(emissions, trans, stop, alpha, log_z, gscale):
     # Forward-backward: emission grads are posterior unaries, transition
     # grads are summed pairwise posteriors, all scaled by the upstream grad.
     n, c = emissions.shape
@@ -286,64 +287,12 @@ def _viterbi(emissions, trans, start, stop):
     return path, best
 
 
-# ---------------------------------------------------------------------------
-# Batches: a (T, B, ...) first argument runs B sequences, one at a time.
-# ---------------------------------------------------------------------------
-
-def _over_lanes(fn, lane_args, lane_outs):
-    """fn run on each lane b of a batch: the arguments in lane_args are cut
-    to [:, b], the results in lane_outs are stacked on axis 1, and the
-    other results (parameter gradients) are summed over the lanes."""
-    def run(*args):
-        if args[0].ndim == 2:
-            return fn(*args)
-        per = [fn(*(a[:, b] if i in lane_args else a for i, a in enumerate(args)))
-               for b in range(args[0].shape[1])]
-        if not isinstance(per[0], tuple):
-            return np.stack(per, axis=1)
-        return tuple(np.stack(out, axis=1) if i in lane_outs else sum(out)
-                     for i, out in enumerate(zip(*per)))
-    return run
-
-
-def _crf_lengths(emissions, lengths):
-    n, nb = emissions.shape[:2]
-    return [n] * nb if lengths is None else [int(x) for x in lengths]
-
-
-def _crf_forward_lanes(emissions, trans, start, stop, lengths=None):
-    # steps past a lane's length read -inf, as the kernel leaves them
-    if emissions.ndim == 2:
-        return _crf_forward(emissions, trans, start, stop)
-    alpha = np.full(emissions.shape, _NEG_INF)
-    log_z = np.empty(emissions.shape[1])
-    for b, n in enumerate(_crf_lengths(emissions, lengths)):
-        log_z[b], alpha[:n, b] = _crf_forward(emissions[:n, b], trans, start, stop)
-    return log_z, alpha
-
-
-def _crf_backward_lanes(emissions, trans, start, stop, alpha, log_z, gscale,
-                        lengths=None):
-    if emissions.ndim == 2:
-        return _crf_backward(emissions, trans, start, stop, alpha, log_z, gscale)
-    c = emissions.shape[-1]
-    demis = np.zeros(emissions.shape)
-    dtrans, dstart, dstop = np.zeros((c, c)), np.zeros(c), np.zeros(c)
-    for b, n in enumerate(_crf_lengths(emissions, lengths)):
-        demis[:n, b], dt, ds, dst = _crf_backward(
-            emissions[:n, b], trans, start, stop, alpha[:n, b], log_z[b], gscale[b])
-        dtrans += dt
-        dstart += ds
-        dstop += dst
-    return demis, dtrans, dstart, dstop
-
-
 KERNELS = {
-    "ema_forward": _over_lanes(_ema_forward, {0}, ()),
-    "ema_backward": _over_lanes(_ema_backward, {0, 3, 4}, {0}),
-    "lstm_forward": _over_lanes(_lstm_forward, {0}, {0, 1, 2}),
-    "lstm_backward": _over_lanes(_lstm_backward, {0, 1, 2, 4}, {0}),
-    "crf_forward": _crf_forward_lanes,
-    "crf_backward": _crf_backward_lanes,
+    "ema_forward": _ema_forward,
+    "ema_backward": _ema_backward,
+    "lstm_forward": _lstm_forward,
+    "lstm_backward": _lstm_backward,
+    "crf_forward": _crf_forward,
+    "crf_backward": _crf_backward,
     "viterbi": _viterbi,
 }

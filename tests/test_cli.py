@@ -140,6 +140,44 @@ def test_the_deleted_z_dim_key_is_rejected_before_any_output(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_corpus_whose_tags_are_not_bio_is_refused_before_any_output(
+        workspace, tmp_path, capsys, command):
+    # BMES (the Resume corpus's scheme) for train, a bare type for eval
+    bad = tmp_path / "bad.txt"
+    bad.write_text({"train": "a S-NAME\n\nb B-NAME\nc M-NAME\nd E-NAME\n",
+                    "eval": "a O\nb PER\n"}[command], encoding="utf-8")
+    (tmp_path / "run.cfg").write_text(CONFIG + f"train_path={bad}\n", encoding="utf-8")
+    argv = {"train": ["train", "--config", str(tmp_path / "run.cfg"),
+                      "--out", str(tmp_path / "o")],
+            "eval": ["eval", "--ckpt", str(workspace / "run1" / "best.ckpt"),
+                     "--corpus", str(bad)]}[command]
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    line, tag = {"train": ("line 1", "'S-NAME'"), "eval": ("line 2", "'PER'")}[command]
+    assert str(bad) in captured.err and line in captured.err and tag in captured.err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("which", ["config", "embedding"])
+def test_a_file_that_is_not_utf8_is_a_config_error_naming_it(
+        workspace, tmp_path, capsys, which):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"d_model=8\n\xff\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text((workspace / "run.cfg").read_text(encoding="utf-8")
+                   + f"embeddings=file\nembedding_path={bad}\n", encoding="utf-8")
+    rc = cli.main(["train", "--config", str(bad if which == "config" else cfg),
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(bad) in err and "UTF-8" in err
+
+
 @pytest.mark.parametrize("path_line, named", [
     ("", "embedding_path"),
     ("embedding_path=nope.vec\n", "nope.vec"),
@@ -278,7 +316,9 @@ def test_eval_rejects_malformed_header_with_exit_3(workspace, tmp_path, capsys):
     (lambda h: h["config"].update(d_model=8.0), ("'config'", "'d_model'")),
     (lambda h: h["config"].update(h_lstm=True), ("'config'", "'h_lstm'")),
     (lambda h: h["config"].update(chunk_size=2.5), ("'config'", "'chunk_size'")),
-], ids=["payload_larger_than_file", "float_d_model", "bool_h_lstm", "float_chunk_size"])
+    (lambda h: h.update(tags=[]), ("'tags'", "empty")),
+], ids=["payload_larger_than_file", "float_d_model", "bool_h_lstm", "float_chunk_size",
+        "no_tags"])
 def test_eval_rejects_a_header_it_cannot_load_with_exit_3(
         workspace, tmp_path, capsys, edit, named):
     bad = tmp_path / "bad.ckpt"
@@ -461,6 +501,23 @@ def test_stats_two_files_alias_dev_to_test(workspace, capsys):
     assert rc == 0
     got = dict(l.split() for l in out)
     assert got["dev"] == got["test"]
+
+
+def test_stats_reads_any_typed_scheme_but_refuses_an_untyped_tag(tmp_path, capsys):
+    bmes = tmp_path / "bmes.txt"
+    bmes.write_text("a S-X\n\nb B-Y\nc M-Y\nd E-Y\ne O\n", encoding="utf-8")
+    rc = cli.main(["stats", "--corpus", str(bmes)])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[0] == "classes 2"
+    # a bare PER used to count as a second type, 'R'
+    bare = tmp_path / "bare.txt"
+    bare.write_text("a B-X\nb PER\n", encoding="utf-8")
+    rc = cli.main(["stats", "--corpus", str(bare)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert str(bare) in captured.err and "line 2" in captured.err
+    assert "'PER'" in captured.err
 
 
 def test_stats_rejects_more_than_three_files(workspace, capsys):

@@ -39,6 +39,17 @@ def test_parse_conll_errors_carry_line_numbers():
     assert "empty corpus" in str(e.value)
 
 
+def test_parse_conll_refuses_a_tag_outside_its_scheme():
+    lines = ["a S-X", "", "b B-X", "c E-X"]
+    with pytest.raises(ValueError, match=r"line 1: tag 'S-X' is not a BIO tag"):
+        data.parse_conll(lines)
+    got = data.parse_conll(lines, bio=False)
+    assert [s.tags for s in got] == [["S-X"], ["B-X", "E-X"]]
+    for tag in ("PER", "B-", "1-X"):
+        with pytest.raises(ValueError, match=f"line 2: tag '{tag}' is not O or an X"):
+            data.parse_conll(["a O", f"b {tag}"], bio=False)
+
+
 def test_conll_roundtrip(tmp_path):
     sents = [Sentence(["a", "b"], ["B-X", "I-X"]), Sentence(["c"], ["O"])]
     p = tmp_path / "c.txt"

@@ -15,7 +15,7 @@ def small_vocab():
 
 def test_embedding_table_reserves_zero_pad_row():
     rng = np.random.default_rng(0)
-    t = encoders.EmbeddingTable(5, 3, pad_id=0, unk_id=1, rng=rng)
+    t = encoders.EmbeddingTable(5, 3, pad_id=0, rng=rng)
     assert np.all(t.table.data[0] == 0.0)
     assert np.abs(t.table.data[1:]).max() <= 0.1
     assert t.params() == [t.table]
@@ -23,7 +23,7 @@ def test_embedding_table_reserves_zero_pad_row():
 
 def test_embed_tokens_looks_up_rows_and_blocks_pad_gradient():
     rng = np.random.default_rng(1)
-    t = encoders.EmbeddingTable(4, 2, pad_id=0, unk_id=1, rng=rng)
+    t = encoders.EmbeddingTable(4, 2, pad_id=0, rng=rng)
     tape = ad.Tape()
     ids = np.array([2, 0, 2, 3])
     out = encoders.embed_tokens(tape, ids, t)

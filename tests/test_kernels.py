@@ -1,16 +1,15 @@
-"""Kernel parity against the scalar reference loops in oracles.KERNELS."""
+"""Kernel parity against the scalar reference loops in oracles.KERNELS.
+
+A reference takes one sequence; a batched kernel is checked lane by lane.
+"""
 
 import numpy as np
 
 from hreb import kernels, oracles
 
+REF = oracles.KERNELS
 # looked up by name: every kernel must stay a module attribute
-KERNELS = {name: getattr(kernels, name) for name in oracles.KERNELS}
-
-
-def both():
-    """(reference, kernels) pairs: the scalar loops against hreb.kernels."""
-    return [(oracles.KERNELS, KERNELS)]
+KERNELS = {name: getattr(kernels, name) for name in REF}
 
 
 def assert_same(a, b, tol=1e-12):
@@ -41,27 +40,24 @@ def ema_inputs(rng, n=7, d=3):
 
 
 def test_ema_forward_parity():
-    for ref, impl in both():
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            x, alpha, h0 = ema_inputs(rng)
-            assert_same(ref["ema_forward"](x, alpha, h0),
-                        impl["ema_forward"](x, alpha, h0))
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        x, alpha, h0 = ema_inputs(rng)
+        assert_same(REF["ema_forward"](x, alpha, h0),
+                    KERNELS["ema_forward"](x, alpha, h0))
 
 
-def check_ema_backward(ref, impl, x, alpha, h0, dout):
-    hist = ref["ema_forward"](x, alpha, h0)
-    assert_same(ref["ema_backward"](x, alpha, h0, hist, dout),
-                impl["ema_backward"](x, alpha, h0, hist, dout))
+def check_ema_backward(x, alpha, h0, dout):
+    hist = REF["ema_forward"](x, alpha, h0)
+    assert_same(REF["ema_backward"](x, alpha, h0, hist, dout),
+                KERNELS["ema_backward"](x, alpha, h0, hist, dout))
 
 
 def test_ema_backward_parity():
-    for ref, impl in both():
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            x, alpha, h0 = ema_inputs(rng)
-            check_ema_backward(ref, impl, x, alpha, h0,
-                               rng.standard_normal(x.shape))
+    rng = np.random.default_rng(1)
+    for _ in range(5):
+        x, alpha, h0 = ema_inputs(rng)
+        check_ema_backward(x, alpha, h0, rng.standard_normal(x.shape))
 
 
 def lstm_inputs(rng, n=6, h=4):
@@ -72,28 +68,24 @@ def lstm_inputs(rng, n=6, h=4):
 
 
 def test_lstm_forward_parity():
-    for ref, impl in both():
-        rng = np.random.default_rng(2)
-        for _ in range(3):
-            xw, u, b = lstm_inputs(rng)
-            assert_same(ref["lstm_forward"](xw, u, b),
-                        impl["lstm_forward"](xw, u, b))
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        xw, u, b = lstm_inputs(rng)
+        assert_same(REF["lstm_forward"](xw, u, b), KERNELS["lstm_forward"](xw, u, b))
 
 
-def check_lstm_backward(ref, impl, xw, u, b, dout, tol=1e-12):
-    hidden, gates, cells = ref["lstm_forward"](xw, u, b)
-    got = impl["lstm_backward"](gates, cells, hidden, u, dout)
-    assert_same(ref["lstm_backward"](gates, cells, hidden, u, dout), got, tol)
+def check_lstm_backward(xw, u, b, dout, tol=1e-12):
+    hidden, gates, cells = REF["lstm_forward"](xw, u, b)
+    got = KERNELS["lstm_backward"](gates, cells, hidden, u, dout)
+    assert_same(REF["lstm_backward"](gates, cells, hidden, u, dout), got, tol)
     return got
 
 
 def test_lstm_backward_parity():
-    for ref, impl in both():
-        rng = np.random.default_rng(3)
-        for _ in range(3):
-            xw, u, b = lstm_inputs(rng)
-            check_lstm_backward(ref, impl, xw, u, b,
-                                rng.standard_normal((xw.shape[0], u.shape[0])))
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        xw, u, b = lstm_inputs(rng)
+        check_lstm_backward(xw, u, b, rng.standard_normal((xw.shape[0], u.shape[0])))
 
 
 def crf_inputs(rng, n=5, c=3):
@@ -104,93 +96,94 @@ def crf_inputs(rng, n=5, c=3):
     return emissions, trans, start, stop
 
 
-def one_lane(args):
-    """One sequence's CRF inputs as the forward and backward kernels take
-    them, (n, 1, c) emissions, and its lengths [n]."""
+def one_lane(emissions):
+    """One (n, c) sequence as the CRF forward and backward kernels take it:
+    (n, 1, c) emissions, and its lengths [n]."""
+    return emissions[:, None], np.array([emissions.shape[0]])
+
+
+def lane_forward(args):
+    """crf_forward's (log_z, alpha) for one sequence run as a lane."""
     emissions, trans, start, stop = args
-    return (emissions[:, None], trans, start, stop), np.array([emissions.shape[0]])
+    lane, lengths = one_lane(emissions)
+    log_z, alpha = KERNELS["crf_forward"](lane, trans, start, stop, lengths)
+    return log_z[0], alpha[:, 0]
 
 
 def test_crf_forward_parity():
-    for ref, impl in both():
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            args, lengths = one_lane(crf_inputs(rng))
-            assert_same(ref["crf_forward"](*args, lengths),
-                        impl["crf_forward"](*args, lengths))
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        args = crf_inputs(rng)
+        assert_same(REF["crf_forward"](*args), lane_forward(args))
 
 
-def check_crf(ref, impl, args, tol=1e-12):
-    """Forward, backward (from the reference's alpha) and Viterbi parity.
+def check_crf(args, tol=1e-12):
+    """Forward, backward (from the reference's alpha) and Viterbi parity:
+    the reference on the (n, c) sequence, the kernels on it as one lane.
 
     Returns the kernel's gradients, with demis as (n, c)."""
-    lane, lengths = one_lane(args)
-    log_z, alpha = ref["crf_forward"](*lane, lengths)
-    assert_same((log_z, alpha), impl["crf_forward"](*lane, lengths), tol)
-    gscale = np.array([0.7])
-    got = impl["crf_backward"](*lane, alpha, log_z, gscale, lengths)
-    assert_same(ref["crf_backward"](*lane, alpha, log_z, gscale, lengths), got, tol)
-    assert_same(ref["viterbi"](*args), impl["viterbi"](*args), tol)
-    return (got[0][:, 0],) + got[1:]
+    emissions, trans, start, stop = args
+    log_z, alpha = REF["crf_forward"](*args)
+    assert_same((log_z, alpha), lane_forward(args), tol)
+    lane, lengths = one_lane(emissions)
+    demis, *dparams = KERNELS["crf_backward"](
+        lane, trans, stop, alpha[:, None], np.array([log_z]), np.array([0.7]), lengths)
+    got = (demis[:, 0], *dparams)
+    assert_same(REF["crf_backward"](emissions, trans, stop, alpha, log_z, 0.7),
+                got, tol)
+    assert_same(REF["viterbi"](*args), KERNELS["viterbi"](*args), tol)
+    return got
 
 
 def test_crf_backward_parity():
-    for ref, impl in both():
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            check_crf(ref, impl, crf_inputs(rng))
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        check_crf(crf_inputs(rng))
 
 
 def test_viterbi_parity():
-    for ref, impl in both():
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            args = crf_inputs(rng, n=int(rng.integers(1, 7)),
-                              c=int(rng.integers(1, 5)))
-            path_r, score_r = ref["viterbi"](*args)
-            path_i, score_i = impl["viterbi"](*args)
-            assert np.array_equal(path_r, path_i)
-            assert abs(score_r - score_i) < 1e-12
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        args = crf_inputs(rng, n=int(rng.integers(1, 7)), c=int(rng.integers(1, 5)))
+        path_r, score_r = REF["viterbi"](*args)
+        path_i, score_i = KERNELS["viterbi"](*args)
+        assert np.array_equal(path_r, path_i)
+        assert abs(score_r - score_i) < 1e-12
 
 
 def test_single_step_parity():
     # n = 1: no CRF transition pairs and no LSTM recurrence, so dtrans and
     # du must come out exactly zero
-    for ref, impl in both():
-        rng = np.random.default_rng(8)
-        x, alpha, h0 = ema_inputs(rng, n=1)
-        assert_same(ref["ema_forward"](x, alpha, h0),
-                    impl["ema_forward"](x, alpha, h0))
-        check_ema_backward(ref, impl, x, alpha, h0, rng.standard_normal(x.shape))
-        xw, u, b = lstm_inputs(rng, n=1)
-        _, du, _ = check_lstm_backward(ref, impl, xw, u, b,
-                                       rng.standard_normal((1, 4)))
-        assert not du.any()
-        _, dtrans, _, _ = check_crf(ref, impl, crf_inputs(rng, n=1))
-        assert not dtrans.any()
+    rng = np.random.default_rng(8)
+    x, alpha, h0 = ema_inputs(rng, n=1)
+    assert_same(REF["ema_forward"](x, alpha, h0), KERNELS["ema_forward"](x, alpha, h0))
+    check_ema_backward(x, alpha, h0, rng.standard_normal(x.shape))
+    xw, u, b = lstm_inputs(rng, n=1)
+    _, du, _ = check_lstm_backward(xw, u, b, rng.standard_normal((1, 4)))
+    assert not du.any()
+    _, dtrans, _, _ = check_crf(crf_inputs(rng, n=1))
+    assert not dtrans.any()
 
 
 def test_width_one_parity():
     # one class (c = 1), one LSTM unit (h = 1), one EMA feature (d = 1)
-    for ref, impl in both():
-        rng = np.random.default_rng(9)
-        x, alpha, h0 = ema_inputs(rng, n=6, d=1)
-        assert_same(ref["ema_forward"](x, alpha, h0),
-                    impl["ema_forward"](x, alpha, h0))
-        check_ema_backward(ref, impl, x, alpha, h0, rng.standard_normal(x.shape))
-        xw, u, b = lstm_inputs(rng, n=6, h=1)
-        assert_same(ref["lstm_forward"](xw, u, b), impl["lstm_forward"](xw, u, b))
-        check_lstm_backward(ref, impl, xw, u, b, rng.standard_normal((6, 1)))
-        path, _ = impl["viterbi"](*crf_inputs(rng, n=6, c=1))
-        assert not path.any()
-        check_crf(ref, impl, crf_inputs(rng, n=6, c=1))
+    rng = np.random.default_rng(9)
+    x, alpha, h0 = ema_inputs(rng, n=6, d=1)
+    assert_same(REF["ema_forward"](x, alpha, h0), KERNELS["ema_forward"](x, alpha, h0))
+    check_ema_backward(x, alpha, h0, rng.standard_normal(x.shape))
+    xw, u, b = lstm_inputs(rng, n=6, h=1)
+    assert_same(REF["lstm_forward"](xw, u, b), KERNELS["lstm_forward"](xw, u, b))
+    check_lstm_backward(xw, u, b, rng.standard_normal((6, 1)))
+    path, _ = KERNELS["viterbi"](*crf_inputs(rng, n=6, c=1))
+    assert not path.any()
+    check_crf(crf_inputs(rng, n=6, c=1))
 
 
 def test_viterbi_ties_pick_the_lowest_class():
     # all-zero potentials make every path a maximizer; the kernel and its
     # reference must both return the all-zeros path
     zeros = (np.zeros((5, 4)), np.zeros((4, 4)), np.zeros(4), np.zeros(4))
-    for table in (oracles.KERNELS, KERNELS):
+    for table in (REF, KERNELS):
         path, score = table["viterbi"](*zeros)
         assert np.array_equal(path, np.zeros(5, dtype=np.int64))
         assert score == 0.0
@@ -200,18 +193,16 @@ def test_strict_mask_parity():
     # -inf rows and columns as the strict BIO mask writes them: class 1 can
     # follow no class and class 2 can be followed by none, and the start
     # state cannot reach class 3
-    for ref, impl in both():
-        rng = np.random.default_rng(10)
-        emissions, trans, start, stop = crf_inputs(rng, n=6, c=5)
-        trans[:, 1] = -np.inf
-        trans[2, :] = -np.inf
-        start[3] = -np.inf
-        demis, dtrans, dstart, _ = check_crf(ref, impl,
-                                             (emissions, trans, start, stop))
-        assert not dtrans[:, 1].any() and not dtrans[2].any()
-        assert dstart[3] == 0.0 and not demis[1:, 1].any()
-        path, _ = impl["viterbi"](emissions, trans, start, stop)
-        assert path[0] != 3 and 1 not in path[1:] and 2 not in path[:-1]
+    rng = np.random.default_rng(10)
+    emissions, trans, start, stop = crf_inputs(rng, n=6, c=5)
+    trans[:, 1] = -np.inf
+    trans[2, :] = -np.inf
+    start[3] = -np.inf
+    demis, dtrans, dstart, _ = check_crf((emissions, trans, start, stop))
+    assert not dtrans[:, 1].any() and not dtrans[2].any()
+    assert dstart[3] == 0.0 and not demis[1:, 1].any()
+    path, _ = KERNELS["viterbi"](emissions, trans, start, stop)
+    assert path[0] != 3 and 1 not in path[1:] and 2 not in path[:-1]
 
 
 def test_long_document_parity():
@@ -224,62 +215,83 @@ def test_long_document_parity():
     here with another valid grouping of the additions).
     """
     n = 272
-    for ref, impl in both():
-        rng = np.random.default_rng(11)
-        x, alpha, h0 = ema_inputs(rng, n=n, d=16)
-        check_ema_backward(ref, impl, x, alpha, h0, rng.standard_normal(x.shape))
-        xw, u, b = lstm_inputs(rng, n=n, h=16)
-        check_lstm_backward(ref, impl, xw, u, b, rng.standard_normal((n, 16)))
-        args = crf_inputs(rng, n=n, c=7)
-        (log_z,), _ = ref["crf_forward"](*one_lane(args)[0], [n])
-        assert abs(log_z) > 100
-        check_crf(ref, impl, args, tol=1e-12 * max(1.0, abs(log_z)))
+    rng = np.random.default_rng(11)
+    x, alpha, h0 = ema_inputs(rng, n=n, d=16)
+    check_ema_backward(x, alpha, h0, rng.standard_normal(x.shape))
+    xw, u, b = lstm_inputs(rng, n=n, h=16)
+    check_lstm_backward(xw, u, b, rng.standard_normal((n, 16)))
+    args = crf_inputs(rng, n=n, c=7)
+    log_z, _ = REF["crf_forward"](*args)
+    assert abs(log_z) > 100
+    check_crf(args, tol=1e-12 * max(1.0, abs(log_z)))
 
 
 def test_crf_forward_tolerates_minus_inf_transitions():
     # forbidden transitions carry -inf potentials; the log-space scan must
     # route mass around them without producing NaN
-    emissions = np.zeros((3, 2))
-    trans = np.array([[0.0, -np.inf], [0.0, 0.0]])
-    start = np.zeros(2)
-    stop = np.zeros(2)
-    lane, lengths = one_lane((emissions, trans, start, stop))
-    for table in (oracles.KERNELS, KERNELS):
-        log_z, alpha = table["crf_forward"](*lane, lengths)
-        assert np.isfinite(log_z).all()
-        path, score = table["viterbi"](emissions, trans, start, stop)
+    args = (np.zeros((3, 2)), np.array([[0.0, -np.inf], [0.0, 0.0]]),
+            np.zeros(2), np.zeros(2))
+    trans = args[1]
+    assert np.isfinite(REF["crf_forward"](*args)[0])
+    assert np.isfinite(lane_forward(args)[0])
+    for table in (REF, KERNELS):
+        path, score = table["viterbi"](*args)
         assert np.isfinite(score)
         assert not any(trans[path[t], path[t + 1]] == -np.inf
                        for t in range(len(path) - 1))
 
 
+def lane_sums(per_lane):
+    """The parameter gradients (every result after the first) of each lane's
+    reference run, summed over the lanes."""
+    return tuple(sum(r[i] for r in per_lane) for i in range(1, len(per_lane[0])))
+
+
 def test_batched_kernels_match_each_lane_run_alone():
     # a (T, B, ...) batch with ragged lengths, one lane a single step: each
-    # lane equals its own reference run, and parameter gradients sum
+    # lane [:, b], cut to [:n] for the CRF, equals the reference run on it
+    # alone, and parameter gradients are the sum of the lanes'
     T, lengths = 9, np.array([9, 1, 5, 8])
     B = lengths.size
-    for ref, impl in both():
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal((T, B, 3))
-        alpha, h0 = rng.uniform(0.05, 0.95, 3), rng.standard_normal(3)
-        assert_same(ref["ema_forward"](x, alpha, h0), impl["ema_forward"](x, alpha, h0))
-        check_ema_backward(ref, impl, x, alpha, h0, rng.standard_normal(x.shape))
-        xw = rng.standard_normal((T, B, 16))
-        u, b = rng.standard_normal((4, 16)) * 0.3, rng.standard_normal(16) * 0.1
-        assert_same(ref["lstm_forward"](xw, u, b), impl["lstm_forward"](xw, u, b))
-        check_lstm_backward(ref, impl, xw, u, b, rng.standard_normal((T, B, 4)))
-        emissions, trans, start, stop = crf_inputs(rng, n=T * B, c=4)
-        emissions = emissions.reshape(T, B, 4)
-        trans[:, 1] = -np.inf  # a strict-mask column
-        args = (emissions, trans, start, stop)
-        log_z, alpha_c = ref["crf_forward"](*args, lengths)
-        assert_same((log_z, alpha_c), impl["crf_forward"](*args, lengths))
-        for lane, n in enumerate(lengths):
-            lz, al = ref["crf_forward"](emissions[:n, lane], trans, start, stop)
-            assert_same((lz, al), (log_z[lane], alpha_c[:n, lane]))
-            assert np.all(alpha_c[n:, lane] == -np.inf)
-        gscale = rng.standard_normal(B)
-        got = impl["crf_backward"](*args, alpha_c, log_z, gscale, lengths)
-        assert_same(ref["crf_backward"](*args, alpha_c, log_z, gscale, lengths), got)
-        demis = got[0]
-        assert not any(demis[n:, lane].any() for lane, n in enumerate(lengths))
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((T, B, 3))
+    alpha, h0 = rng.uniform(0.05, 0.95, 3), rng.standard_normal(3)
+    hist = KERNELS["ema_forward"](x, alpha, h0)
+    dout = rng.standard_normal(x.shape)
+    dx, *dparams = KERNELS["ema_backward"](x, alpha, h0, hist, dout)
+    want = [REF["ema_backward"](x[:, lane], alpha, h0, hist[:, lane], dout[:, lane])
+            for lane in range(B)]
+    for lane in range(B):
+        assert_same(REF["ema_forward"](x[:, lane], alpha, h0), hist[:, lane])
+        assert_same(want[lane][0], dx[:, lane])
+    assert_same(lane_sums(want), tuple(dparams))
+
+    xw = rng.standard_normal((T, B, 16))
+    u, b = rng.standard_normal((4, 16)) * 0.3, rng.standard_normal(16) * 0.1
+    hidden, gates, cells = KERNELS["lstm_forward"](xw, u, b)
+    dout = rng.standard_normal((T, B, 4))
+    dxw, *dparams = KERNELS["lstm_backward"](gates, cells, hidden, u, dout)
+    want = [REF["lstm_backward"](gates[:, lane], cells[:, lane], hidden[:, lane], u,
+                                 dout[:, lane]) for lane in range(B)]
+    for lane in range(B):
+        assert_same(REF["lstm_forward"](xw[:, lane], u, b),
+                    (hidden[:, lane], gates[:, lane], cells[:, lane]))
+        assert_same(want[lane][0], dxw[:, lane])
+    assert_same(lane_sums(want), tuple(dparams))
+
+    emissions, trans, start, stop = crf_inputs(rng, n=T * B, c=4)
+    emissions = emissions.reshape(T, B, 4)
+    trans[:, 1] = -np.inf  # a strict-mask column
+    log_z, alpha_c = KERNELS["crf_forward"](emissions, trans, start, stop, lengths)
+    gscale = rng.standard_normal(B)
+    demis, *dparams = KERNELS["crf_backward"](
+        emissions, trans, stop, alpha_c, log_z, gscale, lengths)
+    want = [REF["crf_backward"](emissions[:n, lane], trans, stop, alpha_c[:n, lane],
+                                log_z[lane], gscale[lane])
+            for lane, n in enumerate(lengths)]
+    for lane, n in enumerate(lengths):
+        assert_same(REF["crf_forward"](emissions[:n, lane], trans, start, stop),
+                    (log_z[lane], alpha_c[:n, lane]))
+        assert_same(want[lane][0], demis[:n, lane])
+        assert np.all(alpha_c[n:, lane] == -np.inf) and not demis[n:, lane].any()
+    assert_same(lane_sums(want), tuple(dparams))
