@@ -35,6 +35,20 @@ alternating the two sides over several numbered labels:
     python3 benchmarks/bench_e2e.py --label "parent 1" --out BENCH_15.json
     python3 benchmarks/bench_e2e.py --label "change 1" --out BENCH_15.json
 
+Rows taken in separate processes cannot resolve a few percent. With
+--parent, one process compares the two trees instead:
+
+    python3 benchmarks/bench_e2e.py --parent ../parent/src --label "ab 1" \
+        --out BENCH_19.json
+
+It imports the hreb package under that src directory as a second package,
+`hreb_parent`, saves one freshly initialized model as a checkpoint, and
+loads it into both copies. For each row, each document's decode (and each
+batch's training forward and backward) runs on both sides back to back,
+the side that goes first alternating. It reports each side's median and
+quartiles, their ratio (change over parent), whether the two sides decoded
+the same paths, and each side's record_op calls per decode.
+
 The file keeps one entry per label; a rerun replaces that label's entry.
 The script refuses to add to a file whose recorded workload differs from
 its own.
@@ -51,13 +65,18 @@ from run import environment  # noqa: E402
 from inputs import SHORT_LENGTHS  # noqa: E402
 
 import argparse  # noqa: E402
+import importlib  # noqa: E402
+import importlib.util  # noqa: E402
 import json  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
+from types import SimpleNamespace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from hreb import autodiff as ad  # noqa: E402
 from hreb import training  # noqa: E402
+from hreb.checkpoint import save_checkpoint  # noqa: E402
 from hreb.config import RunConfig  # noqa: E402
 from hreb.data import Vocab, synth_corpus  # noqa: E402
 from hreb.encoders import embed_tokens  # noqa: E402
@@ -82,6 +101,9 @@ WORKLOAD = {
     "record_ops": "autodiff.record_op calls in one batch's forward pass",
     "decode_record_ops": "autodiff.record_op calls in one HrebModel.decode "
                          "call of a fresh model: the first call and the last",
+    "ab": "--parent: both trees in one process, one checkpoint of a fresh "
+          "model; per document (decode) or batch (train), the two sides run "
+          "back to back, alternating which goes first",
 }
 
 
@@ -143,16 +165,17 @@ def timed(fn):
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def record_op_counts(calls_of):
-    """The record_op calls made by each of calls_of's zero-argument calls."""
-    record_op = ad.record_op
+def record_op_counts(calls_of, autodiff=ad):
+    """The autodiff.record_op calls made by each of calls_of's zero-argument
+    calls."""
+    record_op = autodiff.record_op
     calls = [0]
 
     def counting(*args, **kwargs):
         calls[0] += 1
         return record_op(*args, **kwargs)
 
-    ad.record_op = counting
+    autodiff.record_op = counting
     try:
         counts = []
         for call in calls_of:
@@ -160,7 +183,7 @@ def record_op_counts(calls_of):
             call()
             counts.append(calls[0] - before)
     finally:
-        ad.record_op = record_op
+        autodiff.record_op = record_op
     return counts
 
 
@@ -173,11 +196,11 @@ def record_ops_per_batch(model, batch):
             "later_per_sentence": counts[1] / len(batch)}
 
 
-def record_ops_per_decode(config, vocab, batch):
-    """record_op calls of each decode call of a fresh model."""
-    model = HrebModel(config, vocab)
+def record_ops_per_decode(fresh_model, batch, autodiff=ad):
+    """record_op calls of each decode call of fresh_model()."""
+    model = fresh_model()
     counts = record_op_counts(
-        [lambda ids=ids: model.decode(ids) for ids, _ in batch])
+        [lambda ids=ids: model.decode(ids) for ids, _ in batch], autodiff)
     return {"first": counts[0], "later": counts[-1]}
 
 
@@ -200,7 +223,8 @@ def measure():
             "decode_ms": {k: v * 1e3 / len(docs) for k, v in decode.items()},
             "bilstm_ms": {k: v * 1e3 / len(docs) for k, v in bilstm.items()},
             "record_ops_per_batch": record_ops_per_batch(model, batches[0]),
-            "record_ops_per_decode": record_ops_per_decode(model.config, vocab, docs),
+            "record_ops_per_decode": record_ops_per_decode(
+                lambda: HrebModel(model.config, vocab), docs),
         })
         print(f"n={n:4d}  train {rows[-1]['train_ms_per_sentence']['median']:8.3f} ms/sent"
               f"  decode {rows[-1]['decode_ms']['median']:8.3f} ms"
@@ -210,11 +234,94 @@ def measure():
     return rows
 
 
+def load_tree(src, name):
+    """The hreb package under the src directory, imported as package name."""
+    init = os.path.join(os.path.abspath(src), "hreb", "__init__.py")
+    if not os.path.isfile(init):
+        sys.exit(f"error: no hreb package under {src}")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[os.path.dirname(init)])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+
+
+def side(package, ckpt):
+    """One package copy's modules and its model loaded from ckpt."""
+    mods = {m: importlib.import_module(f"{package}.{m}")
+            for m in ("autodiff", "checkpoint", "training")}
+    ns = SimpleNamespace(**mods, load=lambda: mods["checkpoint"].load_model(ckpt)[0])
+    ns.model = ns.load()
+    return ns
+
+
+def train_pass(s, batch):
+    """Forward and backward of one batch on a tape, on side s."""
+    tape = s.autodiff.Tape()
+    s.autodiff.backward(tape, s.training.batch_loss(s.model, tape, batch)[0])
+
+
+def ab_timed(pairs, per):
+    """Each side's median and quartiles, over REPEATS passes after two
+    warm-up ones, of a pass's time divided by per. A pass runs each
+    (parent call, change call) pair back to back; which side goes first
+    alternates from pair to pair and pass to pass."""
+    totals = np.zeros((REPEATS + 2, 2))
+    for r in range(REPEATS + 2):
+        for i, pair in enumerate(pairs):
+            for k in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
+                t0 = time.perf_counter()
+                pair[k]()
+                totals[r, k] += time.perf_counter() - t0
+    out = {}
+    for k, label in enumerate(("parent", "change")):
+        q1, med, q3 = np.percentile(totals[2:, k] * 1e3 / per, [25, 50, 75])
+        out[label] = {"median": med, "q1": q1, "q3": q3}
+    out["ratio"] = out["change"]["median"] / out["parent"]["median"]
+    return out
+
+
+def measure_ab(parent_src):
+    load_tree(parent_src, "hreb_parent")
+    corpus = synth_corpus(*CORPUS)
+    vocab = Vocab.from_corpus(corpus)
+    config = RunConfig()
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = os.path.join(tmp, "ab.ckpt")
+        save_checkpoint(ckpt, config, vocab, training.snapshot(HrebModel(config, vocab)))
+        sides = [side("hreb_parent", ckpt), side("hreb", ckpt)]
+        for n in LENGTHS + (0,):
+            docs = documents(corpus, vocab, [n] * BATCH if n else SHORT_LENGTHS)
+            batches = [docs[i:i + BATCH] for i in range(0, len(docs), BATCH)]
+            decode = ab_timed([[lambda s=s, ids=ids: s.model.decode(ids) for s in sides]
+                               for ids, _ in docs], len(docs))
+            train = ab_timed([[lambda s=s, b=b: train_pass(s, b) for s in sides]
+                              for b in batches], len(docs))
+            rows.append({
+                "n": n,
+                "decode_ms": decode,
+                "train_ms_per_sentence": train,
+                "same_paths": all(np.array_equal(*(s.model.decode(ids) for s in sides))
+                                  for ids, _ in docs),
+                "record_ops_per_decode": {
+                    label: record_ops_per_decode(s.load, docs, s.autodiff)
+                    for label, s in zip(("parent", "change"), sides)},
+            })
+            print(f"n={n:4d}  decode x{decode['ratio']:.4f}  train x{train['ratio']:.4f}"
+                  f"  same paths {rows[-1]['same_paths']}"
+                  f"  decode record_ops {rows[-1]['record_ops_per_decode']}", flush=True)
+    return rows
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True,
                         help="name of this entry in the output file, e.g. parent")
     parser.add_argument("--out", required=True, help="BENCH_<pr>.json to update")
+    parser.add_argument("--parent", metavar="SRC",
+                        help="src directory of the tree to compare against, in "
+                             "this process")
     args = parser.parse_args()
 
     doc = {"workload": WORKLOAD, "runs": {}}
@@ -226,7 +333,8 @@ def main():
                      f"{doc.get('workload')}")
     env = environment()
     print(json.dumps(env))
-    doc["runs"][args.label] = {"environment": env, "rows": measure()}
+    rows = measure_ab(args.parent) if args.parent else measure()
+    doc["runs"][args.label] = {"environment": env, "rows": rows}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -8,7 +8,7 @@ computes all gradients. Each op checks its output for NaN/inf and fails fast.
 import itertools
 
 import numpy as np
-from scipy.special import erf as _erf, expit as _expit
+from scipy.special import erf as _erf
 
 from .errors import DegenerateRowError, NumericsError
 from . import kernels
@@ -201,6 +201,28 @@ def linear(tape, x, w, b):
     return record_op(tape, "linear", (x, w, b), x.data @ w.data + b.data, bw)
 
 
+def linear_silu(tape, x, w, b, variant):
+    """silu(x @ w + b) as one op, in either silu variant."""
+    out_data, silu_bw = _silu(x.data @ w.data + b.data, variant)
+
+    def bw(g):
+        da = silu_bw(g)
+        return da @ w.data.T, x.data.T @ da, _unbroadcast(da, b.shape)
+    return record_op(tape, "linear_silu", (x, w, b), out_data, bw)
+
+
+def weighted_sum(tape, a, f, b, x):
+    """a * f + b * x elementwise (numpy broadcasting): a residual's weighted
+    branch and skip as one op. Constant weights get no gradient."""
+    def bw(g):
+        return (_unbroadcast(g * f.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, f.shape),
+                _unbroadcast(g * x.data, b.shape) if b.requires_grad else None,
+                _unbroadcast(g * b.data, x.shape))
+    return record_op(tape, "weighted_sum", (a, f, b, x),
+                     a.data * f.data + b.data * x.data, bw)
+
+
 def affine(tape, x, s, m):
     """x * s + m elementwise: a mul and an add recorded as one op."""
     def bw(g):
@@ -255,16 +277,6 @@ def chunk_mix(tape, w, v, pack=None):
                      pack.unchunked(pack.chunks(w.data, m) @ pack.chunks(v.data, m), m), bw)
 
 
-def lerp(tape, w, a, b):
-    """w * a + (1 - w) * b elementwise: a convex mix weighted by w."""
-    def bw(g):
-        return (_unbroadcast(g * a.data - g * b.data, w.shape),
-                _unbroadcast(g * w.data, a.shape),
-                _unbroadcast(g * (1.0 - w.data), b.shape))
-    return record_op(tape, "lerp", (w, a, b),
-                     w.data * a.data + (1.0 - w.data) * b.data, bw)
-
-
 def repeat_entries(tape, a, reps):
     """Tile each entry of a 1-D tensor `reps` times (head -> per-dim layout)."""
     reps = int(reps)
@@ -299,7 +311,7 @@ def sentence_sums(tape, a, pack=None):
 # ---------------------------------------------------------------------------
 
 def sigmoid(tape, a):
-    y = _expit(a.data)
+    y = kernels.sigmoid(a.data)
 
     def bw(g):
         return (g * y * (1.0 - y),)
@@ -312,30 +324,54 @@ def log(tape, a):
     return record_op(tape, "log", (a,), np.log(a.data), bw)
 
 
-def silu_standard(tape, a):
-    s = _expit(a.data)
-
-    def bw(g):
-        return (g * s * (1.0 + a.data * (1.0 - s)),)
-    return record_op(tape, "silu_standard", (a,), a.data * s, bw)
-
-
-def silu_paper(tape, a):
-    # s + x * s * (1 - s): the sigmoid-plus-scaled-derivative form.
-    s = _expit(a.data)
-    sp = s * (1.0 - s)
-
-    def bw(g):
-        return (g * sp * (2.0 + a.data * (1.0 - 2.0 * s)),)
-    return record_op(tape, "silu_paper", (a,), s + a.data * sp, bw)
-
-
-def silu(tape, a, variant):
-    if variant == "paper":
-        return silu_paper(tape, a)
+def _silu(a, variant):
+    """(silu(a), g -> g * silu'(a)) for pre-activation a: the standard
+    a * s, or the paper's s + a * s * (1 - s) (the standard one's
+    derivative), with s = sigmoid(a). The derivative waits for backward."""
+    s = kernels.sigmoid(a)
     if variant == "standard":
-        return silu_standard(tape, a)
-    raise ValueError(f"unknown silu variant {variant!r}")
+        return a * s, lambda g: g * s * (1.0 + a * (1.0 - s))
+    if variant != "paper":
+        raise ValueError(f"unknown silu variant {variant!r}")
+    sp = 1.0 - s
+    sp *= s
+    out = a * sp
+    out += s
+    return out, lambda g: g * sp * (2.0 + a * (1.0 - 2.0 * s))
+
+
+def gated_merge(tape, x, z, o, w_gamma, b_gamma, w_phi, b_phi, w_h, u_h, b_h,
+                variant):
+    """GRU-style merge of attended values o into x, as one op: y = phi *
+    silu(z @ w_h + (gamma * o) @ u_h + b_h) + (1 - phi) * x, with reset gate
+    gamma = sigmoid(z @ w_gamma + b_gamma) and update gate phi = sigmoid(z @
+    w_phi + b_phi). Returns (y, gamma, phi), the gates as arrays. The gates'
+    pre-activations are checked too: a sigmoid squashes an inf to a finite
+    value."""
+    gamma = z.data @ w_gamma.data + b_gamma.data
+    phi = z.data @ w_phi.data + b_phi.data
+    if not (np.isfinite(gamma).all() and np.isfinite(phi).all()):
+        raise NumericsError("op 'gated_merge' produced non-finite gate pre-activations")
+    kernels.sigmoid(gamma, out=gamma)
+    kernels.sigmoid(phi, out=phi)
+    go = gamma * o.data
+    y_hat, silu_bw = _silu(z.data @ w_h.data + (go @ u_h.data + b_h.data), variant)
+
+    def bw(g):
+        d_inner = silu_bw(g * phi)
+        d_go = d_inner @ u_h.data.T
+        d_gamma = d_go * o.data * gamma * (1.0 - gamma)
+        d_phi = (g * y_hat - g * x.data) * phi * (1.0 - phi)
+        return (g * (1.0 - phi),
+                d_inner @ w_h.data.T + d_phi @ w_phi.data.T + d_gamma @ w_gamma.data.T,
+                d_go * gamma,
+                z.data.T @ d_gamma, _unbroadcast(d_gamma, b_gamma.shape),
+                z.data.T @ d_phi, _unbroadcast(d_phi, b_phi.shape),
+                z.data.T @ d_inner, go.T @ d_inner, _unbroadcast(d_inner, b_h.shape))
+    y = record_op(tape, "gated_merge",
+                  (x, z, o, w_gamma, b_gamma, w_phi, b_phi, w_h, u_h, b_h),
+                  phi * y_hat + (1.0 - phi) * x.data, bw)
+    return y, gamma, phi
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +444,7 @@ def laplace_map(tape, scores, mu, sigma_raw, mask=None):
         ds = gm * dw_du / (sig * _SQRT2)
         dmu = -ds.sum()
         dsig = (gm * dw_du * (-u)).sum() / sig
-        dsig_raw = dsig * float(_expit(sigma_raw.data))
+        dsig_raw = dsig * float(kernels.sigmoid(sigma_raw.data))
         return ds, np.float64(dmu), np.float64(dsig_raw)
     return record_op(tape, "laplace_map", (scores, mu, sigma_raw), out_data, bw)
 

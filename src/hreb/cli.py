@@ -20,6 +20,7 @@ from . import verify as verify_mod
 from .checkpoint import load_model, save_checkpoint
 from .config import parse_config
 from .data import Corpus, corpus_stats, decode_spans, parse_conll
+from .encoders import read_embedding_file
 from .errors import CheckpointError, ConfigError, NumericsError
 from .training import evaluate, train
 
@@ -57,6 +58,9 @@ def _load_corpus(cfg):
 def cmd_train(args):
     cfg = parse_config(args.config)
     corpus = _load_corpus(cfg)
+    if cfg.embeddings == "file":
+        # refuse a bad file before any output; the model reads it again
+        read_embedding_file(cfg.embedding_path, cfg.d_model)
     if os.path.exists(args.out) and not os.path.isdir(args.out):
         raise ConfigError(f"--out {args.out} exists and is not a directory")
     for line in cfg.lines():

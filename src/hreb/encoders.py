@@ -34,13 +34,9 @@ def embed_tokens(tape, ids, table):
     return ad.record_op(tape, "embed_tokens", (t,), t.data[ids], bw)
 
 
-def load_embedding_file(path, vocab, d_model, seed=0):
-    """Build an EmbeddingTable from a text file of pretrained vectors.
-
-    Format: header line "count dim", then one "token v1 ... v_dim" line per
-    token, UTF-8. Vocab tokens missing from the file get seeded
-    uniform(-0.1, 0.1) rows; the hit fraction lands in table.coverage.
-    """
+def read_embedding_file(path, d_model):
+    """{token: vector} from a UTF-8 file of pretrained vectors: a header line
+    "count dim", then one "token v1 ... v_dim" line per token."""
     vectors, line_of = {}, {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -81,7 +77,14 @@ def load_embedding_file(path, vocab, d_model, seed=0):
     if len(vectors) != count:
         raise ValueError(
             f"{path}: header promised {count} vectors, file held {len(vectors)}")
+    return vectors
 
+
+def load_embedding_file(path, vocab, d_model, seed=0):
+    """An EmbeddingTable of read_embedding_file's vectors. Vocab tokens
+    missing from the file get seeded uniform(-0.1, 0.1) rows; the hit
+    fraction lands in table.coverage."""
+    vectors = read_embedding_file(path, d_model)
     rng = np.random.default_rng(seed)
     table = EmbeddingTable(len(vocab.tokens), d_model, vocab.pad_id, rng)
     hits = 0

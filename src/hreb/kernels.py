@@ -1,4 +1,4 @@
-"""Hot recurrence kernels: EMA scan, LSTM, and linear-chain CRF dynamic programs.
+"""Hot kernels: EMA scan, LSTM, linear-chain CRF dynamic programs, and sigmoid.
 
 Each kernel runs one time step (or one CRF position) as whole-array numpy
 code, with the matrix products hoisted out of the time loop where the
@@ -16,6 +16,23 @@ exact). All arrays are float64.
 import numpy as np
 
 _NEG_INF = -np.inf
+
+
+def sigmoid(a, out=None):
+    """1 / (1 + exp(-a)) elementwise, into out if given; a 0-d input gives
+    a 0-d array. exp(-a) may overflow to inf, which reads exactly 0.0 and
+    warns of nothing."""
+    with np.errstate(over="ignore"):
+        return _sigmoid(a, out)
+
+
+def _sigmoid(a, out):
+    # sigmoid's arithmetic, for a caller that already ignores overflow: the
+    # LSTM loop enters np.errstate once, as a guard per step cost ~10% of it
+    y = np.asarray(np.negative(a, out=out))
+    np.exp(y, out=y)
+    y += 1.0
+    return np.reciprocal(y, out=y)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +80,6 @@ def ema_backward(x, alpha, h0, hist, dout):
 # ---------------------------------------------------------------------------
 
 def lstm_forward(xw, u, b):
-    n = xw.shape[0]
     h_dim = u.shape[0]
     xwb = xw + b
     gates = np.empty(xw.shape)
@@ -74,19 +90,19 @@ def lstm_forward(xw, u, b):
     cs = (Ellipsis, slice(2 * h_dim, 3 * h_dim))
     h = np.zeros(cells.shape[1:])
     c = np.zeros(h.shape)
-    for t in range(n):
-        a = xwb[t] + h @ u
-        g = gates[t]
-        # sigmoid on all four slices, then tanh overwrites the cell slice
-        np.negative(a, out=g)
-        np.exp(g, out=g)
-        g += 1.0
-        np.reciprocal(g, out=g)
-        np.tanh(a[cs], out=c_g[t])
-        c = f_g[t] * c + i_g[t] * c_g[t]
-        h = o_g[t] * np.tanh(c)
-        cells[t] = c
-        hidden[t] = h
+    steps = zip(xwb, gates, i_g, f_g, c_g, o_g, cells, hidden)
+    with np.errstate(over="ignore"):
+        for xwb_t, g_t, i_t, f_t, c_g_t, o_t, c_t, h_t in steps:
+            a = h @ u
+            a += xwb_t
+            # sigmoid on all four slices, then tanh overwrites the cell slice
+            _sigmoid(a, out=g_t)
+            np.tanh(a[cs], out=c_g_t)
+            # c and h are written in place, as this step's rows
+            c = np.multiply(f_t, c, out=c_t)
+            c += i_t * c_g_t
+            h = np.tanh(c, out=h_t)
+            h *= o_t
     return hidden, gates, cells
 
 

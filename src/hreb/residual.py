@@ -63,12 +63,12 @@ def apply(tape, x, branch, state):
     if state.mode == "off":
         return ad.add(tape, f, x)
     if state.mode == "static":
-        return ad.add(tape, ad.scale(tape, f, state.alpha),
-                      ad.scale(tape, x, state.beta))
-    if tape is not None and tape.record:
-        pending(tape, state).append((f, x))
-    gate_f, gate_x = ad.per_tape(tape, state, lambda: _gates(tape, state))
-    return ad.add(tape, ad.mul(tape, gate_f, f), ad.mul(tape, gate_x, x))
+        gate_f, gate_x = ad.Tensor(state.alpha), ad.Tensor(state.beta)
+    else:
+        if tape is not None and tape.record:
+            pending(tape, state).append((f, x))
+        gate_f, gate_x = ad.per_tape(tape, state, lambda: _gates(tape, state))
+    return ad.weighted_sum(tape, gate_f, f, gate_x, x)
 
 
 def _gates(tape, state):

@@ -133,8 +133,8 @@ class RhemaParams(BlockParams):
 def shared_rep(tape, x, params, config, pack=None):
     """Z = silu(EMA(x) @ W_z + b_z) + x."""
     smoothed = multihead_ema(tape, x, params.ema, pack)
-    proj = ad.linear(tape, smoothed, params.w_z, params.b_z)
-    return ad.add(tape, ad.silu(tape, proj, config.silu_variant), x)
+    return ad.add(tape, ad.linear_silu(tape, smoothed, params.w_z, params.b_z,
+                                       config.silu_variant), x)
 
 
 def qk_transform(tape, z, params):
@@ -142,12 +142,6 @@ def qk_transform(tape, z, params):
     q = ad.affine(tape, z, params.kappa_q, params.mu_q)
     k = ad.affine(tape, z, params.kappa_k, params.mu_k)
     return q, k
-
-
-def value_transform(tape, x, params, config):
-    """V = silu(x @ W_v + b_v), widening to v_dim."""
-    return ad.silu(tape, ad.linear(tape, x, params.w_v, params.b_v),
-                   config.silu_variant)
 
 
 def attention(tape, q, k, v, params, config, trace=None, pack=None):
@@ -185,15 +179,11 @@ def attention(tape, q, k, v, params, config, trace=None, pack=None):
 
 def gated_output(tape, x, z, o, params, config, trace=None):
     """GRU-style merge: reset-gate the attended values, update-gate the mix."""
-    gamma = ad.sigmoid(tape, ad.linear(tape, z, params.w_gamma, params.b_gamma))
-    phi = ad.sigmoid(tape, ad.linear(tape, z, params.w_phi, params.b_phi))
-    inner = ad.add(tape, ad.matmul(tape, z, params.w_h),
-                   ad.linear(tape, ad.mul(tape, gamma, o), params.u_h, params.b_h))
-    y_hat = ad.silu(tape, inner, config.silu_variant)
-    y = ad.lerp(tape, phi, y_hat, x)
+    p = params
+    y, gamma, phi = ad.gated_merge(tape, x, z, o, p.w_gamma, p.b_gamma, p.w_phi,
+                                   p.b_phi, p.w_h, p.u_h, p.b_h, config.silu_variant)
     if trace is not None:
-        trace.gamma = gamma.data.copy()
-        trace.phi = phi.data.copy()
+        trace.gamma, trace.phi = gamma, phi
     return y
 
 
@@ -224,7 +214,7 @@ def _block(tape, x, p, config, attend, pack):
 
     def ffn_branch(xin):
         xn = _norm(tape, xin, p.norm2_gain, p.norm2_bias, config, pack)
-        h = ad.silu_paper(tape, ad.linear(tape, xn, p.ffn_w1, p.ffn_b1))
+        h = ad.linear_silu(tape, xn, p.ffn_w1, p.ffn_b1, "paper")
         return ad.linear(tape, h, p.ffn_w2, p.ffn_b2)
 
     mid = residual.apply(tape, x, attn_branch, p.rb_attn)
@@ -236,7 +226,7 @@ def rhema_block(tape, x, params, config, trace=None, pack=None):
     def attend(xn):
         z = shared_rep(tape, xn, params, config, pack)
         q, k = qk_transform(tape, z, params)
-        v = value_transform(tape, xn, params, config)
+        v = ad.linear_silu(tape, xn, params.w_v, params.b_v, config.silu_variant)
         if trace is not None:
             trace.z = z.data.copy()
             trace.q = q.data.copy()

@@ -84,6 +84,11 @@ def op_grad_checks(seed=0, tol=1e-4):
         lstm.update({"w_" + lane: rng.standard_normal((d, 4 * h)),
                      "u_" + lane: rng.standard_normal((h, 4 * h)),
                      "b_" + lane: rng.standard_normal(4 * h)})
+    # the fused ops draw from their own stream; gated_merge's values are 5 wide
+    fz = np.random.default_rng(seed + 2)
+    merge = {k: fz.standard_normal(shape) for k, shape in zip(
+        ("x", "z", "o", "w_gamma", "b_gamma", "w_phi", "b_phi", "w_h", "u_h", "b_h"),
+        ((n, d), (n, d), (n, 5), (d, 5), 5, (d, d), d, (d, d), (5, d), d))}
 
     cases = [
         ("add", {"a": a, "bias": vec}, ad.add),
@@ -93,19 +98,22 @@ def op_grad_checks(seed=0, tol=1e-4):
         ("clamp_min", {"a": pos}, lambda t, x: ad.clamp_min(t, x, 1.0)),
         ("matmul", {"a": a, "b": sq}, ad.matmul),
         ("linear", {"x": a, "w": sq, "b": vec}, ad.linear),
+        ("linear_silu", {"x": a, "w": sq, "b": vec},
+         lambda t, xs, w, bs: ad.linear_silu(t, xs, w, bs, "paper")),
+        # the other silu variant, so each has its check
+        ("gated_merge", merge, lambda t, *ts: ad.gated_merge(t, *ts, "standard")[0]),
+        ("weighted_sum", {"a": fz.uniform(0, 1, (1, d)), "f": a,
+                          "b": fz.uniform(0, 1, (1, d)), "x": b}, ad.weighted_sum),
         ("affine", {"x": a, "scale": gain, "shift": beta}, ad.affine),
         ("dot_scores", {"q": q, "k": k},
          lambda t, q, k: ad.dot_scores(t, q, k, 0.5, band_m, rag)),
         ("chunk_mix", {"w": band, "v": k},
          lambda t, w, v: ad.chunk_mix(t, w, v, rag)),
-        ("lerp", {"w": pos / 2.0, "a": a, "b": b}, ad.lerp),
         ("repeat_entries", {"a": vec}, lambda t, x: ad.repeat_entries(t, x, 3)),
         ("sum_all", {"a": a}, ad.sum_all),
         ("sentence_sums", {"a": x}, lambda t, a: ad.sentence_sums(t, a, rag)),
         ("sigmoid", {"a": a}, ad.sigmoid),
         ("log", {"a": pos}, ad.log),
-        ("silu_standard", {"a": a}, ad.silu_standard),
-        ("silu_paper", {"a": a}, ad.silu_paper),
         ("layer_norm", {"x": a, "gain": gain, "bias": beta}, ad.layer_norm),
         ("feature_norm", {"x": x, "gain": gain, "bias": beta},
          lambda t, xs, g, bs: ad.feature_norm(t, xs, g, bs, pack=rag)),

@@ -191,7 +191,9 @@ def test_criterion_4_gate_identities():
                        ad.add(None,
                               ad.matmul(None, ad.mul(None, gamma, o), params.u_h),
                               params.b_h))
-        y_hat = ad.silu(None, inner, cfg.silu_variant)
+        # silu of inner: through the identity, the linear step is exact
+        y_hat = ad.linear_silu(None, inner, ad.Tensor(np.eye(6)),
+                               ad.Tensor(np.zeros(6)), cfg.silu_variant)
         assert np.array_equal(y_full.data, y_hat.data)
 
         # saturated to exactly 0: the input passes through untouched

@@ -546,3 +546,19 @@ def test_malformed_corpus_is_a_config_error_naming_the_file(
     assert rc == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(bad) in err and "line 2" in err
+
+
+def test_a_bad_embedding_file_is_refused_before_any_output(workspace, tmp_path,
+                                                           capsys):
+    bad = tmp_path / "vecs.txt"
+    bad.write_bytes(b"2 8\n\xff\n")
+    cfg = (workspace / "run.cfg").read_text(encoding="utf-8")
+    (tmp_path / "emb.cfg").write_text(
+        cfg + f"embeddings=file\nembedding_path={bad}\n", encoding="utf-8")
+    rc = cli.main(["train", "--config", str(tmp_path / "emb.cfg"),
+                   "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert str(bad) in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()

@@ -3,7 +3,10 @@
 A reference takes one sequence; a batched kernel is checked lane by lane.
 """
 
+import warnings
+
 import numpy as np
+from scipy.special import expit
 
 from hreb import kernels, oracles
 
@@ -295,3 +298,21 @@ def test_batched_kernels_match_each_lane_run_alone():
         assert_same(want[lane][0], demis[:n, lane])
         assert np.all(alpha_c[n:, lane] == -np.inf) and not demis[n:, lane].any()
     assert_same(lane_sums(want), tuple(dparams))
+
+
+def test_sigmoid_is_exact_and_quiet_at_the_edges_and_takes_0d_input():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edges = kernels.sigmoid(np.array([1000.0, -1000.0]))
+    assert edges[0] == 1.0 and edges[1] == 0.0
+    # a 0-d input (laplace_map's scale parameter) gives a 0-d array
+    y = kernels.sigmoid(np.array(0.3))
+    assert isinstance(y, np.ndarray) and y.shape == ()
+    assert abs(float(y) - expit(0.3)) <= 2.3e-16
+    out = np.empty(3)
+    assert kernels.sigmoid(np.array([-1.0, 0.0, 1.0]), out=out) is out
+
+
+def test_sigmoid_matches_scipy_expit():
+    xs = np.random.default_rng(19).standard_normal(100_000) * 12.0
+    assert np.abs(kernels.sigmoid(xs) - expit(xs)).max() <= 2.3e-16

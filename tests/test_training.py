@@ -356,7 +356,7 @@ def test_decode_tape_stays_empty_and_checks_every_op():
     with np.errstate(invalid="ignore"), pytest.raises(NumericsError) as decoded:
         model.decode(docs[0])
     assert str(decoded.value) == str(tape_free.value)
-    assert "op 'linear'" in str(decoded.value)
+    assert "op 'linear_silu'" in str(decoded.value)
 
 
 def test_ablate_covers_the_grid_and_isolates_switches():
