@@ -1,4 +1,4 @@
-"""Per-sentence cost of training and decoding on a fixed workload.
+"""Per-sentence cost of training and decoding, two trees in one process.
 
 Times, for 16 documents of n tokens (n in LENGTHS: 4, 16, 64 and 256), and
 for a ragged row of documents at the 24 training lengths of perfbench's
@@ -9,45 +9,33 @@ train_short workload (6 to 26 tokens; n is reported as 0):
   documents on one tape), reported per sentence; the Adam step and the
   gate-cache commit are not included;
 - decode: `HrebModel.decode` of the same documents, one call each,
-  reported per call;
-- bilstm: `model.lstm.forward` on a tape plus its backward, fed each
-  batch's encoder output, reported per sentence (the BiLSTM's share of
-  train).
+  reported per call.
 
-It also counts the `autodiff.record_op` calls of a training batch's
-forward pass: the first batch on a tape, a later one, and the later one
-per sentence. A batch's forward pass is what perfbench traces as
-`training.forward`, and its count there is `autodiff.record_op.per_sentence`.
-And it counts the `record_op` calls of one `HrebModel.decode` call: the
-first call of a fresh model and a later one.
-Each timing is the median and quartiles of REPEATS runs after two warm-up
-runs.
+The two sides are the hreb package of this checkout (the change) and the
+one under the src directory passed as --parent, imported as a second
+package, `hreb_parent`. One freshly initialized model is saved as a
+checkpoint and loaded into both. For each row, each document's decode and
+each batch's training pass run on both sides back to back, the side that
+goes first alternating. Rows taken in separate processes cannot resolve a
+few percent; rows taken this way can. A row reports each side's median
+and quartiles over REPEATS passes after two warm-up passes, their ratio
+(change over parent), and whether the two sides decoded the same paths.
+It also counts each side's `autodiff.record_op` calls: in one batch's
+forward pass on a fresh tape (what perfbench traces as
+`training.forward`), and in the first and the last decode call of a
+freshly loaded model.
 
 The workload is fixed: the default `RunConfig` (seed 0), a vocabulary from
 `synth_corpus(0, 64, 3)`, and documents cut from that corpus's token stream.
 BLAS is pinned to one thread before numpy loads, as perfbench does, and
 the environment record is perfbench's.
 
-Run from the repository root of each commit being compared (copy this
-script into a checkout that lacks it), with the same output file,
-alternating the two sides over several numbered labels:
+Run from the repository root. To measure one tree, pass its own src (an
+A/A run); to compare it with another checkout, pass that one's:
 
-    python3 benchmarks/bench_e2e.py --label "parent 1" --out BENCH_15.json
-    python3 benchmarks/bench_e2e.py --label "change 1" --out BENCH_15.json
-
-Rows taken in separate processes cannot resolve a few percent. With
---parent, one process compares the two trees instead:
-
+    python3 benchmarks/bench_e2e.py --parent src --label "aa 1" --out BENCH_20.json
     python3 benchmarks/bench_e2e.py --parent ../parent/src --label "ab 1" \
-        --out BENCH_19.json
-
-It imports the hreb package under that src directory as a second package,
-`hreb_parent`, saves one freshly initialized model as a checkpoint, and
-loads it into both copies. For each row, each document's decode (and each
-batch's training forward and backward) runs on both sides back to back,
-the side that goes first alternating. It reports each side's median and
-quartiles, their ratio (change over parent), whether the two sides decoded
-the same paths, and each side's record_op calls per decode.
+        --out BENCH_20.json
 
 The file keeps one entry per label; a rerun replaces that label's entry.
 The script refuses to add to a file whose recorded workload differs from
@@ -74,18 +62,17 @@ from types import SimpleNamespace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from hreb import autodiff as ad  # noqa: E402
 from hreb import training  # noqa: E402
 from hreb.checkpoint import save_checkpoint  # noqa: E402
 from hreb.config import RunConfig  # noqa: E402
 from hreb.data import Vocab, synth_corpus  # noqa: E402
-from hreb.encoders import embed_tokens  # noqa: E402
-from hreb.model import HrebModel, pack_ids  # noqa: E402
+from hreb.model import HrebModel  # noqa: E402
 
 BATCH = 16
 CORPUS = (0, 64, 3)
 LENGTHS = (4, 16, 64, 256)
 REPEATS = 15
+SIDES = ("parent", "change")
 WORKLOAD = {
     "config": "RunConfig() defaults",
     "vocab": f"synth_corpus{CORPUS}",
@@ -96,14 +83,13 @@ WORKLOAD = {
     "train": "forward + backward of each batch on one tape "
              "(training.batch_loss), per sentence",
     "decode": "HrebModel.decode of the same documents, per call",
-    "bilstm": "model.lstm.forward of each batch on a tape plus its "
-              "backward, per sentence",
-    "record_ops": "autodiff.record_op calls in one batch's forward pass",
+    "record_ops": "autodiff.record_op calls in one batch's forward pass "
+                  "on a fresh tape",
     "decode_record_ops": "autodiff.record_op calls in one HrebModel.decode "
                          "call of a fresh model: the first call and the last",
-    "ab": "--parent: both trees in one process, one checkpoint of a fresh "
-          "model; per document (decode) or batch (train), the two sides run "
-          "back to back, alternating which goes first",
+    "ab": "both trees in one process, one checkpoint of a fresh model; per "
+          "document (decode) or batch (train), the two sides run back to "
+          "back, alternating which goes first",
 }
 
 
@@ -125,47 +111,7 @@ def documents(corpus, vocab, lengths):
     return out
 
 
-def batch_forward(model, tape, batch):
-    """A batch's training loss on tape, as training runs it."""
-    return training.batch_loss(model, tape, batch)[0]
-
-
-def train_step(model, batches):
-    """Forward and backward of each batch on its own tape."""
-    for batch in batches:
-        tape = ad.Tape()
-        ad.backward(tape, batch_forward(model, tape, batch))
-
-
-def bilstm_input(model, batch, rng):
-    """(encoder output, output weighting, pack) of a batch's BiLSTM call."""
-    ids, pack = pack_ids([ids for ids, _ in batch])
-    x = model.encoder.forward(None, embed_tokens(None, ids, model.embed), pack=pack)
-    w = ad.Tensor(rng.standard_normal((ids.size, 2 * model.lstm.h)))
-    return ad.Tensor(x.data, requires_grad=True), w, pack
-
-
-def bilstm_step(model, inputs):
-    """BiLSTM forward on a tape plus its backward, for each input."""
-    for x, w, pack in inputs:
-        tape = ad.Tape()
-        out = model.lstm.forward(tape, x, pack=pack)
-        ad.backward(tape, ad.sum_all(tape, ad.mul(tape, out, w)))
-
-
-def timed(fn):
-    for _ in range(2):
-        fn()
-    times = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    q1, med, q3 = np.percentile(times, [25, 50, 75])
-    return {"median": med, "q1": q1, "q3": q3}
-
-
-def record_op_counts(calls_of, autodiff=ad):
+def record_op_counts(autodiff, calls_of):
     """The autodiff.record_op calls made by each of calls_of's zero-argument
     calls."""
     record_op = autodiff.record_op
@@ -185,53 +131,6 @@ def record_op_counts(calls_of, autodiff=ad):
     finally:
         autodiff.record_op = record_op
     return counts
-
-
-def record_ops_per_batch(model, batch):
-    """record_op calls of a batch's forward pass: the first on a tape and a
-    later one."""
-    tape = ad.Tape()
-    counts = record_op_counts([lambda: batch_forward(model, tape, batch)] * 2)
-    return {"first": counts[0], "later": counts[1],
-            "later_per_sentence": counts[1] / len(batch)}
-
-
-def record_ops_per_decode(fresh_model, batch, autodiff=ad):
-    """record_op calls of each decode call of fresh_model()."""
-    model = fresh_model()
-    counts = record_op_counts(
-        [lambda ids=ids: model.decode(ids) for ids, _ in batch], autodiff)
-    return {"first": counts[0], "later": counts[-1]}
-
-
-def measure():
-    corpus = synth_corpus(*CORPUS)
-    vocab = Vocab.from_corpus(corpus)
-    model = HrebModel(RunConfig(), vocab)
-    rng = np.random.default_rng(0)
-    rows = []
-    for n in LENGTHS + (0,):
-        docs = documents(corpus, vocab, [n] * BATCH if n else SHORT_LENGTHS)
-        batches = [docs[i:i + BATCH] for i in range(0, len(docs), BATCH)]
-        train = timed(lambda: train_step(model, batches))
-        decode = timed(lambda: [model.decode(ids) for ids, _ in docs])
-        inputs = [bilstm_input(model, batch, rng) for batch in batches]
-        bilstm = timed(lambda: bilstm_step(model, inputs))
-        rows.append({
-            "n": n,
-            "train_ms_per_sentence": {k: v * 1e3 / len(docs) for k, v in train.items()},
-            "decode_ms": {k: v * 1e3 / len(docs) for k, v in decode.items()},
-            "bilstm_ms": {k: v * 1e3 / len(docs) for k, v in bilstm.items()},
-            "record_ops_per_batch": record_ops_per_batch(model, batches[0]),
-            "record_ops_per_decode": record_ops_per_decode(
-                lambda: HrebModel(model.config, vocab), docs),
-        })
-        print(f"n={n:4d}  train {rows[-1]['train_ms_per_sentence']['median']:8.3f} ms/sent"
-              f"  decode {rows[-1]['decode_ms']['median']:8.3f} ms"
-              f"  bilstm {rows[-1]['bilstm_ms']['median']:8.3f} ms"
-              f"  record_ops {rows[-1]['record_ops_per_batch']}"
-              f"  decode record_ops {rows[-1]['record_ops_per_decode']}", flush=True)
-    return rows
 
 
 def load_tree(src, name):
@@ -255,10 +154,15 @@ def side(package, ckpt):
     return ns
 
 
+def train_forward(s, batch):
+    """Side s's training loss of one batch, on a fresh tape."""
+    tape = s.autodiff.Tape()
+    return tape, s.training.batch_loss(s.model, tape, batch)[0]
+
+
 def train_pass(s, batch):
     """Forward and backward of one batch on a tape, on side s."""
-    tape = s.autodiff.Tape()
-    s.autodiff.backward(tape, s.training.batch_loss(s.model, tape, batch)[0])
+    s.autodiff.backward(*train_forward(s, batch))
 
 
 def ab_timed(pairs, per):
@@ -274,14 +178,15 @@ def ab_timed(pairs, per):
                 pair[k]()
                 totals[r, k] += time.perf_counter() - t0
     out = {}
-    for k, label in enumerate(("parent", "change")):
+    for k, label in enumerate(SIDES):
         q1, med, q3 = np.percentile(totals[2:, k] * 1e3 / per, [25, 50, 75])
         out[label] = {"median": med, "q1": q1, "q3": q3}
     out["ratio"] = out["change"]["median"] / out["parent"]["median"]
     return out
 
 
-def measure_ab(parent_src):
+def measure(parent_src):
+    """One row per document length: both sides' timings and counts."""
     load_tree(parent_src, "hreb_parent")
     corpus = synth_corpus(*CORPUS)
     vocab = Vocab.from_corpus(corpus)
@@ -298,30 +203,38 @@ def measure_ab(parent_src):
                                for ids, _ in docs], len(docs))
             train = ab_timed([[lambda s=s, b=b: train_pass(s, b) for s in sides]
                               for b in batches], len(docs))
+            per_batch, per_decode = {}, {}
+            for label, s in zip(SIDES, sides):
+                [per_batch[label]] = record_op_counts(
+                    s.autodiff, [lambda: train_forward(s, batches[0])])
+                fresh = s.load()
+                counts = record_op_counts(
+                    s.autodiff, [lambda ids=ids: fresh.decode(ids) for ids, _ in docs])
+                per_decode[label] = {"first": counts[0], "later": counts[-1]}
             rows.append({
                 "n": n,
                 "decode_ms": decode,
                 "train_ms_per_sentence": train,
                 "same_paths": all(np.array_equal(*(s.model.decode(ids) for s in sides))
                                   for ids, _ in docs),
-                "record_ops_per_decode": {
-                    label: record_ops_per_decode(s.load, docs, s.autodiff)
-                    for label, s in zip(("parent", "change"), sides)},
+                "record_ops_per_batch": per_batch,
+                "record_ops_per_decode": per_decode,
             })
             print(f"n={n:4d}  decode x{decode['ratio']:.4f}  train x{train['ratio']:.4f}"
                   f"  same paths {rows[-1]['same_paths']}"
-                  f"  decode record_ops {rows[-1]['record_ops_per_decode']}", flush=True)
+                  f"  record_ops per batch {per_batch}  per decode {per_decode}",
+                  flush=True)
     return rows
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True,
-                        help="name of this entry in the output file, e.g. parent")
+                        help="name of this entry in the output file, e.g. 'ab 1'")
     parser.add_argument("--out", required=True, help="BENCH_<pr>.json to update")
-    parser.add_argument("--parent", metavar="SRC",
+    parser.add_argument("--parent", metavar="SRC", required=True,
                         help="src directory of the tree to compare against, in "
-                             "this process")
+                             "this process; this checkout's own src for an A/A run")
     args = parser.parse_args()
 
     doc = {"workload": WORKLOAD, "runs": {}}
@@ -333,7 +246,7 @@ def main():
                      f"{doc.get('workload')}")
     env = environment()
     print(json.dumps(env))
-    rows = measure_ab(args.parent) if args.parent else measure()
+    rows = measure(args.parent)
     doc["runs"][args.label] = {"environment": env, "rows": rows}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

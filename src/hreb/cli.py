@@ -21,7 +21,7 @@ from .checkpoint import load_model, save_checkpoint
 from .config import parse_config
 from .data import Corpus, corpus_stats, decode_spans, parse_conll
 from .encoders import read_embedding_file
-from .errors import CheckpointError, ConfigError, NumericsError
+from .errors import CheckpointError, ConfigError, NumericsError, read_lines
 from .training import evaluate, train
 
 EXIT_OK = 0
@@ -35,8 +35,8 @@ def _read_corpus_file(path, source="--corpus", bio=True):
     """parse_conll(path, bio), failing with a ConfigError that names the file."""
     try:
         return parse_conll(path, bio)
-    except OSError as e:
-        raise ConfigError(f"{source}: cannot read {path}: {e.strerror}")
+    except ConfigError as e:
+        raise ConfigError(f"{source}: {e}")
     except ValueError as e:
         raise ConfigError(f"{source}: {path}: {e}")
 
@@ -58,14 +58,15 @@ def _load_corpus(cfg):
 def cmd_train(args):
     cfg = parse_config(args.config)
     corpus = _load_corpus(cfg)
+    vectors = None
     if cfg.embeddings == "file":
-        # refuse a bad file before any output; the model reads it again
-        read_embedding_file(cfg.embedding_path, cfg.d_model)
+        # refuse a bad file before any output
+        vectors = read_embedding_file(cfg.embedding_path, cfg.d_model)
     if os.path.exists(args.out) and not os.path.isdir(args.out):
         raise ConfigError(f"--out {args.out} exists and is not a directory")
     for line in cfg.lines():
         print(line)
-    result = train(cfg, corpus, log=lambda s: print(s, flush=True))
+    result = train(cfg, corpus, log=lambda s: print(s, flush=True), vectors=vectors)
     if cfg.embeddings == "file":
         print(f"embedding coverage {result.model.embed.coverage:.6f}")
     try:
@@ -102,14 +103,9 @@ def cmd_eval(args):
 
 def cmd_predict(args):
     model, _ = load_model(args.ckpt)
-    try:
-        with open(args.infile, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as e:
-        raise ConfigError(f"cannot read input {args.infile}: {e.strerror}")
     skipped = 0
     out_lines = []
-    for raw in lines:
+    for raw in read_lines(args.infile, "input"):
         tokens = raw.split()
         if not tokens:
             skipped += 1

@@ -8,7 +8,7 @@ default; a config file only states what differs.
 import math
 import os
 
-from .errors import ConfigError
+from .errors import ConfigError, read_lines
 
 # key -> (default, help). Types are inferred from the default; 0 on the
 # dimension sentinels means "derive from d_model".
@@ -144,14 +144,7 @@ class RunConfig:
 def parse_config(source):
     """Read a RunConfig from a path or an iterable of key=value lines."""
     if isinstance(source, (str, os.PathLike)):
-        try:
-            with open(source, encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except OSError as e:
-            raise ConfigError(f"cannot read config file {source}: {e.strerror}")
-        except UnicodeDecodeError as e:
-            raise ConfigError(f"config file {source} is not UTF-8: {e}")
-        return parse_config(lines)
+        return parse_config(read_lines(source, "config file"))
     overrides = {}
     for lineno, raw in enumerate(source, start=1):
         line = raw.split("#", 1)[0].strip()

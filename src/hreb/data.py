@@ -9,7 +9,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, read_lines
 from .encoders import PAD_TOKEN, UNK_TOKEN
 
 
@@ -115,8 +115,7 @@ def parse_conll(source, bio=True):
     corpus.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, encoding="utf-8") as fh:
-            return parse_conll(fh.readlines(), bio)
+        return parse_conll(read_lines(source, "corpus file"), bio)
     sentences = []
     toks, tags = [], []
     for lineno, raw in enumerate(source, start=1):

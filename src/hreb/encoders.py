@@ -3,7 +3,7 @@
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError
+from .errors import ConfigError, read_lines
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -38,13 +38,7 @@ def read_embedding_file(path, d_model):
     """{token: vector} from a UTF-8 file of pretrained vectors: a header line
     "count dim", then one "token v1 ... v_dim" line per token."""
     vectors, line_of = {}, {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as e:
-        raise ConfigError(f"cannot read embedding file {path}: {e.strerror}")
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"embedding file {path} is not UTF-8: {e}")
+    lines = read_lines(path, "embedding file")
     header = lines[0] if lines else ""
     parts = header.split()
     if len(parts) != 2:
@@ -80,11 +74,13 @@ def read_embedding_file(path, d_model):
     return vectors
 
 
-def load_embedding_file(path, vocab, d_model, seed=0):
-    """An EmbeddingTable of read_embedding_file's vectors. Vocab tokens
+def load_embedding_file(path, vocab, d_model, seed=0, vectors=None):
+    """An EmbeddingTable of read_embedding_file's vectors, or of vectors it
+    already returned for path, which are then not read again. Vocab tokens
     missing from the file get seeded uniform(-0.1, 0.1) rows; the hit
     fraction lands in table.coverage."""
-    vectors = read_embedding_file(path, d_model)
+    if vectors is None:
+        vectors = read_embedding_file(path, d_model)
     rng = np.random.default_rng(seed)
     table = EmbeddingTable(len(vocab.tokens), d_model, vocab.pad_id, rng)
     hits = 0
@@ -122,7 +118,6 @@ class BiLstm(ad.Module):
 
     def __init__(self, d_in, h, rng, prefix="lstm."):
         super().__init__(prefix)
-        self.h = h
         self.fwd = self.sub(LstmParams(d_in, h, rng, prefix + "fwd."))
         self.bwd = self.sub(LstmParams(d_in, h, rng, prefix + "bwd."))
 

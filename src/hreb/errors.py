@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text-file reader
+that raises them."""
 
 
 class HrebError(Exception):
@@ -40,3 +41,15 @@ class CheckpointError(HrebError):
 
 class VerificationError(HrebError):
     """A self-check (gradient, decoder, or scan equivalence) failed."""
+
+
+def read_lines(path, what):
+    """The lines of the UTF-8 text file at path. A file that cannot be read
+    or is not UTF-8 is a ConfigError that calls it `what` and names it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except OSError as e:
+        raise ConfigError(f"cannot read {what} {path}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{what} {path} is not UTF-8: {e}")

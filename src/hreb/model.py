@@ -28,10 +28,11 @@ class HrebModel(ad.Module):
 
     It runs one sentence, or a batch of them packed end to end as one
     sequence of rows (hreb.pack), each at its true length. All floats are
-    64-bit. The parameter list is fixed at construction.
+    64-bit. The parameter list is fixed at construction. vectors, if read
+    already from the config's embedding_path, spare reading it again.
     """
 
-    def __init__(self, config, vocab):
+    def __init__(self, config, vocab, vectors=None):
         super().__init__()
         self.config = config
         self.vocab = vocab
@@ -43,7 +44,7 @@ class HrebModel(ad.Module):
 
         if config.embeddings == "file":
             self.embed = self.sub(load_embedding_file(
-                config.embedding_path, vocab, d, seed=config.seed))
+                config.embedding_path, vocab, d, seed=config.seed, vectors=vectors))
         else:
             self.embed = self.sub(EmbeddingTable(len(vocab.tokens), d, vocab.pad_id, rng))
         encoder = HierarchicalEncoder if config.attention_mode == "hema" else NaiveEncoder

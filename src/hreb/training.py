@@ -103,7 +103,7 @@ def _epoch_pass(model, batches, opt, states, momentum):
     return total / n_sent
 
 
-def train(config, corpus, log=None):
+def train(config, corpus, log=None, vectors=None):
     """Full training run per the config; returns a TrainResult.
 
     Emits one "epoch N P x R x F1 x loss x" line per epoch (validation
@@ -112,10 +112,11 @@ def train(config, corpus, log=None):
     divergence the run aborts and the best (or initial) weights survive;
     stop_reason is "degenerate_attention" when an attention row could not
     be normalized and "diverged" for any other numeric fault.
-    A zero learning rate turns every step into a no-op.
+    A zero learning rate turns every step into a no-op. vectors go to
+    HrebModel.
     """
     vocab = Vocab.from_corpus(corpus)
-    model = HrebModel(config, vocab)
+    model = HrebModel(config, vocab, vectors)
     names = model.param_names()
     if len(set(names)) != len(names):
         raise RuntimeError("duplicate parameter names: checkpointing would alias")

@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, formats, exit codes."""
 
+import builtins
 import os
 import struct
 import subprocess
@@ -162,7 +163,7 @@ def test_a_corpus_whose_tags_are_not_bio_is_refused_before_any_output(
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("which", ["config", "embedding"])
+@pytest.mark.parametrize("which", ["config", "embedding", "predict", "corpus"])
 def test_a_file_that_is_not_utf8_is_a_config_error_naming_it(
         workspace, tmp_path, capsys, which):
     bad = tmp_path / "bad.bin"
@@ -170,8 +171,14 @@ def test_a_file_that_is_not_utf8_is_a_config_error_naming_it(
     cfg = tmp_path / "run.cfg"
     cfg.write_text((workspace / "run.cfg").read_text(encoding="utf-8")
                    + f"embeddings=file\nembedding_path={bad}\n", encoding="utf-8")
-    rc = cli.main(["train", "--config", str(bad if which == "config" else cfg),
-                   "--out", str(tmp_path / "o")])
+    ckpt = str(workspace / "run1" / "best.ckpt")
+    rc = cli.main({
+        "config": ["train", "--config", str(bad), "--out", str(tmp_path / "o")],
+        "embedding": ["train", "--config", str(cfg), "--out", str(tmp_path / "o")],
+        "predict": ["predict", "--ckpt", ckpt, "--in", str(bad),
+                    "--out", str(tmp_path / "o.txt")],
+        "corpus": ["eval", "--ckpt", ckpt, "--corpus", str(bad)],
+    }[which])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:") and err.count("\n") == 1
@@ -195,7 +202,8 @@ def test_unusable_embedding_file_is_a_config_error(workspace, tmp_path, capsys,
     assert named in err
 
 
-def test_train_with_embedding_file_prints_coverage(workspace, tmp_path, capsys):
+def test_train_with_embedding_file_prints_coverage(workspace, tmp_path, capsys,
+                                                   monkeypatch):
     train_split = parse_conll(workspace / "train.txt")
     n_tokens = len(Vocab(train_split).tokens)
     vec = tmp_path / "vecs.txt"
@@ -205,10 +213,22 @@ def test_train_with_embedding_file_prints_coverage(workspace, tmp_path, capsys):
     (tmp_path / "emb.cfg").write_text(
         cfg + f"embeddings=file\nembedding_path={vec}\n", encoding="utf-8")
     out = tmp_path / "o"
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(vec):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
     rc = cli.main(["train", "--config", str(tmp_path / "emb.cfg"),
                    "--out", str(out)])
+    monkeypatch.undo()
     stdout = capsys.readouterr().out.splitlines()
     assert rc == 0
+    # the check before the config echo is the model's one read
+    assert len(opened) == 1
     assert stdout.count(f"embedding coverage {1 / n_tokens:.6f}") == 1
     assert "coverage" not in (out / "metrics.log").read_text(encoding="utf-8")
 
