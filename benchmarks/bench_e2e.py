@@ -23,7 +23,11 @@ and quartiles over REPEATS passes after two warm-up passes, their ratio
 It also counts each side's `autodiff.record_op` calls: in one batch's
 forward pass on a fresh tape (what perfbench traces as
 `training.forward`), and in the first and the last decode call of a
-freshly loaded model.
+freshly loaded model. And it takes each side's per-step memory,
+`train_peak_mb`: the `tracemalloc` peak (MiB) over one untimed pass of
+the row's training batches, each on a fresh tape. Unlike perfbench's
+`peak_rss_mb`, it counts only what the step allocates, with no process
+or interpreter baseline.
 
 The workload is fixed: the default `RunConfig` (seed 0), a vocabulary from
 `synth_corpus(0, 64, 3)`, and documents cut from that corpus's token stream.
@@ -33,9 +37,9 @@ the environment record is perfbench's.
 Run from the repository root. To measure one tree, pass its own src (an
 A/A run); to compare it with another checkout, pass that one's:
 
-    python3 benchmarks/bench_e2e.py --parent src --label "aa 1" --out BENCH_20.json
+    python3 benchmarks/bench_e2e.py --parent src --label "aa 1" --out BENCH_21.json
     python3 benchmarks/bench_e2e.py --parent ../parent/src --label "ab 1" \
-        --out BENCH_20.json
+        --out BENCH_21.json
 
 The file keeps one entry per label; a rerun replaces that label's entry.
 The script refuses to add to a file whose recorded workload differs from
@@ -58,6 +62,7 @@ import importlib.util  # noqa: E402
 import json  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from types import SimpleNamespace  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -87,6 +92,8 @@ WORKLOAD = {
                   "on a fresh tape",
     "decode_record_ops": "autodiff.record_op calls in one HrebModel.decode "
                          "call of a fresh model: the first call and the last",
+    "train_peak_mb": "tracemalloc peak (MiB) over one untimed pass of the "
+                     "row's training batches, each on a fresh tape",
     "ab": "both trees in one process, one checkpoint of a fresh model; per "
           "document (decode) or batch (train), the two sides run back to "
           "back, alternating which goes first",
@@ -165,6 +172,18 @@ def train_pass(s, batch):
     s.autodiff.backward(*train_forward(s, batch))
 
 
+def train_peak_mb(s, batches):
+    """Side s's tracemalloc peak, in MiB, over one forward and backward
+    pass of each batch."""
+    tracemalloc.start()
+    try:
+        for batch in batches:
+            train_pass(s, batch)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 def ab_timed(pairs, per):
     """Each side's median and quartiles, over REPEATS passes after two
     warm-up ones, of a pass's time divided by per. A pass runs each
@@ -203,8 +222,9 @@ def measure(parent_src):
                                for ids, _ in docs], len(docs))
             train = ab_timed([[lambda s=s, b=b: train_pass(s, b) for s in sides]
                               for b in batches], len(docs))
-            per_batch, per_decode = {}, {}
+            per_batch, per_decode, peak = {}, {}, {}
             for label, s in zip(SIDES, sides):
+                peak[label] = train_peak_mb(s, batches)
                 [per_batch[label]] = record_op_counts(
                     s.autodiff, [lambda: train_forward(s, batches[0])])
                 fresh = s.load()
@@ -219,9 +239,11 @@ def measure(parent_src):
                                   for ids, _ in docs),
                 "record_ops_per_batch": per_batch,
                 "record_ops_per_decode": per_decode,
+                "train_peak_mb": peak,
             })
             print(f"n={n:4d}  decode x{decode['ratio']:.4f}  train x{train['ratio']:.4f}"
                   f"  same paths {rows[-1]['same_paths']}"
+                  f"  train peak MiB {peak['parent']:.2f} -> {peak['change']:.2f}"
                   f"  record_ops per batch {per_batch}  per decode {per_decode}",
                   flush=True)
     return rows

@@ -2,7 +2,11 @@
 
 Tensors wrap float64 numpy arrays. Every op appends one record to a Tape;
 records are topologically ordered by construction, so a single reverse sweep
-computes all gradients. Each op checks its output for NaN/inf and fails fast.
+computes all gradients; it takes each record off the tape as it goes, so a
+tape is swept once. Each op checks its output for NaN/inf and fails fast.
+Fused ops record a chain as one record with a hand-written backward:
+linear_silu, weighted_sum, gated_merge, and band_attention, the whole
+attention core (scores, relative bias, squash, row sums and value mix).
 """
 
 import itertools
@@ -79,10 +83,14 @@ class Tape:
 
 
 def record_op(tape, name, inputs, out_data, backward_fn):
+    """The op's output, recorded on tape when it needs a gradient. An input
+    may be None, an operand the op was not given; backward_fn returns None
+    as its gradient, as for any input that gets none."""
     out_data = np.asarray(out_data, dtype=np.float64)
     if not np.isfinite(out_data).all():
         raise NumericsError(f"op {name!r} produced non-finite values")
-    out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
+    out = Tensor(out_data, requires_grad=any(
+        t is not None and t.requires_grad for t in inputs))
     if tape is not None and tape.record and out.requires_grad:
         tape.records.append((name, inputs, out, backward_fn))
     return out
@@ -105,16 +113,21 @@ def per_tape(tape, key, build):
 
 
 def backward(tape, loss, keep=()):
-    """Run the reverse sweep from a scalar loss.
+    """Run the reverse sweep from a scalar loss, emptying the tape.
 
-    Returns {tensor id: gradient}. Intermediate gradients are dropped once
-    consumed unless the tensor id is listed in keep.
+    Returns {tensor id: gradient}. Each record leaves the tape before its
+    backward runs, so what only it holds (its output, what its backward
+    saved) is freed once its gradients are out: a tape is swept once.
+    Intermediate gradients are dropped once consumed unless the tensor id
+    is listed in keep.
     """
     if loss.data.shape != ():
         raise ValueError("backward expects a scalar loss")
     keep = frozenset(keep)
     grads = {loss.id: np.ones(())}
-    for name, inputs, out, backward_fn in reversed(tape.records):
+    records = tape.records
+    while records:
+        name, inputs, out, backward_fn = records.pop()
         if out.id in keep:
             g = grads.get(out.id)
         else:
@@ -229,52 +242,6 @@ def affine(tape, x, s, m):
         return (_unbroadcast(g * s.data, x.shape), _unbroadcast(g * x.data, s.shape),
                 _unbroadcast(g, m.shape))
     return record_op(tape, "affine", (x, s, m), x.data * s.data + m.data, bw)
-
-
-def dot_scores(tape, q, k, c, width=None, pack=None):
-    """c * q_i . k_j for each query i and each key j in i's band, as one op.
-
-    The band of row i is its chunk of `width` consecutive rows of its
-    sentence, and entry (i, r) scores the key that Pack.band_keys(width)
-    places there, so the output is (n, width). width None (or >= the
-    longest sentence) makes the band the whole sentence: for one sentence
-    the (n, n) matrix c * q @ k^T. Keys past the end of a chunk's sentence
-    score against zero vectors; callers mask them.
-    """
-    if q.data.shape != k.data.shape or q.data.ndim != 2:
-        raise ValueError(f"dot_scores needs 2-D q and k of one shape, "
-                         f"got {q.data.shape} and {k.data.shape}")
-    c = float(c)
-    pack = resolve(pack, q.data.shape[0])
-    m = pack.n_max if width is None else min(int(width), pack.n_max)
-    scores = pack.chunks(q.data, m) @ pack.chunks(k.data, m).transpose(0, 2, 1)
-    scores *= c
-
-    def bw(g):
-        # the chunks are gathered again rather than kept alive on the tape
-        gb = pack.chunks(g * c, m)
-        return (pack.unchunked(gb @ pack.chunks(k.data, m), m),
-                pack.unchunked(gb.transpose(0, 2, 1) @ pack.chunks(q.data, m), m))
-    return record_op(tape, "dot_scores", (q, k), pack.unchunked(scores, m), bw)
-
-
-def chunk_mix(tape, w, v, pack=None):
-    """out_i = sum_r w[i, r] * v[key r of i's chunk]: values mixed over a band.
-
-    w is an (n, m) band laid out as dot_scores lays it out; for one sentence
-    m = n is w @ v.
-    """
-    n, m = w.data.shape
-    if v.data.ndim != 2 or v.data.shape[0] != n:
-        raise ValueError(f"chunk_mix shapes incompatible: {w.data.shape} and {v.data.shape}")
-    pack = resolve(pack, n)
-
-    def bw(g):
-        gb = pack.chunks(g, m)
-        return (pack.unchunked(gb @ pack.chunks(v.data, m).transpose(0, 2, 1), m),
-                pack.unchunked(pack.chunks(w.data, m).transpose(0, 2, 1) @ gb, m))
-    return record_op(tape, "chunk_mix", (w, v),
-                     pack.unchunked(pack.chunks(w.data, m) @ pack.chunks(v.data, m), m), bw)
 
 
 def repeat_entries(tape, a, reps):
@@ -416,58 +383,17 @@ def feature_norm(tape, x, gain, bias, eps=1e-5, pack=None):
 
 def softmax_rows(tape, scores, mask=None):
     """Row softmax over unmasked keys. A row with no unmasked key is an error."""
-    allowed = _check_mask(scores.data, mask)
-    shifted = _masked(allowed, scores.data, -np.inf)
+    w, bw = _softmax(scores.data, _check_mask(scores.data, mask))
+    return record_op(tape, "softmax_rows", (scores,), w, lambda g: (bw(g),))
+
+
+def _softmax(scores, allowed):
+    """(row softmax of scores over the allowed entries, its backward)."""
+    shifted = _masked(allowed, scores, -np.inf)
     shifted = shifted - shifted.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     w = e / e.sum(axis=-1, keepdims=True)
-
-    def bw(g):
-        return (w * (g - (g * w).sum(axis=-1, keepdims=True)),)
-    return record_op(tape, "softmax_rows", (scores,), w, bw)
-
-
-def laplace_map(tape, scores, mu, sigma_raw, mask=None):
-    """Elementwise Gaussian-CDF squash of attention scores; no renormalization.
-
-    mu and sigma_raw are scalar tensors; the scale is softplus(sigma_raw) so
-    it stays positive. Masked entries map to exactly zero weight.
-    """
-    allowed = _check_mask(scores.data, mask)
-    sig = float(np.logaddexp(0.0, sigma_raw.data))
-    u = (scores.data - float(mu.data)) / (sig * _SQRT2)
-    out_data = _masked(allowed, 0.5 * (1.0 + _erf(u)), 0.0)
-
-    def bw(g):
-        gm = _masked(allowed, g, 0.0)
-        dw_du = np.exp(-u * u) / _SQRT_PI
-        ds = gm * dw_du / (sig * _SQRT2)
-        dmu = -ds.sum()
-        dsig = (gm * dw_du * (-u)).sum() / sig
-        dsig_raw = dsig * float(kernels.sigmoid(sigma_raw.data))
-        return ds, np.float64(dmu), np.float64(dsig_raw)
-    return record_op(tape, "laplace_map", (scores, mu, sigma_raw), out_data, bw)
-
-
-def normalize_rows(tape, a, mask=None):
-    """Divide each row by its sum over unmasked entries; masked entries read 0.
-
-    Row sums must be strictly positive; a non-positive sum makes the row an
-    undefined weight distribution and raises DegenerateRowError.
-    """
-    allowed = _check_mask(a.data, mask)
-    masked = _masked(allowed, a.data, 0.0)
-    s = masked.sum(axis=-1, keepdims=True)
-    if np.any(s <= 0.0):
-        row = int(np.argmax((s <= 0.0).ravel()))
-        raise DegenerateRowError(
-            "{row} sums to " + f"{float(s.ravel()[row])}; cannot normalize", row)
-    out_data = masked / s
-
-    def bw(g):
-        gm = _masked(allowed, g, 0.0)
-        return (_masked(allowed, (gm - (gm * out_data).sum(axis=-1, keepdims=True)) / s, 0.0),)
-    return record_op(tape, "normalize_rows", (a,), out_data, bw)
+    return w, lambda g: w * (g - (g * w).sum(axis=-1, keepdims=True))
 
 
 def _check_mask(data, mask):
@@ -488,11 +414,121 @@ def _masked(allowed, x, fill):
     return x if allowed is None else np.where(allowed, x, fill)
 
 
+# ---------------------------------------------------------------------------
+# Attention over a band of keys.
+# ---------------------------------------------------------------------------
+
+def _laplace(scores, mu, sigma_raw, allowed):
+    """(Laplace squash of scores, its backward), after Mega (Ma et al. 2022):
+    the Gaussian CDF 0.5 * (1 + erf(u)), u = (scores - mu) / (sigma *
+    sqrt(2)), sigma = softplus(sigma_raw) so it stays positive. Entries
+    outside allowed read 0. The backward maps the output's gradient to
+    (d scores, d mu, d sigma_raw); it keeps u and recomputes no erf."""
+    sig = float(np.logaddexp(0.0, sigma_raw.data))
+    u = (scores - float(mu.data)) / (sig * _SQRT2)
+    out = _masked(allowed, 0.5 * (1.0 + _erf(u)), 0.0)
+
+    def bw(g):
+        gm = _masked(allowed, g, 0.0)
+        dw_du = np.exp(-u * u) / _SQRT_PI
+        ds = gm * dw_du / (sig * _SQRT2)
+        dsig = (gm * dw_du * (-u)).sum() / sig
+        return (ds, np.float64(-ds.sum()),
+                np.float64(dsig * float(kernels.sigmoid(sigma_raw.data))))
+    return out, bw
+
+
+def band_attention(tape, q, k, v, bias, mu, sigma_raw, scale, width, attn_fn,
+                   pack=None):
+    """Attention of each row over the keys of its band, as one op.
+
+    Row i's band is its chunk of `width` consecutive rows of its sentence
+    (width None: the whole sentence); entry (i, r) scores the key that
+    Pack.band_keys(m) places there, m = min(width, longest sentence). The
+    score is scale * q_i . k_j, plus, given a bias of odd length 2w+1,
+    the bucket of the key's offset j - i clipped into [-w, w] (in a pack,
+    positions within the sentence). attn_fn makes each row's weights:
+    "softmax"; "laplace", the _laplace squash, not renormalized; or
+    "reduced_laplace", the squash plus the scores over their row sum,
+    which must be positive (else DegenerateRowError). Keys past a
+    sentence's end weigh 0. out_i = sum_r w[i, r] * v[key r]: for one
+    sentence and width None, weights @ v.
+
+    The scores are checked finite before the squash, which would map an
+    inf to a finite weight. Backward keeps the weights, the squash's
+    argument and the row sums; it gathers the chunks of q, k and v again.
+    Inputs that do not enter (bias None; mu and sigma_raw under softmax)
+    get no gradient. Returns (out, scores, weights), the last two as
+    (N, m) band arrays.
+    """
+    if q.data.shape != k.data.shape or q.data.ndim != 2 or v.data.ndim != 2 \
+            or v.data.shape[0] != q.data.shape[0]:
+        raise ValueError(f"band_attention needs 2-D q and k of one shape and v "
+                         f"of their rows, got {q.data.shape}, {k.data.shape} "
+                         f"and {v.data.shape}")
+    if attn_fn not in ("softmax", "laplace", "reduced_laplace"):
+        raise ValueError(f"unknown attn_fn {attn_fn!r}")
+    scale = float(scale)
+    pack = resolve(pack, q.data.shape[0])
+    m = pack.n_max if width is None else min(int(width), pack.n_max)
+    scores = pack.chunks(q.data, m) @ pack.chunks(k.data, m).transpose(0, 2, 1)
+    scores *= scale
+    scores = pack.unchunked(scores, m)
+    if bias is not None:
+        table = _rel_bias_index(pack.n_max, m, (bias.data.shape[0] - 1) // 2)
+        scores = scores + pack.at_positions(bias.data[table])
+    if not np.isfinite(scores).all():
+        raise NumericsError("op 'band_attention' produced non-finite scores")
+    mask = pack.key_mask(m)
+    if attn_fn == "softmax":
+        weights, softmax_bw = _softmax(scores, mask)
+    else:
+        weights, laplace_bw = _laplace(scores, mu, sigma_raw, mask)
+    if attn_fn == "reduced_laplace":
+        a = _masked(mask, weights + scores, 0.0)
+        sums = a.sum(axis=-1, keepdims=True)
+        if np.any(sums <= 0.0):
+            row = int(np.argmax((sums <= 0.0).ravel()))
+            raise DegenerateRowError(
+                "{row} sums to " + f"{float(sums.ravel()[row])}; cannot normalize", row)
+        weights = a / sums
+
+    def bw(g):
+        # Each step keeps the order of its primitive-op form (scale after
+        # the product, the squash's gradient added to the normalization's),
+        # so seeded runs keep their bits.
+        gb = pack.chunks(g, m)
+        dw = pack.unchunked(gb @ pack.chunks(v.data, m).transpose(0, 2, 1), m)
+        dv = pack.unchunked(pack.chunks(weights, m).transpose(0, 2, 1) @ gb, m)
+        dmu = dsig_raw = None
+        if attn_fn == "softmax":
+            ds = softmax_bw(dw)
+        elif attn_fn == "laplace":
+            ds, dmu, dsig_raw = laplace_bw(dw)
+        else:
+            dw = _masked(mask, dw, 0.0)
+            da = _masked(mask, (dw - (dw * weights).sum(axis=-1, keepdims=True)) / sums,
+                         0.0)
+            ds_l, dmu, dsig_raw = laplace_bw(da)
+            ds = da + ds_l
+        dbias = None if bias is None else np.bincount(
+            pack.at_positions(table).ravel(), weights=ds.ravel(), minlength=bias.shape[0])
+        gc = pack.chunks(ds * scale, m)
+        return (pack.unchunked(gc @ pack.chunks(k.data, m), m),
+                pack.unchunked(gc.transpose(0, 2, 1) @ pack.chunks(q.data, m), m),
+                dv, dbias, dmu, dsig_raw)
+    out = record_op(tape, "band_attention", (q, k, v, bias, mu, sigma_raw),
+                    pack.unchunked(pack.chunks(weights, m) @ pack.chunks(v.data, m), m),
+                    bw)
+    return out, scores, weights
+
+
 _rel_bias_indexes = {}
 
 
 def _rel_bias_index(n, m, w):
-    """add_rel_bias's (n, m) bucket index, a slice of one array per layout.
+    """band_attention's (n, m) bias bucket index, a slice of one array per
+    layout.
 
     The m = n layout (offset j - i) and the fixed-chunk one (m < n) of
     Pack.band_keys are each a prefix of the same layout at a larger n, so
@@ -505,26 +541,6 @@ def _rel_bias_index(n, m, w):
         offs = Pack(n).band_keys(m) - np.arange(n)[:, None]
         idx = _rel_bias_indexes[key] = np.clip(offs + w, 0, 2 * w)
     return idx[:n, :m]
-
-
-def add_rel_bias(tape, scores, bias, pack=None):
-    """Add a learned bucketed relative-position bias to (query, key) scores.
-
-    bias has odd length 2w+1. scores is an (n, m) band as dot_scores lays it
-    out, so entry (i, r) pairs query i with the key at Pack.band_keys(m)[i,
-    r]; that key's offset from i (j - i when m >= n) is clipped into [-w, w].
-    In a pack, i is the query's position within its sentence.
-    """
-    n, m = scores.data.shape
-    w = (bias.data.shape[0] - 1) // 2
-    pack = resolve(pack, n)
-    table = _rel_bias_index(pack.n_max, m, w)
-
-    def bw(g):
-        return g, np.bincount(pack.at_positions(table).ravel(), weights=g.ravel(),
-                              minlength=2 * w + 1)
-    return record_op(tape, "add_rel_bias", (scores, bias),
-                     scores.data + pack.at_positions(bias.data[table]), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.special import erf
 
 _NEG_INF = -np.inf
 
@@ -88,6 +89,35 @@ def ema_closed_form(x, alpha, h0):
                 acc += a * (1.0 - a) ** (t - k) * x[k, j]
             out[t, j] = acc
     return out
+
+
+def dense_attention(q, k, v, bias, mu, sigma_raw, scale, chunk, attn_fn):
+    """One sentence's attention stage on its full (n, n) scores, chunks of
+    `chunk` rows (0: the whole sentence) as a mask: (output, scores,
+    weights, mask).
+
+    Every step is analytic, so complex inputs work too: a complex step
+    through it gives derivatives to the last bits (scipy's erf accepts
+    complex arguments).
+    """
+    n = q.shape[0]
+    blocks = np.arange(n) // (chunk or n)
+    mask = blocks[:, None] == blocks[None, :]
+    w = (len(bias) - 1) // 2
+    offsets = np.arange(n)[None, :] - np.arange(n)[:, None]
+    scores = scale * (q @ k.T) + bias[np.clip(offsets, -w, w) + w]
+    if attn_fn == "softmax":
+        top = np.where(mask, scores.real, _NEG_INF).max(axis=1, keepdims=True)
+        e = np.where(mask, np.exp(scores - top), 0.0)
+        weights = e / e.sum(axis=1, keepdims=True)
+    else:
+        sigma = np.log1p(np.exp(sigma_raw))
+        squash = 0.5 * (1.0 + erf((scores - mu) / (sigma * math.sqrt(2.0))))
+        weights = np.where(mask, squash, 0.0)
+        if attn_fn == "reduced_laplace":
+            weights = np.where(mask, weights + scores, 0.0)
+            weights = weights / weights.sum(axis=1, keepdims=True)
+    return weights @ v, scores, weights, mask
 
 
 # ---------------------------------------------------------------------------

@@ -147,34 +147,25 @@ def qk_transform(tape, z, params):
 def attention(tape, q, k, v, params, config, trace=None, pack=None):
     """O = f(Q K^T / scale + b_rel) V with the configured score squash.
 
-    Scores live in the (n, m) band layout of ad.dot_scores: m is the chunk
-    size for the local stage and the longest sentence for the global one,
-    so the local stage costs O(n * chunk_size) and no sentence of a pack
-    attends to another. Only keys past a chunk's sentence end are masked.
+    Scores live in the (n, m) band layout of ad.band_attention: m is the
+    chunk size for the local stage and the longest sentence for the global
+    one, so the local stage costs O(n * chunk_size) and no sentence of a
+    pack attends to another. Only keys past a chunk's sentence end are
+    masked.
     """
     pack = resolve(pack, q.data.shape[0])
-    scores = ad.dot_scores(tape, q, k, 1.0 / config.attn_scale,
-                           config.chunk_size or None, pack)
-    key_mask = pack.key_mask(scores.data.shape[1])
-    scores = ad.add_rel_bias(tape, scores, params.b_rel, pack)
     try:
-        if config.attn_fn == "softmax":
-            weights = ad.softmax_rows(tape, scores, key_mask)
-        elif config.attn_fn == "laplace":
-            weights = ad.laplace_map(tape, scores, params.lap_mu,
-                                     params.lap_sigma_raw, key_mask)
-        else:
-            squashed = ad.laplace_map(tape, scores, params.lap_mu,
-                                      params.lap_sigma_raw, key_mask)
-            weights = ad.normalize_rows(tape, ad.add(tape, squashed, scores), key_mask)
+        out, scores, weights = ad.band_attention(
+            tape, q, k, v, params.b_rel, params.lap_mu, params.lap_sigma_raw,
+            1.0 / config.attn_scale, config.chunk_size or None, config.attn_fn, pack)
     except DegenerateRowError as e:
         if e.row is None:
             raise
         raise e.named(pack.row_name(e.row)) from None
     if trace is not None:
-        trace.scores = band_to_dense(scores.data, -np.inf)
-        trace.weights = band_to_dense(weights.data, 0.0)
-    return ad.chunk_mix(tape, weights, v, pack)
+        trace.scores = band_to_dense(scores, -np.inf)
+        trace.weights = band_to_dense(weights, 0.0)
+    return out
 
 
 def gated_output(tape, x, z, o, params, config, trace=None):
@@ -283,13 +274,13 @@ class NaiveEncoder(BlockParams):
             q = ad.matmul(tape, xn, self.w_q)
             k = ad.matmul(tape, xn, self.w_k)
             v = ad.matmul(tape, xn, self.w_v)
-            scores = ad.dot_scores(tape, q, k, 1.0 / np.sqrt(c.d_model), None, pack)
-            weights = ad.softmax_rows(tape, scores, pack.key_mask(scores.data.shape[1]))
+            o, scores, weights = ad.band_attention(
+                tape, q, k, v, None, None, None, 1.0 / np.sqrt(c.d_model), None,
+                "softmax", pack)
             if trace is not None:
                 trace.q, trace.k, trace.v = q.data.copy(), k.data.copy(), v.data.copy()
-                trace.scores = scores.data.copy()
-                trace.weights = weights.data.copy()
-            return ad.matmul(tape, ad.chunk_mix(tape, weights, v, pack), self.w_o)
+                trace.scores, trace.weights = scores, weights
+            return ad.matmul(tape, o, self.w_o)
 
         out = _block(tape, x, self, c, attend, pack)
         if traces is not None:

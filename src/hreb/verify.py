@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from . import crf as crf_mod
 from . import oracles
-from .config import RunConfig
+from .config import CHOICES, RunConfig
 from .data import Vocab, Sentence
 from .encoders import embed_tokens
 from .gradcheck import finite_diff_params
@@ -43,9 +43,10 @@ def _dump(**arrays):
 
 def op_grad_checks(seed=0, tol=1e-4):
     """Finite-difference check of every differentiable op, one entry per
-    (op, input) pair.
+    (op, input) pair, and per attn_fn for band_attention.
 
-    Each case is (op, {input name: array}, build); build(tape, *tensors)
+    Each case is (op, {input name: array}, build), and for band_attention
+    also the attn_fn that its entries' details name; build(tape, *tensors)
     returns the op output in the inputs' order. The loss is a fixed random
     weighting of that output, so every output entry influences the scalar.
     The ops that see sentence boundaries run on a ragged pack of three
@@ -74,7 +75,11 @@ def op_grad_checks(seed=0, tol=1e-4):
     rag = Pack([3, 1, 4])
     band_m = 2
     x, q, k = (rng.standard_normal((rag.n, d)) for _ in range(3))
-    band = rng.standard_normal((rag.n, band_m))
+    # band offsets run from -1 to 1: every bucket of a width-1 bias. The
+    # positive biases and small queries keep every reduced_laplace row sum
+    # positive.
+    attn = {"q": 0.3 * q, "k": k, "v": x, "bias": rng.uniform(0.5, 1.0, 3),
+            "mu": 0.3, "sigma": -0.8}
     crf_in = {"emissions": rng.standard_normal((rag.n, n_classes)), "trans": crf_t}
     path = np.array([1, 0, 2, 2, 0, 1, 1, 2])
     # bilstm_seq's inputs in argument order: x, then each direction's w, u, b
@@ -105,10 +110,6 @@ def op_grad_checks(seed=0, tol=1e-4):
         ("weighted_sum", {"a": fz.uniform(0, 1, (1, d)), "f": a,
                           "b": fz.uniform(0, 1, (1, d)), "x": b}, ad.weighted_sum),
         ("affine", {"x": a, "scale": gain, "shift": beta}, ad.affine),
-        ("dot_scores", {"q": q, "k": k},
-         lambda t, q, k: ad.dot_scores(t, q, k, 0.5, band_m, rag)),
-        ("chunk_mix", {"w": band, "v": k},
-         lambda t, w, v: ad.chunk_mix(t, w, v, rag)),
         ("repeat_entries", {"a": vec}, lambda t, x: ad.repeat_entries(t, x, 3)),
         ("sum_all", {"a": a}, ad.sum_all),
         ("sentence_sums", {"a": x}, lambda t, a: ad.sentence_sums(t, a, rag)),
@@ -119,13 +120,6 @@ def op_grad_checks(seed=0, tol=1e-4):
          lambda t, xs, g, bs: ad.feature_norm(t, xs, g, bs, pack=rag)),
         ("softmax_rows", {"s": a @ a.T},
          lambda t, s: ad.softmax_rows(t, s, mask)),
-        ("laplace_map", {"scores": a @ a.T, "mu": 0.3, "sigma": -0.8},
-         lambda t, s, mu, sr: ad.laplace_map(t, s, mu, sr, mask)),
-        ("normalize_rows", {"s": np.abs(a @ a.T) + 0.5},
-         lambda t, s: ad.normalize_rows(t, s, mask)),
-        # band offsets run from -1 to 1: every bucket of a width-1 bias
-        ("add_rel_bias", {"scores": band, "bias": rng.standard_normal(3)},
-         lambda t, s, b: ad.add_rel_bias(t, s, b, rag)),
         ("ema_scan", {"x": x, "alpha": alpha, "h0": h0},
          lambda t, xs, al, h: ad.ema_scan(t, xs, al, h, rag)),
         ("bilstm_seq", lstm, lambda t, *ts: ad.bilstm_seq(t, *ts, pack=rag)),
@@ -137,9 +131,14 @@ def op_grad_checks(seed=0, tol=1e-4):
         ("embed_tokens", {"table": rng.standard_normal((5, d))},
          lambda t, tb: embed_tokens(t, [3, 2, 3], SimpleNamespace(table=tb, pad_id=0))),
     ]
+    # band_attention under each attn_fn; mu and sigma enter no softmax, so
+    # there their gradients must be zero
+    cases += [("band_attention", attn,
+               lambda t, *ts, f=f: ad.band_attention(t, *ts, 0.5, band_m, f, rag)[0], f)
+              for f in CHOICES["attn_fn"]]
 
     results = []
-    for op, inputs, build in cases:
+    for op, inputs, build, *under in cases:
         tensors = [ad.Tensor(np.array(v, dtype=np.float64), requires_grad=True,
                              name=k) for k, v in inputs.items()]
         shape = build(ad.Tape(), *tensors).data.shape
@@ -152,7 +151,8 @@ def op_grad_checks(seed=0, tol=1e-4):
 
         errs = finite_diff_params(loss, tensors)
         for name, err in errs.items():
-            detail = f"max rel err {err:.3g} (tol {tol:g})"
+            detail = " ".join([f"max rel err {err:.3g} (tol {tol:g})"]
+                              + [f"under {f}" for f in under])
             if err > tol:
                 detail += _dump(**{name: inputs[name]})
             label = op if len(inputs) == 1 else f"{op}/{name}"

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -72,14 +73,45 @@ def test_backward_accumulates_grad_oncem_per_tensor():
 
 
 def test_backward_keep_retains_intermediate_gradients():
+    x = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    grads = []
+    for keep in (True, False):
+        # a tape is swept once, so each sweep records its own
+        tape = ad.Tape()
+        mid = ad.mul(tape, x, x)
+        loss = ad.sum_all(tape, mid)
+        grads.append((mid.id, ad.backward(tape, loss, keep=(mid.id,) if keep else ())))
+    (kept_id, kept), (dropped_id, dropped) = grads
+    assert np.allclose(kept[kept_id], [1.0, 1.0])
+    assert dropped_id not in dropped
+    assert np.array_equal(kept[x.id], dropped[x.id])
+
+
+def test_backward_frees_each_record_once_swept():
+    # The sweep runs the later record first. By the time the earlier one's
+    # backward runs, the array that only the later one's closure held is
+    # gone, and the tape ends empty.
     tape = ad.Tape()
     x = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    mid = ad.mul(tape, x, x)
-    loss = ad.sum_all(tape, mid)
-    grads = ad.backward(tape, loss, keep=(mid.id,))
-    assert np.allclose(grads[mid.id], [1.0, 1.0])
-    grads2 = ad.backward(tape, loss)
-    assert mid.id not in grads2
+    seen = []
+
+    def times(c):
+        def bw(g):
+            seen.append(held() is None)
+            return (g * c,)
+        return bw
+
+    first = ad.record_op(tape, "first", (x,), x.data * 2.0, times(2.0))
+    saved = np.full(2, 3.0)
+    held = weakref.ref(saved)
+    second = ad.record_op(tape, "second", (first,), first.data * saved, times(saved))
+    del saved
+    assert held() is not None
+    grads = ad.backward(tape, ad.sum_all(tape, second))
+    assert seen == [False, True]
+    assert tape.records == []
+    assert held() is None
+    assert np.array_equal(grads[x.id], [6.0, 6.0])
 
 
 def test_broadcast_gradients_unbroadcast_correctly():
@@ -133,11 +165,30 @@ def test_silu_dispatcher_rejects_unknown_variant():
         silu(1.0, "fast")
 
 
+def band_weights(scores, attn_fn="laplace", mu=0.0, sigma_raw=0.0):
+    """band_attention's weights over one sentence whose (n, n) scores are
+    the given ones: the queries are the scores' rows and the keys the unit
+    vectors."""
+    n = scores.shape[0]
+    _, got, w = ad.band_attention(
+        None, ad.Tensor(scores), ad.Tensor(np.eye(n)), ad.Tensor(np.zeros((n, 1))),
+        None, scalar(mu), scalar(sigma_raw), 1.0, None, attn_fn)
+    assert np.array_equal(got, scores)
+    return w
+
+
+def band_scores(n, width, bias):
+    """band_attention's (n, m) scores of zero queries and keys under bias."""
+    zero = ad.Tensor(np.zeros((n, 1)))
+    return ad.band_attention(None, zero, zero, zero, bias, None, None, 1.0, width,
+                             "softmax")[1]
+
+
 def test_erf_matches_series_oracle():
-    # laplace_map with mu=0 and scale 1/sqrt(2) is (1 + erf(s)) / 2
+    # the Laplace squash with mu=0 and scale 1/sqrt(2) is (1 + erf(s)) / 2
     xs = np.linspace(-2.5, 2.5, 21)
-    sigma_raw = scalar(np.log(np.expm1(1.0 / math.sqrt(2.0))))  # softplus^-1
-    w = ad.laplace_map(None, ad.Tensor(xs[None, :]), scalar(0.0), sigma_raw).data
+    sigma_raw = np.log(np.expm1(1.0 / math.sqrt(2.0)))  # softplus^-1
+    w = band_weights(np.tile(xs, (xs.size, 1)), sigma_raw=sigma_raw)
     got = 2.0 * w[0] - 1.0
     want = np.array([erf_series(float(x)) for x in xs])
     assert np.abs(got - want).max() < 1e-12
@@ -239,42 +290,37 @@ def test_mask_broadcasts_over_leading_axis():
 
 
 def test_laplace_frozen_value_and_range():
-    s = ad.Tensor(np.array([[1.0]]))
-    mu = scalar(0.0)
-    sigma_raw = scalar(np.log(np.expm1(1.0)))  # softplus^-1(1)
-    w = ad.laplace_map(None, s, mu, sigma_raw).data
+    sigma_raw = np.log(np.expm1(1.0))  # softplus^-1(1)
+    w = band_weights(np.array([[1.0]]), sigma_raw=sigma_raw)
     assert abs(w[0, 0] - 0.8413447460685429) < 1e-12
     rng = np.random.default_rng(3)
-    big = ad.laplace_map(None, ad.Tensor(rng.standard_normal((6, 6)) * 4),
-                         mu, sigma_raw).data
+    big = band_weights(rng.standard_normal((6, 6)) * 4, sigma_raw=sigma_raw)
     assert (big >= 0).all() and (big <= 1).all()
     # strictly interior while the erf argument stays unsaturated
-    mid = ad.laplace_map(None, ad.Tensor(rng.uniform(-2, 2, (6, 6))),
-                         mu, sigma_raw).data
+    mid = band_weights(rng.uniform(-2, 2, (6, 6)), sigma_raw=sigma_raw)
     assert (mid > 0).all() and (mid < 1).all()
 
 
 def test_laplace_rows_are_not_renormalized():
-    s = ad.Tensor(np.full((2, 3), 2.0))
-    w = ad.laplace_map(None, s, scalar(0.0), scalar(0.0)).data
+    w = band_weights(np.full((3, 3), 2.0))
     assert w.sum(axis=1).max() > 1.5
 
 
 def test_normalize_rows_sums_to_one_and_errors_on_nonpositive():
+    # reduced_laplace divides the squash plus the scores by the row's sum
     rng = np.random.default_rng(4)
-    a = rng.uniform(0.5, 2.0, (4, 4))
-    w = ad.normalize_rows(None, ad.Tensor(a)).data
+    w = band_weights(rng.uniform(0.5, 2.0, (4, 4)), "reduced_laplace")
     assert np.abs(w.sum(axis=1) - 1.0).max() < 1e-12
     with pytest.raises(DegenerateRowError) as e:
-        ad.normalize_rows(None, ad.Tensor(np.array([[1.0, 1.0], [-1.0, 0.5]])))
-    assert "row 1" in str(e.value)
+        band_weights(np.array([[1.0, 1.0], [-4.0, 0.5]]), "reduced_laplace")
+    assert str(e.value).startswith("row 1 sums to -")
+    assert e.value.row == 1
 
 
 def test_add_rel_bias_bucket_structure():
     n, w = 4, 1
-    s = np.zeros((n, n))
     bias = np.array([10.0, 20.0, 30.0])
-    out = ad.add_rel_bias(None, ad.Tensor(s), ad.Tensor(bias)).data
+    out = band_scores(n, None, ad.Tensor(bias))
     offs = np.arange(n)[None, :] - np.arange(n)[:, None]
     want = bias[np.clip(offs + w, 0, 2 * w)]
     assert np.array_equal(out, want)
@@ -293,7 +339,7 @@ def test_add_rel_bias_index_is_a_slice_of_the_longest_seen(m):
         rows = np.arange(n)[:, None]
         offs = rows // mm * mm + np.arange(mm)[None, :] - rows
         want = bias.data[np.clip(offs + w, 0, 2 * w)]
-        out = ad.add_rel_bias(None, ad.Tensor(np.zeros((n, mm))), bias).data
+        out = band_scores(n, m, bias)
         assert np.array_equal(out, want), n
 
 

@@ -32,3 +32,4 @@ def test_an_aa_run_of_the_repository_tree_reports_both_sides(monkeypatch):
         assert batch["parent"] == batch["change"] > 0
         assert decode["parent"] == decode["change"]
         assert decode["change"]["first"] > decode["change"]["later"] > 0
+        assert row["train_peak_mb"]["parent"] > 0 and row["train_peak_mb"]["change"] > 0

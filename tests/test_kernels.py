@@ -305,7 +305,7 @@ def test_sigmoid_is_exact_and_quiet_at_the_edges_and_takes_0d_input():
         warnings.simplefilter("error")
         edges = kernels.sigmoid(np.array([1000.0, -1000.0]))
     assert edges[0] == 1.0 and edges[1] == 0.0
-    # a 0-d input (laplace_map's scale parameter) gives a 0-d array
+    # a 0-d input (the Laplace squash's scale parameter) gives a 0-d array
     y = kernels.sigmoid(np.array(0.3))
     assert isinstance(y, np.ndarray) and y.shape == ()
     assert abs(float(y) - expit(0.3)) <= 2.3e-16

@@ -1,10 +1,12 @@
 """Attention blocks: masks, gates, hierarchy, and the ablation baseline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hreb import autodiff as ad
-from hreb import rhema
+from hreb import oracles, rhema
 from hreb.config import CHOICES, RunConfig
 from hreb.errors import ConfigError
 from hreb.pack import Pack
@@ -266,43 +268,6 @@ def test_block_parameter_gradients_spot_check():
     assert max(errs.values()) < 1e-5
 
 
-def dense_attention(tape, q, k, v, params, config):
-    """Reference attention stage: full (n, n) scores under a chunk mask."""
-    n = q.data.shape[0]
-    blocks = np.arange(n) // (config.chunk_size or n)
-    mask = blocks[:, None] == blocks[None, :]
-    scores = ad.dot_scores(tape, q, k, 1.0 / config.attn_scale)
-    scores = ad.add_rel_bias(tape, scores, params.b_rel)
-    if config.attn_fn == "softmax":
-        weights = ad.softmax_rows(tape, scores, mask)
-    elif config.attn_fn == "laplace":
-        weights = ad.laplace_map(tape, scores, params.lap_mu,
-                                 params.lap_sigma_raw, mask)
-    else:
-        squashed = ad.laplace_map(tape, scores, params.lap_mu,
-                                  params.lap_sigma_raw, mask)
-        weights = ad.normalize_rows(tape, ad.add(tape, squashed, scores), mask)
-    return ad.matmul(tape, weights, v), scores, weights, mask
-
-
-def attention_grads(fn, n, chunk, attn_fn, seed):
-    """fn's attention output and the gradients of a fixed random loss."""
-    config, params = make_block(seed=seed, chunk_size=chunk, attn_fn=attn_fn)
-    rng = np.random.default_rng(seed)
-    # positive relative biases keep every reduced_laplace row sum positive
-    params.b_rel.data[:] = rng.uniform(0.5, 1.0, params.b_rel.data.shape)
-    q, k = (ad.Tensor(rng.standard_normal((n, 4)) * 0.3, requires_grad=True)
-            for _ in range(2))
-    v = ad.Tensor(rng.standard_normal((n, 8)), requires_grad=True)
-    tape = ad.Tape()
-    out = fn(tape, q, k, v, params, config)
-    o = out[0] if isinstance(out, tuple) else out
-    loss = ad.sum_all(tape, ad.mul(tape, o, ad.Tensor(rng.standard_normal((n, 8)))))
-    grads = ad.backward(tape, loss)
-    wrt = (q, k, v, params.b_rel, params.lap_mu, params.lap_sigma_raw)
-    return out, [grads.get(t.id, np.zeros_like(t.data)) for t in wrt]
-
-
 def assert_close(got, want, what):
     err = np.abs(np.asarray(got) - np.asarray(want)).max(initial=0.0)
     assert err <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0)), f"{what}: {err:.3g}"
@@ -312,32 +277,72 @@ def assert_close(got, want, what):
 @pytest.mark.parametrize("chunk", [1, 2, 3, 8, 16])
 @pytest.mark.parametrize("n", [1, 5, 8, 13, 17, 256])
 def test_band_attention_matches_dense_masked_reference(n, chunk, attn_fn):
-    names = ("q", "k", "v", "b_rel", "lap_mu", "lap_sigma_raw")
+    # The reference is plain numpy on (n, n) scores under a chunk mask. Its
+    # derivatives, taken by a complex step, are exact to rounding, so the
+    # tape's gradients must match them within 1e-12 as the output does:
+    # entry by entry, or along one random direction for the inputs too
+    # large to step through each entry.
+    seed = n * 31 + chunk
+    config, params = make_block(seed=seed, chunk_size=chunk, attn_fn=attn_fn)
+    rng = np.random.default_rng(seed)
+    # positive relative biases keep every reduced_laplace row sum positive
+    params.b_rel.data[:] = rng.uniform(0.5, 1.0, params.b_rel.data.shape)
+    q, k = (ad.Tensor(rng.standard_normal((n, 4)) * 0.3, requires_grad=True)
+            for _ in range(2))
+    v = ad.Tensor(rng.standard_normal((n, 8)), requires_grad=True)
+    loss_w = rng.standard_normal((n, 8))
     trace = rhema.AttentionTrace("t")
+    tape = ad.Tape()
+    out = rhema.attention(tape, q, k, v, params, config, trace)
+    grads = ad.backward(tape, ad.sum_all(tape, ad.mul(tape, out, ad.Tensor(loss_w))))
 
-    def band(tape, q, k, v, params, config):
-        return rhema.attention(tape, q, k, v, params, config, trace)
+    wrt = (q, k, v, params.b_rel, params.lap_mu, params.lap_sigma_raw)
+    names = ("q", "k", "v", "b_rel", "lap_mu", "lap_sigma_raw")
+    inputs = [t.data for t in wrt]
 
-    out, grads = attention_grads(band, n, chunk, attn_fn, seed=n * 31 + chunk)
-    (ref, scores, weights, mask), ref_grads = attention_grads(
-        dense_attention, n, chunk, attn_fn, seed=n * 31 + chunk)
-    assert_close(out.data, ref.data, "output")
-    for name, g, rg in zip(names, grads, ref_grads):
-        assert_close(g, rg, f"d{name}")
+    def reference(*xs):
+        return oracles.dense_attention(*xs, 1.0 / config.attn_scale,
+                                       config.chunk_size, attn_fn)
+
+    ref, scores, weights, mask = reference(*inputs)
+    assert_close(out.data, ref, "output")
+    h = 1e-30
+    for i, (name, t) in enumerate(zip(names, wrt)):
+        size = t.data.size
+        dirs = np.eye(size) if size <= 17 * 8 else rng.standard_normal((1, size))
+        want = [np.sum(reference(*inputs[:i], inputs[i] + 1j * h * d.reshape(t.shape),
+                                 *inputs[i + 1:])[0] * loss_w).imag / h for d in dirs]
+        assert_close(dirs @ np.ravel(grads.get(t.id, np.zeros(size))), want, f"d{name}")
     # the trace keeps the (n, n) layout: out-of-chunk weights are 0 and
     # out-of-chunk scores are never computed
-    assert_close(trace.weights, weights.data, "trace weights")
+    assert_close(trace.weights, weights, "trace weights")
     assert np.all(trace.weights[~mask] == 0.0)
-    assert_close(trace.scores[mask], scores.data[mask], "trace scores")
+    assert_close(trace.scores[mask], scores[mask], "trace scores")
     assert np.all(trace.scores[~mask] == -np.inf)
 
 
-def test_local_stage_scores_are_a_band_on_the_tape():
+def test_local_stage_scores_are_a_band_on_the_tape(monkeypatch):
+    # Each stage's scores are an (n, m) band; the local stage's peak
+    # allocation stays below one (n, n) array of float64.
+    n = 256
     enc = rhema.HierarchicalEncoder(make_run(chunk_size=8, attn_fn="softmax"),
                                     np.random.default_rng(16))
+    real = ad.band_attention
+    stages = []
+
+    def measured(*args, **kw):
+        tracemalloc.start()
+        try:
+            result = real(*args, **kw)
+            stages.append((result[1].shape, tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        return result
+
+    monkeypatch.setattr(ad, "band_attention", measured)
     tape = ad.Tape()
-    x = ad.Tensor(np.random.default_rng(17).standard_normal((256, 4)) * 0.3)
+    x = ad.Tensor(np.random.default_rng(17).standard_normal((n, 4)) * 0.3)
     enc.forward(tape, x)
-    shapes = [out.data.shape for name, _, out, _ in tape.records
-              if name == "dot_scores"]
-    assert shapes == [(256, 8), (256, 256)]  # local, then global
+    assert [shape for shape, _ in stages] == [(n, 8), (n, n)]  # local, then global
+    assert stages[0][1] < n * n * 8
+    assert [name for name, *_ in tape.records].count("band_attention") == 2
