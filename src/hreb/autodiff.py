@@ -16,12 +16,14 @@ from scipy.special import erf as _erf
 
 from .errors import DegenerateRowError, NumericsError
 from . import kernels
-from .pack import Pack, resolve
+from .pack import Pack, one
 
 _ids = itertools.count()
 
 _SQRT2 = float(np.sqrt(2.0))
 _SQRT_PI = float(np.sqrt(np.pi))
+# added to the variance before the square root in both norms
+_NORM_EPS = 1e-5
 
 
 class Tensor:
@@ -259,10 +261,9 @@ def sum_all(tape, a):
     return record_op(tape, "sum_all", (a,), a.data.sum(), bw)
 
 
-def sentence_sums(tape, a, pack=None):
+def sentence_sums(tape, a, pack):
     """Each sentence's sum of its rows' entries, in the shape of the pack's
     lengths."""
-    pack = resolve(pack, a.data.shape[0])
 
     def bw(g):
         per_row = pack.per_row(np.reshape(g, pack.b))
@@ -345,11 +346,11 @@ def gated_merge(tape, x, z, o, w_gamma, b_gamma, w_phi, b_phi, w_h, u_h, b_h,
 # Row-wise normalizations.
 # ---------------------------------------------------------------------------
 
-def _standardize(x, gain, bias, eps, sums, counts):
+def _standardize(x, gain, bias, sums, counts):
     """(output, backward) of x standardized over `counts` entries, then
     affine; sums(a) is a's sum over those entries, broadcast back to a."""
     xc = x.data - sums(x.data) / counts
-    inv = 1.0 / np.sqrt(sums(xc * xc) / counts + eps)
+    inv = 1.0 / np.sqrt(sums(xc * xc) / counts + _NORM_EPS)
     xhat = xc * inv
 
     def bw(g):
@@ -360,30 +361,29 @@ def _standardize(x, gain, bias, eps, sums, counts):
     return xhat * gain.data + bias.data, bw
 
 
-def layer_norm(tape, x, gain, bias, eps=1e-5):
+def layer_norm(tape, x, gain, bias):
     """Per-row standardization over features (Ba et al. 2016), then affine."""
     out_data, bw = _standardize(
-        x, gain, bias, eps,
-        lambda a: np.add.reduce(a, axis=-1, keepdims=True), x.data.shape[-1])
+        x, gain, bias, lambda a: np.add.reduce(a, axis=-1, keepdims=True),
+        x.data.shape[-1])
     return record_op(tape, "layer_norm", (x, gain, bias), out_data, bw)
 
 
-def feature_norm(tape, x, gain, bias, eps=1e-5, pack=None):
+def feature_norm(tape, x, gain, bias, pack):
     """Standardize each feature over its sentence's positions, then affine.
 
     This is the batch-statistics alternative to layer_norm; each sentence
     of a pack keeps its own statistics.
     """
-    pack = resolve(pack, x.data.shape[0])
     out_data, bw = _standardize(
-        x, gain, bias, eps, lambda a: pack.per_row(pack.sums(a)),
+        x, gain, bias, lambda a: pack.per_row(pack.sums(a)),
         pack.per_row(pack.lengths)[:, None])
     return record_op(tape, "feature_norm", (x, gain, bias), out_data, bw)
 
 
-def softmax_rows(tape, scores, mask=None):
-    """Row softmax over unmasked keys. A row with no unmasked key is an error."""
-    w, bw = _softmax(scores.data, _check_mask(scores.data, mask))
+def softmax_rows(tape, scores):
+    """Row softmax over the last axis."""
+    w, bw = _softmax(scores.data, None)
     return record_op(tape, "softmax_rows", (scores,), w, lambda g: (bw(g),))
 
 
@@ -394,20 +394,6 @@ def _softmax(scores, allowed):
     e = np.exp(shifted)
     w = e / e.sum(axis=-1, keepdims=True)
     return w, lambda g: w * (g - (g * w).sum(axis=-1, keepdims=True))
-
-
-def _check_mask(data, mask):
-    # Masks may broadcast on trailing axes (e.g. one key-mask row shared by
-    # every query). Every row must keep at least one live entry. No mask
-    # stays None: every entry is live and the ops skip their np.where.
-    if mask is None:
-        return None
-    allowed = np.broadcast_to(np.asarray(mask, dtype=bool), data.shape)
-    dead = ~allowed.any(axis=-1)
-    if dead.any():
-        row = int(np.argmax(dead.ravel()))
-        raise DegenerateRowError("attention {row} has every key masked", row)
-    return allowed
 
 
 def _masked(allowed, x, fill):
@@ -438,8 +424,7 @@ def _laplace(scores, mu, sigma_raw, allowed):
     return out, bw
 
 
-def band_attention(tape, q, k, v, bias, mu, sigma_raw, scale, width, attn_fn,
-                   pack=None):
+def band_attention(tape, q, k, v, bias, mu, sigma_raw, scale, width, attn_fn, pack):
     """Attention of each row over the keys of its band, as one op.
 
     Row i's band is its chunk of `width` consecutive rows of its sentence
@@ -469,7 +454,6 @@ def band_attention(tape, q, k, v, bias, mu, sigma_raw, scale, width, attn_fn,
     if attn_fn not in ("softmax", "laplace", "reduced_laplace"):
         raise ValueError(f"unknown attn_fn {attn_fn!r}")
     scale = float(scale)
-    pack = resolve(pack, q.data.shape[0])
     m = pack.n_max if width is None else min(int(width), pack.n_max)
     scores = pack.chunks(q.data, m) @ pack.chunks(k.data, m).transpose(0, 2, 1)
     scores *= scale
@@ -547,12 +531,11 @@ def _rel_bias_index(n, m, w):
 # Recurrence ops backed by the kernels module.
 # ---------------------------------------------------------------------------
 
-def ema_scan(tape, x, alpha, h0, pack=None):
+def ema_scan(tape, x, alpha, h0, pack):
     """h_t = alpha * x_t + (1 - alpha) * h_{t-1}, elementwise over features.
 
     Each sentence of a pack starts from h0.
     """
-    pack = resolve(pack, x.data.shape[0])
     hist = kernels.ema_forward(pack.padded(x.data), alpha.data, h0.data)
 
     def bw(g):
@@ -597,7 +580,7 @@ def _lane_rows(pack, a, h):
                            pack.unpadded(a[..., h:], True)), axis=1)
 
 
-def bilstm_seq(tape, x, w_f, u_f, b_f, w_b, u_b, b_b, pack=None):
+def bilstm_seq(tape, x, w_f, u_f, b_f, w_b, u_b, b_b, pack):
     """Bidirectional LSTM over x (n, d_in) -> (n, 2h): [forward | backward].
 
     Both directions run as one LSTM of width 2h. Lane 0 reads each
@@ -608,7 +591,6 @@ def bilstm_seq(tape, x, w_f, u_f, b_f, w_b, u_b, b_b, pack=None):
     between lanes.
     """
     h = u_f.data.shape[0]
-    pack = resolve(pack, x.data.shape[0])
     u = per_tape(tape, (u_f, u_b), lambda: _block_diagonal(u_f.data, u_b.data))
     hidden, gates, cells = kernels.lstm_forward(
         _lanes(pack.padded(x.data @ w_f.data), pack.padded(x.data @ w_b.data, True)),
@@ -638,7 +620,7 @@ def split_transitions(trans_data, n_classes, extra_mask=None):
     return t[:c, :c], t[c, :c], t[:c, c + 1]
 
 
-def crf_log_z(tape, emissions, trans, n_classes, extra_mask=None, pack=None):
+def crf_log_z(tape, emissions, trans, n_classes, extra_mask=None, *, pack):
     """Log partition of a linear-chain CRF, per sentence of a pack.
 
     trans is (C+2, C+2) with the start state at row C and the stop state at
@@ -648,7 +630,6 @@ def crf_log_z(tape, emissions, trans, n_classes, extra_mask=None, pack=None):
     Each sentence of a pack starts and stops at its own ends.
     """
     core, start, stop = split_transitions(trans.data, n_classes, extra_mask)
-    pack = resolve(pack, emissions.data.shape[0])
     steps = pack.padded(emissions.data)
     log_z, alpha = kernels.crf_forward(steps, core, start, stop, pack.lengths)
     c = n_classes
@@ -668,13 +649,17 @@ def crf_log_z(tape, emissions, trans, n_classes, extra_mask=None, pack=None):
 def crf_path_score(tape, emissions, trans, path, n_classes, extra_mask=None,
                    pack=None):
     """Unnormalized log score of a tag path under the same CRF layout: one
-    path per sentence of a pack, laid out as its rows."""
+    path per sentence of a pack, laid out as its rows.
+
+    It is the one op whose pack may be left out, meaning one sentence,
+    because callers outside this package score a path positionally without
+    one."""
     path = np.asarray(path, dtype=np.int64)
     n = emissions.data.shape[0]
     if path.shape != (n,):
         raise ValueError(f"path length {path.shape} != sequence length {n}")
     core, start, stop = split_transitions(trans.data, n_classes, extra_mask)
-    pack = resolve(pack, n)
+    pack = one(n) if pack is None else pack
     first, last, nxt = path[pack.starts], path[pack.lasts], pack.follows
     rows = emissions.data[np.arange(n), path]
     rows[nxt] += core[path[nxt - 1], path[nxt]]

@@ -54,19 +54,19 @@ def build_strict_mask(tags):
     return mask
 
 
-def sequence_score(tape, emissions, tags, params, pack=None):
+def sequence_score(tape, emissions, tags, params, pack):
     """Unnormalized log score of one tag path (per sentence of a pack)."""
     return ad.crf_path_score(tape, emissions, params.trans, tags,
                              params.n_classes, params.strict_mask, pack)
 
 
-def log_partition(tape, emissions, params, pack=None):
+def log_partition(tape, emissions, params, pack):
     """Log of the path-sum, via the forward algorithm in log space."""
     return ad.crf_log_z(tape, emissions, params.trans,
-                        params.n_classes, params.strict_mask, pack)
+                        params.n_classes, params.strict_mask, pack=pack)
 
 
-def crf_nll(tape, emissions, tags, params, pack=None):
+def crf_nll(tape, emissions, tags, params, pack):
     """Negative log conditional likelihood of the gold path (per sentence)."""
     return ad.sub(tape, log_partition(tape, emissions, params, pack),
                   sequence_score(tape, emissions, tags, params, pack))
@@ -88,7 +88,7 @@ def viterbi(emissions, params):
     return path, float(score)
 
 
-def token_nll(tape, probs, onehot, pack=None):
+def token_nll(tape, probs, onehot, pack):
     """Per-token cross entropy, summed per sentence: the no-decoder ablation
     loss.
 

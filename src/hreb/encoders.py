@@ -121,7 +121,7 @@ class BiLstm(ad.Module):
         self.fwd = self.sub(LstmParams(d_in, h, rng, prefix + "fwd."))
         self.bwd = self.sub(LstmParams(d_in, h, rng, prefix + "bwd."))
 
-    def forward(self, tape, x, pack=None):
+    def forward(self, tape, x, pack):
         """Encode x (seq, d_in) -> (seq, 2h), each sentence of a pack alone."""
         f, b = self.fwd, self.bwd
         return ad.bilstm_seq(tape, x, f.w, f.u, f.b, b.w, b.u, b.b, pack)

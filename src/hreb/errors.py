@@ -15,7 +15,7 @@ class NumericsError(HrebError):
 
 
 class DegenerateRowError(NumericsError):
-    """An attention row has no unmasked key, or normalization hit a non-positive sum.
+    """An attention row's normalization hit a non-positive sum.
 
     An op that knows the row passes it, and a message whose {row} field
     names it ("row 3"); named() names it again, e.g. within its sentence.

@@ -5,8 +5,11 @@ import numpy as np
 from .autodiff import backward
 from .errors import VerificationError
 
+# each central difference steps a parameter entry this far either way
+STEP = 1e-5
 
-def finite_diff_params(build_loss, params, eps=1e-5, max_entries=None, rng=None):
+
+def finite_diff_params(build_loss, params, max_entries=None, rng=None):
     """Check analytic parameter gradients of a rebuildable scalar loss.
 
     build_loss() must rerun the forward pass from current parameter values
@@ -36,12 +39,12 @@ def finite_diff_params(build_loss, params, eps=1e-5, max_entries=None, rng=None)
         worst = 0.0
         for i in idxs:
             orig = p.data.flat[i]
-            p.data.flat[i] = orig + eps
+            p.data.flat[i] = orig + STEP
             lp = float(build_loss()[0].data)
-            p.data.flat[i] = orig - eps
+            p.data.flat[i] = orig - STEP
             lm = float(build_loss()[0].data)
             p.data.flat[i] = orig
-            numeric = (lp - lm) / (2.0 * eps)
+            numeric = (lp - lm) / (2.0 * STEP)
             analytic = g.flat[i]
             rel = abs(analytic - numeric) / max(1.0, abs(analytic))
             if rel > worst:

@@ -78,7 +78,7 @@ class HrebModel(ad.Module):
         if traces is not None and pack.shape:
             raise ValueError("attention traces need one id sequence, not a list")
         x = embed_tokens(tape, ids, self.embed)
-        h = self.encoder.forward(tape, x, traces=traces, pack=pack)
+        h = self.encoder.forward(tape, x, pack, traces)
         ctx = self.lstm.forward(tape, h, pack)
         return ad.linear(tape, ctx, self.w_out, self.b_out)
 

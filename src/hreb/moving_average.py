@@ -39,7 +39,7 @@ class EmaState(ad.Module):
         self.w_up = self.param("w_up", rng.uniform(-s, s, (d_model, d_model)))
 
 
-def multihead_ema(tape, x, state, pack=None):
+def multihead_ema(tape, x, state, pack):
     """Project to heads, scan each with its own decay, project back to d.
 
     Each sentence of a pack is scanned from h0. The per-dimension decay

@@ -7,12 +7,11 @@ run on the rows as they are. The ops that mix positions (the EMA scan, the
 attention bands, the BiLSTM, the CRF and feature_norm) read the sentence
 boundaries from a Pack, so no sentence sees another.
 
-One sentence is Pack(n) with an int n, and is what an op given no pack
-runs. Per-sentence results take the shape of the lengths, as numpy's do
-for a 0-d input: () for Pack(n) and (B,) for Pack([a, b, ...]). The time
-steps of a pack of one are views of its rows, and one() keeps the
-one-sentence packs of recent lengths, so a decode builds no layout that an
-earlier one of the same length built.
+One sentence is Pack(n) with an int n. Per-sentence results take the
+shape of the lengths, as numpy's do for a 0-d input: () for Pack(n) and
+(B,) for Pack([a, b, ...]). The time steps of a pack of one are views of
+its rows, and one() keeps the one-sentence packs of recent lengths, so a
+decode builds no layout that an earlier one of the same length built.
 """
 
 from functools import lru_cache, wraps
@@ -153,8 +152,3 @@ def one(n):
     one-sentence calls (decoding) build each length's layout once. Callers
     share it, so none may write into its arrays."""
     return Pack(n)
-
-
-def resolve(pack, n):
-    """pack, or the one-sentence Pack(n) when it is None."""
-    return one(n) if pack is None else pack

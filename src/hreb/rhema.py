@@ -20,7 +20,7 @@ from . import autodiff as ad
 from . import residual
 from .errors import DegenerateRowError
 from .moving_average import EmaState, multihead_ema
-from .pack import Pack, resolve
+from .pack import Pack
 
 # Starting point for the learnable score-squash location/scale: mean and
 # standard deviation of a softmax weight under unit-normal scores.
@@ -32,8 +32,8 @@ class RhemaConfig:
     """One attention stage's view of a RunConfig.
 
     Carries every setting of the run, which validated it, with the 0
-    sentinels of v_dim and n_ema_head resolved; adds the attention scale and
-    the stage's chunk length (0 means global).
+    sentinels of v_dim and n_ema_head replaced by their defaults; adds the
+    attention scale and the stage's chunk length (0 means global).
     """
 
     def __init__(self, run, chunk_size):
@@ -130,7 +130,7 @@ class RhemaParams(BlockParams):
             "lap_sigma_raw", np.log(np.expm1(LAPLACE_SIGMA_INIT)))
 
 
-def shared_rep(tape, x, params, config, pack=None):
+def shared_rep(tape, x, params, config, pack):
     """Z = silu(EMA(x) @ W_z + b_z) + x."""
     smoothed = multihead_ema(tape, x, params.ema, pack)
     return ad.add(tape, ad.linear_silu(tape, smoothed, params.w_z, params.b_z,
@@ -144,7 +144,7 @@ def qk_transform(tape, z, params):
     return q, k
 
 
-def attention(tape, q, k, v, params, config, trace=None, pack=None):
+def attention(tape, q, k, v, params, config, pack, trace=None):
     """O = f(Q K^T / scale + b_rel) V with the configured score squash.
 
     Scores live in the (n, m) band layout of ad.band_attention: m is the
@@ -153,7 +153,6 @@ def attention(tape, q, k, v, params, config, trace=None, pack=None):
     pack attends to another. Only keys past a chunk's sentence end are
     masked.
     """
-    pack = resolve(pack, q.data.shape[0])
     try:
         out, scores, weights = ad.band_attention(
             tape, q, k, v, params.b_rel, params.lap_mu, params.lap_sigma_raw,
@@ -191,7 +190,7 @@ def band_to_dense(band, fill):
 
 def _norm(tape, x, gain, bias, config, pack):
     if config.batch_norm_fidelity:
-        return ad.feature_norm(tape, x, gain, bias, pack=pack)
+        return ad.feature_norm(tape, x, gain, bias, pack)
     return ad.layer_norm(tape, x, gain, bias)
 
 
@@ -212,7 +211,7 @@ def _block(tape, x, p, config, attend, pack):
     return residual.apply(tape, mid, ffn_branch, p.rb_ffn)
 
 
-def rhema_block(tape, x, params, config, trace=None, pack=None):
+def rhema_block(tape, x, params, config, pack, trace=None):
     """One full block: gated-attention sublayer, then feed-forward sublayer."""
     def attend(xn):
         z = shared_rep(tape, xn, params, config, pack)
@@ -223,7 +222,7 @@ def rhema_block(tape, x, params, config, trace=None, pack=None):
             trace.q = q.data.copy()
             trace.k = k.data.copy()
             trace.v = v.data.copy()
-        o = attention(tape, q, k, v, params, config, trace, pack)
+        o = attention(tape, q, k, v, params, config, pack, trace)
         return gated_output(tape, xn, z, o, params, config, trace)
 
     return _block(tape, x, params, config, attend, pack)
@@ -242,12 +241,12 @@ class HierarchicalEncoder(ad.Module):
     def gate_states(self):
         return self.local.gate_states() + self.global_.gate_states()
 
-    def forward(self, tape, x, traces=None, pack=None):
+    def forward(self, tape, x, pack, traces=None):
         t_local = AttentionTrace("local") if traces is not None else None
         t_global = AttentionTrace("global") if traces is not None else None
-        mid = rhema_block(tape, x, self.local, self.local_config, t_local, pack)
-        out = rhema_block(tape, mid, self.global_, self.global_config, t_global,
-                          pack)
+        mid = rhema_block(tape, x, self.local, self.local_config, pack, t_local)
+        out = rhema_block(tape, mid, self.global_, self.global_config, pack,
+                          t_global)
         if traces is not None:
             traces.extend([t_local, t_global])
         return out
@@ -265,10 +264,9 @@ class NaiveEncoder(BlockParams):
         self.w_q, self.w_k, self.w_v, self.w_o = (
             self.param(n, _glorot(rng, (d, d))) for n in ("w_q", "w_k", "w_v", "w_o"))
 
-    def forward(self, tape, x, traces=None, pack=None):
+    def forward(self, tape, x, pack, traces=None):
         c = self.config
         trace = AttentionTrace("naive") if traces is not None else None
-        pack = resolve(pack, x.data.shape[0])
 
         def attend(xn):
             q = ad.matmul(tape, xn, self.w_q)

@@ -18,9 +18,13 @@ from .encoders import embed_tokens
 from .gradcheck import finite_diff_params
 from .model import HrebModel
 from .moving_average import EmaState, multihead_ema
-from .pack import Pack
+from .pack import Pack, one
 
 SUITES = ("grad", "crf", "ema")
+# the largest relative gradient error a finite-difference check passes
+GRAD_TOL = 1e-4
+# random CRFs that crf_suite checks against enumeration
+CRF_INSTANCES = 200
 
 
 class CheckResult:
@@ -41,7 +45,7 @@ def _dump(**arrays):
 
 # ----------------------------------------------------------------- gradients
 
-def op_grad_checks(seed=0, tol=1e-4):
+def op_grad_checks(seed=0):
     """Finite-difference check of every differentiable op, one entry per
     (op, input) pair, and per attn_fn for band_attention.
 
@@ -59,8 +63,6 @@ def op_grad_checks(seed=0, tol=1e-4):
     vec = rng.standard_normal(d)
     pos = rng.uniform(0.5, 2.0, (n, d))
     sq = rng.standard_normal((d, d))
-    mask = np.ones((n, n), dtype=bool)
-    mask[0, 2] = mask[2, 0] = False
     n_classes = 3
     crf_t = rng.standard_normal((n_classes + 2, n_classes + 2))
     crf_t[:, n_classes] = -np.inf
@@ -118,8 +120,7 @@ def op_grad_checks(seed=0, tol=1e-4):
         ("layer_norm", {"x": a, "gain": gain, "bias": beta}, ad.layer_norm),
         ("feature_norm", {"x": x, "gain": gain, "bias": beta},
          lambda t, xs, g, bs: ad.feature_norm(t, xs, g, bs, pack=rag)),
-        ("softmax_rows", {"s": a @ a.T},
-         lambda t, s: ad.softmax_rows(t, s, mask)),
+        ("softmax_rows", {"s": a @ a.T}, ad.softmax_rows),
         ("ema_scan", {"x": x, "alpha": alpha, "h0": h0},
          lambda t, xs, al, h: ad.ema_scan(t, xs, al, h, rag)),
         ("bilstm_seq", lstm, lambda t, *ts: ad.bilstm_seq(t, *ts, pack=rag)),
@@ -151,12 +152,12 @@ def op_grad_checks(seed=0, tol=1e-4):
 
         errs = finite_diff_params(loss, tensors)
         for name, err in errs.items():
-            detail = " ".join([f"max rel err {err:.3g} (tol {tol:g})"]
+            detail = " ".join([f"max rel err {err:.3g} (tol {GRAD_TOL:g})"]
                               + [f"under {f}" for f in under])
-            if err > tol:
+            if err > GRAD_TOL:
                 detail += _dump(**{name: inputs[name]})
             label = op if len(inputs) == 1 else f"{op}/{name}"
-            results.append(CheckResult(f"grad {label}", err <= tol, detail))
+            results.append(CheckResult(f"grad {label}", err <= GRAD_TOL, detail))
     return results
 
 
@@ -202,8 +203,8 @@ def grad_suite(seed=0):
     worst, errs = model_grad_check(seed=seed, max_entries=3)
     name = max(errs, key=errs.get)
     results.append(CheckResult(
-        "grad full model", worst <= 1e-4,
-        f"worst param {name}: rel err {worst:.3g} (tol 0.0001)"))
+        "grad full model", worst <= GRAD_TOL,
+        f"worst param {name}: rel err {worst:.3g} (tol {GRAD_TOL:g})"))
     return results
 
 
@@ -220,27 +221,28 @@ def _random_crf(rng):
     return emissions, params
 
 
-def crf_suite(seed=0, instances=200):
+def crf_suite(seed=0):
     """Exact-inference agreement with brute-force path enumeration."""
     rng = np.random.default_rng(seed)
     worst_z = 0.0
     path_fail = None
-    for i in range(instances):
+    for i in range(CRF_INSTANCES):
         emissions, params = _random_crf(rng)
         core, start, stop = ad.split_transitions(params.trans.data, params.n_classes)
         log_z_ref, best_ref, _ = oracles.crf_enumerate(emissions, core, start, stop)
-        log_z = float(crf_mod.log_partition(None, ad.Tensor(emissions), params).data)
+        log_z = float(crf_mod.log_partition(None, ad.Tensor(emissions), params,
+                                            one(len(emissions))).data)
         worst_z = max(worst_z, abs(log_z - log_z_ref))
         path, _ = crf_mod.viterbi(emissions, params)
         if path_fail is None and not np.array_equal(path, best_ref):
             path_fail = (i, emissions, params.trans.data, path, best_ref)
     results = [CheckResult(
         "crf log partition vs enumeration", worst_z <= 1e-8,
-        f"max |dlogZ| {worst_z:.3g} over {instances} instances (tol 1e-08)")]
+        f"max |dlogZ| {worst_z:.3g} over {CRF_INSTANCES} instances (tol 1e-08)")]
     if path_fail is None:
         results.append(CheckResult(
             "crf viterbi vs enumeration", True,
-            f"paths identical on {instances} instances"))
+            f"paths identical on {CRF_INSTANCES} instances"))
     else:
         i, emissions, trans, got, want = path_fail
         results.append(CheckResult(
@@ -257,7 +259,7 @@ def crf_suite(seed=0, instances=200):
             emissions, core, start, stop)
         tape = ad.Tape()
         e = ad.Tensor(emissions, requires_grad=True, name="e")
-        lz = crf_mod.log_partition(tape, e, params)
+        lz = crf_mod.log_partition(tape, e, params, one(len(emissions)))
         grads = ad.backward(tape, lz)
         c = params.n_classes
         dt = grads[params.trans.id]
@@ -277,13 +279,15 @@ def crf_suite(seed=0, instances=200):
         emissions, params = _random_crf(rng)
         n, c = emissions.shape
         gold = rng.integers(0, c, n)
-        nll0 = float(crf_mod.crf_nll(None, ad.Tensor(emissions), gold, params).data)
+        nll0 = float(crf_mod.crf_nll(None, ad.Tensor(emissions), gold, params,
+                                     one(n)).data)
         shifted = emissions + rng.standard_normal((n, 1))
-        nll1 = float(crf_mod.crf_nll(None, ad.Tensor(shifted), gold, params).data)
+        nll1 = float(crf_mod.crf_nll(None, ad.Tensor(shifted), gold, params,
+                                     one(n)).data)
         worst_shift = max(worst_shift, abs(nll1 - nll0))
         tape = ad.Tape()
         e = ad.Tensor(emissions, requires_grad=True, name="e")
-        nll = crf_mod.crf_nll(tape, e, gold, params)
+        nll = crf_mod.crf_nll(tape, e, gold, params, one(n))
         grads = ad.backward(tape, nll)
         worst_rowsum = max(worst_rowsum,
                            float(np.abs(grads[e.id].sum(axis=1)).max()))
@@ -305,7 +309,8 @@ def ema_suite(seed=0):
         x = rng.standard_normal((n, 3))
         alpha = rng.uniform(0.05, 0.95, 3)
         h0 = rng.standard_normal(3)
-        got = ad.ema_scan(None, ad.Tensor(x), ad.Tensor(alpha), ad.Tensor(h0)).data
+        got = ad.ema_scan(None, ad.Tensor(x), ad.Tensor(alpha), ad.Tensor(h0),
+                          one(n)).data
         ref = oracles.ema_closed_form(x, alpha, h0)
         worst = max(worst, float(np.abs(got - ref).max()))
     results = [CheckResult(
@@ -314,7 +319,7 @@ def ema_suite(seed=0):
 
     x = rng.standard_normal((9, 4))
     got = ad.ema_scan(None, ad.Tensor(x), ad.Tensor(np.ones(4)),
-                      ad.Tensor(rng.standard_normal(4))).data
+                      ad.Tensor(rng.standard_normal(4)), one(9)).data
     exact = bool(np.array_equal(got, x))
     results.append(CheckResult(
         "ema alpha=1 pass-through", exact,
@@ -327,9 +332,9 @@ def ema_suite(seed=0):
     alpha = 0.37
     state.alpha_raw.data = np.array([np.log(alpha / (1 - alpha))])
     x = rng.standard_normal((11, d))
-    got = multihead_ema(None, ad.Tensor(x), state).data
+    got = multihead_ema(None, ad.Tensor(x), state, one(11)).data
     ref = ad.ema_scan(None, ad.Tensor(x), ad.Tensor(np.full(d, alpha)),
-                      ad.Tensor(np.zeros(d))).data
+                      ad.Tensor(np.zeros(d)), one(11)).data
     err = float(np.abs(got - ref).max())
     results.append(CheckResult(
         "ema one-head identity reduction", err <= 1e-12,

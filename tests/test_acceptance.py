@@ -27,6 +27,7 @@ from hreb.checkpoint import load_model, save_checkpoint
 from hreb.config import RunConfig
 from hreb.data import Corpus, synth_corpus
 from hreb.moving_average import EmaState, multihead_ema
+from hreb.pack import one
 from hreb.training import ablate, ablation_table, evaluate, snapshot, train
 
 
@@ -72,7 +73,7 @@ def test_criterion_1_crf_matches_enumeration():
             want_z, want_path = crf_paths_brute(emissions, params.trans.data,
                                                 params.n_classes)
             got_z = float(crf_mod.log_partition(None, ad.Tensor(emissions),
-                                                params).data)
+                                                params, one(len(emissions))).data)
             worst = max(worst, abs(got_z - want_z))
             path, _ = crf_mod.viterbi(emissions, params)
             assert np.array_equal(path, want_path)
@@ -139,14 +140,14 @@ def test_criterion_3_ema_algebra():
             alpha = rng.uniform(0.05, 0.95, 3)
             h0 = rng.standard_normal(3)
             got = ad.ema_scan(None, ad.Tensor(x), ad.Tensor(alpha),
-                              ad.Tensor(h0)).data
+                              ad.Tensor(h0), one(n)).data
             worst = max(worst,
                         float(np.abs(got - ema_closed_form(x, alpha, h0)).max()))
         assert worst <= 1e-12, worst
 
         x = rng.standard_normal((9, 4))
         kept = ad.ema_scan(None, ad.Tensor(x), ad.Tensor(np.ones(4)),
-                           ad.Tensor(rng.standard_normal(4))).data
+                           ad.Tensor(rng.standard_normal(4)), one(9)).data
         assert np.array_equal(kept, x)
 
         d, alpha = 4, 0.37
@@ -155,9 +156,9 @@ def test_criterion_3_ema_algebra():
         state.w_up.data = np.eye(d)
         state.alpha_raw.data = np.array([np.log(alpha / (1.0 - alpha))])
         x = rng.standard_normal((11, d))
-        got = multihead_ema(None, ad.Tensor(x), state).data
+        got = multihead_ema(None, ad.Tensor(x), state, one(11)).data
         want = ad.ema_scan(None, ad.Tensor(x), ad.Tensor(np.full(d, alpha)),
-                           ad.Tensor(np.zeros(d))).data
+                           ad.Tensor(np.zeros(d)), one(11)).data
         assert float(np.abs(got - want).max()) <= 1e-12
         ok = True
     finally:
@@ -231,14 +232,14 @@ def test_criterion_5_nll_shift_invariance():
             n, c = emissions.shape
             gold = rng.integers(0, c, n)
             base = float(crf_mod.crf_nll(None, ad.Tensor(emissions), gold,
-                                         params).data)
+                                         params, one(n)).data)
             shifted = emissions + rng.standard_normal((n, 1))
             moved = float(crf_mod.crf_nll(None, ad.Tensor(shifted), gold,
-                                          params).data)
+                                          params, one(n)).data)
             worst_shift = max(worst_shift, abs(moved - base))
             tape = ad.Tape()
             e = ad.Tensor(emissions, requires_grad=True)
-            grads = ad.backward(tape, crf_mod.crf_nll(tape, e, gold, params))
+            grads = ad.backward(tape, crf_mod.crf_nll(tape, e, gold, params, one(n)))
             worst_rowsum = max(worst_rowsum,
                                float(np.abs(grads[e.id].sum(axis=1)).max()))
         assert worst_shift <= 1e-9, worst_shift

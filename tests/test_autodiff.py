@@ -12,6 +12,7 @@ from hreb import autodiff as ad
 from hreb import encoders, verify
 from hreb.errors import DegenerateRowError, NumericsError, VerificationError
 from hreb.gradcheck import finite_diff_params
+from hreb.pack import one
 
 
 def erf_series(x, terms=40):
@@ -172,7 +173,7 @@ def band_weights(scores, attn_fn="laplace", mu=0.0, sigma_raw=0.0):
     n = scores.shape[0]
     _, got, w = ad.band_attention(
         None, ad.Tensor(scores), ad.Tensor(np.eye(n)), ad.Tensor(np.zeros((n, 1))),
-        None, scalar(mu), scalar(sigma_raw), 1.0, None, attn_fn)
+        None, scalar(mu), scalar(sigma_raw), 1.0, None, attn_fn, one(n))
     assert np.array_equal(got, scores)
     return w
 
@@ -181,7 +182,7 @@ def band_scores(n, width, bias):
     """band_attention's (n, m) scores of zero queries and keys under bias."""
     zero = ad.Tensor(np.zeros((n, 1)))
     return ad.band_attention(None, zero, zero, zero, bias, None, None, 1.0, width,
-                             "softmax")[1]
+                             "softmax", one(n))[1]
 
 
 def test_erf_matches_series_oracle():
@@ -216,7 +217,7 @@ def test_layer_norm_standardizes_each_row():
 def test_feature_norm_standardizes_each_feature():
     x = np.array([[1.0, 10.0], [3.0, 30.0], [100.0, -100.0]])
     out = ad.feature_norm(None, ad.Tensor(x), ad.Tensor(np.ones(2)),
-                          ad.Tensor(np.zeros(2))).data
+                          ad.Tensor(np.zeros(2)), one(3)).data
     mu = x.mean(axis=0)
     sd = np.sqrt(x.var(axis=0) + 1e-5)
     assert np.allclose(out, (x - mu) / sd)
@@ -229,11 +230,12 @@ def test_feature_norm_of_a_sentence_is_layer_norm_of_its_transpose():
     x = rng.standard_normal((n, d)) * 2 + 0.5
     w = rng.standard_normal((n, d))
     results = []
-    for op, xin, win in ((ad.feature_norm, x, w), (ad.layer_norm, x.T, w.T)):
+    for op, xin, win, pack in ((ad.feature_norm, x, w, (one(n),)),
+                               (ad.layer_norm, x.T, w.T, ())):
         tape = ad.Tape()
         xt = ad.Tensor(xin, requires_grad=True)
         out = op(tape, xt, ad.Tensor(np.ones(xin.shape[1])),
-                 ad.Tensor(np.zeros(xin.shape[1])))
+                 ad.Tensor(np.zeros(xin.shape[1])), *pack)
         grads = ad.backward(tape, ad.sum_all(tape, ad.mul(tape, out, ad.Tensor(win))))
         results.append((out.data, grads[xt.id]))
     (f_out, f_dx), (l_out, l_dx) = results
@@ -249,21 +251,18 @@ def test_norms_center_once_with_the_bits_of_mean_and_var(n):
     d = 16
     x = rng.standard_normal((n, d)) * 3 + 1
     gain, bias = rng.standard_normal(d), rng.standard_normal(d)
-    for op, axis in ((ad.layer_norm, -1), (ad.feature_norm, 0)):
+    for op, axis, pack in ((ad.layer_norm, -1, ()), (ad.feature_norm, 0, (one(n),))):
         mu = x.mean(axis=axis, keepdims=True)
         inv = 1.0 / np.sqrt(x.var(axis=axis, keepdims=True) + 1e-5)
-        out = op(None, ad.Tensor(x), ad.Tensor(gain), ad.Tensor(bias))
+        out = op(None, ad.Tensor(x), ad.Tensor(gain), ad.Tensor(bias), *pack)
         assert np.array_equal(out.data, (x - mu) * inv * gain + bias), op.__name__
 
 
-def test_softmax_rows_simplex_and_masked_zeros():
+def test_softmax_rows_are_simplexes():
     rng = np.random.default_rng(2)
     s = rng.standard_normal((5, 5))
-    mask = np.ones((5, 5), dtype=bool)
-    mask[2, 3] = mask[2, 4] = False
-    w = ad.softmax_rows(None, ad.Tensor(s), mask).data
+    w = ad.softmax_rows(None, ad.Tensor(s)).data
     assert np.abs(w.sum(axis=1) - 1.0).max() < 1e-12
-    assert w[2, 3] == 0.0 and w[2, 4] == 0.0
     assert (w >= 0).all()
 
 
@@ -272,21 +271,6 @@ def test_softmax_identity_scores_frozen_weights():
     e = math.e
     assert np.allclose(w, [[e / (e + 1), 1 / (e + 1)],
                            [1 / (e + 1), e / (e + 1)]], atol=1e-15)
-
-
-def test_fully_masked_row_raises_degenerate_row():
-    s = np.zeros((2, 2))
-    mask = np.array([[True, True], [False, False]])
-    with pytest.raises(DegenerateRowError):
-        ad.softmax_rows(None, ad.Tensor(s), mask)
-
-
-def test_mask_broadcasts_over_leading_axis():
-    # one key mask shared by every query row
-    s = np.zeros((3, 4))
-    w = ad.softmax_rows(None, ad.Tensor(s), np.array([True, False, True, False])).data
-    assert np.allclose(w[:, 0], 0.5)
-    assert np.allclose(w[:, 1], 0.0)
 
 
 def test_laplace_frozen_value_and_range():

@@ -9,6 +9,7 @@ from hreb import autodiff as ad
 from hreb import crf
 from hreb import oracles
 from hreb.errors import NumericsError
+from hreb.pack import one
 
 
 def split_trans(params):
@@ -65,7 +66,7 @@ def test_uniform_potentials_give_log_path_count():
     # 2 classes, 3 steps, all-zero scores: Z = 2^3
     p = crf.CrfParams(2)
     emissions = ad.Tensor(np.zeros((3, 2)))
-    lz = crf.log_partition(None, emissions, p)
+    lz = crf.log_partition(None, emissions, p, one(3))
     assert abs(float(lz.data) - math.log(8)) < 1e-12
 
 
@@ -79,7 +80,7 @@ def test_log_partition_and_viterbi_match_enumeration():
         core, start, stop = split_trans(p)
         want_lz, want_path, want_score = oracles.crf_enumerate(
             emissions, core, start, stop)
-        lz = crf.log_partition(None, ad.Tensor(emissions), p)
+        lz = crf.log_partition(None, ad.Tensor(emissions), p, one(n))
         assert abs(float(lz.data) - want_lz) < 1e-8
         path, score = crf.viterbi(emissions, p)
         assert list(path) == list(want_path)
@@ -104,7 +105,7 @@ def test_sequence_score_is_the_path_sum():
     for t in range(1, n):
         want += core[tags[t - 1], tags[t]] + emissions[t, tags[t]]
     want += stop[tags[-1]]
-    got = crf.sequence_score(None, ad.Tensor(emissions), tags, p)
+    got = crf.sequence_score(None, ad.Tensor(emissions), tags, p, one(n))
     assert abs(float(got.data) - want) < 1e-10
 
 
@@ -117,7 +118,7 @@ def test_nll_normalizes_over_all_paths():
     emissions = ad.Tensor(rng.standard_normal((n, c)))
     total = 0.0
     for tags in itertools.product(range(c), repeat=n):
-        nll = crf.crf_nll(None, emissions, np.array(tags), p)
+        nll = crf.crf_nll(None, emissions, np.array(tags), p, one(n))
         assert float(nll.data) > 0.0
         total += math.exp(-float(nll.data))
     assert abs(total - 1.0) < 1e-10
@@ -129,10 +130,10 @@ def test_emission_row_shift_leaves_nll_unchanged():
     p = random_params(rng, c)
     emissions = rng.standard_normal((n, c))
     tags = rng.integers(0, c, n)
-    base = float(crf.crf_nll(None, ad.Tensor(emissions), tags, p).data)
+    base = float(crf.crf_nll(None, ad.Tensor(emissions), tags, p, one(n)).data)
     shifted = emissions.copy()
     shifted[2] += 7.25  # same constant across every class at one position
-    after = float(crf.crf_nll(None, ad.Tensor(shifted), tags, p).data)
+    after = float(crf.crf_nll(None, ad.Tensor(shifted), tags, p, one(n)).data)
     assert abs(base - after) < 1e-9
 
 
@@ -157,11 +158,11 @@ def test_strict_partition_drops_illegal_paths():
     emissions = rng.standard_normal((4, 3))
     core, start, stop = split_trans(strict)
     want_lz, _, _ = oracles.crf_enumerate(emissions, core, start, stop)
-    lz = crf.log_partition(None, ad.Tensor(emissions), strict)
+    lz = crf.log_partition(None, ad.Tensor(emissions), strict, one(4))
     assert abs(float(lz.data) - want_lz) < 1e-8
     # and the strict partition is strictly below the unrestricted one
     loose = crf.CrfParams(len(tags))
-    lz_loose = crf.log_partition(None, ad.Tensor(emissions), loose)
+    lz_loose = crf.log_partition(None, ad.Tensor(emissions), loose, one(4))
     assert float(lz.data) < float(lz_loose.data)
 
 
@@ -182,7 +183,7 @@ def test_crf_gradients_match_finite_differences():
 
     def build():
         tape = ad.Tape()
-        return crf.crf_nll(tape, e, tags, p), tape
+        return crf.crf_nll(tape, e, tags, p, one(n)), tape
 
     assert finite_diff_params(build, [e])["e"] < 1e-7
 
@@ -191,7 +192,7 @@ def test_token_nll_uniform_is_log_c():
     probs = ad.Tensor(np.full((1, 4), 0.25))
     onehot = np.zeros((1, 4))
     onehot[0, 2] = 1.0
-    loss = crf.token_nll(None, probs, onehot)
+    loss = crf.token_nll(None, probs, onehot, one(1))
     assert abs(float(loss.data) - math.log(4)) < 1e-12
 
 
@@ -199,13 +200,13 @@ def test_token_nll_clamps_underflow_and_counts_it():
     probs = ad.Tensor(np.array([[1.0 - 1e-30, 1e-30]]))
     onehot = np.array([[0.0, 1.0]])
     with pytest.warns(UserWarning, match="^1 gold-label probabilities .*clamped"):
-        loss = crf.token_nll(None, probs, onehot)
+        loss = crf.token_nll(None, probs, onehot, one(1))
     assert abs(float(loss.data) - (-math.log(crf.PROB_FLOOR))) < 1e-9
 
 
 def test_token_nll_sums_over_positions():
     probs = ad.Tensor(np.array([[0.5, 0.5], [0.25, 0.75]]))
     onehot = np.array([[1.0, 0.0], [0.0, 1.0]])
-    loss = crf.token_nll(None, probs, onehot)
+    loss = crf.token_nll(None, probs, onehot, one(2))
     assert abs(float(loss.data) - (-math.log(0.5) - math.log(0.75))) < 1e-12
 

@@ -7,6 +7,7 @@ from hreb import autodiff as ad
 from hreb import encoders, oracles
 from hreb.data import Sentence, Vocab
 from hreb.errors import ConfigError
+from hreb.pack import one
 
 
 def small_vocab():
@@ -137,7 +138,7 @@ def test_bilstm_matches_brute_force():
     rng = np.random.default_rng(2)
     net = encoders.BiLstm(3, 2, rng)
     x = rng.standard_normal((5, 3))
-    got = net.forward(None, ad.Tensor(x)).data
+    got = net.forward(None, ad.Tensor(x), one(5)).data
     fwd = lstm_brute(x, net.fwd.w.data, net.fwd.u.data, net.fwd.b.data)
     bwd = lstm_brute(x[::-1], net.bwd.w.data, net.bwd.u.data, net.bwd.b.data)[::-1]
     want = np.concatenate([fwd, bwd], axis=1)
@@ -154,7 +155,7 @@ def test_bilstm_parameter_gradcheck():
 
     def build():
         tape = ad.Tape()
-        out = net.forward(tape, ad.Tensor(x_data))
+        out = net.forward(tape, ad.Tensor(x_data), one(4))
         return ad.sum_all(tape, ad.mul(tape, out, out)), tape
 
     errs = finite_diff_params(build, net.params())
@@ -188,7 +189,7 @@ def test_bilstm_seq_matches_two_reference_lstms(n, h):
 
     tape = ad.Tape()
     ts = [ad.Tensor(a, requires_grad=True) for a in args]
-    out = ad.bilstm_seq(tape, *ts)
+    out = ad.bilstm_seq(tape, *ts, one(n))
     loss = ad.sum_all(tape, ad.mul(tape, out, ad.Tensor(dout)))
     grads = ad.backward(tape, loss)
     assert out.data.shape == (n, 2 * h)
@@ -203,8 +204,8 @@ def test_bilstm_seq_lanes_share_no_state():
     # bit-identical: the block-diagonal packing carries nothing across lanes
     rng = np.random.default_rng(4)
     args = bilstm_inputs(rng, 9, 4)
-    before = ad.bilstm_seq(None, *map(ad.Tensor, args)).data
+    before = ad.bilstm_seq(None, *map(ad.Tensor, args), one(9)).data
     args[5] = args[5] + rng.standard_normal(args[5].shape)
-    after = ad.bilstm_seq(None, *map(ad.Tensor, args)).data
+    after = ad.bilstm_seq(None, *map(ad.Tensor, args), one(9)).data
     assert np.array_equal(before[:, :4], after[:, :4])
     assert not np.array_equal(before[:, 4:], after[:, 4:])

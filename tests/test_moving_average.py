@@ -7,6 +7,7 @@ from hreb import autodiff as ad
 from hreb.errors import ConfigError
 from hreb.moving_average import EmaState, multihead_ema
 from hreb.oracles import ema_closed_form
+from hreb.pack import one
 
 
 def ema_brute(x, alpha, h0):
@@ -20,7 +21,8 @@ def ema_brute(x, alpha, h0):
 
 
 def scan(x, alpha, h0):
-    return ad.ema_scan(None, ad.Tensor(x), ad.Tensor(alpha), ad.Tensor(h0)).data
+    return ad.ema_scan(None, ad.Tensor(x), ad.Tensor(alpha), ad.Tensor(h0),
+                       one(len(x))).data
 
 
 def test_ema_frozen_example():
@@ -57,7 +59,7 @@ def test_ema_scan_gradcheck():
 
     def build():
         tape = ad.Tape()
-        out = ad.ema_scan(tape, x, ad.Tensor(alpha), ad.Tensor(h0))
+        out = ad.ema_scan(tape, x, ad.Tensor(alpha), ad.Tensor(h0), one(5))
         return ad.sum_all(tape, ad.mul(tape, out, ad.Tensor(w))), tape
 
     assert finite_diff_params(build, [x])["x"] < 1e-6
@@ -84,7 +86,7 @@ def test_multihead_single_head_identity_reduces_to_scan():
     alpha = 0.42
     state.alpha_raw.data = np.array([np.log(alpha / (1 - alpha))])
     x = rng.standard_normal((12, d))
-    got = multihead_ema(None, ad.Tensor(x), state).data
+    got = multihead_ema(None, ad.Tensor(x), state, one(12)).data
     want = ema_brute(x, np.full(d, alpha), np.zeros(d))
     assert np.abs(got - want).max() < 1e-12
 
@@ -101,7 +103,7 @@ def test_multihead_per_head_decays_are_blockwise():
         [np.log(a0 / (1 - a0)), np.log(a1 / (1 - a1))])
     rng = np.random.default_rng(12)
     x = rng.standard_normal((7, d))
-    got = multihead_ema(None, ad.Tensor(x), state).data
+    got = multihead_ema(None, ad.Tensor(x), state, one(7)).data
     assert np.abs(got[:, :2] - ema_brute(x[:, :2], np.full(2, a0), np.zeros(2))).max() < 1e-12
     assert np.abs(got[:, 2:] - ema_brute(x[:, 2:], np.full(2, a1), np.zeros(2))).max() < 1e-12
 
@@ -115,7 +117,8 @@ def random_multihead_state(seed, d=4, heads=2):
 
 
 def sentence_loss(tape, state, x_data):
-    out = multihead_ema(tape, ad.Tensor(x_data, requires_grad=True), state)
+    out = multihead_ema(tape, ad.Tensor(x_data, requires_grad=True), state,
+                        one(len(x_data)))
     return ad.sum_all(tape, ad.mul(tape, out, out))
 
 
@@ -154,11 +157,11 @@ def test_decay_follows_in_place_changes_on_a_new_tape_and_without_one():
     x = ad.Tensor(rng.standard_normal((5, 4)))
     saved = state.alpha_raw.data.copy()
     tape = ad.Tape()
-    before = multihead_ema(tape, x, state).data
+    before = multihead_ema(tape, x, state, one(5)).data
     state.alpha_raw.data += 1.0  # in place, as the optimizer updates
-    assert np.array_equal(multihead_ema(tape, x, state).data, before)
-    fresh = multihead_ema(None, x, state).data
+    assert np.array_equal(multihead_ema(tape, x, state, one(5)).data, before)
+    fresh = multihead_ema(None, x, state, one(5)).data
     assert not np.array_equal(fresh, before)
-    assert np.array_equal(multihead_ema(ad.Tape(), x, state).data, fresh)
+    assert np.array_equal(multihead_ema(ad.Tape(), x, state, one(5)).data, fresh)
     state.alpha_raw.data[:] = saved
-    assert np.array_equal(multihead_ema(None, x, state).data, before)
+    assert np.array_equal(multihead_ema(None, x, state, one(5)).data, before)

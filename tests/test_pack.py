@@ -5,6 +5,9 @@ sentence's loss, the parameter gradients and the dynamic-gate caches must
 equal those of per-sentence tapes, and no sentence may see another.
 """
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from hreb.config import RunConfig
 from hreb.data import Vocab, synth_corpus
 from hreb.errors import DegenerateRowError
 from hreb.model import HrebModel, pack_ids
-from hreb.pack import Pack
+from hreb.pack import Pack, one
 
 CONFIGS = {
     "default": {},
@@ -247,8 +250,8 @@ def degenerate_inputs(lengths, bad):
     cfg = rhema.RhemaConfig(RunConfig(d_model=4, n_ema_head=2, rel_bias_window=3,
                                       reduced_bias="off"), 0)
     params = rhema.RhemaParams(cfg, np.random.default_rng(0))
-    pack = Pack(lengths) if len(lengths) > 1 else None
     n = sum(lengths)
+    pack = Pack(lengths) if len(lengths) > 1 else one(n)
     q = np.zeros((n, 4))
     start = sum(lengths[:bad])
     q[start + 1:start + lengths[bad]] = -10.0
@@ -265,17 +268,6 @@ def test_degenerate_row_names_its_sentence_in_a_pack():
         rhema.attention(None, q, k, v, params, cfg, pack=pack)
     with pytest.raises(DegenerateRowError, match=r"^row 1 sums to -"):
         rhema.attention(None, q, k, v, params, cfg, pack=Pack([3]))
-
-
-def test_masked_row_error_names_its_sentence():
-    mask = np.ones((5, 2), bool)
-    mask[3] = False
-    with pytest.raises(DegenerateRowError) as e:
-        ad.softmax_rows(None, ad.Tensor(np.zeros((5, 2))), mask)
-    assert str(e.value) == "attention row 3 has every key masked"
-    pack = Pack([2, 3])
-    assert (str(e.value.named(pack.row_name(e.value.row)))
-            == "attention row 1 of sentence 1 has every key masked")
 
 
 RAGGED = [5, 17, 9, 40]
@@ -298,16 +290,15 @@ def test_a_packs_sums_have_the_bits_of_each_sentence_alone():
     gain, bias = ad.Tensor(rng.standard_normal(16)), ad.Tensor(rng.standard_normal(16))
     g = rng.standard_normal((n, 16))
 
-    def norm(rows, grad, p=None):
+    def norm(rows, grad, p):
         """feature_norm's output and its input gradient under grad."""
         tape = ad.Tape()
-        out = ad.feature_norm(tape, ad.Tensor(rows, requires_grad=True), gain, bias,
-                              pack=p)
+        out = ad.feature_norm(tape, ad.Tensor(rows, requires_grad=True), gain, bias, p)
         return out.data, tape.records[-1][3](grad)[0]
 
     out, dx = norm(x, g, pack)
     for a, m in spans:
-        alone, dx_alone = norm(x[a:a + m], g[a:a + m])
+        alone, dx_alone = norm(x[a:a + m], g[a:a + m], one(m))
         assert np.array_equal(out[a:a + m], alone)
         assert np.array_equal(dx[a:a + m], dx_alone)
 
@@ -316,13 +307,14 @@ def test_a_packs_sums_have_the_bits_of_each_sentence_alone():
         sums = ad.sentence_sums(None, ad.Tensor(rows), pack).data
         assert sums.shape == (pack.b,)
         for b, (a, m) in enumerate(spans):
-            assert sums[b] == ad.sentence_sums(None, ad.Tensor(rows[a:a + m])).data
+            assert sums[b] == ad.sentence_sums(None, ad.Tensor(rows[a:a + m]),
+                                               one(m)).data
 
     e, trans, path = crf_op_inputs(rng, n)
     scores = ad.crf_path_score(None, e, trans, path, 4, pack=pack).data
     for b, (a, m) in enumerate(spans):
         alone = ad.crf_path_score(None, ad.Tensor(e.data[a:a + m]), trans,
-                                  path[a:a + m], 4)
+                                  path[a:a + m], 4, pack=one(m))
         assert scores[b] == alone.data
 
 
@@ -348,8 +340,27 @@ def test_pack_of_n_is_pack_of_n_listed_with_0d_results(op):
         grads.append([got.get(t.id) for t in (e, trans)])
     assert results[0].shape == () and results[1].shape == (1,)
     assert results[0] == results[1][0]
-    for one, listed in zip(*grads):
-        assert (one is None) == (listed is None)
-        assert one is None or np.array_equal(one, listed)
-    # an op given no pack runs Pack(n)
-    assert np.array_equal(run(None, None).data, results[0])
+    for single, listed in zip(*grads):
+        assert (single is None) == (listed is None)
+        assert single is None or np.array_equal(single, listed)
+    if op == "crf_path_score":
+        # the one op whose pack may be left out runs Pack(n) without one
+        assert np.array_equal(run(None, None).data, results[0])
+
+
+def test_only_crf_path_score_lets_its_pack_be_left_out():
+    # Every op that mixes positions, and every function that passes a pack
+    # on, is told its sentences: one sentence is one(n). crf_path_score
+    # keeps a default for callers that score a path positionally.
+    defaulted = []
+    for path in sorted(pathlib.Path(ad.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            pos = a.posonlyargs + a.args
+            with_default = pos[len(pos) - len(a.defaults):] + [
+                k for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            if any(p.arg == "pack" for p in with_default):
+                defaulted.append(f"{path.stem}.{getattr(node, 'name', '<lambda>')}")
+    assert defaulted == ["autodiff.crf_path_score"]

@@ -9,7 +9,7 @@ from hreb import autodiff as ad
 from hreb import oracles, rhema
 from hreb.config import CHOICES, RunConfig
 from hreb.errors import ConfigError
-from hreb.pack import Pack
+from hreb.pack import Pack, one
 
 
 def make_run(**kw):
@@ -84,7 +84,7 @@ def test_block_output_shape_for_every_attention_fn():
     x_data = rng.standard_normal((6, 4)) * 0.5
     for fn in CHOICES["attn_fn"]:
         config, params = make_block(attn_fn=fn, chunk_size=2)
-        out = rhema.rhema_block(None, ad.Tensor(x_data), params, config)
+        out = rhema.rhema_block(None, ad.Tensor(x_data), params, config, one(6))
         assert out.data.shape == (6, 4)
         assert np.all(np.isfinite(out.data))
 
@@ -138,7 +138,7 @@ def test_cross_chunk_gradient_is_exactly_zero():
     rng = np.random.default_rng(4)
     tape = ad.Tape()
     x = ad.Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-    y = rhema.rhema_block(tape, x, params, config)
+    y = rhema.rhema_block(tape, x, params, config, one(4))
     rows = ad.Tensor(np.array([[1.0], [1.0], [0.0], [0.0]]))  # rows 0,1 only
     loss = ad.sum_all(tape, ad.mul(tape, y, rows))
     grads = ad.backward(tape, loss)
@@ -152,7 +152,7 @@ def test_removing_alpha_pin_restores_cross_chunk_flow():
     rng = np.random.default_rng(4)
     tape = ad.Tape()
     x = ad.Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-    y = rhema.rhema_block(tape, x, params, config)
+    y = rhema.rhema_block(tape, x, params, config, one(4))
     # rows 2,3 feed the EMA history of nothing earlier, but rows 0,1 feed
     # rows 2,3 through the scan; check the direction that must be nonzero
     rows = ad.Tensor(np.array([[0.0], [0.0], [1.0], [1.0]]))  # rows 2,3 only
@@ -166,7 +166,7 @@ def test_softmax_weights_respect_chunk_mask():
     rng = np.random.default_rng(6)
     x = ad.Tensor(rng.standard_normal((4, 4)))
     trace = rhema.AttentionTrace("t")
-    rhema.rhema_block(None, x, params, config, trace=trace)
+    rhema.rhema_block(None, x, params, config, one(4), trace=trace)
     w = trace.weights
     assert np.all(w[~in_band(4, 2)] == 0.0)
     assert np.abs(w.sum(axis=1) - 1.0).max() < 1e-12
@@ -177,7 +177,7 @@ def test_reduced_laplace_weights_are_row_normalized():
     rng = np.random.default_rng(7)
     x = ad.Tensor(rng.standard_normal((5, 4)) * 0.3)
     trace = rhema.AttentionTrace("t")
-    rhema.rhema_block(None, x, params, config, trace=trace)
+    rhema.rhema_block(None, x, params, config, one(5), trace=trace)
     assert np.abs(trace.weights.sum(axis=1) - 1.0).max() < 1e-12
 
 
@@ -186,7 +186,7 @@ def test_trace_lines_format():
     rng = np.random.default_rng(8)
     x = ad.Tensor(rng.standard_normal((3, 4)))
     trace = rhema.AttentionTrace("local")
-    rhema.rhema_block(None, x, params, config, trace=trace)
+    rhema.rhema_block(None, x, params, config, one(3), trace=trace)
     lines = trace.lines()
     n_expect = 0
     for f in trace.FIELDS:
@@ -208,7 +208,7 @@ def test_hierarchical_encoder_stages_and_traces():
     rng = np.random.default_rng(10)
     x = ad.Tensor(rng.standard_normal((6, 4)))
     traces = []
-    out = enc.forward(None, x, traces=traces)
+    out = enc.forward(None, x, one(6), traces=traces)
     assert out.data.shape == (6, 4)
     assert [t.label for t in traces] == ["local", "global"]
     local_w, global_w = traces[0].weights, traces[1].weights
@@ -237,7 +237,7 @@ def test_naive_encoder_census_and_forward():
     rng = np.random.default_rng(12)
     x = ad.Tensor(rng.standard_normal((5, 4)))
     traces = []
-    out = enc.forward(None, x, traces=traces)
+    out = enc.forward(None, x, one(5), traces=traces)
     assert out.data.shape == (5, 4)
     assert traces[0].label == "naive"
     assert np.abs(traces[0].weights.sum(axis=1) - 1.0).max() < 1e-12
@@ -258,7 +258,7 @@ def test_block_parameter_gradients_spot_check():
     def build():
         tape = ad.Tape()
         x = ad.Tensor(x_data, requires_grad=True)
-        y = rhema.rhema_block(tape, x, params, config)
+        y = rhema.rhema_block(tape, x, params, config, one(4))
         return ad.sum_all(tape, ad.mul(tape, y, y)), tape
 
     subset = [params.kappa_q, params.b_rel, params.w_gamma, params.lap_mu,
@@ -293,7 +293,7 @@ def test_band_attention_matches_dense_masked_reference(n, chunk, attn_fn):
     loss_w = rng.standard_normal((n, 8))
     trace = rhema.AttentionTrace("t")
     tape = ad.Tape()
-    out = rhema.attention(tape, q, k, v, params, config, trace)
+    out = rhema.attention(tape, q, k, v, params, config, one(n), trace)
     grads = ad.backward(tape, ad.sum_all(tape, ad.mul(tape, out, ad.Tensor(loss_w))))
 
     wrt = (q, k, v, params.b_rel, params.lap_mu, params.lap_sigma_raw)
@@ -342,7 +342,7 @@ def test_local_stage_scores_are_a_band_on_the_tape(monkeypatch):
     monkeypatch.setattr(ad, "band_attention", measured)
     tape = ad.Tape()
     x = ad.Tensor(np.random.default_rng(17).standard_normal((n, 4)) * 0.3)
-    enc.forward(tape, x)
+    enc.forward(tape, x, one(n))
     assert [shape for shape, _ in stages] == [(n, 8), (n, n)]  # local, then global
     assert stages[0][1] < n * n * 8
     assert [name for name, *_ in tape.records].count("band_attention") == 2
