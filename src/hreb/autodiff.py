@@ -12,7 +12,6 @@ attention core (scores, relative bias, squash, row sums and value mix).
 import itertools
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from .errors import DegenerateRowError, NumericsError
 from . import kernels
@@ -407,12 +406,15 @@ def _masked(allowed, x, fill):
 def _laplace(scores, mu, sigma_raw, allowed):
     """(Laplace squash of scores, its backward), after Mega (Ma et al. 2022):
     the Gaussian CDF 0.5 * (1 + erf(u)), u = (scores - mu) / (sigma *
-    sqrt(2)), sigma = softplus(sigma_raw) so it stays positive. Entries
-    outside allowed read 0. The backward maps the output's gradient to
-    (d scores, d mu, d sigma_raw); it keeps u and recomputes no erf."""
+    sqrt(2)), sigma = softplus(sigma_raw) so it stays positive. erf is
+    kernels.erf, a numpy port of Cephes' that scipy.special.erf checks in
+    the tests; it evaluates only the entries with |u| < 6, where erf is
+    not yet exactly +-1. Entries outside allowed read 0. The backward maps
+    the output's gradient to (d scores, d mu, d sigma_raw); it keeps u and
+    recomputes no erf."""
     sig = float(np.logaddexp(0.0, sigma_raw.data))
     u = (scores - float(mu.data)) / (sig * _SQRT2)
-    out = _masked(allowed, 0.5 * (1.0 + _erf(u)), 0.0)
+    out = _masked(allowed, 0.5 * (1.0 + kernels.erf(u)), 0.0)
 
     def bw(g):
         gm = _masked(allowed, g, 0.0)

@@ -103,15 +103,12 @@ def cmd_eval(args):
 
 def cmd_predict(args):
     model, _ = load_model(args.ckpt)
-    skipped = 0
+    lines = [raw.split() for raw in read_lines(args.infile, "input")]
+    sentences = [tokens for tokens in lines if tokens]
+    skipped = len(lines) - len(sentences)
     out_lines = []
-    for raw in read_lines(args.infile, "input"):
-        tokens = raw.split()
-        if not tokens:
-            skipped += 1
-            continue
-        for tok, tag in zip(tokens, model.predict_tags(tokens)):
-            out_lines.append(f"{tok}\t{tag}\n")
+    for tokens, tags in zip(sentences, model.tag_sentences(sentences)):
+        out_lines += [f"{tok}\t{tag}\n" for tok, tag in zip(tokens, tags)]
         out_lines.append("\n")
     try:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -1,4 +1,5 @@
-"""Hot kernels: EMA scan, LSTM, linear-chain CRF dynamic programs, and sigmoid.
+"""Hot kernels: EMA scan, LSTM, linear-chain CRF dynamic programs, sigmoid
+and erf.
 
 Each kernel runs one time step (or one CRF position) as whole-array numpy
 code, with the matrix products hoisted out of the time loop where the
@@ -10,7 +11,9 @@ gradients sum over them. One sentence (hreb.pack's Pack(n)) is B = 1.
 Viterbi decodes one (T, C) sequence. The scalar-loop references the tests
 compare against are `hreb.oracles.KERNELS`: the same signatures for one
 sequence, and each lane's results (up to float rounding; Viterbi paths are
-exact). All arrays are float64.
+exact). sigmoid and erf are elementwise; their oracles are scipy.special's
+expit and erf, which the tests compare them with, and which no hreb command
+but verify imports. All arrays are float64.
 """
 
 import numpy as np
@@ -33,6 +36,76 @@ def _sigmoid(a, out):
     np.exp(y, out=y)
     y += 1.0
     return np.reciprocal(y, out=y)
+
+
+# ---------------------------------------------------------------------------
+# erf, after Cephes' ndtr.c (Moshier, "Methods and Programs for Mathematical
+# Functions", 1989): x T(x^2) / U(x^2) for |x| <= 1, and
+# 1 - exp(-x^2) P(x) / Q(x) above, with the same coefficients and the same
+# Horner order, so most values have scipy.special.erf's bits.
+# ---------------------------------------------------------------------------
+
+# erf(x) rounds to exactly 1.0 in float64 from x ~ 5.9216 on
+ERF_SATURATION = 6.0
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)
+_ERF_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+          7.46321056442269912687E0, 4.86371970985681366614E1,
+          1.96520832956077098242E2, 5.26445194995477358631E2,
+          9.34528527171957607540E2, 1.02755188689515710272E3,
+          5.57535335369399327526E2)
+_ERF_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1,
+          3.54937778887819891062E2, 9.75708501743205489753E2,
+          1.82390916687909736289E3, 2.24633760818710981792E3,
+          1.65666309194161350182E3, 5.57535340817727675546E2)
+# (9, 4, 1): step k's coefficient of T, U, P and Q, highest power first,
+# each padded with leading zeros to degree 8 (0 * x + 0 stays exactly 0)
+_ERF_COEF = np.array([(0.0,) * (9 - len(c)) + c
+                      for c in (_ERF_T, _ERF_U, _ERF_P, _ERF_Q)]).T[:, :, None].copy()
+
+
+def erf(u):
+    """The error function, elementwise; a 0-d input gives a 0-d result.
+
+    Entries with |u| >= ERF_SATURATION read sign(u), which is erf's
+    rounded value there (inf gives 1, NaN stays NaN); only the others are
+    gathered and evaluated. Each value depends on its own entry alone.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    a = np.abs(u)
+    live = a < ERF_SATURATION
+    x = a[live]
+    out = np.sign(u, out=np.empty(u.shape))
+    if x.size:
+        out[live] = np.copysign(_erf_abs(x), u[live])
+    return out
+
+
+def _erf_abs(x):
+    """erf of a 1-d array 0 <= x < ERF_SATURATION: the four polynomials in
+    one Horner loop over a (4, L) array, then each entry's branch."""
+    arg = np.empty((4, x.size))
+    z = np.multiply(x, x, out=arg[0])
+    arg[1] = z
+    arg[2:] = x
+    acc = np.multiply(_ERF_COEF[0], arg)
+    for c in _ERF_COEF[1:-1]:
+        acc += c
+        acc *= arg
+    acc += _ERF_COEF[-1]
+    t, u, p, q = acc
+    t *= x
+    t /= u
+    big = np.exp(np.negative(z, out=u), out=u)
+    big *= p
+    big /= q
+    np.subtract(1.0, big, out=big)
+    np.copyto(big, t, where=x <= 1.0)
+    return big
 
 
 # ---------------------------------------------------------------------------

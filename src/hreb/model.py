@@ -134,3 +134,18 @@ class HrebModel(ad.Module):
         ids = self.vocab.encode_tokens(tokens)
         path = self.decode(ids)
         return [self.vocab.tags[i] for i in path]
+
+    def tag_sentences(self, sentences):
+        """Tag names for each of a list of tokenized sentences, in their
+        order: predict_tags of each, decoded in packs of batch_size,
+        shortest first, since a pack pads its global attention band to its
+        longest sentence."""
+        order = sorted(range(len(sentences)), key=lambda i: len(sentences[i]))
+        tags = [None] * len(sentences)
+        size = self.config.batch_size
+        for lo in range(0, len(order), size):
+            group = order[lo:lo + size]
+            paths = self.decode([self.vocab.encode_tokens(sentences[i]) for i in group])
+            for i, path in zip(group, paths):
+                tags[i] = [self.vocab.tags[t] for t in path]
+        return tags

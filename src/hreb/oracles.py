@@ -14,7 +14,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import erf
 
 _NEG_INF = -np.inf
 
@@ -100,6 +99,10 @@ def dense_attention(q, k, v, bias, mu, sigma_raw, scale, chunk, attn_fn):
     through it gives derivatives to the last bits (scipy's erf accepts
     complex arguments).
     """
+    # imported at its only use, so that no hreb command but verify loads
+    # scipy.special
+    from scipy.special import erf
+
     n = q.shape[0]
     blocks = np.arange(n) // (chunk or n)
     mask = blocks[:, None] == blocks[None, :]

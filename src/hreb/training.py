@@ -14,22 +14,14 @@ from .optim import AdamState
 def evaluate(model, sentences):
     """Exact-span micro scores of the model's predictions on sentences.
 
-    The sentences are decoded in packs of batch_size, shortest first: a
-    pack pads its global attention band to its longest sentence, and the
+    The sentences are decoded in packs (HrebModel.tag_sentences); the
     scores do not depend on the order. Both gold and predicted tags are
     decoded leniently (a stray I-X opens a span), so real-world annotation
     quirks score instead of crashing.
     """
-    gold, pred = [], []
-    sentences = sorted(sentences, key=len)
-    size = model.config.batch_size
-    for lo in range(0, len(sentences), size):
-        group = sentences[lo:lo + size]
-        paths = model.decode([model.vocab.encode_tokens(s.tokens) for s in group])
-        for s, path in zip(group, paths):
-            gold.append(decode_spans(s.tags, "lenient"))
-            pred.append(decode_spans([model.vocab.tags[i] for i in path], "lenient"))
-    return span_prf(gold, pred)
+    pred = model.tag_sentences([s.tokens for s in sentences])
+    return span_prf([decode_spans(s.tags, "lenient") for s in sentences],
+                    [decode_spans(tags, "lenient") for tags in pred])
 
 
 def snapshot(model):

@@ -13,7 +13,11 @@ from scipy.special import expit
 from conftest import rewrite_checkpoint_header
 from hreb import autodiff as ad
 from hreb import cli
+from hreb.checkpoint import load_model, save_checkpoint
+from hreb.config import RunConfig
 from hreb.data import Vocab, parse_conll, synth_corpus, write_conll
+from hreb.model import HrebModel
+from hreb.training import snapshot
 
 CONFIG = """\
 # compact model for test runs
@@ -371,6 +375,51 @@ def test_predict_writes_conll_and_warns_on_empty_lines(workspace, tmp_path,
               "--in", str(raw), "--out", str(out2)])
     capsys.readouterr()
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_predict_decodes_in_packs_with_the_tags_of_each_sentence_alone(tmp_path,
+                                                                     capsys,
+                                                                     monkeypatch):
+    # a fresh default-config model (reduced_laplace attention) in packs of 4
+    corpus = synth_corpus(3, n_sentences=24, entity_types=3)
+    config = RunConfig(batch_size=4)
+    vocab = Vocab.from_corpus(corpus)
+    ckpt = tmp_path / "fresh.ckpt"
+    save_checkpoint(str(ckpt), config, vocab,
+                    snapshot(HrebModel(config, vocab)))
+    sentences = [s.tokens for s in corpus.train]
+    lines = [" ".join(tokens) for tokens in sentences]
+    lines[3:3] = [""]
+    lines[9:9] = ["  "]
+    raw = tmp_path / "raw.txt"
+    raw.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "pred.txt"
+    decode, calls = HrebModel.decode, []
+    monkeypatch.setattr(HrebModel, "decode",
+                        lambda self, ids: calls.append(len(ids)) or decode(self, ids))
+    rc = cli.main(["predict", "--ckpt", str(ckpt), "--in", str(raw),
+                   "--out", str(out)])
+    assert rc == 0
+    # one call per pack of 4 id sequences, the last one possibly short
+    assert len(calls) == -(-len(sentences) // 4) and calls[0] == 4
+    assert "skipped 2 empty input line(s)" in capsys.readouterr().err
+    model, _ = load_model(str(ckpt))
+    want = "".join("".join(f"{tok}\t{tag}\n"
+                           for tok, tag in zip(tokens, model.predict_tags(tokens)))
+                   + "\n" for tokens in sentences)
+    assert len({len(tokens) for tokens in sentences}) > 4
+    assert out.read_text(encoding="utf-8") == want
+
+
+def test_no_command_but_verify_loads_scipy_special():
+    # only verify's dense_attention oracle imports scipy's erf, when it runs
+    p = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; import hreb.cli, hreb.training, hreb.checkpoint; "
+         "print('scipy.special' in sys.modules)"],
+        capture_output=True, text=True)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.split() == ["False"]
 
 
 def test_predict_to_an_unwritable_out_path_is_a_config_error(workspace, tmp_path,

@@ -6,7 +6,7 @@ A reference takes one sequence; a batched kernel is checked lane by lane.
 import warnings
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import erf, expit
 
 from hreb import kernels, oracles
 
@@ -316,3 +316,67 @@ def test_sigmoid_is_exact_and_quiet_at_the_edges_and_takes_0d_input():
 def test_sigmoid_matches_scipy_expit():
     xs = np.random.default_rng(19).standard_normal(100_000) * 12.0
     assert np.abs(kernels.sigmoid(xs) - expit(xs)).max() <= 2.3e-16
+
+
+# erf against scipy.special.erf, which evaluates the same Cephes
+# polynomials; one ulp below 1 is 1.1e-16, so a bound of 1.2e-16 allows a
+# last-bit difference (numpy's exp against libm's) and nothing more: a
+# mistyped coefficient shows as an error above 1e-15.
+ERF_TOL = 1.2e-16
+ERF_GRID = np.linspace(-10.0, 10.0, 2_000_001)
+
+
+def assert_erf_close(u):
+    got, want = kernels.erf(u), erf(u)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    if np.size(want):
+        assert np.nanmax(np.abs(np.asarray(got) - want)) <= ERF_TOL
+
+
+def test_erf_matches_scipy_on_a_dense_grid():
+    assert_erf_close(ERF_GRID)
+    # for |u| <= 1 no exp enters, so a coefficient typo down to the last
+    # bit shows: there the kernel has scipy's bits exactly
+    inner = ERF_GRID[np.abs(ERF_GRID) <= 1.0]
+    assert np.array_equal(kernels.erf(inner), erf(inner))
+
+
+def test_erf_keeps_the_sign_of_zero_and_reads_the_limits_at_infinity():
+    got = kernels.erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+    assert got[0] == 0.0 and not np.signbit(got[0])
+    assert got[1] == 0.0 and np.signbit(got[1])
+    assert got[2] == 1.0 and got[3] == -1.0
+    assert np.isnan(got[4])
+
+
+def test_erf_of_subnormals_has_scipys_bits():
+    tiny = np.array([5e-324, -5e-324, 1e-310, -3e-320, 2.2250738585072014e-308])
+    got, want = kernels.erf(tiny), erf(tiny)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_erf_on_either_side_of_where_it_rounds_to_one_and_of_its_cutoff():
+    steps = np.arange(-50, 51)
+    u = np.concatenate([v + steps * np.spacing(v)
+                        for v in (5.9216, kernels.ERF_SATURATION)])
+    assert_erf_close(np.concatenate([u, -u]))
+    past = u[u >= kernels.ERF_SATURATION]
+    assert np.all(kernels.erf(past) == 1.0) and np.all(kernels.erf(-past) == -1.0)
+
+
+def test_scipys_erf_is_exactly_one_past_the_kernels_cutoff():
+    # the entries the kernel never evaluates must be ones erf rounds to +-1
+    past = ERF_GRID[np.abs(ERF_GRID) >= kernels.ERF_SATURATION]
+    assert past.size > 0
+    assert np.array_equal(erf(past), np.sign(past))
+
+
+def test_erf_takes_any_shape_and_layout():
+    rng = np.random.default_rng(24)
+    block = rng.normal(0.0, 4.0, (6, 9))
+    for u in (np.array(0.3), np.array(-7.5), block[0], block, block.T,
+              block[::2, ::3], np.empty(0), np.empty((0, 4))):
+        assert_erf_close(u)
+    assert np.ndim(kernels.erf(np.array(0.3))) == 0
