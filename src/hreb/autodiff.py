@@ -74,13 +74,16 @@ class Tape:
 
     memo holds values per_tape built once for this tape. A tape made with
     record=False records no op: it serves forward-only passes that share
-    its memo across calls (HrebModel.decode).
+    its memo across calls (HrebModel.decode). traces, when a list,
+    collects the rhema.AttentionTrace of each attention block run on this
+    tape, in order (hreb inspect).
     """
 
-    def __init__(self, record=True):
+    def __init__(self, record=True, traces=None):
         self.record = record
         self.records = []
         self.memo = {}
+        self.traces = traces
 
 
 def record_op(tape, name, inputs, out_data, backward_fn):
@@ -437,9 +440,10 @@ def band_attention(tape, q, k, v, bias, mu, sigma_raw, scale, width, attn_fn, pa
     positions within the sentence). attn_fn makes each row's weights:
     "softmax"; "laplace", the _laplace squash, not renormalized; or
     "reduced_laplace", the squash plus the scores over their row sum,
-    which must be positive (else DegenerateRowError). Keys past a
-    sentence's end weigh 0. out_i = sum_r w[i, r] * v[key r]: for one
-    sentence and width None, weights @ v.
+    which must be positive (else DegenerateRowError, which names the row
+    as Pack.row_name does). Keys past a sentence's end weigh 0.
+    out_i = sum_r w[i, r] * v[key r]: for one sentence and width None,
+    weights @ v.
 
     The scores are checked finite before the squash, which would map an
     inf to a finite weight. Backward keeps the weights, the squash's
@@ -475,8 +479,8 @@ def band_attention(tape, q, k, v, bias, mu, sigma_raw, scale, width, attn_fn, pa
         sums = a.sum(axis=-1, keepdims=True)
         if np.any(sums <= 0.0):
             row = int(np.argmax((sums <= 0.0).ravel()))
-            raise DegenerateRowError(
-                "{row} sums to " + f"{float(sums.ravel()[row])}; cannot normalize", row)
+            raise DegenerateRowError(f"{pack.row_name(row)} sums to "
+                                     f"{float(sums.ravel()[row])}; cannot normalize", row)
         weights = a / sums
 
     def bw(g):

@@ -78,6 +78,11 @@ def _check_header(path, header, payload_bytes):
             isinstance(e, dict) and isinstance(e.get("name"), str)
             and _is_dims(e.get("shape")) for e in header["params"])):
         raise bad("params", "must list {name, shape} entries")
+    names = set()
+    for e in header["params"]:
+        if e["name"] in names:
+            raise bad("params", f"names parameter {e['name']!r} twice")
+        names.add(e["name"])
     if not _is_dims(header["cache_dims"]):
         raise bad("cache_dims", "must be a list of sizes")
     need = 0

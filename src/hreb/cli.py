@@ -16,6 +16,7 @@ import sys
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+from . import autodiff as ad
 from . import verify as verify_mod
 from .checkpoint import load_model, save_checkpoint
 from .config import parse_config
@@ -127,9 +128,9 @@ def cmd_inspect(args):
     if not tokens:
         raise ConfigError("empty sentence")
     ids = model.vocab.encode_tokens(tokens)
-    traces = []
-    path = model.decode(ids, traces=traces)
-    for trace in traces:
+    tape = ad.Tape(record=False, traces=[])
+    path = model.decode(ids, tape)
+    for trace in tape.traces:
         for line in trace.lines():
             print(line)
     tags = [model.vocab.tags[i] for i in path]

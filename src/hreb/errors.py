@@ -15,20 +15,13 @@ class NumericsError(HrebError):
 
 
 class DegenerateRowError(NumericsError):
-    """An attention row's normalization hit a non-positive sum.
-
-    An op that knows the row passes it, and a message whose {row} field
-    names it ("row 3"); named() names it again, e.g. within its sentence.
-    """
+    """An attention row's normalization hit a non-positive sum. An op that
+    knows the row passes its index as row; the message names it as
+    Pack.row_name does."""
 
     def __init__(self, message, row=None):
         self.row = row
-        self.template = message
-        super().__init__(message if row is None else message.format(row=f"row {row}"))
-
-    def named(self, name):
-        """The same error with the row called name."""
-        return DegenerateRowError(self.template.format(row=name))
+        super().__init__(message)
 
 
 class DivergenceError(NumericsError):

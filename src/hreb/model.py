@@ -69,16 +69,15 @@ class HrebModel(ad.Module):
     def gate_states(self):
         return self.encoder.gate_states()
 
-    def emissions(self, tape, ids, traces=None):
+    def emissions(self, tape, ids):
         """(n, C) class scores: one true-length id sequence's rows, or a
-        list of sequences' rows end to end. traces needs one sequence."""
-        return self._emissions(tape, *pack_ids(ids), traces)
+        list of sequences' rows end to end. A tape that collects attention
+        traces needs one sequence."""
+        return self._emissions(tape, *pack_ids(ids))
 
-    def _emissions(self, tape, ids, pack, traces=None):
-        if traces is not None and pack.shape:
-            raise ValueError("attention traces need one id sequence, not a list")
+    def _emissions(self, tape, ids, pack):
         x = embed_tokens(tape, ids, self.embed)
-        h = self.encoder.forward(tape, x, pack, traces)
+        h = self.encoder.forward(tape, x, pack)
         ctx = self.lstm.forward(tape, h, pack)
         return ad.linear(tape, ctx, self.w_out, self.b_out)
 
@@ -115,11 +114,12 @@ class HrebModel(ad.Module):
             self._decode_tape = ad.Tape(record=False)
         return self._decode_tape
 
-    def decode(self, ids, traces=None):
+    def decode(self, ids, tape=None):
         """Best tag-id path for one true-length id sequence; for a list of
-        them, one pass over their pack and a list of paths."""
+        them, one pass over their pack and a list of paths. Runs on tape,
+        by default decode_tape()."""
         ids, pack = pack_ids(ids)
-        e = self._emissions(self.decode_tape(), ids, pack, traces).data
+        e = self._emissions(self.decode_tape() if tape is None else tape, ids, pack).data
         paths = [self._best_path(e[a:a + n]) for a, n in pack.spans()]
         return paths if pack.shape else paths[0]
 

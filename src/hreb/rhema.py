@@ -18,7 +18,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import residual
-from .errors import DegenerateRowError
 from .moving_average import EmaState, multihead_ema
 from .pack import Pack
 
@@ -144,8 +143,9 @@ def qk_transform(tape, z, params):
     return q, k
 
 
-def attention(tape, q, k, v, params, config, pack, trace=None):
-    """O = f(Q K^T / scale + b_rel) V with the configured score squash.
+def attention(tape, q, k, v, params, config, pack):
+    """O = f(Q K^T / scale + b_rel) V with the configured score squash, as
+    ad.band_attention's (out, scores, weights).
 
     Scores live in the (n, m) band layout of ad.band_attention: m is the
     chunk size for the local stage and the longest sentence for the global
@@ -153,28 +153,33 @@ def attention(tape, q, k, v, params, config, pack, trace=None):
     pack attends to another. Only keys past a chunk's sentence end are
     masked.
     """
-    try:
-        out, scores, weights = ad.band_attention(
-            tape, q, k, v, params.b_rel, params.lap_mu, params.lap_sigma_raw,
-            1.0 / config.attn_scale, config.chunk_size or None, config.attn_fn, pack)
-    except DegenerateRowError as e:
-        if e.row is None:
-            raise
-        raise e.named(pack.row_name(e.row)) from None
-    if trace is not None:
-        trace.scores = band_to_dense(scores, -np.inf)
-        trace.weights = band_to_dense(weights, 0.0)
-    return out
+    return ad.band_attention(
+        tape, q, k, v, params.b_rel, params.lap_mu, params.lap_sigma_raw,
+        1.0 / config.attn_scale, config.chunk_size or None, config.attn_fn, pack)
 
 
-def gated_output(tape, x, z, o, params, config, trace=None):
-    """GRU-style merge: reset-gate the attended values, update-gate the mix."""
+def gated_output(tape, x, z, o, params, config):
+    """GRU-style merge: reset-gate the attended values, update-gate the mix.
+    Returns ad.gated_merge's (y, gamma, phi)."""
     p = params
-    y, gamma, phi = ad.gated_merge(tape, x, z, o, p.w_gamma, p.b_gamma, p.w_phi,
-                                   p.b_phi, p.w_h, p.u_h, p.b_h, config.silu_variant)
-    if trace is not None:
-        trace.gamma, trace.phi = gamma, phi
-    return y
+    return ad.gated_merge(tape, x, z, o, p.w_gamma, p.b_gamma, p.w_phi,
+                          p.b_phi, p.w_h, p.u_h, p.b_h, config.silu_variant)
+
+
+def trace_attention(tape, label, pack, scores, weights, **fields):
+    """Append one block's AttentionTrace to tape.traces, if the tape
+    collects them: its band scores and weights as (n, n) matrices, and a
+    copy of each of fields (arrays named as AttentionTrace.FIELDS)."""
+    if tape is None or tape.traces is None:
+        return
+    if pack.shape:
+        raise ValueError("attention traces need one id sequence, not a list")
+    trace = AttentionTrace(label)
+    trace.scores = band_to_dense(scores, -np.inf)
+    trace.weights = band_to_dense(weights, 0.0)
+    for name, value in fields.items():
+        setattr(trace, name, np.array(value))
+    tape.traces.append(trace)
 
 
 def band_to_dense(band, fill):
@@ -211,19 +216,18 @@ def _block(tape, x, p, config, attend, pack):
     return residual.apply(tape, mid, ffn_branch, p.rb_ffn)
 
 
-def rhema_block(tape, x, params, config, pack, trace=None):
+def rhema_block(tape, x, params, config, pack):
     """One full block: gated-attention sublayer, then feed-forward sublayer."""
     def attend(xn):
         z = shared_rep(tape, xn, params, config, pack)
         q, k = qk_transform(tape, z, params)
         v = ad.linear_silu(tape, xn, params.w_v, params.b_v, config.silu_variant)
-        if trace is not None:
-            trace.z = z.data.copy()
-            trace.q = q.data.copy()
-            trace.k = k.data.copy()
-            trace.v = v.data.copy()
-        o = attention(tape, q, k, v, params, config, pack, trace)
-        return gated_output(tape, xn, z, o, params, config, trace)
+        o, scores, weights = attention(tape, q, k, v, params, config, pack)
+        y, gamma, phi = gated_output(tape, xn, z, o, params, config)
+        trace_attention(tape, "local" if config.chunk_size else "global", pack,
+                        scores, weights, z=z.data, q=q.data, k=k.data, v=v.data,
+                        gamma=gamma, phi=phi)
+        return y
 
     return _block(tape, x, params, config, attend, pack)
 
@@ -241,15 +245,9 @@ class HierarchicalEncoder(ad.Module):
     def gate_states(self):
         return self.local.gate_states() + self.global_.gate_states()
 
-    def forward(self, tape, x, pack, traces=None):
-        t_local = AttentionTrace("local") if traces is not None else None
-        t_global = AttentionTrace("global") if traces is not None else None
-        mid = rhema_block(tape, x, self.local, self.local_config, pack, t_local)
-        out = rhema_block(tape, mid, self.global_, self.global_config, pack,
-                          t_global)
-        if traces is not None:
-            traces.extend([t_local, t_global])
-        return out
+    def forward(self, tape, x, pack):
+        mid = rhema_block(tape, x, self.local, self.local_config, pack)
+        return rhema_block(tape, mid, self.global_, self.global_config, pack)
 
 
 class NaiveEncoder(BlockParams):
@@ -264,9 +262,8 @@ class NaiveEncoder(BlockParams):
         self.w_q, self.w_k, self.w_v, self.w_o = (
             self.param(n, _glorot(rng, (d, d))) for n in ("w_q", "w_k", "w_v", "w_o"))
 
-    def forward(self, tape, x, pack, traces=None):
+    def forward(self, tape, x, pack):
         c = self.config
-        trace = AttentionTrace("naive") if traces is not None else None
 
         def attend(xn):
             q = ad.matmul(tape, xn, self.w_q)
@@ -275,12 +272,8 @@ class NaiveEncoder(BlockParams):
             o, scores, weights = ad.band_attention(
                 tape, q, k, v, None, None, None, 1.0 / np.sqrt(c.d_model), None,
                 "softmax", pack)
-            if trace is not None:
-                trace.q, trace.k, trace.v = q.data.copy(), k.data.copy(), v.data.copy()
-                trace.scores, trace.weights = scores, weights
+            trace_attention(tape, "naive", pack, scores, weights,
+                            q=q.data, k=k.data, v=v.data)
             return ad.matmul(tape, o, self.w_o)
 
-        out = _block(tape, x, self, c, attend, pack)
-        if traces is not None:
-            traces.append(trace)
-        return out
+        return _block(tape, x, self, c, attend, pack)

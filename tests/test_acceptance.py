@@ -183,8 +183,8 @@ def test_criterion_4_gate_identities():
         # activation alone, independent of the skip input
         params.w_phi.data[:] = 0.0
         params.b_phi.data[:] = 1000.0
-        y_full = rhema.gated_output(None, x, z, o, params, cfg)
-        y_swap = rhema.gated_output(None, x_other, z, o, params, cfg)
+        y_full = rhema.gated_output(None, x, z, o, params, cfg)[0]
+        y_swap = rhema.gated_output(None, x_other, z, o, params, cfg)[0]
         assert np.array_equal(y_full.data, y_swap.data)
         gamma = ad.sigmoid(None, ad.add(None, ad.matmul(None, z, params.w_gamma),
                                         params.b_gamma))
@@ -199,7 +199,7 @@ def test_criterion_4_gate_identities():
 
         # saturated to exactly 0: the input passes through untouched
         params.b_phi.data[:] = -1000.0
-        y_skip = rhema.gated_output(None, x, z, o, params, cfg)
+        y_skip = rhema.gated_output(None, x, z, o, params, cfg)[0]
         assert np.array_equal(y_skip.data, x.data)
 
         # plain residual mode is branch + input, nothing else

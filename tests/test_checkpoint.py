@@ -1,5 +1,7 @@
 """Checkpoint round trips and rejection of foreign or damaged files."""
 
+import json
+import math
 import struct
 
 import numpy as np
@@ -169,6 +171,27 @@ def test_a_stored_z_dim_that_never_built_a_model_is_refused(tmp_path):
     with pytest.raises(CheckpointError,
                        match="checkpoint field 'config' has z_dim 9"):
         checkpoint.load_checkpoint(bad)
+
+
+def test_a_parameter_named_twice_is_refused(tmp_path):
+    # embed.table's entry repeated, with zeros as the repeat's payload: a
+    # later copy overwrote the earlier one, so the table loaded as zeros
+    cfg, result, path = trained(tmp_path)
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + hlen])
+    params = header["params"]
+    i = [e["name"] for e in params].index("embed.table")
+    end = 16 + hlen + 8 * sum(math.prod(e["shape"]) for e in params[:i + 1])
+    params.insert(i + 1, dict(params[i]))
+    new = json.dumps(header).encode("utf-8")
+    twice = tmp_path / "twice.ckpt"
+    twice.write_bytes(blob[:8] + struct.pack("<Q", len(new)) + new
+                      + blob[16 + hlen:end] + bytes(8 * math.prod(params[i]["shape"]))
+                      + blob[end:])
+    with pytest.raises(CheckpointError, match="checkpoint field 'params' names "
+                                              "parameter 'embed.table' twice"):
+        checkpoint.load_checkpoint(twice)
 
 
 def test_trailing_bytes_after_payload_are_detected(tmp_path):

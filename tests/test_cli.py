@@ -487,6 +487,26 @@ def test_inspect_splits_on_any_whitespace_as_predict_does(workspace, capsys):
     assert len([l for l in out if l.startswith("tags ")][0].split()) == 3
 
 
+def test_inspect_on_a_naive_model_prints_its_one_stage(tmp_path, capsys):
+    corpus = synth_corpus(5, n_sentences=8, entity_types=2)
+    config = RunConfig(d_model=8, n_ema_head=2, h_lstm=4, attention_mode="naive")
+    vocab = Vocab.from_corpus(corpus)
+    ckpt = tmp_path / "naive.ckpt"
+    save_checkpoint(str(ckpt), config, vocab, snapshot(HrebModel(config, vocab)))
+    rc = cli.main(["inspect", "--ckpt", str(ckpt), "--sentence", "a b c d"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    traced = [l.split() for l in out if not l.startswith(("tokens", "tags", "span"))]
+    assert {t[0] for t in traced} == {"naive"}
+    # no shared representation and no gates in the baseline
+    assert {t[1] for t in traced} == {"q", "k", "v", "scores", "weights"}
+    weights = np.zeros((4, 4))
+    for _, field, i, j, value in traced:
+        if field == "weights":
+            weights[int(i), int(j)] = float(value)
+    assert np.abs(weights.sum(axis=1) - 1.0).max() < 1e-9
+
+
 def test_verify_command_reports_each_check(capsys):
     rc = cli.main(["verify", "--suite", "ema"])
     out = capsys.readouterr().out.splitlines()

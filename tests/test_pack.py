@@ -175,6 +175,22 @@ def test_a_pack_records_as_many_ops_as_one_sentence():
     assert counts[0] == counts[1] <= 100, counts
 
 
+@pytest.mark.parametrize("kw, labels", [({}, ["local", "global"]),
+                                        ({"attention_mode": "naive"}, ["naive"])],
+                         ids=["hema", "naive"])
+def test_a_tracing_tape_needs_one_id_sequence(kw, labels):
+    model, corpus = small_model(**kw)
+    (a, _), (b, _) = sentences(model, corpus, [4, 6])
+    with pytest.raises(ValueError,
+                       match="^attention traces need one id sequence, not a list$"):
+        model.emissions(ad.Tape(record=False, traces=[]), [a, b])
+    # one sequence is traced, once per attention block
+    tape = ad.Tape(record=False, traces=[])
+    assert np.array_equal(model.decode(a, tape), model.decode(a))
+    assert [t.label for t in tape.traces] == labels
+    assert all(t.weights.shape == (4, 4) for t in tape.traces)
+
+
 def test_evaluate_in_packs_matches_one_decode_per_sentence():
     model, corpus = small_model(batch_size=3)
     paths = model.decode([model.vocab.encode_tokens(s.tokens) for s in corpus.dev])

@@ -98,11 +98,11 @@ def test_update_gate_saturation_passes_candidate_through_bitwise():
     params.w_phi.data[:] = 0.0
 
     params.b_phi.data[:] = 1000.0  # phi saturates to exactly 1
-    y = rhema.gated_output(None, x, z, o, params, config)
+    y = rhema.gated_output(None, x, z, o, params, config)[0]
     # the skip input is fully gated out: a different x gives a bitwise
     # identical output
     x2 = ad.Tensor(rng.standard_normal((3, 4)) * 9.0)
-    y_other = rhema.gated_output(None, x2, z, o, params, config)
+    y_other = rhema.gated_output(None, x2, z, o, params, config)[0]
     assert np.array_equal(y.data, y_other.data)
     # and the candidate matches the hand-written formula
     gamma = 1.0 / (1.0 + np.exp(-(z.data @ params.w_gamma.data)))
@@ -112,7 +112,7 @@ def test_update_gate_saturation_passes_candidate_through_bitwise():
     assert np.abs(y.data - y_hat).max() < 1e-12
 
     params.b_phi.data[:] = -1000.0  # phi saturates to exactly 0
-    y = rhema.gated_output(None, x, z, o, params, config)
+    y = rhema.gated_output(None, x, z, o, params, config)[0]
     assert np.array_equal(y.data, x.data)
 
 
@@ -125,8 +125,8 @@ def test_reset_gate_saturation_blocks_attended_values():
     params.b_gamma.data[:] = -1000.0  # gamma == 0: o cannot reach the output
     o1 = ad.Tensor(rng.standard_normal((3, 8)))
     o2 = ad.Tensor(rng.standard_normal((3, 8)))
-    y1 = rhema.gated_output(None, x, z, o1, params, config)
-    y2 = rhema.gated_output(None, x, z, o2, params, config)
+    y1 = rhema.gated_output(None, x, z, o1, params, config)[0]
+    y2 = rhema.gated_output(None, x, z, o2, params, config)[0]
     assert np.array_equal(y1.data, y2.data)
 
 
@@ -165,8 +165,9 @@ def test_softmax_weights_respect_chunk_mask():
     config, params = make_block(chunk_size=2, attn_fn="softmax")
     rng = np.random.default_rng(6)
     x = ad.Tensor(rng.standard_normal((4, 4)))
-    trace = rhema.AttentionTrace("t")
-    rhema.rhema_block(None, x, params, config, one(4), trace=trace)
+    tape = ad.Tape(record=False, traces=[])
+    rhema.rhema_block(tape, x, params, config, one(4))
+    (trace,) = tape.traces
     w = trace.weights
     assert np.all(w[~in_band(4, 2)] == 0.0)
     assert np.abs(w.sum(axis=1) - 1.0).max() < 1e-12
@@ -176,17 +177,21 @@ def test_reduced_laplace_weights_are_row_normalized():
     config, params = make_block(attn_fn="reduced_laplace")
     rng = np.random.default_rng(7)
     x = ad.Tensor(rng.standard_normal((5, 4)) * 0.3)
-    trace = rhema.AttentionTrace("t")
-    rhema.rhema_block(None, x, params, config, one(5), trace=trace)
+    tape = ad.Tape(record=False, traces=[])
+    rhema.rhema_block(tape, x, params, config, one(5))
+    (trace,) = tape.traces
     assert np.abs(trace.weights.sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_trace_lines_format():
-    config, params = make_block(attn_fn="softmax")
+    # a chunk as long as the sentence: the local stage's numbers are the
+    # global one's
+    config, params = make_block(chunk_size=3, attn_fn="softmax")
     rng = np.random.default_rng(8)
     x = ad.Tensor(rng.standard_normal((3, 4)))
-    trace = rhema.AttentionTrace("local")
-    rhema.rhema_block(None, x, params, config, one(3), trace=trace)
+    tape = ad.Tape(record=False, traces=[])
+    rhema.rhema_block(tape, x, params, config, one(3))
+    (trace,) = tape.traces
     lines = trace.lines()
     n_expect = 0
     for f in trace.FIELDS:
@@ -207,8 +212,9 @@ def test_hierarchical_encoder_stages_and_traces():
     assert enc.global_config.chunk_size == 0
     rng = np.random.default_rng(10)
     x = ad.Tensor(rng.standard_normal((6, 4)))
-    traces = []
-    out = enc.forward(None, x, one(6), traces=traces)
+    tape = ad.Tape(record=False, traces=[])
+    out = enc.forward(tape, x, one(6))
+    traces = tape.traces
     assert out.data.shape == (6, 4)
     assert [t.label for t in traces] == ["local", "global"]
     local_w, global_w = traces[0].weights, traces[1].weights
@@ -236,8 +242,9 @@ def test_naive_encoder_census_and_forward():
     assert any(n.endswith("rb.w_alpha") for n in names)
     rng = np.random.default_rng(12)
     x = ad.Tensor(rng.standard_normal((5, 4)))
-    traces = []
-    out = enc.forward(None, x, one(5), traces=traces)
+    tape = ad.Tape(record=False, traces=[])
+    out = enc.forward(tape, x, one(5))
+    traces = tape.traces
     assert out.data.shape == (5, 4)
     assert traces[0].label == "naive"
     assert np.abs(traces[0].weights.sum(axis=1) - 1.0).max() < 1e-12
@@ -291,9 +298,9 @@ def test_band_attention_matches_dense_masked_reference(n, chunk, attn_fn):
             for _ in range(2))
     v = ad.Tensor(rng.standard_normal((n, 8)), requires_grad=True)
     loss_w = rng.standard_normal((n, 8))
-    trace = rhema.AttentionTrace("t")
     tape = ad.Tape()
-    out = rhema.attention(tape, q, k, v, params, config, one(n), trace)
+    out, band_scores, band_weights = rhema.attention(tape, q, k, v, params, config,
+                                                     one(n))
     grads = ad.backward(tape, ad.sum_all(tape, ad.mul(tape, out, ad.Tensor(loss_w))))
 
     wrt = (q, k, v, params.b_rel, params.lap_mu, params.lap_sigma_raw)
@@ -313,12 +320,14 @@ def test_band_attention_matches_dense_masked_reference(n, chunk, attn_fn):
         want = [np.sum(reference(*inputs[:i], inputs[i] + 1j * h * d.reshape(t.shape),
                                  *inputs[i + 1:])[0] * loss_w).imag / h for d in dirs]
         assert_close(dirs @ np.ravel(grads.get(t.id, np.zeros(size))), want, f"d{name}")
-    # the trace keeps the (n, n) layout: out-of-chunk weights are 0 and
-    # out-of-chunk scores are never computed
-    assert_close(trace.weights, weights, "trace weights")
-    assert np.all(trace.weights[~mask] == 0.0)
-    assert_close(trace.scores[mask], scores[mask], "trace scores")
-    assert np.all(trace.scores[~mask] == -np.inf)
+    # the bands' (n, n) layout, as traces keep it: out-of-chunk weights
+    # are 0 and out-of-chunk scores are never computed
+    dense_weights = rhema.band_to_dense(band_weights, 0.0)
+    dense_scores = rhema.band_to_dense(band_scores, -np.inf)
+    assert_close(dense_weights, weights, "dense weights")
+    assert np.all(dense_weights[~mask] == 0.0)
+    assert_close(dense_scores[mask], scores[mask], "dense scores")
+    assert np.all(dense_scores[~mask] == -np.inf)
 
 
 def test_local_stage_scores_are_a_band_on_the_tape(monkeypatch):
