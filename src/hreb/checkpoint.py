@@ -157,11 +157,26 @@ def load_checkpoint(path):
     return config, vocab, {"params": params, "caches": caches}
 
 
+def _refuse_non_finite(what, stored, built):
+    """A stored value may be non-finite only where the freshly built array
+    holds the same value, as at the CRF's -inf boundary entries."""
+    finite = np.isfinite(stored)
+    if finite.all():  # the common case, and a quarter of the full test's cost
+        return
+    bad = np.argwhere(~finite & (stored != built))
+    if len(bad):
+        at = tuple(int(i) for i in bad[0])
+        raise CheckpointError(f"{what}: stored value {stored[at]} at {at} "
+                              "is not finite")
+
+
 def load_model(path):
     """Rebuild a ready-to-run model from a checkpoint.
 
     Initialization reads no external embedding file even when the stored
-    config says embeddings=file; the trained rows are in the payload.
+    config says embeddings=file; the trained rows are in the payload. A
+    NaN or infinity that the built model does not hold at the same place
+    is refused, naming its parameter or gate cache.
     """
     config, vocab, state = load_checkpoint(path)
     build_cfg = RunConfig(
@@ -178,13 +193,16 @@ def load_model(path):
         if arr.shape != p.data.shape:
             raise CheckpointError(
                 f"parameter {p.name}: stored shape {arr.shape} != built {p.data.shape}")
+        _refuse_non_finite(f"parameter {p.name}", arr, p.data)
     gate_states = model.gate_states()
     if len(gate_states) != len(state["caches"]):
         raise CheckpointError("gate cache count does not match this architecture")
-    for gs, (cf, _) in zip(gate_states, state["caches"]):
+    for gs, (cf, cx) in zip(gate_states, state["caches"]):
         if cf.shape != (gs.d_model,):
             raise CheckpointError(f"gate {gs.prefix[:-1]}: stored cache length "
                                   f"{cf.shape[0]} != d_model {gs.d_model}")
+        _refuse_non_finite(f"gate {gs.prefix[:-1]} cache_f", cf, gs.cache_f)
+        _refuse_non_finite(f"gate {gs.prefix[:-1]} cache_x", cx, gs.cache_x)
     restore(model, state)
     model.config = config
     return model, config

@@ -1,8 +1,9 @@
 """Run configuration: flat key=value files with typed, validated keys.
 
 Unknown keys are rejected so a typo cannot silently fall back to a
-default. '#' starts a comment, full-line or trailing. Every key has a
-default; a config file only states what differs.
+default, and a key set twice is rejected so a later line cannot silently
+override an earlier one. '#' starts a comment, full-line or trailing.
+Every key has a default; a config file only states what differs.
 """
 
 import math
@@ -146,6 +147,7 @@ def parse_config(source):
     if isinstance(source, (str, os.PathLike)):
         return parse_config(read_lines(source, "config file"))
     overrides = {}
+    set_on = {}
     for lineno, raw in enumerate(source, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -156,5 +158,9 @@ def parse_config(source):
         key, raw_value = key.strip(), raw_value.strip()
         if key not in DEFAULTS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"config line {lineno}: key {key!r} is already "
+                              f"set on line {set_on[key]}")
+        set_on[key] = lineno
         overrides[key] = _parse_value(key, DEFAULTS[key][0], raw_value)
     return RunConfig(**overrides)

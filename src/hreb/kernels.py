@@ -9,11 +9,11 @@ backward always take one, with each lane's length: (T, B, ...) runs B
 sequences side by side, each padded at its end, and the parameter
 gradients sum over them. One sentence (hreb.pack's Pack(n)) is B = 1.
 Viterbi decodes one (T, C) sequence. The scalar-loop references the tests
-compare against are `hreb.oracles.KERNELS`: the same signatures for one
-sequence, and each lane's results (up to float rounding; Viterbi paths are
-exact). sigmoid and erf are elementwise; their oracles are scipy.special's
-expit and erf, which the tests compare them with, and which no hreb command
-but verify imports. All arrays are float64.
+compare against are KERNELS in tests/references.py: the same signatures for
+one sequence, and each lane's results (up to float rounding; Viterbi paths
+are exact). sigmoid and erf are elementwise; their oracles are
+scipy.special's expit and erf, which only the tests import: no hreb command
+loads scipy. All arrays are float64.
 """
 
 import numpy as np

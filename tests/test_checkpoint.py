@@ -216,6 +216,38 @@ def test_architecture_mismatch_is_refused(tmp_path):
     assert name in str(e.value)
 
 
+@pytest.mark.parametrize("name, at, value", [
+    ("embed.table", (1, 0), np.nan),
+    # a core entry, and one in the start column, where the built table
+    # holds -inf
+    ("crf.trans", (0, 1), np.inf),
+    ("crf.trans", (1, -2), np.inf),
+])
+def test_a_non_finite_parameter_is_refused_by_name(tmp_path, name, at, value):
+    cfg, result, path = trained(tmp_path)
+    loaded_cfg, vocab, state = checkpoint.load_checkpoint(path)
+    arr = state["params"][name]
+    arr[at] = value
+    p2 = tmp_path / "non_finite.ckpt"
+    checkpoint.save_checkpoint(p2, loaded_cfg, vocab, state)
+    with pytest.raises(CheckpointError) as e:
+        checkpoint.load_model(p2)
+    at = tuple(i % n for i, n in zip(at, arr.shape))
+    assert str(e.value) == (f"parameter {name}: stored value {value} at {at} "
+                            "is not finite")
+
+
+def test_a_non_finite_gate_cache_is_refused_by_name(tmp_path):
+    cfg, result, path = trained(tmp_path)
+    loaded_cfg, vocab, state = checkpoint.load_checkpoint(path)
+    state["caches"][1][1][2] = -np.inf
+    p2 = tmp_path / "non_finite_cache.ckpt"
+    checkpoint.save_checkpoint(p2, loaded_cfg, vocab, state)
+    with pytest.raises(CheckpointError, match=r"^gate enc\.local\.ffn\.rb "
+                       r"cache_x: stored value -inf at \(2,\) is not finite$"):
+        checkpoint.load_model(p2)
+
+
 @pytest.mark.parametrize("reduced_bias", ["dynamic", "static"])
 def test_gate_cache_of_the_wrong_length_is_refused(tmp_path, reduced_bias):
     # static mode never reads the caches, so a bad one would go unnoticed

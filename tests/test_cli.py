@@ -13,7 +13,7 @@ from scipy.special import expit
 from conftest import rewrite_checkpoint_header
 from hreb import autodiff as ad
 from hreb import cli
-from hreb.checkpoint import load_model, save_checkpoint
+from hreb.checkpoint import load_checkpoint, load_model, save_checkpoint
 from hreb.config import RunConfig
 from hreb.data import Vocab, parse_conll, synth_corpus, write_conll
 from hreb.model import HrebModel
@@ -101,6 +101,20 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
     assert rc == 2
     assert "d_modle" in err and "line 1" in err
     assert "Traceback" not in err
+
+
+def test_a_config_key_set_twice_is_a_config_error(workspace, tmp_path, capsys):
+    (tmp_path / "bad.cfg").write_text(
+        f"lr=0.1\nd_model=16\ntrain_path={workspace / 'train.txt'}\nlr=0.002\n",
+        encoding="utf-8")
+    rc = cli.main(["train", "--config", str(tmp_path / "bad.cfg"),
+                   "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("error: config line 4: key 'lr' is already set "
+                            "on line 1\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_reduced_bias_off_with_nonunit_weights_is_a_config_error(tmp_path, capsys):
@@ -411,15 +425,40 @@ def test_predict_decodes_in_packs_with_the_tags_of_each_sentence_alone(tmp_path,
     assert out.read_text(encoding="utf-8") == want
 
 
-def test_no_command_but_verify_loads_scipy_special():
-    # only verify's dense_attention oracle imports scipy's erf, when it runs
+def test_no_command_loads_scipy():
+    # a fresh interpreter, so that no test module's scipy import counts
     p = subprocess.run(
         [sys.executable, "-c",
-         "import sys; import hreb.cli, hreb.training, hreb.checkpoint; "
-         "print('scipy.special' in sys.modules)"],
+         "import sys; import hreb.cli; from hreb import verify; "
+         "print(verify.run_suites('all')[0]); "
+         "print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith('scipy.')))"],
         capture_output=True, text=True)
     assert p.returncode == 0, p.stderr
-    assert p.stdout.split() == ["False"]
+    assert p.stdout.splitlines() == ["True", "[]"]
+
+
+def test_predict_refuses_a_nan_parameter_with_exit_3(workspace, tmp_path,
+                                                    capsys):
+    # the NaN sits in a row the sentence never reads, so decoding alone
+    # would not show it
+    sentence = "a b c d"
+    config, vocab, state = load_checkpoint(workspace / "run1" / "best.ckpt")
+    read = set(vocab.encode_tokens(sentence.split())) | {vocab.pad_id}
+    row = max(set(range(len(vocab.tokens))) - read)
+    state["params"]["embed.table"][row] = np.nan
+    bad = tmp_path / "nan.ckpt"
+    save_checkpoint(bad, config, vocab, state)
+    raw = tmp_path / "raw.txt"
+    raw.write_text(sentence + "\n", encoding="utf-8")
+    out = tmp_path / "pred.txt"
+    rc = cli.main(["predict", "--ckpt", str(bad), "--in", str(raw),
+                   "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == (f"error: parameter embed.table: stored value nan at ({row}, 0) "
+                   "is not finite\n")
+    assert not out.exists()
 
 
 def test_predict_to_an_unwritable_out_path_is_a_config_error(workspace, tmp_path,

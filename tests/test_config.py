@@ -2,7 +2,7 @@
 
 import pytest
 
-from hreb.config import DEFAULTS, RunConfig
+from hreb.config import DEFAULTS, RunConfig, parse_config
 from hreb.errors import ConfigError
 
 
@@ -46,3 +46,16 @@ def test_a_negative_seed_is_rejected():
     with pytest.raises(ConfigError, match="key 'seed': must be >= 0"):
         RunConfig(seed=-1)
     assert RunConfig(seed=0).seed == 0
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["lr=0.1", "d_model=16", "lr=0.002"],
+     "config line 3: key 'lr' is already set on line 1"),
+    # the same value twice, after a comment and a blank line
+    (["# run", "seed=1", "", "seed = 1  # again"],
+     "config line 4: key 'seed' is already set on line 2"),
+])
+def test_a_key_set_twice_is_refused_naming_both_lines(lines, message):
+    with pytest.raises(ConfigError) as e:
+        parse_config(lines)
+    assert str(e.value) == message

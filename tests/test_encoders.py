@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from hreb import autodiff as ad
-from hreb import encoders, oracles
+from hreb import encoders
 from hreb.data import Sentence, Vocab
 from hreb.errors import ConfigError
 from hreb.pack import one
+from references import KERNELS
 
 
 def small_vocab():
@@ -174,7 +175,7 @@ def bilstm_inputs(rng, n, h, d=3):
 @pytest.mark.parametrize("h", [1, 4])
 def test_bilstm_seq_matches_two_reference_lstms(n, h):
     # one reference LSTM per direction, the backward one on reversed rows
-    fwd, bwd = oracles.KERNELS["lstm_forward"], oracles.KERNELS["lstm_backward"]
+    fwd, bwd = KERNELS["lstm_forward"], KERNELS["lstm_backward"]
     rng = np.random.default_rng(10 * n + h)
     x, w_f, u_f, b_f, w_b, u_b, b_b = args = bilstm_inputs(rng, n, h)
     dout = rng.standard_normal((n, 2 * h))

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from hreb import autodiff as ad
-from hreb import oracles, rhema
+from hreb import rhema
 from hreb.config import CHOICES, RunConfig
 from hreb.errors import ConfigError
 from hreb.pack import Pack, one
+from references import dense_attention
 
 
 def make_run(**kw):
@@ -308,8 +309,8 @@ def test_band_attention_matches_dense_masked_reference(n, chunk, attn_fn):
     inputs = [t.data for t in wrt]
 
     def reference(*xs):
-        return oracles.dense_attention(*xs, 1.0 / config.attn_scale,
-                                       config.chunk_size, attn_fn)
+        return dense_attention(*xs, 1.0 / config.attn_scale,
+                               config.chunk_size, attn_fn)
 
     ref, scores, weights, mask = reference(*inputs)
     assert_close(out.data, ref, "output")
