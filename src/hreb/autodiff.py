@@ -69,6 +69,13 @@ class Module:
                 for t in (m.params() if isinstance(m, Module) else [m])]
 
 
+def glorot(rng, shape):
+    """A seeded (fan_in, fan_out) weight, uniform within +-sqrt(6 / (fan_in
+    + fan_out)) (Glorot and Bengio 2010)."""
+    s = np.sqrt(6.0 / sum(shape))
+    return rng.uniform(-s, s, shape)
+
+
 class Tape:
     """Ordered op records: (op name, input tensors, output tensor, backward fn).
 
@@ -188,13 +195,6 @@ def scale(tape, a, c):
     return record_op(tape, "scale", (a,), a.data * c, lambda g: (g * c,))
 
 
-def clamp_min(tape, a, lo):
-    lo = float(lo)
-    keep = a.data > lo
-    return record_op(tape, "clamp_min", (a,), np.maximum(a.data, lo),
-                     lambda g: (g * keep,))
-
-
 # ---------------------------------------------------------------------------
 # Linear algebra and shape ops.
 # ---------------------------------------------------------------------------
@@ -263,19 +263,6 @@ def sum_all(tape, a):
     return record_op(tape, "sum_all", (a,), a.data.sum(), bw)
 
 
-def sentence_sums(tape, a, pack):
-    """Each sentence's sum of its rows' entries, in the shape of the pack's
-    lengths."""
-
-    def bw(g):
-        per_row = pack.per_row(np.reshape(g, pack.b))
-        per_row = per_row.reshape((-1,) + (1,) * (a.data.ndim - 1))
-        return (np.broadcast_to(per_row, a.shape).copy(),)
-    rows = a.data.reshape(a.data.shape[0], -1)
-    return record_op(tape, "sentence_sums", (a,),
-                     pack.per_sentence(pack.sums(rows).sum(-1)), bw)
-
-
 # ---------------------------------------------------------------------------
 # Pointwise nonlinearities.
 # ---------------------------------------------------------------------------
@@ -286,12 +273,6 @@ def sigmoid(tape, a):
     def bw(g):
         return (g * y * (1.0 - y),)
     return record_op(tape, "sigmoid", (a,), y, bw)
-
-
-def log(tape, a):
-    def bw(g):
-        return (g / a.data,)
-    return record_op(tape, "log", (a,), np.log(a.data), bw)
 
 
 def _silu(a, variant):
@@ -381,12 +362,6 @@ def feature_norm(tape, x, gain, bias, pack):
         x, gain, bias, lambda a: pack.per_row(pack.sums(a)),
         pack.per_row(pack.lengths)[:, None])
     return record_op(tape, "feature_norm", (x, gain, bias), out_data, bw)
-
-
-def softmax_rows(tape, scores):
-    """Row softmax over the last axis."""
-    w, bw = _softmax(scores.data, None)
-    return record_op(tape, "softmax_rows", (scores,), w, lambda g: (bw(g),))
 
 
 def _softmax(scores, allowed):
@@ -480,7 +455,7 @@ def band_attention(tape, q, k, v, bias, mu, sigma_raw, scale, width, attn_fn, pa
         if np.any(sums <= 0.0):
             row = int(np.argmax((sums <= 0.0).ravel()))
             raise DegenerateRowError(f"{pack.row_name(row)} sums to "
-                                     f"{float(sums.ravel()[row])}; cannot normalize", row)
+                                     f"{float(sums.ravel()[row])}; cannot normalize")
         weights = a / sums
 
     def bw(g):

@@ -103,10 +103,8 @@ class LstmParams(ad.Module):
 
     def __init__(self, d_in, h, rng, prefix):
         super().__init__(prefix)
-        s_w = np.sqrt(6.0 / (d_in + 4 * h))
-        s_u = np.sqrt(6.0 / (h + 4 * h))
-        self.w = self.param("w", rng.uniform(-s_w, s_w, (d_in, 4 * h)))
-        self.u = self.param("u", rng.uniform(-s_u, s_u, (h, 4 * h)))
+        self.w = self.param("w", ad.glorot(rng, (d_in, 4 * h)))
+        self.u = self.param("u", ad.glorot(rng, (h, 4 * h)))
         self.b = self.param("b", np.zeros(4 * h))
 
 

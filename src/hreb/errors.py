@@ -15,13 +15,8 @@ class NumericsError(HrebError):
 
 
 class DegenerateRowError(NumericsError):
-    """An attention row's normalization hit a non-positive sum. An op that
-    knows the row passes its index as row; the message names it as
-    Pack.row_name does."""
-
-    def __init__(self, message, row=None):
-        self.row = row
-        super().__init__(message)
+    """An attention row's normalization hit a non-positive sum. The message
+    names the row as Pack.row_name does."""
 
 
 class DivergenceError(NumericsError):

@@ -8,7 +8,7 @@ from . import autodiff as ad
 from . import crf as crf_mod
 from .encoders import BiLstm, EmbeddingTable, embed_tokens, load_embedding_file
 from .pack import Pack, one
-from .rhema import HierarchicalEncoder, NaiveEncoder, _glorot
+from .rhema import HierarchicalEncoder, NaiveEncoder
 
 
 def pack_ids(ids):
@@ -50,7 +50,7 @@ class HrebModel(ad.Module):
         encoder = HierarchicalEncoder if config.attention_mode == "hema" else NaiveEncoder
         self.encoder = self.sub(encoder(config, rng))
         self.lstm = self.sub(BiLstm(d, config.h_lstm, rng))
-        self.w_out = self.param("proj.w", _glorot(rng, (2 * config.h_lstm, n_classes)))
+        self.w_out = self.param("proj.w", ad.glorot(rng, (2 * config.h_lstm, n_classes)))
         self.b_out = self.param("proj.b", np.zeros(n_classes))
         self.crf = crf_mod.CrfParams(n_classes, tags=vocab.tags,
                                      strict=config.strict_transitions)
@@ -90,10 +90,7 @@ class HrebModel(ad.Module):
         tag_ids = np.asarray(np.hstack(tag_ids), dtype=np.int64)
         if self.config.loss_head == "crf":
             return crf_mod.crf_nll(tape, e, tag_ids, self.crf, pack)
-        probs = ad.softmax_rows(tape, e)
-        onehot = np.zeros(e.data.shape)
-        onehot[np.arange(tag_ids.size), tag_ids] = 1.0
-        return crf_mod.token_nll(tape, probs, onehot, pack)
+        return crf_mod.token_nll(tape, e, tag_ids, pack)
 
     def decode_tape(self):
         """The non-recording tape decode runs on.

@@ -32,11 +32,10 @@ class EmaState(ad.Module):
         # Decays spread geometrically so heads start at distinct timescales.
         eff = np.geomspace(0.05, 0.95, n_head)
         raw = np.log(eff / (1.0 - eff))
-        s = np.sqrt(6.0 / (2.0 * d_model))
         self.alpha_raw = self.param("alpha_raw", raw)
         self.h0 = self.param("h0", np.zeros(d_model))
-        self.w_down = self.param("w_down", rng.uniform(-s, s, (d_model, d_model)))
-        self.w_up = self.param("w_up", rng.uniform(-s, s, (d_model, d_model)))
+        self.w_down = self.param("w_down", ad.glorot(rng, (d_model, d_model)))
+        self.w_up = self.param("w_up", ad.glorot(rng, (d_model, d_model)))
 
 
 def multihead_ema(tape, x, state, pack):

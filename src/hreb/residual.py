@@ -1,7 +1,7 @@
 """Residual connections with configurable branch/skip weighting.
 
 Three modes, named as RunConfig's reduced_bias values:
-  off      -> F(x) + x
+  off      -> F(x) + x, run as static at unit weights
   static   -> a * F(x) + b * x with fixed scalars
   dynamic  -> sigmoid-gated per-feature mixing, where the gates are driven by
               gradient statistics cached from the previous optimizer step
@@ -21,7 +21,8 @@ from .errors import DivergenceError
 
 class GateState(ad.Module):
     """Mode, static weights, gradient caches, and the gate parameters,
-    which exist only in dynamic mode, the one mode that reads them."""
+    which exist only in dynamic mode, the one mode that reads them. Under
+    off the static weights are 1.0 whatever alpha and beta say."""
 
     def __init__(self, d_model, mode, alpha=1.0, beta=1.0, prefix=""):
         if mode not in CHOICES["reduced_bias"]:
@@ -29,6 +30,8 @@ class GateState(ad.Module):
         super().__init__(prefix + "rb.")
         self.d_model = d_model
         self.mode = mode
+        if mode == "off":
+            alpha = beta = 1.0
         self.alpha = float(alpha)
         self.beta = float(beta)
         if mode == "dynamic":
@@ -60,9 +63,7 @@ def apply(tape, x, branch, state):
     if f.data.shape != x.data.shape:
         raise ValueError(
             f"branch output shape {f.data.shape} != input shape {x.data.shape}")
-    if state.mode == "off":
-        return ad.add(tape, f, x)
-    if state.mode == "static":
+    if state.mode != "dynamic":
         gate_f, gate_x = ad.Tensor(state.alpha), ad.Tensor(state.beta)
     else:
         if tape is not None and tape.record:

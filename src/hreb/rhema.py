@@ -67,11 +67,6 @@ class AttentionTrace:
         return out
 
 
-def _glorot(rng, shape):
-    s = np.sqrt(6.0 / sum(shape))
-    return rng.uniform(-s, s, shape)
-
-
 class BlockParams(ad.Module):
     """The scaffold every encoder block shares: the two pre-norms, the
     feed-forward sublayer, and one residual gate per sublayer.
@@ -88,9 +83,9 @@ class BlockParams(ad.Module):
         self.norm1_bias = self.param("norm1_bias", np.zeros(d))
         self.norm2_gain = self.param("norm2_gain", np.ones(d))
         self.norm2_bias = self.param("norm2_bias", np.zeros(d))
-        self.ffn_w1 = self.param("ffn_w1", _glorot(rng, (d, 2 * d)))
+        self.ffn_w1 = self.param("ffn_w1", ad.glorot(rng, (d, 2 * d)))
         self.ffn_b1 = self.param("ffn_b1", np.zeros(2 * d))
-        self.ffn_w2 = self.param("ffn_w2", _glorot(rng, (2 * d, d)))
+        self.ffn_w2 = self.param("ffn_w2", ad.glorot(rng, (2 * d, d)))
         self.ffn_b2 = self.param("ffn_b2", np.zeros(d))
         self.rb_attn, self.rb_ffn = (self.sub(residual.GateState(
             d, config.reduced_bias, config.rb_alpha, config.rb_beta,
@@ -107,21 +102,21 @@ class RhemaParams(BlockParams):
         # Z is d_model wide: it is added to the input elementwise
         d, z, v = config.d_model, config.d_model, config.v_dim
         self.ema = self.sub(EmaState(d, config.n_ema_head, rng, prefix=self.prefix))
-        self.w_z = self.param("w_z", _glorot(rng, (d, z)))
+        self.w_z = self.param("w_z", ad.glorot(rng, (d, z)))
         self.b_z = self.param("b_z", np.zeros(z))
         self.kappa_q = self.param("kappa_q", np.ones(z))
         self.mu_q = self.param("mu_q", np.zeros(z))
         self.kappa_k = self.param("kappa_k", np.ones(z))
         self.mu_k = self.param("mu_k", np.zeros(z))
-        self.w_v = self.param("w_v", _glorot(rng, (d, v)))
+        self.w_v = self.param("w_v", ad.glorot(rng, (d, v)))
         self.b_v = self.param("b_v", np.zeros(v))
         self.b_rel = self.param("b_rel", np.zeros(2 * config.rel_bias_window + 1))
-        self.w_h = self.param("w_h", _glorot(rng, (z, d)))
-        self.u_h = self.param("u_h", _glorot(rng, (v, d)))
+        self.w_h = self.param("w_h", ad.glorot(rng, (z, d)))
+        self.u_h = self.param("u_h", ad.glorot(rng, (v, d)))
         self.b_h = self.param("b_h", np.zeros(d))
-        self.w_gamma = self.param("w_gamma", _glorot(rng, (z, v)))
+        self.w_gamma = self.param("w_gamma", ad.glorot(rng, (z, v)))
         self.b_gamma = self.param("b_gamma", np.zeros(v))
-        self.w_phi = self.param("w_phi", _glorot(rng, (z, d)))
+        self.w_phi = self.param("w_phi", ad.glorot(rng, (z, d)))
         self.b_phi = self.param("b_phi", np.zeros(d))
         self.lap_mu = self.param("lap_mu", LAPLACE_MU_INIT)
         # softplus(raw) == the intended starting scale
@@ -260,7 +255,7 @@ class NaiveEncoder(BlockParams):
     def attention_params(self, config, rng):
         d = config.d_model
         self.w_q, self.w_k, self.w_v, self.w_o = (
-            self.param(n, _glorot(rng, (d, d))) for n in ("w_q", "w_k", "w_v", "w_o"))
+            self.param(n, ad.glorot(rng, (d, d))) for n in ("w_q", "w_k", "w_v", "w_o"))
 
     def forward(self, tape, x, pack):
         c = self.config

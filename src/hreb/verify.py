@@ -61,7 +61,6 @@ def op_grad_checks(seed=0):
     a = rng.standard_normal((n, d))
     b = rng.standard_normal((n, d))
     vec = rng.standard_normal(d)
-    pos = rng.uniform(0.5, 2.0, (n, d))
     sq = rng.standard_normal((d, d))
     n_classes = 3
     crf_t = rng.standard_normal((n_classes + 2, n_classes + 2))
@@ -102,7 +101,6 @@ def op_grad_checks(seed=0):
         ("sub", {"a": a, "b": b}, ad.sub),
         ("mul", {"a": a, "b": vec}, ad.mul),
         ("scale", {"a": a}, lambda t, x: ad.scale(t, x, 1.7)),
-        ("clamp_min", {"a": pos}, lambda t, x: ad.clamp_min(t, x, 1.0)),
         ("matmul", {"a": a, "b": sq}, ad.matmul),
         ("linear", {"x": a, "w": sq, "b": vec}, ad.linear),
         ("linear_silu", {"x": a, "w": sq, "b": vec},
@@ -114,13 +112,10 @@ def op_grad_checks(seed=0):
         ("affine", {"x": a, "scale": gain, "shift": beta}, ad.affine),
         ("repeat_entries", {"a": vec}, lambda t, x: ad.repeat_entries(t, x, 3)),
         ("sum_all", {"a": a}, ad.sum_all),
-        ("sentence_sums", {"a": x}, lambda t, a: ad.sentence_sums(t, a, rag)),
         ("sigmoid", {"a": a}, ad.sigmoid),
-        ("log", {"a": pos}, ad.log),
         ("layer_norm", {"x": a, "gain": gain, "bias": beta}, ad.layer_norm),
         ("feature_norm", {"x": x, "gain": gain, "bias": beta},
          lambda t, xs, g, bs: ad.feature_norm(t, xs, g, bs, pack=rag)),
-        ("softmax_rows", {"s": a @ a.T}, ad.softmax_rows),
         ("ema_scan", {"x": x, "alpha": alpha, "h0": h0},
          lambda t, xs, al, h: ad.ema_scan(t, xs, al, h, rag)),
         ("bilstm_seq", lstm, lambda t, *ts: ad.bilstm_seq(t, *ts, pack=rag)),
@@ -128,6 +123,8 @@ def op_grad_checks(seed=0):
          lambda t, e, tr: ad.crf_log_z(t, e, tr, n_classes, pack=rag)),
         ("crf_path_score", crf_in,
          lambda t, e, tr: ad.crf_path_score(t, e, tr, path, n_classes, pack=rag)),
+        ("token_nll", {"emissions": crf_in["emissions"]},
+         lambda t, e: crf_mod.token_nll(t, e, path, rag)),
         # id 3 repeats, so its row's gradient must accumulate
         ("embed_tokens", {"table": rng.standard_normal((5, d))},
          lambda t, tb: embed_tokens(t, [3, 2, 3], SimpleNamespace(table=tb, pad_id=0))),

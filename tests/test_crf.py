@@ -7,7 +7,7 @@ import pytest
 
 from hreb import autodiff as ad
 from hreb import crf
-from hreb import oracles
+from hreb import oracles, verify
 from hreb.errors import NumericsError
 from hreb.pack import one
 
@@ -189,24 +189,38 @@ def test_crf_gradients_match_finite_differences():
 
 
 def test_token_nll_uniform_is_log_c():
-    probs = ad.Tensor(np.full((1, 4), 0.25))
-    onehot = np.zeros((1, 4))
-    onehot[0, 2] = 1.0
-    loss = crf.token_nll(None, probs, onehot, one(1))
+    loss = crf.token_nll(None, ad.Tensor(np.zeros((1, 4))), [2], one(1))
     assert abs(float(loss.data) - math.log(4)) < 1e-12
 
 
 def test_token_nll_clamps_underflow_and_counts_it():
-    probs = ad.Tensor(np.array([[1.0 - 1e-30, 1e-30]]))
-    onehot = np.array([[0.0, 1.0]])
+    emissions = ad.Tensor(np.array([[0.0, -80.0]]))
     with pytest.warns(UserWarning, match="^1 gold-label probabilities .*clamped"):
-        loss = crf.token_nll(None, probs, onehot, one(1))
+        loss = crf.token_nll(None, emissions, [1], one(1))
     assert abs(float(loss.data) - (-math.log(crf.PROB_FLOOR))) < 1e-9
 
 
 def test_token_nll_sums_over_positions():
-    probs = ad.Tensor(np.array([[0.5, 0.5], [0.25, 0.75]]))
-    onehot = np.array([[1.0, 0.0], [0.0, 1.0]])
-    loss = crf.token_nll(None, probs, onehot, one(2))
+    # the second row's softmax is [0.25, 0.75]
+    emissions = ad.Tensor(np.array([[0.0, 0.0], [0.0, math.log(3.0)]]))
+    loss = crf.token_nll(None, emissions, [0, 1], one(2))
     assert abs(float(loss.data) - (-math.log(0.5) - math.log(0.75))) < 1e-12
+
+
+def test_token_nll_gradient_is_softmax_minus_gold_but_zero_where_clamped():
+    # the gold probability e^-80 of row 0 is clamped, so no gradient
+    # reaches that row; row 1's is softmax - onehot
+    e = ad.Tensor(np.array([[0.0, -80.0, 0.0], [0.5, -0.5, 1.0]]), requires_grad=True)
+    tape = ad.Tape()
+    with pytest.warns(UserWarning, match="^1 gold-label"):
+        loss = crf.token_nll(tape, e, [1, 2], one(2))
+    g = ad.backward(tape, loss)[e.id]
+    assert np.array_equal(g[0], np.zeros(3))
+    p = np.exp(e.data[1]) / np.exp(e.data[1]).sum()
+    assert np.abs(g[1] - (p - [0.0, 0.0, 1.0])).max() < 1e-15
+
+
+def test_the_token_head_passes_the_full_model_gradient_check():
+    worst, _ = verify.model_grad_check(loss_head="token", max_entries=3)
+    assert worst <= verify.GRAD_TOL
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hreb import autodiff as ad
-from hreb import residual, rhema, training
+from hreb import crf, residual, rhema, training
 from hreb.config import RunConfig
 from hreb.data import Vocab, synth_corpus
 from hreb.errors import DegenerateRowError
@@ -175,6 +175,16 @@ def test_a_pack_records_as_many_ops_as_one_sentence():
     assert counts[0] == counts[1] <= 100, counts
 
 
+def test_the_token_head_records_one_op_for_its_loss():
+    model, corpus = small_model(loss_head="token")
+    batch = sentences(model, corpus, [6, 1, 14])
+    ids, tags = [i for i, _ in batch], [t for _, t in batch]
+    forward, loss = ad.Tape(), ad.Tape()
+    model.emissions(forward, ids)
+    model.sentence_nll(loss, ids, tags)
+    assert [r[0] for r in loss.records] == [r[0] for r in forward.records] + ["token_nll"]
+
+
 @pytest.mark.parametrize("kw, labels", [({}, ["local", "global"]),
                                         ({"attention_mode": "naive"}, ["naive"])],
                          ids=["hema", "naive"])
@@ -320,11 +330,10 @@ def test_a_packs_sums_have_the_bits_of_each_sentence_alone():
 
     for width in (3, 1):
         rows = rng.standard_normal((n, width))
-        sums = ad.sentence_sums(None, ad.Tensor(rows), pack).data
-        assert sums.shape == (pack.b,)
+        sums = pack.sums(rows)
+        assert sums.shape == (pack.b, width)
         for b, (a, m) in enumerate(spans):
-            assert sums[b] == ad.sentence_sums(None, ad.Tensor(rows[a:a + m]),
-                                               one(m)).data
+            assert np.array_equal(sums[b], one(m).sums(rows[a:a + m])[0])
 
     e, trans, path = crf_op_inputs(rng, n)
     scores = ad.crf_path_score(None, e, trans, path, 4, pack=pack).data
@@ -333,14 +342,26 @@ def test_a_packs_sums_have_the_bits_of_each_sentence_alone():
                                   path[a:a + m], 4, pack=one(m))
         assert scores[b] == alone.data
 
+    def token_loss(rows, tags, p):
+        """token_nll's losses and their emission gradient."""
+        tape, t = ad.Tape(), ad.Tensor(rows, requires_grad=True)
+        out = crf.token_nll(tape, t, tags, p)
+        return out.data, ad.backward(tape, ad.sum_all(tape, out))[t.id]
 
-@pytest.mark.parametrize("op", ["sentence_sums", "crf_log_z", "crf_path_score"])
+    losses, de = token_loss(e.data, path, pack)
+    for b, (a, m) in enumerate(spans):
+        alone, de_alone = token_loss(e.data[a:a + m], path[a:a + m], one(m))
+        assert losses[b] == alone
+        assert np.array_equal(de[a:a + m], de_alone)
+
+
+@pytest.mark.parametrize("op", ["token_nll", "crf_log_z", "crf_path_score"])
 def test_pack_of_n_is_pack_of_n_listed_with_0d_results(op):
     rng = np.random.default_rng(14)
     n, c = 11, 4
     e, trans, path = crf_op_inputs(rng, n, c)
     run = {
-        "sentence_sums": lambda tape, p: ad.sentence_sums(tape, e, p),
+        "token_nll": lambda tape, p: crf.token_nll(tape, e, path, p),
         "crf_log_z": lambda tape, p: ad.crf_log_z(tape, e, trans, c, pack=p),
         "crf_path_score": lambda tape, p: ad.crf_path_score(tape, e, trans, path, c,
                                                             pack=p),

@@ -69,7 +69,7 @@ def test_band_to_dense_places_each_band_entry_at_its_key():
 
 def test_glorot_bound():
     rng = np.random.default_rng(0)
-    w = rhema._glorot(rng, (40, 60))
+    w = ad.glorot(rng, (40, 60))
     assert np.abs(w).max() <= np.sqrt(6.0 / 100)
 
 
