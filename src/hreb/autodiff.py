@@ -219,8 +219,10 @@ def linear(tape, x, w, b):
 
 
 def linear_silu(tape, x, w, b, variant):
-    """silu(x @ w + b) as one op, in either silu variant."""
-    out_data, silu_bw = _silu(x.data @ w.data + b.data, variant)
+    """silu(x @ w + b) as one op, in either silu variant. Backward keeps
+    what _silu keeps, besides x and w."""
+    out_data, silu_bw = _silu(x.data @ w.data + b.data, variant,
+                              tape is not None and tape.record)
 
     def bw(g):
         da = silu_bw(g)
@@ -275,20 +277,28 @@ def sigmoid(tape, a):
     return record_op(tape, "sigmoid", (a,), y, bw)
 
 
-def _silu(a, variant):
+def _silu(a, variant, record):
     """(silu(a), g -> g * silu'(a)) for pre-activation a: the standard
     a * s, or the paper's s + a * s * (1 - s) (the standard one's
-    derivative), with s = sigmoid(a). The derivative waits for backward."""
+    derivative), with s = sigmoid(a). Without record the backward is None.
+
+    Each backward keeps two arrays. The standard one keeps a and s. The
+    paper's keeps sp = s * (1 - s) and k = 2 + a * (1 - 2s), built in the
+    forward: g * sp * k is evaluated as g * sp * (2 + a * (1 - 2s)) would
+    be in backward, so it has the same bits."""
     s = kernels.sigmoid(a)
     if variant == "standard":
-        return a * s, lambda g: g * s * (1.0 + a * (1.0 - s))
+        return a * s, (lambda g: g * s * (1.0 + a * (1.0 - s))) if record else None
     if variant != "paper":
         raise ValueError(f"unknown silu variant {variant!r}")
     sp = 1.0 - s
     sp *= s
     out = a * sp
     out += s
-    return out, lambda g: g * sp * (2.0 + a * (1.0 - 2.0 * s))
+    if not record:
+        return out, None
+    k = 2.0 + a * (1.0 - 2.0 * s)
+    return out, lambda g: g * sp * k
 
 
 def gated_merge(tape, x, z, o, w_gamma, b_gamma, w_phi, b_phi, w_h, u_h, b_h,
@@ -298,15 +308,17 @@ def gated_merge(tape, x, z, o, w_gamma, b_gamma, w_phi, b_phi, w_h, u_h, b_h,
     gamma = sigmoid(z @ w_gamma + b_gamma) and update gate phi = sigmoid(z @
     w_phi + b_phi). Returns (y, gamma, phi), the gates as arrays. The gates'
     pre-activations are checked too: a sigmoid squashes an inf to a finite
-    value."""
+    value. Backward keeps the gates, what _silu keeps and the silu's
+    output; it recomputes gamma * o."""
     gamma = z.data @ w_gamma.data + b_gamma.data
     phi = z.data @ w_phi.data + b_phi.data
     if not (np.isfinite(gamma).all() and np.isfinite(phi).all()):
         raise NumericsError("op 'gated_merge' produced non-finite gate pre-activations")
     kernels.sigmoid(gamma, out=gamma)
     kernels.sigmoid(phi, out=phi)
-    go = gamma * o.data
-    y_hat, silu_bw = _silu(z.data @ w_h.data + (go @ u_h.data + b_h.data), variant)
+    y_hat, silu_bw = _silu(
+        z.data @ w_h.data + ((gamma * o.data) @ u_h.data + b_h.data), variant,
+        tape is not None and tape.record)
 
     def bw(g):
         d_inner = silu_bw(g * phi)
@@ -318,7 +330,8 @@ def gated_merge(tape, x, z, o, w_gamma, b_gamma, w_phi, b_phi, w_h, u_h, b_h,
                 d_go * gamma,
                 z.data.T @ d_gamma, _unbroadcast(d_gamma, b_gamma.shape),
                 z.data.T @ d_phi, _unbroadcast(d_phi, b_phi.shape),
-                z.data.T @ d_inner, go.T @ d_inner, _unbroadcast(d_inner, b_h.shape))
+                z.data.T @ d_inner, (gamma * o.data).T @ d_inner,
+                _unbroadcast(d_inner, b_h.shape))
     y = record_op(tape, "gated_merge",
                   (x, z, o, w_gamma, b_gamma, w_phi, b_phi, w_h, u_h, b_h),
                   phi * y_hat + (1.0 - phi) * x.data, bw)

@@ -6,7 +6,13 @@ from .errors import DivergenceError
 
 
 class AdamState:
-    """Per-parameter first/second moment buffers plus the shared step count."""
+    """Per-parameter first/second moment buffers plus the shared step count.
+
+    The buffers of every parameter given here are allocated, as zeros, by
+    the first step, after its finite check: until then m and v are None.
+    A training step's tape has been swept by then, so the buffers reuse
+    memory that its backward has freed instead of adding to its peak.
+    """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         if lr <= 0 or eps <= 0:
@@ -18,8 +24,8 @@ class AdamState:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.step_count = 0
-        self.m = {p.id: np.zeros_like(p.data) for p in params}
-        self.v = {p.id: np.zeros_like(p.data) for p in params}
+        self._params = list(params)
+        self.m = self.v = None
 
     def step(self, params, grads):
         """Update params. Params absent from grads are left untouched.
@@ -33,6 +39,9 @@ class AdamState:
             if g is not None and not np.all(np.isfinite(g)):
                 raise DivergenceError(
                     f"non-finite gradient for parameter {p.name or p.id}")
+        if self.m is None:
+            self.m = {p.id: np.zeros_like(p.data) for p in self._params}
+            self.v = {p.id: np.zeros_like(p.data) for p in self._params}
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t

@@ -45,88 +45,83 @@ def _dump(**arrays):
 
 # ----------------------------------------------------------------- gradients
 
-def op_grad_checks(seed=0):
-    """Finite-difference check of every differentiable op, one entry per
-    (op, input) pair, and per attn_fn for band_attention.
+def op_grad_cases():
+    """(op, {input name: spec}, build), and for band_attention also the
+    attn_fn that its entries' details name, per differentiable op.
 
-    Each case is (op, {input name: array}, build), and for band_attention
-    also the attn_fn that its entries' details name; build(tape, *tensors)
-    returns the op output in the inputs' order. The loss is a fixed random
-    weighting of that output, so every output entry influences the scalar.
-    The ops that see sentence boundaries run on a ragged pack of three
-    sentences, one of them a single token.
+    A spec is a shape, drawn standard normal, or a function of the case's
+    generator. build(tape, *tensors) returns the op output in the inputs'
+    order. The ops that see sentence boundaries run on a ragged pack of
+    three sentences, one of them a single token.
     """
-    rng = np.random.default_rng(seed)
-    n, d = 3, 4
-    a = rng.standard_normal((n, d))
-    b = rng.standard_normal((n, d))
-    vec = rng.standard_normal(d)
-    sq = rng.standard_normal((d, d))
-    n_classes = 3
-    crf_t = rng.standard_normal((n_classes + 2, n_classes + 2))
-    crf_t[:, n_classes] = -np.inf
-    crf_t[n_classes + 1, :] = -np.inf
-    alpha = rng.uniform(0.1, 0.9, d)
-    h0 = rng.standard_normal(d)
-    gain = rng.uniform(0.5, 1.5, d)
-    beta = rng.standard_normal(d)
+    n, d, h, n_classes = 3, 4, 3, 3
     # the ops that see sentence boundaries run on this ragged pack; with
     # band width 2 its first sentence ends in a one-key chunk, and its
     # second is a single token
     rag = Pack([3, 1, 4])
     band_m = 2
-    x, q, k = (rng.standard_normal((rag.n, d)) for _ in range(3))
-    # band offsets run from -1 to 1: every bucket of a width-1 bias. The
-    # positive biases and small queries keep every reduced_laplace row sum
-    # positive.
-    attn = {"q": 0.3 * q, "k": k, "v": x, "bias": rng.uniform(0.5, 1.0, 3),
-            "mu": 0.3, "sigma": -0.8}
-    crf_in = {"emissions": rng.standard_normal((rag.n, n_classes)), "trans": crf_t}
+    nd, rd = (n, d), (rag.n, d)
+
+    def uniform(lo, hi, shape):
+        return lambda rng: rng.uniform(lo, hi, shape)
+
+    def crf_trans(rng):
+        t = rng.standard_normal((n_classes + 2, n_classes + 2))
+        t[:, n_classes] = -np.inf
+        t[n_classes + 1, :] = -np.inf
+        return t
+
+    # band offsets run from -1 to 1: every bucket of a width-1 bias. At
+    # scale 0.5, |scale * q . k| <= 0.4 stays below every bias, so every
+    # score, and with it every reduced_laplace row sum, is positive at any
+    # seed.
+    attn = {"q": uniform(-0.2, 0.2, rd), "k": uniform(-1.0, 1.0, rd), "v": rd,
+            "bias": uniform(0.5, 1.0, 3), "mu": lambda rng: 0.3,
+            "sigma": lambda rng: -0.8}
+    crf_in = {"emissions": (rag.n, n_classes), "trans": crf_trans}
     path = np.array([1, 0, 2, 2, 0, 1, 1, 2])
     # bilstm_seq's inputs in argument order: x, then each direction's w, u, b
-    h = 3
-    lstm = {"x": x}
+    lstm = {"x": rd}
     for lane in ("f", "b"):
-        lstm.update({"w_" + lane: rng.standard_normal((d, 4 * h)),
-                     "u_" + lane: rng.standard_normal((h, 4 * h)),
-                     "b_" + lane: rng.standard_normal(4 * h)})
-    # the fused ops draw from their own stream; gated_merge's values are 5 wide
-    fz = np.random.default_rng(seed + 2)
-    merge = {k: fz.standard_normal(shape) for k, shape in zip(
+        lstm.update({"w_" + lane: (d, 4 * h), "u_" + lane: (h, 4 * h),
+                     "b_" + lane: 4 * h})
+    # gated_merge's values are 5 wide
+    merge = dict(zip(
         ("x", "z", "o", "w_gamma", "b_gamma", "w_phi", "b_phi", "w_h", "u_h", "b_h"),
-        ((n, d), (n, d), (n, 5), (d, 5), 5, (d, d), d, (d, d), (5, d), d))}
+        (nd, nd, (n, 5), (d, 5), 5, (d, d), d, (d, d), (5, d), d)))
 
     cases = [
-        ("add", {"a": a, "bias": vec}, ad.add),
-        ("sub", {"a": a, "b": b}, ad.sub),
-        ("mul", {"a": a, "b": vec}, ad.mul),
-        ("scale", {"a": a}, lambda t, x: ad.scale(t, x, 1.7)),
-        ("matmul", {"a": a, "b": sq}, ad.matmul),
-        ("linear", {"x": a, "w": sq, "b": vec}, ad.linear),
-        ("linear_silu", {"x": a, "w": sq, "b": vec},
+        ("add", {"a": nd, "bias": d}, ad.add),
+        ("sub", {"a": nd, "b": nd}, ad.sub),
+        ("mul", {"a": nd, "b": d}, ad.mul),
+        ("scale", {"a": nd}, lambda t, x: ad.scale(t, x, 1.7)),
+        ("matmul", {"a": nd, "b": (d, d)}, ad.matmul),
+        ("linear", {"x": nd, "w": (d, d), "b": d}, ad.linear),
+        ("linear_silu", {"x": nd, "w": (d, d), "b": d},
          lambda t, xs, w, bs: ad.linear_silu(t, xs, w, bs, "paper")),
         # the other silu variant, so each has its check
         ("gated_merge", merge, lambda t, *ts: ad.gated_merge(t, *ts, "standard")[0]),
-        ("weighted_sum", {"a": fz.uniform(0, 1, (1, d)), "f": a,
-                          "b": fz.uniform(0, 1, (1, d)), "x": b}, ad.weighted_sum),
-        ("affine", {"x": a, "scale": gain, "shift": beta}, ad.affine),
-        ("repeat_entries", {"a": vec}, lambda t, x: ad.repeat_entries(t, x, 3)),
-        ("sum_all", {"a": a}, ad.sum_all),
-        ("sigmoid", {"a": a}, ad.sigmoid),
-        ("layer_norm", {"x": a, "gain": gain, "bias": beta}, ad.layer_norm),
-        ("feature_norm", {"x": x, "gain": gain, "bias": beta},
+        ("weighted_sum", {"a": uniform(0, 1, (1, d)), "f": nd,
+                          "b": uniform(0, 1, (1, d)), "x": nd}, ad.weighted_sum),
+        ("affine", {"x": nd, "scale": uniform(0.5, 1.5, d), "shift": d}, ad.affine),
+        ("repeat_entries", {"a": d}, lambda t, x: ad.repeat_entries(t, x, 3)),
+        ("sum_all", {"a": nd}, ad.sum_all),
+        ("sigmoid", {"a": nd}, ad.sigmoid),
+        ("layer_norm", {"x": nd, "gain": uniform(0.5, 1.5, d), "bias": d},
+         ad.layer_norm),
+        ("feature_norm", {"x": rd, "gain": uniform(0.5, 1.5, d), "bias": d},
          lambda t, xs, g, bs: ad.feature_norm(t, xs, g, bs, pack=rag)),
-        ("ema_scan", {"x": x, "alpha": alpha, "h0": h0},
-         lambda t, xs, al, h: ad.ema_scan(t, xs, al, h, rag)),
+        ("ema_scan", {"x": rd, "alpha": uniform(0.1, 0.9, d), "h0": d},
+         lambda t, xs, al, h0: ad.ema_scan(t, xs, al, h0, rag)),
         ("bilstm_seq", lstm, lambda t, *ts: ad.bilstm_seq(t, *ts, pack=rag)),
         ("crf_log_z", crf_in,
          lambda t, e, tr: ad.crf_log_z(t, e, tr, n_classes, pack=rag)),
         ("crf_path_score", crf_in,
          lambda t, e, tr: ad.crf_path_score(t, e, tr, path, n_classes, pack=rag)),
-        ("token_nll", {"emissions": crf_in["emissions"]},
+        ("token_nll", {"emissions": (rag.n, n_classes)},
          lambda t, e: crf_mod.token_nll(t, e, path, rag)),
         # id 3 repeats, so its row's gradient must accumulate
-        ("embed_tokens", {"table": rng.standard_normal((5, d))},
+        ("embed_tokens", {"table": (5, d)},
          lambda t, tb: embed_tokens(t, [3, 2, 3], SimpleNamespace(table=tb, pad_id=0))),
     ]
     # band_attention under each attn_fn; mu and sigma enter no softmax, so
@@ -134,9 +129,32 @@ def op_grad_checks(seed=0):
     cases += [("band_attention", attn,
                lambda t, *ts, f=f: ad.band_attention(t, *ts, 0.5, band_m, f, rag)[0], f)
               for f in CHOICES["attn_fn"]]
+    return cases
 
+
+def op_grad_inputs(seed, case):
+    """{input name: array} of one op_grad_cases case, drawn from its own
+    generator, seeded by seed and the case's name (op and attn_fn): adding
+    or removing a case leaves every other case's inputs as they were."""
+    op, specs, _, *under = case
+    rng = np.random.default_rng([seed, *" ".join([op, *under]).encode()])
+    return {k: spec(rng) if callable(spec) else rng.standard_normal(spec)
+            for k, spec in specs.items()}
+
+
+def op_grad_checks(seed=0):
+    """Finite-difference check of every case of op_grad_cases, one entry
+    per (op, input) pair, and per attn_fn for band_attention.
+
+    The inputs come from op_grad_inputs, so a row's printed error does not
+    change when another case is added or removed. The loss is a fixed
+    random weighting of the op output, so every output entry influences
+    the scalar.
+    """
     results = []
-    for op, inputs, build, *under in cases:
+    for case in op_grad_cases():
+        op, _, build, *under = case
+        inputs = op_grad_inputs(seed, case)
         tensors = [ad.Tensor(np.array(v, dtype=np.float64), requires_grad=True,
                              name=k) for k, v in inputs.items()]
         shape = build(ad.Tape(), *tensors).data.shape

@@ -379,6 +379,23 @@ def recorded_ops():
     return ops
 
 
+def test_dropping_an_op_grad_case_leaves_every_other_row_as_it_was(monkeypatch):
+    rows = [(r.name, r.detail) for r in verify.op_grad_checks()]
+    cases = verify.op_grad_cases()
+    assert cases[0][0] == "add"
+    monkeypatch.setattr(verify, "op_grad_cases", lambda: cases[1:])
+    rest = [(r.name, r.detail) for r in verify.op_grad_checks()]
+    assert rest == [row for row in rows if not row[0].startswith("grad add/")]
+
+
+def test_op_grad_attention_inputs_keep_reduced_laplace_rows_positive_at_any_seed():
+    case = next(c for c in verify.op_grad_cases() if c[3:] == ("reduced_laplace",))
+    for seed in range(100):
+        inputs = verify.op_grad_inputs(seed, case)
+        case[2](None, *(ad.Tensor(np.asarray(v, dtype=np.float64))
+                        for v in inputs.values()))
+
+
 def test_op_grad_checks_cover_every_input_of_every_recorded_op():
     ops = recorded_ops()
     assert {"embed_tokens", "crf_path_score", "token_nll"} <= set(ops)

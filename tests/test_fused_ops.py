@@ -12,7 +12,10 @@ import pytest
 from hreb import autodiff as ad
 from hreb import kernels
 from hreb import residual
+from hreb.config import RunConfig
+from hreb.data import Vocab, synth_corpus
 from hreb.errors import NumericsError
+from hreb.model import HrebModel
 from hreb.pack import Pack
 
 N = Pack([3, 1, 4]).n
@@ -29,12 +32,17 @@ def trainable(inputs):
     return [ad.Tensor(v, requires_grad=True) for v in inputs.values()]
 
 
+def out_weights(shape):
+    """run's fixed weighting of an op's output: the gradient that reaches it."""
+    return np.random.default_rng(100).standard_normal(shape)
+
+
 def run(build, tensors):
     """(output, [each tensor's gradient]) of build(tape, *tensors) under a
     fixed random weighting of its output."""
     tape = ad.Tape()
     out = build(tape, *tensors)
-    w = ad.Tensor(np.random.default_rng(100).standard_normal(out.shape))
+    w = ad.Tensor(out_weights(out.shape))
     grads = ad.backward(tape, ad.sum_all(tape, ad.mul(tape, out, w)))
     return out.data, [grads[t.id] for t in tensors]
 
@@ -92,6 +100,71 @@ def test_gated_merge_matches_its_chain_and_returns_its_gates(variant):
     _, want_gamma, want_phi = merge_chain(None, *tensors, variant)
     assert_close(gamma, want_gamma.data)
     assert_close(phi, want_phi.data)
+
+
+def paper_silu_grad(a, g):
+    """g * silu'(a) for the paper silu, built from the pre-activation a
+    alone, as its backward once did: s * (1 - s) * (2 + a * (1 - 2s))."""
+    s = kernels.sigmoid(a)
+    return g * ((1.0 - s) * s) * (2.0 + a * (1.0 - 2.0 * s))
+
+
+def assert_bitwise(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)
+
+
+def test_linear_silu_paper_gradients_have_the_bits_of_the_backward_built_factor():
+    v = draw(1, x=(N, D), w=(D, V), b=V)
+    _, grads = run(lambda t, x, w, b: ad.linear_silu(t, x, w, b, "paper"),
+                   trainable(v))
+    da = paper_silu_grad(v["x"] @ v["w"] + v["b"], out_weights((N, V)))
+    assert_bitwise(grads, [da @ v["w"].T, v["x"].T @ da, da.sum(axis=0)])
+
+
+def test_gated_merge_paper_gradients_have_the_bits_of_the_backward_built_factor():
+    # gated_merge's backward as it was when it kept gamma * o and built the
+    # silu factor from the pre-activation
+    v = draw(2, **MERGE)
+    _, grads = run(lambda t, *ts: ad.gated_merge(t, *ts, "paper")[0], trainable(v))
+    g = out_weights((N, D))
+    gamma = kernels.sigmoid(v["z"] @ v["w_gamma"] + v["b_gamma"])
+    phi = kernels.sigmoid(v["z"] @ v["w_phi"] + v["b_phi"])
+    go = gamma * v["o"]
+    inner = v["z"] @ v["w_h"] + (go @ v["u_h"] + v["b_h"])
+    s = kernels.sigmoid(inner)
+    y_hat = inner * ((1.0 - s) * s) + s
+    d_inner = paper_silu_grad(inner, g * phi)
+    d_go = d_inner @ v["u_h"].T
+    d_gamma = d_go * v["o"] * gamma * (1.0 - gamma)
+    d_phi = (g * y_hat - g * v["x"]) * phi * (1.0 - phi)
+    assert_bitwise(grads, [
+        g * (1.0 - phi),
+        d_inner @ v["w_h"].T + d_phi @ v["w_phi"].T + d_gamma @ v["w_gamma"].T,
+        d_go * gamma,
+        v["z"].T @ d_gamma, d_gamma.sum(axis=0),
+        v["z"].T @ d_phi, d_phi.sum(axis=0),
+        v["z"].T @ d_inner, go.T @ d_inner, d_inner.sum(axis=0)])
+
+
+@pytest.mark.parametrize("variant", ["paper", "standard"])
+def test_a_decode_builds_no_silu_backward(monkeypatch, variant):
+    silu, built = ad._silu, []
+
+    def spy(a, variant, record):
+        out, bw = silu(a, variant, record)
+        built.append(bw)
+        return out, bw
+
+    monkeypatch.setattr(ad, "_silu", spy)
+    corpus = synth_corpus(0, 8, 3)
+    model = HrebModel(RunConfig(silu_variant=variant), Vocab.from_corpus(corpus))
+    ids = model.vocab.encode_tokens(corpus.train[0].tokens)
+    model.decode(ids)
+    assert built and all(bw is None for bw in built)
+    built.clear()
+    model.emissions(ad.Tape(), ids)
+    assert built and all(bw is not None for bw in built)
 
 
 def residual_chain(tape, f, x, state):

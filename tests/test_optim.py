@@ -95,6 +95,16 @@ def test_params_missing_from_grads_are_skipped():
     assert np.all(opt.v[b.id] == 0.0)
 
 
+def test_moments_are_allocated_by_the_first_step_past_its_finite_check():
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    opt = AdamState([a], lr=0.1)
+    with pytest.raises(DivergenceError):
+        opt.step([a], {a.id: np.array([np.inf, 0.0])})
+    assert opt.m is None and opt.v is None
+    opt.step([a], {a.id: np.array([1.0, 0.0])})
+    assert opt.m[a.id].shape == opt.v[a.id].shape == (2,)
+
+
 def test_step_count_shared_across_params():
     a = Tensor(np.zeros(1), requires_grad=True)
     b = Tensor(np.zeros(1), requires_grad=True)
