@@ -78,11 +78,14 @@ def _check_header(path, header, payload_bytes):
             isinstance(e, dict) and isinstance(e.get("name"), str)
             and _is_dims(e.get("shape")) for e in header["params"])):
         raise bad("params", "must list {name, shape} entries")
-    names = set()
-    for e in header["params"]:
-        if e["name"] in names:
-            raise bad("params", f"names parameter {e['name']!r} twice")
-        names.add(e["name"])
+    def refuse_repeats(field, what, entries):
+        seen = set()
+        for e in entries:
+            if e in seen:
+                raise bad(field, f"names {what} {e!r} twice")
+            seen.add(e)
+
+    refuse_repeats("params", "parameter", [e["name"] for e in header["params"]])
     if not _is_dims(header["cache_dims"]):
         raise bad("cache_dims", "must be a list of sizes")
     need = 0
@@ -96,6 +99,9 @@ def _check_header(path, header, payload_bytes):
         if not (isinstance(header[field], list)
                 and all(isinstance(t, str) for t in header[field])):
             raise bad(field, "must be a list of strings")
+        # a repeated token hides its first embedding row, and a repeated
+        # tag maps to its later class id
+        refuse_repeats(field, field[:-1], header[field])
     if not header["tags"]:
         raise bad("tags", "is empty: a model needs at least one tag")
     if not isinstance(header["config"], dict):

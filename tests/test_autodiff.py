@@ -364,6 +364,45 @@ def test_finite_diff_params_reports_per_parameter_errors():
     assert max(errs.values()) < 1e-7
 
 
+def test_finite_diff_directions_depend_only_on_the_parameter_name():
+    rng = np.random.default_rng(8)
+    w = ad.Tensor(rng.standard_normal((3, 3)), requires_grad=True, name="w")
+    b = ad.Tensor(rng.standard_normal(3), requires_grad=True, name="b")
+    x = rng.standard_normal((2, 3))
+
+    def build():
+        tape = ad.Tape()
+        out = ad.add(tape, ad.matmul(tape, ad.Tensor(x), w), b)
+        return ad.sum_all(tape, ad.mul(tape, ad.sigmoid(tape, out), out)), tape
+
+    assert finite_diff_params(build, [w, b]) == finite_diff_params(build, [b, w])
+    with pytest.raises(ValueError, match="named tensors"):
+        finite_diff_params(build, [w, ad.Tensor(np.zeros(3), requires_grad=True)])
+
+
+def test_the_model_check_catches_one_zeroed_embedding_row(monkeypatch):
+    # the model's embed_tokens drops the first live token's row from its
+    # gradient; verify's own copy stays intact, so only the model row fails
+    from hreb import model
+
+    def faulty(tape, ids, table):
+        ids = np.asarray(ids, dtype=np.int64)
+        live = ids != table.pad_id
+        t = table.table
+
+        def bw(g):
+            dt = np.zeros_like(t.data)
+            np.add.at(dt, ids[live], g[live])
+            dt[ids[live][0]] = 0.0
+            return (dt,)
+        return ad.record_op(tape, "embed_tokens", (t,), t.data[ids], bw)
+
+    monkeypatch.setattr(model, "embed_tokens", faulty)
+    rows = {r.name: r for r in verify.grad_suite(0)}
+    assert rows["grad embed_tokens"].passed
+    assert not rows["grad full model"].passed, rows["grad full model"].detail
+
+
 def recorded_ops():
     """{op name: number of tape inputs} for every record_op call site in
     the package."""

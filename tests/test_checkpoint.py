@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -191,6 +192,24 @@ def test_a_parameter_named_twice_is_refused(tmp_path):
                       + blob[end:])
     with pytest.raises(CheckpointError, match="checkpoint field 'params' names "
                                               "parameter 'embed.table' twice"):
+        checkpoint.load_checkpoint(twice)
+
+
+@pytest.mark.parametrize("field", ["tokens", "tags"])
+def test_a_token_or_tag_named_twice_is_refused(tmp_path, field):
+    # the list keeps its length, so every size check still passes: a
+    # repeated token's first row was unreachable, and a repeated tag read
+    # as its later class id
+    cfg, result, path = trained(tmp_path)
+    repeated = getattr(result.model.vocab, field)[-2]
+
+    def repeat(header):
+        header[field][-1] = header[field][-2]
+
+    twice = tmp_path / "twice.ckpt"
+    rewrite_checkpoint_header(path, twice, repeat)
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"checkpoint field '{field}' names {field[:-1]} {repeated!r} twice")):
         checkpoint.load_checkpoint(twice)
 
 

@@ -324,8 +324,8 @@ def test_decode_memo_frees_the_arrays_a_step_replaces():
 
 
 def test_a_step_keeps_every_parameter_an_array_of_its_shape():
-    # numpy arithmetic turns a 0-d array into a scalar, into which an
-    # in-place write (finite_diff_params' p.data.flat[i] = ...) is lost;
+    # numpy arithmetic turns a 0-d array into a scalar, which refuses an
+    # in-place write (finite_diff_params' p.data[...] = ...);
     # the laplace squash trains the four 0-d parameters
     cfg = tiny_config(attn_fn="laplace")
     corpus = tiny_corpus()
