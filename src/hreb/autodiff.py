@@ -68,6 +68,11 @@ class Module:
         return [t for m in self._members
                 for t in (m.params() if isinstance(m, Module) else [m])]
 
+    def modules(self):
+        """This module and every module below it, in declaration order."""
+        return [self] + [d for m in self._members if isinstance(m, Module)
+                         for d in m.modules()]
+
 
 def glorot(rng, shape):
     """A seeded (fan_in, fan_out) weight, uniform within +-sqrt(6 / (fan_in

@@ -8,6 +8,7 @@ from . import autodiff as ad
 from . import crf as crf_mod
 from .encoders import BiLstm, EmbeddingTable, embed_tokens, load_embedding_file
 from .pack import Pack, one
+from .residual import GateState
 from .rhema import HierarchicalEncoder, NaiveEncoder
 
 
@@ -28,8 +29,9 @@ class HrebModel(ad.Module):
 
     It runs one sentence, or a batch of them packed end to end as one
     sequence of rows (hreb.pack), each at its true length. All floats are
-    64-bit. The parameter list is fixed at construction. vectors, if read
-    already from the config's embedding_path, spare reading it again.
+    64-bit. The parameter and gate lists are fixed at construction.
+    vectors, if read already from the config's embedding_path, spare
+    reading it again.
     """
 
     def __init__(self, config, vocab, vectors=None):
@@ -57,6 +59,7 @@ class HrebModel(ad.Module):
         if config.loss_head == "crf":
             self.sub(self.crf)
         self._params = super().params()
+        self._gates = [m for m in self.modules() if isinstance(m, GateState)]
         self._decode_arrays = []
         self._decode_tape = None
 
@@ -67,7 +70,8 @@ class HrebModel(ad.Module):
         return [p.name for p in self.params()]
 
     def gate_states(self):
-        return self.encoder.gate_states()
+        """The residual gates in declaration order, the checkpoint's cache order."""
+        return list(self._gates)
 
     def emissions(self, tape, ids):
         """(n, C) class scores: one true-length id sequence's rows, or a

@@ -27,14 +27,14 @@ class AdamState:
         self._params = list(params)
         self.m = self.v = None
 
-    def step(self, params, grads):
-        """Update params. Params absent from grads are left untouched.
+    def step(self, grads):
+        """Update the held params; those absent from grads are left untouched.
 
         Each updated p.data is a new array, so a memo built from the old
         one (HrebModel's decode tape) sees the change. asarray keeps a 0-d
         parameter an array: numpy arithmetic on 0-d arrays yields scalars.
         """
-        for p in params:
+        for p in self._params:
             g = grads.get(p.id)
             if g is not None and not np.all(np.isfinite(g)):
                 raise DivergenceError(
@@ -46,7 +46,7 @@ class AdamState:
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for p in params:
+        for p in self._params:
             g = grads.get(p.id)
             if g is None:
                 continue

@@ -7,9 +7,10 @@ Three modes, named as RunConfig's reduced_bias values:
               gradient statistics cached from the previous optimizer step
               (the current step's gradients do not exist at forward time).
 The caches are plain arrays, never tape tensors: gradients are not
-differentiated through. The (branch output, skip input) pairs whose
-gradients feed the caches live on the tape that recorded them, so a tape
-dropped without a commit takes its pairs with it.
+differentiated through. Each dynamic pass records (gate, branch output,
+skip input) in one list on the tape that recorded it; commit_gate_caches
+folds the gradients of each gate's pairs into that gate, so a tape dropped
+without a commit takes its pairs with it.
 """
 
 import numpy as np
@@ -45,16 +46,16 @@ class GateState(ad.Module):
         self.cache_x = np.zeros(d_model)
 
 
-def pending(tape, state):
-    """The (branch output, skip input) pairs state's forward passes recorded
-    on tape; commit_gate_caches reads their gradients."""
-    return tape.memo.setdefault((state, "pending"), [])
+def pending(tape):
+    """The (gate, branch output, skip input) triples the dynamic passes run
+    on tape recorded, in pass order; commit_gate_caches reads their
+    gradients."""
+    return tape.memo.setdefault("pending", [])
 
 
-def pending_ids(tape, states):
+def pending_ids(tape):
     """Tensor ids to keep through autodiff.backward for commit_gate_caches."""
-    return [t.id for state in states for pair in pending(tape, state)
-            for t in pair]
+    return [t.id for _, f, x in pending(tape) for t in (f, x)]
 
 
 def apply(tape, x, branch, state):
@@ -67,7 +68,7 @@ def apply(tape, x, branch, state):
         gate_f, gate_x = ad.Tensor(state.alpha), ad.Tensor(state.beta)
     else:
         if tape is not None and tape.record:
-            pending(tape, state).append((f, x))
+            pending(tape).append((state, f, x))
         gate_f, gate_x = ad.per_tape(tape, state, lambda: _gates(tape, state))
     return ad.weighted_sum(tape, gate_f, f, gate_x, x)
 
@@ -102,21 +103,19 @@ def update_gate_cache(state, grad_f, grad_x, momentum):
     return state
 
 
-def commit_gate_caches(tape, states, grads, momentum):
+def commit_gate_caches(tape, grads, momentum):
     """Fold the just-computed gradients of every (branch, skip) pair the
-    tape holds into each dynamic gate's cache, and take the pairs off it.
+    tape holds into its gate's cache, and take the pairs off it.
 
     grads is the tensor-id map returned by autodiff.backward (run with
-    pending_ids in keep). Pairs whose gradients never materialized (branch
-    not on the loss path) contribute zeros.
+    pending_ids in keep). A gate's rows stack in pass order. Pairs whose
+    gradients never materialized (branch not on the loss path) contribute
+    zeros.
     """
-    for state in states:
-        pairs = tape.memo.pop((state, "pending"), [])
-        if state.mode != "dynamic" or not pairs:
-            continue
-        gf_rows = []
-        gx_rows = []
-        for f, x in pairs:
-            gf_rows.append(np.asarray(grads.get(f.id, np.zeros_like(f.data))))
-            gx_rows.append(np.asarray(grads.get(x.id, np.zeros_like(x.data))))
+    rows = {}
+    for state, f, x in tape.memo.pop("pending", []):
+        gf_rows, gx_rows = rows.setdefault(state, ([], []))
+        gf_rows.append(np.asarray(grads.get(f.id, np.zeros_like(f.data))))
+        gx_rows.append(np.asarray(grads.get(x.id, np.zeros_like(x.data))))
+    for state, (gf_rows, gx_rows) in rows.items():
         update_gate_cache(state, np.vstack(gf_rows), np.vstack(gx_rows), momentum)

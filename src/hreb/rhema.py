@@ -91,9 +91,6 @@ class BlockParams(ad.Module):
             d, config.reduced_bias, config.rb_alpha, config.rb_beta,
             prefix=prefix + sublayer)) for sublayer in ("attn.", "ffn."))
 
-    def gate_states(self):
-        return [self.rb_attn, self.rb_ffn]
-
 
 class RhemaParams(BlockParams):
     """All learnable tensors of one gated-attention block."""
@@ -236,9 +233,6 @@ class HierarchicalEncoder(ad.Module):
         self.global_config = RhemaConfig(run, 0)
         self.local = self.sub(RhemaParams(self.local_config, rng, prefix + "local."))
         self.global_ = self.sub(RhemaParams(self.global_config, rng, prefix + "global."))
-
-    def gate_states(self):
-        return self.local.gate_states() + self.global_.gate_states()
 
     def forward(self, tape, x, pack):
         mid = rhema_block(tape, x, self.local, self.local_config, pack)

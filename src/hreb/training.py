@@ -76,7 +76,7 @@ def batch_loss(model, tape, batch):
     return ad.scale(tape, ad.sum_all(tape, nlls), 1.0 / len(batch)), nlls
 
 
-def _epoch_pass(model, batches, opt, states, momentum):
+def _epoch_pass(model, batches, opt, momentum):
     """One pass over the batches; returns the mean per-sentence loss."""
     total = 0.0
     n_sent = 0
@@ -89,9 +89,9 @@ def _epoch_pass(model, batches, opt, states, momentum):
         if opt is None:
             # Null optimizer: nothing may move, gate caches included.
             continue
-        grads = ad.backward(tape, loss, keep=residual.pending_ids(tape, states))
-        opt.step(model.params(), grads)
-        residual.commit_gate_caches(tape, states, grads, momentum)
+        grads = ad.backward(tape, loss, keep=residual.pending_ids(tape))
+        opt.step(grads)
+        residual.commit_gate_caches(tape, grads, momentum)
     return total / n_sent
 
 
@@ -116,7 +116,6 @@ def train(config, corpus, log=None, vectors=None):
     if config.lr > 0:
         opt = AdamState(model.params(), lr=config.lr, beta1=config.beta1,
                         beta2=config.beta2, eps=config.adam_eps)
-    states = model.gate_states()
     dev = corpus.dev if corpus.dev else corpus.test
 
     history = []
@@ -137,8 +136,7 @@ def train(config, corpus, log=None, vectors=None):
         try:
             batches = make_batches(corpus.train, config.batch_size,
                                    config.seed + epoch, vocab)
-            mean_loss = _epoch_pass(model, batches, opt, states,
-                                    config.gate_momentum)
+            mean_loss = _epoch_pass(model, batches, opt, config.gate_momentum)
             report = evaluate(model, dev)
         except NumericsError as e:
             diverged = True

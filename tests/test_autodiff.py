@@ -3,6 +3,7 @@
 import ast
 import math
 import pathlib
+import re
 import weakref
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hreb import autodiff as ad
 from hreb import crf, verify
 from hreb.errors import DegenerateRowError, NumericsError, VerificationError
-from hreb.gradcheck import finite_diff_params
+from hreb.gradcheck import DIRECTIONS, finite_diff_params
 from hreb.pack import one
 
 
@@ -119,10 +120,9 @@ def test_broadcast_gradients_unbroadcast_correctly():
     a0 = rng.standard_normal((3, 4))
     b = ad.Tensor(rng.standard_normal(4), requires_grad=True, name="b")
 
-    def build():
-        tape = ad.Tape()
+    def build(tape):
         out = ad.add(tape, ad.Tensor(a0), b)
-        return ad.sum_all(tape, ad.mul(tape, out, out)), tape
+        return ad.sum_all(tape, ad.mul(tape, out, out))
 
     assert finite_diff_params(build, [b])["b"] < 1e-8
 
@@ -339,10 +339,9 @@ def test_finite_diff_params_flags_nondeterministic_loss():
     state = {"n": 0}
     x = ad.Tensor(np.zeros(2), requires_grad=True, name="x")
 
-    def build():
+    def build(tape):
         state["n"] += 1
-        tape = ad.Tape()
-        return ad.add(tape, ad.sum_all(tape, x), ad.Tensor(state["n"])), tape
+        return ad.add(tape, ad.sum_all(tape, x), ad.Tensor(state["n"]))
 
     with pytest.raises(VerificationError):
         finite_diff_params(build, [x])
@@ -354,14 +353,28 @@ def test_finite_diff_params_reports_per_parameter_errors():
     b = ad.Tensor(rng.standard_normal(3), requires_grad=True, name="b")
     x = rng.standard_normal((2, 3))
 
-    def build():
-        tape = ad.Tape()
+    def build(tape):
         out = ad.add(tape, ad.matmul(tape, ad.Tensor(x), w), b)
-        return ad.sum_all(tape, ad.mul(tape, out, out)), tape
+        return ad.sum_all(tape, ad.mul(tape, out, out))
 
     errs = finite_diff_params(build, [w, b])
     assert set(errs) == {"w", "b"}
     assert max(errs.values()) < 1e-7
+
+
+def test_finite_diff_params_records_one_build_and_runs_the_rest_tape_free():
+    x = ad.Tensor(np.array([0.5, -1.0]), requires_grad=True, name="x")
+    tapes = []
+
+    def build(tape):
+        tapes.append(tape)
+        return ad.sum_all(tape, ad.mul(tape, ad.sigmoid(tape, x), x))
+
+    assert finite_diff_params(build, [x])["x"] < 1e-8
+    # the gradient build, the determinism rebuild, two per direction
+    assert len(tapes) == 2 + 2 * DIRECTIONS
+    assert isinstance(tapes[0], ad.Tape) and tapes[0].record
+    assert tapes[1:] == [None] * (len(tapes) - 1)
 
 
 def test_finite_diff_directions_depend_only_on_the_parameter_name():
@@ -370,10 +383,9 @@ def test_finite_diff_directions_depend_only_on_the_parameter_name():
     b = ad.Tensor(rng.standard_normal(3), requires_grad=True, name="b")
     x = rng.standard_normal((2, 3))
 
-    def build():
-        tape = ad.Tape()
+    def build(tape):
         out = ad.add(tape, ad.matmul(tape, ad.Tensor(x), w), b)
-        return ad.sum_all(tape, ad.mul(tape, ad.sigmoid(tape, out), out)), tape
+        return ad.sum_all(tape, ad.mul(tape, ad.sigmoid(tape, out), out))
 
     assert finite_diff_params(build, [w, b]) == finite_diff_params(build, [b, w])
     with pytest.raises(ValueError, match="named tensors"):
@@ -401,6 +413,26 @@ def test_the_model_check_catches_one_zeroed_embedding_row(monkeypatch):
     rows = {r.name: r for r in verify.grad_suite(0)}
     assert rows["grad embed_tokens"].passed
     assert not rows["grad full model"].passed, rows["grad full model"].detail
+
+
+def test_the_op_check_catches_a_one_percent_error_in_the_sigma_gradient(monkeypatch):
+    # sigma_raw is 0-d: each +-1 direction probes it at its full size, so
+    # a 1% fault in laplace's d sigma_raw fails both attn_fns that squash
+    laplace = ad._laplace
+
+    def faulty(*args):
+        out, bw = laplace(*args)
+
+        def scaled(g):
+            ds, dmu, dsig = bw(g)
+            return ds, dmu, dsig * 1.01
+        return out, scaled
+
+    monkeypatch.setattr(ad, "_laplace", faulty)
+    rows = [r for r in verify.op_grad_checks(0)
+            if r.name == "grad band_attention/sigma"]
+    failed = [re.search(r"under (\w+)", r.detail)[1] for r in rows if not r.passed]
+    assert failed == ["laplace", "reduced_laplace"], [r.detail for r in rows]
 
 
 def recorded_ops():

@@ -57,10 +57,9 @@ def test_ema_scan_gradcheck():
     h0 = rng.standard_normal(3)
     w = rng.standard_normal((5, 3))
 
-    def build():
-        tape = ad.Tape()
+    def build(tape):
         out = ad.ema_scan(tape, x, ad.Tensor(alpha), ad.Tensor(h0), one(5))
-        return ad.sum_all(tape, ad.mul(tape, out, ad.Tensor(w))), tape
+        return ad.sum_all(tape, ad.mul(tape, out, ad.Tensor(w)))
 
     assert finite_diff_params(build, [x])["x"] < 1e-6
 

@@ -90,8 +90,8 @@ def caches_after_commit(model, build):
     saved = [(gs.cache_f, gs.cache_x) for gs in states]
     tape = ad.Tape()
     loss = build(tape)
-    grads = ad.backward(tape, loss, keep=residual.pending_ids(tape, states))
-    residual.commit_gate_caches(tape, states, grads, 0.9)
+    grads = ad.backward(tape, loss, keep=residual.pending_ids(tape))
+    residual.commit_gate_caches(tape, grads, 0.9)
     out = [(gs.cache_f, gs.cache_x) for gs in states]
     for gs, (f, x) in zip(states, saved):
         gs.cache_f, gs.cache_x = f, x

@@ -63,3 +63,22 @@ def test_perfbench_output_checks_pass_on_a_trained_model(monkeypatch):
     for sent in w.decode:
         assert run.decode_problems(model, sent, model.predict_tags(sent.tokens)) == []
     assert run.gradient_problems(model, w.decode[0], 3) == []
+
+
+def test_a_traced_training_run_records_the_optimizer_and_gate_commit_spans(monkeypatch):
+    # perfbench's traced rounds wrap AdamState.step and commit_gate_caches
+    # by name; a training run under the tracer must still pass through them
+    monkeypatch.syspath_prepend(PERFBENCH)
+    spans = importlib.import_module("spans")
+    run = importlib.import_module("run")
+    inputs = importlib.import_module("inputs")
+    w = inputs.tiny_workload("train_short", 3)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        result = training.train(run.run_config(3), w.corpus)
+    finally:
+        tracer.uninstall()
+    assert not result.diverged
+    names = {s[0] for s in tracer.spans}
+    assert {"optim.step", "residual.commit"} <= names

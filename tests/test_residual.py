@@ -76,14 +76,14 @@ def test_dynamic_records_pending_only_under_a_tape():
     x = ad.Tensor(np.ones((2, 3)), requires_grad=True)
     residual.apply(None, x, double_branch, state)
     tape = ad.Tape()
-    assert residual.pending(tape, state) == []
+    assert residual.pending(tape) == []
     out = residual.apply(tape, x, lambda t: ad.scale(tape, t, 2.0), state)
-    assert len(residual.pending(tape, state)) == 1
-    f, skip = residual.pending(tape, state)[0]
-    assert skip is x
+    assert len(residual.pending(tape)) == 1
+    gate, f, skip = residual.pending(tape)[0]
+    assert gate is state and skip is x
     assert np.array_equal(f.data, 2.0 * x.data)
-    assert set(residual.pending_ids(tape, [state])) == {f.id, x.id}
-    assert residual.pending(ad.Tape(), state) == []
+    assert residual.pending_ids(tape) == [f.id, x.id]
+    assert residual.pending(ad.Tape()) == []
     assert out.data.shape == x.data.shape
 
 
@@ -120,12 +120,12 @@ def test_commit_folds_backward_gradients_and_clears_pending():
     x = ad.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
     out = residual.apply(tape, x, lambda t: ad.mul(tape, t, t), state)
     loss = ad.sum_all(tape, out)
-    grads = ad.backward(tape, loss, keep=residual.pending_ids(tape, [state]))
-    f, skip = residual.pending(tape, state)[0]
+    grads = ad.backward(tape, loss, keep=residual.pending_ids(tape))
+    _, f, skip = residual.pending(tape)[0]
     gf = grads[f.id]
     gx = grads[skip.id]
-    residual.commit_gate_caches(tape, [state], grads, 0.9)
-    assert residual.pending(tape, state) == []
+    residual.commit_gate_caches(tape, grads, 0.9)
+    assert residual.pending(tape) == []
     assert np.allclose(state.cache_f, 0.1 * gf.mean(axis=0))
     assert np.allclose(state.cache_x, 0.1 * gx.mean(axis=0))
 
@@ -136,17 +136,54 @@ def test_commit_uses_zeros_for_absent_gradients():
     x = ad.Tensor(np.ones((1, 2)), requires_grad=True)
     residual.apply(tape, x, lambda t: ad.scale(tape, t, 2.0), state)
     state.cache_f[:] = 1.0
-    residual.commit_gate_caches(tape, [state], {}, 0.5)
+    residual.commit_gate_caches(tape, {}, 0.5)
     assert np.allclose(state.cache_f, 0.5)
-    assert residual.pending(tape, state) == []
+    assert residual.pending(tape) == []
 
 
 def test_commit_clears_pending_on_nondynamic_states_too():
-    state = make_state("off")
+    # off and static gates record no pair: commit takes the tape's list
+    # off it and moves the dynamic gate's caches alone
+    gates = [make_state("off"), make_state("static", alpha=0.5),
+             make_state("dynamic")]
     tape = ad.Tape()
-    residual.pending(tape, state).append(("sentinel", "sentinel"))
-    residual.commit_gate_caches(tape, [state], {}, 0.9)
-    assert residual.pending(tape, state) == []
+    x = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+    for gate in gates:
+        x = residual.apply(tape, x, lambda t: ad.scale(tape, t, 2.0), gate)
+    assert [gate for gate, _, _ in residual.pending(tape)] == gates[2:]
+    caches = [(gate.cache_f, gate.cache_x) for gate in gates]
+    gates[2].cache_f = np.ones(3)
+    residual.commit_gate_caches(tape, {}, 0.5)
+    assert "pending" not in tape.memo
+    for gate, (f, skip) in zip(gates[:2], caches):
+        assert gate.cache_f is f and gate.cache_x is skip
+    assert np.array_equal(gates[2].cache_f, np.full(3, 0.5))
+
+
+def test_commit_folds_both_passes_of_one_tape_into_each_gate_in_pass_order():
+    # two sentences, each through gate a then gate b, on one tape: each
+    # gate folds its two passes' rows, stacked in pass order, in one update
+    rng = np.random.default_rng(3)
+    a, b = make_state("dynamic"), make_state("dynamic")
+    tape = ad.Tape()
+    losses = []
+    for n in (1, 3):
+        x = ad.Tensor(rng.standard_normal((n, 3)), requires_grad=True)
+        mid = residual.apply(tape, x, lambda t: ad.mul(tape, t, t), a)
+        out = residual.apply(tape, mid, lambda t: silu(tape, t), b)
+        losses.append(ad.sum_all(tape, ad.mul(tape, out, out)))
+    pairs = list(residual.pending(tape))
+    assert [gate for gate, _, _ in pairs] == [a, b, a, b]
+    grads = ad.backward(tape, ad.add(tape, *losses),
+                        keep=residual.pending_ids(tape))
+    residual.commit_gate_caches(tape, grads, 0.9)
+    for gate in (a, b):
+        want = make_state("dynamic")
+        rows = [(grads[f.id], grads[x.id]) for g, f, x in pairs if g is gate]
+        residual.update_gate_cache(want, np.vstack([f for f, _ in rows]),
+                                   np.vstack([x for _, x in rows]), 0.9)
+        assert np.array_equal(gate.cache_f, want.cache_f)
+        assert np.array_equal(gate.cache_x, want.cache_x)
 
 
 def test_dynamic_gate_gradcheck():
@@ -160,11 +197,10 @@ def test_dynamic_gate_gradcheck():
     state.w_beta.data[:] = rng.standard_normal((3, 3)) * 0.3
     x_data = rng.standard_normal((4, 3))
 
-    def build():
-        tape = ad.Tape()
+    def build(tape):
         x = ad.Tensor(x_data, requires_grad=True)
         out = residual.apply(tape, x, lambda t: silu(tape, t), state)
-        return ad.sum_all(tape, ad.mul(tape, out, out)), tape
+        return ad.sum_all(tape, ad.mul(tape, out, out))
 
     errs = finite_diff_params(build, state.params())
     assert max(errs.values()) < 1e-6

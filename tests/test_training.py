@@ -71,8 +71,7 @@ def test_a_tape_dropped_without_a_commit_leaves_the_next_step_alone():
             ids, tag_ids = batches[0][0]
             model.sentence_nll(ad.Tape(), ids, tag_ids)
         opt = AdamState(model.params(), lr=cfg.lr)
-        training._epoch_pass(model, batches, opt, model.gate_states(),
-                             cfg.gate_momentum)
+        training._epoch_pass(model, batches, opt, cfg.gate_momentum)
         caches.append([(gs.cache_f, gs.cache_x) for gs in model.gate_states()])
     for (fresh_f, fresh_x), (f, x) in zip(*caches):
         assert np.any(fresh_f != 0.0)
@@ -269,9 +268,8 @@ def test_decode_memo_follows_every_change_of_the_parameters():
     # after each change below it must equal a fresh model restored from
     # the same snapshot, and the change must show in the emissions.
     cfg, corpus, vocab, model, docs = decode_model()
-    states = model.gate_states()
     rng = np.random.default_rng(0)
-    for p in (p for gs in states for p in gs.params()):
+    for p in (p for gs in model.gate_states() for p in gs.params()):
         p.data = rng.standard_normal(p.data.shape)  # zero gate weights hide the caches
     opt = AdamState(model.params(), lr=0.05)
     seen = [[model.emissions(model.decode_tape(), ids).data for ids in docs]]
@@ -289,17 +287,17 @@ def test_decode_memo_follows_every_change_of_the_parameters():
         seen.append(now)
 
     batches = make_batches(corpus.train, cfg.batch_size, 1, vocab)
-    training._epoch_pass(model, batches[:1], opt, states, cfg.gate_momentum)
+    training._epoch_pass(model, batches[:1], opt, cfg.gate_momentum)
     check()
     stepped = training.snapshot(model)
 
     tape = ad.Tape()
     ids, tags = batches[1][0]
     loss = model.sentence_nll(tape, ids, tags)
-    grads = ad.backward(tape, loss, keep=residual.pending_ids(tape, states))
-    residual.commit_gate_caches(tape, states, grads, cfg.gate_momentum)
+    grads = ad.backward(tape, loss, keep=residual.pending_ids(tape))
+    residual.commit_gate_caches(tape, grads, cfg.gate_momentum)
     check()
-    opt.step(model.params(), grads)  # an optimizer step alone, caches kept
+    opt.step(grads)  # an optimizer step alone, caches kept
     check()
 
     training.restore(model, stepped)
@@ -317,8 +315,7 @@ def test_decode_memo_frees_the_arrays_a_step_replaces():
     old_table = weakref.ref(model.embed.table.data)
     opt = AdamState(model.params(), lr=0.05)
     batches = make_batches(corpus.train, cfg.batch_size, 1, vocab)
-    training._epoch_pass(model, batches[:1], opt, model.gate_states(),
-                         cfg.gate_momentum)
+    training._epoch_pass(model, batches[:1], opt, cfg.gate_momentum)
     gc.collect()
     assert old_table() is None
 
@@ -335,8 +332,7 @@ def test_a_step_keeps_every_parameter_an_array_of_its_shape():
     assert () in shapes
     opt = AdamState(model.params(), lr=0.05)
     batches = make_batches(corpus.train, cfg.batch_size, 1, vocab)
-    training._epoch_pass(model, batches[:1], opt, model.gate_states(),
-                         cfg.gate_momentum)
+    training._epoch_pass(model, batches[:1], opt, cfg.gate_momentum)
     for p, shape in zip(model.params(), shapes):
         assert type(p.data) is np.ndarray and p.data.shape == shape, p.name
 
@@ -347,7 +343,7 @@ def test_decode_tape_stays_empty_and_checks_every_op():
         model.decode(docs[i % len(docs)])
     tape = model.decode_tape()
     assert tape.records == []
-    assert not any(isinstance(k, tuple) and "pending" in k for k in tape.memo)
+    assert "pending" not in tape.memo
     assert len(tape.memo) == 4 + 2 + 1  # gates, EMA decays, BiLSTM matrix
     w = model.encoder.global_.w_z
     w.data = np.full(w.data.shape, np.inf)
