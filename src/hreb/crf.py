@@ -64,7 +64,8 @@ def sequence_score(tape, emissions, tags, params, pack):
 
 
 def log_partition(tape, emissions, params, pack):
-    """Log of the path-sum, via the forward algorithm in log space."""
+    """Log of the path-sum, via the forward algorithm: scaled probability
+    space within kernels' bound, log space past it (kernels.crf_forward)."""
     return ad.crf_log_z(tape, emissions, params.trans,
                         params.n_classes, params.strict_mask, pack=pack)
 

@@ -8,7 +8,11 @@ kernels take an optional batch axis after it, and the CRF forward and
 backward always take one, with each lane's length: (T, B, ...) runs B
 sequences side by side, each padded at its end, and the parameter
 gradients sum over them. One sentence (hreb.pack's Pack(n)) is B = 1.
-Viterbi decodes one (T, C) sequence. The scalar-loop references the tests
+The CRF forward and backward share one scan, which runs in scaled
+probability space, four numpy calls a step, whenever a bound on the inputs
+(_scaled_inputs) keeps every entry a normal float; past it (gaps of
+hundreds of nats) the scan runs in log space. Viterbi decodes one (T, C)
+sequence with a max-plus loop. The scalar-loop references the tests
 compare against are KERNELS in tests/references.py: the same signatures for
 one sequence, and each lane's results (up to float rounding; Viterbi paths
 are exact). sigmoid and erf are elementwise; their oracles are
@@ -213,8 +217,17 @@ def lstm_backward(gates, cells, hidden, u, dout):
 
 # ---------------------------------------------------------------------------
 # Linear-chain CRF. "trans" is class->class, "start"/"stop" are the boundary
-# potentials. All dynamic programs run in log space.
+# potentials. The forward and backward scans are one scan, _alpha: the
+# backward runs it over the transposed table from stop, on each lane read
+# back from its last step. _alpha runs in scaled probability space (Rabiner
+# 1989, Proc. IEEE 77(2)) when _scaled_inputs proves that no entry can leave
+# float64's normal range, and otherwise runs the log-space loop _alpha_log.
+# Viterbi stays a max-plus loop.
 # ---------------------------------------------------------------------------
+
+# exp(-SCALED_LIMIT) is float64's smallest normal number
+SCALED_LIMIT = float(-np.log(np.finfo(np.float64).tiny))
+
 
 def _logsumexp(s, axis):
     # Shifted by the max along `axis`; an all -inf slice gives -inf (the
@@ -229,39 +242,134 @@ def _last(alpha, lengths):
     return alpha[lengths - 1, np.arange(lengths.size)]
 
 
+def _scaled_inputs(emissions, trans, edge):
+    """The scaled scan's factors, each with the log offset it was scaled by:
+    (exp(emissions - row max), row max), (exp(trans - max), max) and
+    (exp(edge - max), max), and the live classes (those with a finite
+    transition out). None when the bound below does not hold.
+
+    The scan keeps row t as p_t = q_t / s_t, with q_t = (p_{t-1} @ K) * E_t
+    (q_0 = exp(edge) * E_0, all scaled as above) and s_t the sum of q_t over
+    the live classes, the only ones the next step reads. alpha_t is then
+    log p_t plus the sum of the log scales so far. No entry of K or E_t
+    exceeds 1 and the live part of a row sums to 1, so no q exceeds 1 and
+    no s exceeds C. Each finite entry of K (and of the scaled edge) is at
+    least exp(-span), span being the wider range of the finite entries of
+    trans and of edge, and each entry of E_t at least exp(-gap_t), gap_t
+    being row t's range. Let k be the least count for which every live
+    class that can hold mass (it is entered, or the edge enters it) reaches
+    every entered class in exactly k transitions. From row k on, q_t is the
+    live part of p_{t-k} times k steps' products, divided by the k - 1
+    scales between, so each entry that log space keeps finite is at least
+    exp(-X), X = k (span + log C) + the largest sum of gaps over k
+    consecutive rows. Before row k, one path from row 0 has no more
+    factors. A class with no transition out reads q / s <= 1 / s <= exp(X).
+    So with X <= SCALED_LIMIT every finite entry is a normal number, with
+    full relative precision, and an entry is 0 exactly where log space
+    reads -inf. Past the bound (a gap or span of hundreds of nats, no such
+    k up to C, as when a class decays through a chain that no other class
+    enters, or NaN) the caller runs the log-space loop.
+    """
+    n, c = emissions.shape[0], emissions.shape[-1]
+    # NaN or +inf in the table or the edge: the log loop runs
+    if not ((trans < np.inf).all() and (edge < np.inf).all()):
+        return None
+    fin, from_edge = np.isfinite(trans), np.isfinite(edge)
+    live, entered = fin.any(1), fin.any(0)
+    if not ((live & from_edge).any() and (live & entered).any()):
+        return None
+    reach = fin[live & (entered | from_edge)]
+    for k in range(1, c + 1):
+        if reach[:, entered].all():
+            break
+        reach = reach @ fin
+    else:
+        return None
+    t_fin, e_fin = trans[fin], edge[from_edge]
+    t_max, e_max = t_fin.max(), e_fin.max()
+    span = max(t_max - t_fin.min(), e_max - e_fin.min())
+    # class-major, as numpy reduces a short last axis one row at a time
+    cols = np.moveaxis(emissions, -1, 0).copy()
+    em = cols.max(0)
+    # a non-finite emission row reads NaN (or inf) here, failing the bound
+    with np.errstate(invalid="ignore"):
+        gaps = np.zeros((n + 1,) + em.shape[1:])
+        np.cumsum(em - cols.min(0), 0, out=gaps[1:])
+        w = min(k, n)
+        x = k * (span + np.log(c)) + (gaps[w:] - gaps[:n + 1 - w]).max()
+    if not x <= SCALED_LIMIT:
+        return None
+    return ((np.exp(emissions - em[..., None]), em), (np.exp(trans - t_max), t_max),
+            (np.exp(edge - e_max), e_max), live.astype(np.float64)[:, None])
+
+
+def _alpha(emissions, trans, edge):
+    """alpha[t, b, j]: log of the summed scores of the paths that leave the
+    boundary through edge and reach class j at step t, every lane run to T.
+    Scaled when _scaled_inputs allows it: four numpy calls a step."""
+    scaled = _scaled_inputs(emissions, trans, edge)
+    if scaled is None:
+        return _alpha_log(emissions, trans, edge)
+    (ex, em), (kx, t_max), (bx, e_max), live = scaled
+    p = np.empty(ex.shape)
+    scales = np.empty(ex.shape[:-1] + (1,))
+    np.multiply(bx, ex[0], out=p[0])
+    np.dot(p[0], live, out=scales[0])
+    p[0] /= scales[0]
+    # np.dot, as it costs less per call than matmul at these sizes
+    for prev, cur, e_t, s_t in zip(p[:-1], p[1:], ex[1:], scales[1:]):
+        np.dot(prev, kx, out=cur)
+        cur *= e_t
+        np.dot(cur, live, out=s_t)
+        cur /= s_t
+    logs = np.log(scales[..., 0])
+    logs += em
+    logs[0] += e_max
+    logs[1:] += t_max
+    with np.errstate(divide="ignore"):
+        alpha = np.log(p)
+    alpha += np.cumsum(logs, 0)[..., None]
+    return alpha
+
+
+def _alpha_log(emissions, trans, edge):
+    """_alpha in log space: the fallback past the scaled bound."""
+    alpha = np.empty(emissions.shape)
+    alpha[0] = edge + emissions[0]
+    with np.errstate(divide="ignore"):
+        for t in range(1, emissions.shape[0]):
+            alpha[t] = _logsumexp(alpha[t - 1][..., :, None] + trans, -2) + emissions[t]
+    return alpha
+
+
 def crf_forward(emissions, trans, start, stop, lengths):
     # (T, B, C) emissions; lengths (B,) gives each lane's true length, and
     # steps past it read -inf.
     n = emissions.shape[0]
-    alpha = np.empty(emissions.shape)
-    alpha[0] = start + emissions[0]
+    alpha = _alpha(emissions, trans, start)
+    alpha[np.arange(n)[:, None] >= lengths] = _NEG_INF
     with np.errstate(divide="ignore"):
-        for t in range(1, n):
-            alpha[t] = _logsumexp(alpha[t - 1][..., :, None] + trans, -2) + emissions[t]
-        alpha[np.arange(n)[:, None] >= lengths] = _NEG_INF
         log_z = _logsumexp(_last(alpha, lengths) + stop, -1)
     return log_z, alpha
 
 
 def crf_backward(emissions, trans, stop, alpha, log_z, gscale, lengths):
     n, c = emissions.shape[0], emissions.shape[-1]
-    beta = np.empty(emissions.shape)
-    beta[n - 1] = stop
-    # a lane's beta is stop at its last step and -inf past it
-    ends = np.arange(n)[:, None] == lengths - 1
-    beta[n - 1][~ends[n - 1]] = _NEG_INF
-    with np.errstate(divide="ignore"):
-        for t in range(n - 2, -1, -1):
-            beta[t] = _logsumexp(trans + (emissions[t + 1] + beta[t + 1])[..., None, :], -1)
-            beta[t][ends[t]] = stop
-    lz = np.expand_dims(log_z, -1)
+    # emissions + beta is _alpha over the transposed table from stop, with
+    # row t of each lane read from its step lengths - 1 - t; negative steps
+    # (past the lane's first) wrap around, and are masked after
+    back = lengths - 1 - np.arange(n)[:, None]
+    lanes = np.arange(lengths.size)
+    e_beta = _alpha(emissions[back, lanes], trans.T, stop)[back, lanes]
+    e_beta[back < 0] = _NEG_INF
     gs = np.expand_dims(gscale, -1)
-    demis = gs * np.exp(alpha + beta - lz)
+    alpha_z = alpha - np.expand_dims(log_z, -1)
+    demis = gs * np.exp(alpha_z + e_beta - emissions)
     # pairwise posteriors of (y_t = i, y_{t+1} = j), all t at once
-    pair = (alpha[:-1, ..., :, None] + trans
-            + (emissions[1:] + beta[1:])[..., None, :] - lz[..., None])
-    dtrans = (gs[..., None] * np.exp(pair).sum(0)).reshape(-1, c, c).sum(0)
-    dstop = gs * np.exp(_last(alpha, lengths) + stop - lz)
+    pair = alpha_z[:-1, ..., :, None] + trans
+    pair += e_beta[1:, ..., None, :]
+    dtrans = (gs[..., None] * np.exp(pair, out=pair).sum(0)).reshape(-1, c, c).sum(0)
+    dstop = gs * np.exp(_last(alpha_z, lengths) + stop)
     return (demis, dtrans, demis[0].reshape(-1, c).sum(0),
             dstop.reshape(-1, c).sum(0))
 

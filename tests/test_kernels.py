@@ -6,6 +6,7 @@ A reference takes one sequence; a batched kernel is checked lane by lane.
 import warnings
 
 import numpy as np
+import pytest
 from scipy.special import erf, expit
 
 from hreb import kernels
@@ -244,13 +245,65 @@ def test_crf_forward_tolerates_minus_inf_transitions():
                        for t in range(len(path) - 1))
 
 
+@pytest.fixture
+def log_space_runs(monkeypatch):
+    """The emission shapes of each run of the CRF scans' log-space fallback
+    (kernels._alpha_log); the scaled scan runs everywhere else."""
+    runs = []
+    fallback = kernels._alpha_log
+
+    def counted(emissions, trans, edge):
+        runs.append(emissions.shape)
+        return fallback(emissions, trans, edge)
+    monkeypatch.setattr(kernels, "_alpha_log", counted)
+    return runs
+
+
+def bound_inputs(rng, gap=0.0, span=0.0):
+    """n = 6, c = 3 CRF inputs with a -inf strict-mask column. Row 3's
+    emissions span gap nats, the others under 2. With span, class 1 is
+    entered only from class 0, at -span."""
+    emissions, trans, start, stop = crf_inputs(rng, n=6, c=3)
+    emissions = np.clip(emissions, -1.0, 1.0)
+    trans = np.clip(trans, -1.0, 1.0)
+    start, stop = np.clip(start, -1.0, 1.0), np.clip(stop, -1.0, 1.0)
+    emissions[3] = [0.0, 0.5, -gap]
+    trans[:, 1] = -np.inf
+    if span:
+        trans[0, 1] = -span
+    return emissions, trans, start, stop
+
+
+def test_crf_parity_on_either_side_of_the_scaled_bound(log_space_runs):
+    # beyond the bound the scaled scan would underflow entries that log
+    # space keeps finite, so both kernels run the log-space loop there;
+    # just inside it they run scaled, with an entry ~e^-706 below its row
+    rng = np.random.default_rng(25)
+    beyond = [bound_inputs(rng, gap=800.0), bound_inputs(rng, span=750.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in beyond:
+            check_crf(args)
+        assert len(log_space_runs) == 2 * len(beyond)
+        # k = 1 here, so the bound is span + log 3 + the widest row's
+        # range: row 3's is set 1 nat inside it
+        args = bound_inputs(rng)
+        emissions, trans, start, stop = args
+        span = max(np.ptp(trans[np.isfinite(trans)]), np.ptp(start), np.ptp(stop))
+        emissions[3, 2] = 0.5 - (kernels.SCALED_LIMIT - 1.0 - span - np.log(3.0))
+        check_crf(args)
+    assert len(log_space_runs) == 2 * len(beyond)
+    alpha = lane_forward(args)[1]
+    assert alpha[3, 2] - alpha[3].max() < -700.0
+
+
 def lane_sums(per_lane):
     """The parameter gradients (every result after the first) of each lane's
     reference run, summed over the lanes."""
     return tuple(sum(r[i] for r in per_lane) for i in range(1, len(per_lane[0])))
 
 
-def test_batched_kernels_match_each_lane_run_alone():
+def test_batched_kernels_match_each_lane_run_alone(log_space_runs):
     # a (T, B, ...) batch with ragged lengths, one lane a single step: each
     # lane [:, b], cut to [:n] for the CRF, equals the reference run on it
     # alone, and parameter gradients are the sum of the lanes'
@@ -282,10 +335,24 @@ def test_batched_kernels_match_each_lane_run_alone():
         assert_same(want[lane][0], dxw[:, lane])
     assert_same(lane_sums(want), tuple(dparams))
 
+    check_crf_lanes(rng, lengths)
+    # long ragged lanes, at test_long_document_parity's tolerance: each lane
+    # of the backward scan starts from its own last step
+    check_crf_lanes(rng, np.array([256, 136, 17, 1]), log_z_tol=True)
+    assert not log_space_runs
+
+
+def check_crf_lanes(rng, lengths, log_z_tol=False):
+    """The CRF kernels on a (T, B, 4) batch with ragged lengths and a
+    strict-mask column: each lane [:n] equals the reference run on it alone,
+    and the parameter gradients are the sum of the lanes'. The tolerance is
+    1e-12, or with log_z_tol 1e-12 * max(1, |log_z|) over the lanes."""
+    T, B = lengths.max(), lengths.size
     emissions, trans, start, stop = crf_inputs(rng, n=T * B, c=4)
     emissions = emissions.reshape(T, B, 4)
     trans[:, 1] = -np.inf  # a strict-mask column
     log_z, alpha_c = KERNELS["crf_forward"](emissions, trans, start, stop, lengths)
+    tol = 1e-12 * max(1.0, np.abs(log_z).max()) if log_z_tol else 1e-12
     gscale = rng.standard_normal(B)
     demis, *dparams = KERNELS["crf_backward"](
         emissions, trans, stop, alpha_c, log_z, gscale, lengths)
@@ -294,10 +361,10 @@ def test_batched_kernels_match_each_lane_run_alone():
             for lane, n in enumerate(lengths)]
     for lane, n in enumerate(lengths):
         assert_same(REF["crf_forward"](emissions[:n, lane], trans, start, stop),
-                    (log_z[lane], alpha_c[:n, lane]))
-        assert_same(want[lane][0], demis[:n, lane])
+                    (log_z[lane], alpha_c[:n, lane]), tol)
+        assert_same(want[lane][0], demis[:n, lane], tol)
         assert np.all(alpha_c[n:, lane] == -np.inf) and not demis[n:, lane].any()
-    assert_same(lane_sums(want), tuple(dparams))
+    assert_same(lane_sums(want), tuple(dparams), tol)
 
 
 def test_sigmoid_is_exact_and_quiet_at_the_edges_and_takes_0d_input():
