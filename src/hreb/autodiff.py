@@ -115,11 +115,11 @@ def record_op(tape, name, inputs, out_data, backward_fn):
 def per_tape(tape, key, build):
     """build() once per tape under key, or on every call when tape is None.
 
-    For values that depend only on parameters and caches, which stay fixed
-    while one tape (one optimizer step) is alive: every use after the first
-    shares one tensor, so its ops are recorded and swept back once. A
-    non-recording decode tape outlives many calls; its owner replaces it
-    once a parameter or cache array it was built from is replaced.
+    It serves values that depend only on parameters and caches. A
+    recording tape runs one forward (one pack per optimizer step), so the
+    memo pays only on the non-recording decode tape, which outlives many
+    calls; its owner replaces that tape once a parameter or cache array it
+    was built from is replaced.
     """
     if tape is None:
         return build()

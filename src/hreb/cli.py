@@ -52,8 +52,7 @@ def _load_corpus(cfg):
 
     train_split, test_split, dev_split = map(
         read, ("train_path", "test_path", "dev_path"))
-    # a parsed split is never empty: validation falls back to test, then train
-    return Corpus(train_split, dev_split or test_split or train_split, test_split)
+    return Corpus(train_split, dev_split, test_split)
 
 
 def cmd_train(args):

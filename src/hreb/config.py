@@ -22,7 +22,7 @@ DEFAULTS = {
     "h_lstm": (32, "LSTM hidden width per direction"),
     "attention_mode": ("hema", "hema (hierarchical) or naive baseline"),
     "attn_fn": ("reduced_laplace", "softmax, laplace, or reduced_laplace"),
-    "silu_variant": ("paper", "paper or standard silu in block activations"),
+    "silu_variant": ("paper", "paper or standard silu: shared rep, values, gated merge"),
     "batch_norm_fidelity": (False, "normalize over real tokens instead of per row"),
     "reduced_bias": ("dynamic", "off, static, or dynamic residual gating"),
     "rb_alpha": (1.0, "static residual branch weight"),
@@ -42,7 +42,7 @@ DEFAULTS = {
     "stop_f1": (0.0, "halt once validation F1 reaches this; 0 disables"),
     "seed": (0, "seed for init, shuffling, and synthetic data"),
     "train_path": ("", "training corpus file"),
-    "dev_path": ("", "validation corpus file; empty reuses test_path"),
+    "dev_path": ("", "validation corpus file; empty uses test_path, else train_path"),
     "test_path": ("", "test corpus file"),
 }
 

@@ -6,7 +6,7 @@ from . import autodiff as ad
 from . import residual
 from .config import RunConfig
 from .data import Vocab, decode_spans, make_batches, span_prf
-from .errors import DegenerateRowError, NumericsError
+from .errors import ConfigError, DegenerateRowError, NumericsError
 from .model import HrebModel
 from .optim import AdamState
 
@@ -104,9 +104,12 @@ def train(config, corpus, log=None, vectors=None):
     divergence the run aborts and the best (or initial) weights survive;
     stop_reason is "degenerate_attention" when an attention row could not
     be normalized and "diverged" for any other numeric fault.
-    A zero learning rate turns every step into a no-op. vectors go to
-    HrebModel.
+    Validation scores the dev split, else test, else train; an empty train
+    split is a ConfigError. A zero learning rate turns every step into a
+    no-op. vectors go to HrebModel.
     """
+    if not corpus.train:
+        raise ConfigError("the train split is empty: nothing to train on")
     vocab = Vocab.from_corpus(corpus)
     model = HrebModel(config, vocab, vectors)
     names = model.param_names()
@@ -116,7 +119,7 @@ def train(config, corpus, log=None, vectors=None):
     if config.lr > 0:
         opt = AdamState(model.params(), lr=config.lr, beta1=config.beta1,
                         beta2=config.beta2, eps=config.adam_eps)
-    dev = corpus.dev if corpus.dev else corpus.test
+    dev = corpus.dev or corpus.test or corpus.train
 
     history = []
     lines = []
@@ -169,34 +172,24 @@ def train(config, corpus, log=None, vectors=None):
                        final_state, diverged, stop_reason)
 
 
-SWITCH_KEYS = {"attention": "attention_mode", "reduced_bias": "reduced_bias",
-               "embeddings": "embeddings"}
-
-
 def ablate(config, corpus, switches, log=None):
-    """Train one model per combination of the requested switch values.
+    """Train one model per combination of the swept RunConfig values.
 
-    switches maps a subset of {attention, reduced_bias, embeddings} to the
-    values to sweep. Every run shares the base config (seed and budgets
-    included); only the swept keys differ. Returns one row dict per
-    combination with test-split scores and the parameter-name census.
+    switches maps RunConfig keys to the values to sweep. Every run shares
+    the base config (seed and budgets included), and every combination is
+    built, so validated, before the first one trains. Returns one row dict
+    per combination: the swept values ("switches"), test-split scores,
+    epochs run, config and parameter-name census.
     """
-    unknown = set(switches) - set(SWITCH_KEYS)
-    if unknown:
-        raise ValueError(f"unknown ablation switches: {sorted(unknown)}")
-    axes = [(SWITCH_KEYS[k], tuple(v)) for k, v in sorted(switches.items())]
-    keys = [k for k, _ in axes]
-    # every combination is validated before the first one trains
+    keys = sorted(switches)
     configs = [RunConfig(**{**config.to_dict(), **dict(zip(keys, combo))})
-               for combo in itertools.product(*(vals for _, vals in axes))]
+               for combo in itertools.product(*(switches[k] for k in keys))]
     rows = []
     for cfg in configs:
         result = train(cfg, corpus, log=log)
         report = evaluate(result.model, corpus.test)
         rows.append({
-            "attention": cfg.attention_mode,
-            "reduced_bias": cfg.reduced_bias,
-            "embeddings": cfg.embeddings,
+            "switches": {k: getattr(cfg, k) for k in keys},
             "P": report.precision,
             "R": report.recall,
             "F1": report.f1,
@@ -208,12 +201,17 @@ def ablate(config, corpus, switches, log=None):
 
 
 def ablation_table(rows):
-    """Fixed-width text table over the ablation rows."""
-    header = (f"{'attention':<10} {'reduced_bias':<13} {'embeddings':<11} "
-              f"{'P':>8} {'R':>8} {'F1':>8}")
-    out = [header, "-" * len(header)]
-    for r in rows:
-        out.append(f"{r['attention']:<10} {r['reduced_bias']:<13} "
-                   f"{r['embeddings']:<11} {r['P']:>8.4f} {r['R']:>8.4f} "
-                   f"{r['F1']:>8.4f}")
+    """Fixed-width text table over the ablation rows: one column per swept
+    key, then P, R and F1."""
+    keys = list(rows[0]["switches"]) if rows else []
+    cells = [[str(r["switches"][k]) for k in keys] for r in rows]
+    widths = [max(map(len, col)) for col in zip(keys, *cells)]
+
+    def line(texts, scores):
+        return " ".join([f"{t:<{w}}" for t, w in zip(texts, widths)] + scores)
+
+    out = [line(keys, [f"{h:>8}" for h in ("P", "R", "F1")])]
+    out.append("-" * len(out[0]))
+    for r, texts in zip(rows, cells):
+        out.append(line(texts, [f"{r[h]:>8.4f}" for h in ("P", "R", "F1")]))
     return out

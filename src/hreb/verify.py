@@ -181,16 +181,15 @@ def _tiny_vocab():
     return Vocab(sents), sents
 
 
-def model_grad_check(attn_fn="reduced_laplace", reduced_bias="dynamic",
-                     loss_head="crf", seed=0):
+def model_grad_check(seed=0, **switches):
     """Finite-difference check of the whole model's parameter gradients,
     on the summed losses of a ragged pack of two sentences.
 
-    Returns (worst rel err, {param name: rel err}).
+    switches are RunConfig keys set next to the fixed small dims; every
+    other key keeps its default. Returns (worst rel err, {param: rel err}).
     """
     cfg = RunConfig(d_model=8, v_dim=16, n_ema_head=2, chunk_size=2,
-                    rel_bias_window=4, h_lstm=5, attn_fn=attn_fn,
-                    reduced_bias=reduced_bias, loss_head=loss_head, seed=seed)
+                    rel_bias_window=4, h_lstm=5, seed=seed, **switches)
     vocab, sents = _tiny_vocab()
     model = HrebModel(cfg, vocab)
     rng = np.random.default_rng(seed + 7)

@@ -26,6 +26,7 @@ from hreb import residual, rhema, verify
 from hreb.checkpoint import load_model, save_checkpoint
 from hreb.config import RunConfig
 from hreb.data import Corpus, synth_corpus
+from hreb.errors import ConfigError, DegenerateRowError
 from hreb.moving_average import EmaState, multihead_ema
 from hreb.pack import one
 from hreb.training import ablate, ablation_table, evaluate, snapshot, train
@@ -99,23 +100,49 @@ def test_criterion_1_crf_matches_enumeration():
 
 def test_criterion_2_gradient_suite():
     # op-level checks probe every input of every differentiable op; the
-    # model-level sweep covers the full switch product at fixed small dims
+    # model-level sweep runs the attn_fn x reduced_bias product, then one row
+    # per other value of silu_variant, batch_norm_fidelity,
+    # strict_transitions and attention_mode, at fixed small dims
+    # (loss_head=token: tests/test_crf.py)
     ok = False
     try:
         t0 = time.perf_counter()
         results = verify.op_grad_checks()
         failed = [r.name for r in results if not r.passed]
         assert not failed, failed
-        for attn_fn in ("softmax", "laplace", "reduced_laplace"):
-            for mode in ("off", "static", "dynamic"):
-                worst, _ = verify.model_grad_check(attn_fn=attn_fn, reduced_bias=mode)
-                assert worst <= 1e-4, (attn_fn, mode, worst)
+        sweep = [dict(attn_fn=attn_fn, reduced_bias=mode)
+                 for attn_fn in ("softmax", "laplace", "reduced_laplace")
+                 for mode in ("off", "static", "dynamic")]
+        sweep += [dict(silu_variant="standard"), dict(batch_norm_fidelity=True),
+                  dict(strict_transitions=True), dict(attention_mode="naive")]
+        for switches in sweep:
+            worst, _ = verify.model_grad_check(**switches)
+            assert worst <= 1e-4, (switches, worst)
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, elapsed
         ok = True
     finally:
         record_criterion(
             2, "finite differences pass for every op and the full model", ok)
+
+
+# ROADMAP item 1: a freshly built tiny model already has a non-positive
+# reduced_laplace row. The fix makes this pass; strict=True then fails
+# tier-1 until the marker goes.
+@pytest.mark.xfail(strict=True, raises=DegenerateRowError,
+                   reason="row 0 of sentence 0 sums to -0.0489 before any step")
+def test_batch_norm_fidelity_passes_the_model_gradient_check_at_seed_1():
+    worst, _ = verify.model_grad_check(seed=1, batch_norm_fidelity=True)
+    assert worst <= 1e-4
+
+
+def test_model_grad_check_takes_config_keys():
+    worst, errs = verify.model_grad_check(attention_mode="naive",
+                                          strict_transitions=True)
+    assert worst <= 1e-4
+    assert "naive.w_q" in errs
+    with pytest.raises(ConfigError, match="'optimizer'"):
+        verify.model_grad_check(optimizer="sgd")
 
 
 def ema_closed_form(x, alpha, h0):
@@ -281,10 +308,11 @@ def test_criterion_7_ablation_matrix():
         cfg = RunConfig(d_model=16, chunk_size=4, rel_bias_window=4, h_lstm=8,
                         batch_size=8, max_epochs=12, lr=5e-3, seed=5,
                         attn_fn="softmax")
-        rows = ablate(cfg, corpus, {"attention": ("hema", "naive"),
+        rows = ablate(cfg, corpus, {"attention_mode": ("hema", "naive"),
                                     "reduced_bias": ("off", "dynamic")})
         assert len(rows) == 4
-        combos = {(r["attention"], r["reduced_bias"]) for r in rows}
+        combos = {(r["switches"]["attention_mode"], r["switches"]["reduced_bias"])
+                  for r in rows}
         assert combos == {("hema", "off"), ("hema", "dynamic"),
                           ("naive", "off"), ("naive", "dynamic")}
         swept = ("attention_mode", "reduced_bias")
@@ -297,25 +325,26 @@ def test_criterion_7_ablation_matrix():
                     if k not in swept} == shared
             names = row["param_names"]
             has_gates = any(n.endswith("rb.w_alpha") for n in names)
-            assert has_gates == (row["reduced_bias"] == "dynamic")
+            assert has_gates == (row["switches"]["reduced_bias"] == "dynamic")
             has_stages = (any(".local." in n for n in names)
                           and any(".global." in n for n in names))
-            assert has_stages == (row["attention"] == "hema")
+            assert has_stages == (row["switches"]["attention_mode"] == "hema")
 
         lines = ablation_table(rows)
         assert len(lines) == 6
-        assert lines[0].split() == ["attention", "reduced_bias", "embeddings",
+        assert lines[0].split() == ["attention_mode", "reduced_bias",
                                     "P", "R", "F1"]
         for row, line in zip(rows, lines[2:]):
             fields = line.split()
-            assert fields[0] == row["attention"]
-            assert fields[1] == row["reduced_bias"]
-            got = [float(f) for f in fields[3:]]
+            assert fields[0] == row["switches"]["attention_mode"]
+            assert fields[1] == row["switches"]["reduced_bias"]
+            got = [float(f) for f in fields[2:]]
             assert got == pytest.approx([row["P"], row["R"], row["F1"]],
                                         abs=5e-5)
         ranked = sorted(rows, key=lambda r: -r["F1"])
         print("ablation F1 ordering: " + " >= ".join(
-            f"{r['attention']}/{r['reduced_bias']}({r['F1']:.4f})"
+            f"{r['switches']['attention_mode']}/{r['switches']['reduced_bias']}"
+            f"({r['F1']:.4f})"
             for r in ranked))
         ok = True
     finally:
