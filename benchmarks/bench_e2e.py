@@ -1,8 +1,10 @@
 """Per-sentence cost of training and decoding, two trees in one process.
 
-Times, for 16 documents of n tokens (n in LENGTHS: 4, 16, 64 and 256), and
-for a ragged row of documents at the 24 training lengths of perfbench's
-train_short workload (6 to 26 tokens; n is reported as 0):
+Times, for 16 documents of n tokens (n in LENGTHS: 4, 16, 64 and 256), for
+a ragged row of documents at the 24 training lengths of perfbench's
+train_short workload (6 to 26 tokens; n is reported as 0), and for a
+skewed row, one 256-token document and fifteen 8-token ones in one batch
+(SKEWED; n is reported as -1):
 
 - train: forward plus backward of each optimizer step's batch, through
   `training.batch_loss` as `training` runs it (one pack of up to 16
@@ -76,6 +78,7 @@ from hreb.model import HrebModel  # noqa: E402
 BATCH = 16
 CORPUS = (0, 64, 3)
 LENGTHS = (4, 16, 64, 256)
+SKEWED = [256] + [8] * 15
 REPEATS = 15
 SIDES = ("parent", "change")
 WORKLOAD = {
@@ -84,6 +87,7 @@ WORKLOAD = {
     "batch": BATCH,
     "lengths": list(LENGTHS),
     "ragged": SHORT_LENGTHS,
+    "skewed": SKEWED,
     "repeats": REPEATS,
     "train": "forward + backward of each batch on one tape "
              "(training.batch_loss), per sentence",
@@ -205,7 +209,8 @@ def ab_timed(pairs, per):
 
 
 def measure(parent_src):
-    """One row per document length: both sides' timings and counts."""
+    """One row per document length, then the ragged and the skewed row:
+    both sides' timings and counts."""
     load_tree(parent_src, "hreb_parent")
     corpus = synth_corpus(*CORPUS)
     vocab = Vocab.from_corpus(corpus)
@@ -215,8 +220,9 @@ def measure(parent_src):
         ckpt = os.path.join(tmp, "ab.ckpt")
         save_checkpoint(ckpt, config, vocab, training.snapshot(HrebModel(config, vocab)))
         sides = [side("hreb_parent", ckpt), side("hreb", ckpt)]
-        for n in LENGTHS + (0,):
-            docs = documents(corpus, vocab, [n] * BATCH if n else SHORT_LENGTHS)
+        for n, lengths in [(n, [n] * BATCH) for n in LENGTHS] + [
+                (0, SHORT_LENGTHS), (-1, SKEWED)]:
+            docs = documents(corpus, vocab, lengths)
             batches = [docs[i:i + BATCH] for i in range(0, len(docs), BATCH)]
             decode = ab_timed([[lambda s=s, ids=ids: s.model.decode(ids) for s in sides]
                                for ids, _ in docs], len(docs))

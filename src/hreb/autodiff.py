@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateRowError, NumericsError
 from . import kernels
-from .pack import Pack, one
+from .pack import Band, one
 
 _ids = itertools.count()
 
@@ -382,13 +382,14 @@ def feature_norm(tape, x, gain, bias, pack):
     return record_op(tape, "feature_norm", (x, gain, bias), out_data, bw)
 
 
-def _softmax(scores, allowed):
-    """(row softmax of scores over the allowed entries, its backward)."""
+def _softmax(scores, allowed, band=Band):
+    """(row softmax of scores over the allowed entries, its backward). The
+    rows are a 2-D array's, or those of band, a pack.Band or Buckets."""
     shifted = _masked(allowed, scores, -np.inf)
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
+    shifted = band.by_row(np.subtract, shifted, band.reduce_rows(np.maximum, shifted))
     e = np.exp(shifted)
-    w = e / e.sum(axis=-1, keepdims=True)
-    return w, lambda g: w * (g - (g * w).sum(axis=-1, keepdims=True))
+    w = band.by_row(np.divide, e, band.reduce_rows(np.add, e))
+    return w, lambda g: w * band.by_row(np.subtract, g, band.reduce_rows(np.add, g * w))
 
 
 def _masked(allowed, x, fill):
@@ -425,25 +426,31 @@ def _laplace(scores, mu, sigma_raw, allowed):
 def band_attention(tape, q, k, v, bias, mu, sigma_raw, scale, width, attn_fn, pack):
     """Attention of each row over the keys of its band, as one op.
 
-    Row i's band is its chunk of `width` consecutive rows of its sentence
-    (width None: the whole sentence); entry (i, r) scores the key that
-    Pack.band_keys(m) places there, m = min(width, longest sentence). The
+    Row i's band is its chunk of `width` consecutive rows of its sentence;
+    entry (i, r) scores the key that Pack.band_keys(m) places there, m =
+    min(width, longest sentence). With width None (the global stage) the
+    band is the whole sentence, and pack.band(None) splits the pack into
+    length buckets (pack.length_buckets), each with m = its longest
+    sentence, so no row is padded to twice its sentence's length. The
     score is scale * q_i . k_j, plus, given a bias of odd length 2w+1,
     the bucket of the key's offset j - i clipped into [-w, w] (in a pack,
     positions within the sentence). attn_fn makes each row's weights:
     "softmax"; "laplace", the _laplace squash, not renormalized; or
     "reduced_laplace", the squash plus the scores over their row sum,
-    which must be positive (else DegenerateRowError, which names the row
-    as Pack.row_name does). Keys past a sentence's end weigh 0.
-    out_i = sum_r w[i, r] * v[key r]: for one sentence and width None,
-    weights @ v.
+    which must be positive (else DegenerateRowError, which names the
+    first such row in pack order as Pack.row_name does). Keys past a
+    sentence's end weigh 0. out_i = sum_r w[i, r] * v[key r]: for one
+    sentence and width None, weights @ v.
 
     The scores are checked finite before the squash, which would map an
     inf to a finite weight. Backward keeps the weights, the squash's
     argument and the row sums; it gathers the chunks of q, k and v again.
     Inputs that do not enter (bias None; mu and sigma_raw under softmax)
-    get no gradient. Returns (out, scores, weights), the last two as
-    (N, m) band arrays.
+    get no gradient. Returns (out, scores, weights). When the band is one
+    bucket (a width, one sentence, or sentences of near lengths), scores
+    and weights are (N, m) band arrays. With more buckets they are the
+    flat buffer of pack.Buckets: each bucket's (N_b, m_b) band in turn,
+    longest bucket first, its rows in pack order.
     """
     if q.data.shape != k.data.shape or q.data.ndim != 2 or v.data.ndim != 2 \
             or v.data.shape[0] != q.data.shape[0]:
@@ -453,36 +460,39 @@ def band_attention(tape, q, k, v, bias, mu, sigma_raw, scale, width, attn_fn, pa
     if attn_fn not in ("softmax", "laplace", "reduced_laplace"):
         raise ValueError(f"unknown attn_fn {attn_fn!r}")
     scale = float(scale)
-    m = pack.n_max if width is None else min(int(width), pack.n_max)
-    scores = pack.chunks(q.data, m) @ pack.chunks(k.data, m).transpose(0, 2, 1)
+    band = pack.band(width)
+    scores = band.band_product(band.chunks(q.data), band.chunks(k.data))
     scores *= scale
-    scores = pack.unchunked(scores, m)
     if bias is not None:
-        table = _rel_bias_index(pack.n_max, m, (bias.data.shape[0] - 1) // 2)
-        scores = scores + pack.at_positions(bias.data[table])
+        half = (bias.data.shape[0] - 1) // 2
+        scores = scores + band.bias_index(half, bias.data)
     if not np.isfinite(scores).all():
         raise NumericsError("op 'band_attention' produced non-finite scores")
-    mask = pack.key_mask(m)
+    mask = band.mask
     if attn_fn == "softmax":
-        weights, softmax_bw = _softmax(scores, mask)
+        weights, softmax_bw = _softmax(scores, mask, band)
     else:
         weights, laplace_bw = _laplace(scores, mu, sigma_raw, mask)
     if attn_fn == "reduced_laplace":
         a = _masked(mask, weights + scores, 0.0)
-        sums = a.sum(axis=-1, keepdims=True)
-        if np.any(sums <= 0.0):
-            row = int(np.argmax((sums <= 0.0).ravel()))
-            raise DegenerateRowError(f"{pack.row_name(row)} sums to "
-                                     f"{float(sums.ravel()[row])}; cannot normalize")
-        weights = a / sums
+        sums = band.reduce_rows(np.add, a)
+        bad = np.flatnonzero(sums <= 0.0)
+        if bad.size:
+            # the bad row that comes first in the pack
+            rows = bad if band.rows is None else band.rows[bad]
+            j = int(np.argmin(rows))
+            raise DegenerateRowError(f"{pack.row_name(int(rows[j]))} sums to "
+                                     f"{float(sums[bad[j], 0])}; cannot normalize")
+        weights = band.by_row(np.divide, a, sums)
 
     def bw(g):
         # Each step keeps the order of its primitive-op form (scale after
         # the product, the squash's gradient added to the normalization's),
         # so seeded runs keep their bits.
-        gb = pack.chunks(g, m)
-        dw = pack.unchunked(gb @ pack.chunks(v.data, m).transpose(0, 2, 1), m)
-        dv = pack.unchunked(pack.chunks(weights, m).transpose(0, 2, 1) @ gb, m)
+        gc = band.chunks(g)
+        dw = band.band_product(gc, band.chunks(v.data))
+        dv = band.row_product([c.transpose(0, 2, 1) for c in band.band_chunks(weights)],
+                              gc)
         dmu = dsig_raw = None
         if attn_fn == "softmax":
             ds = softmax_bw(dw)
@@ -490,40 +500,20 @@ def band_attention(tape, q, k, v, bias, mu, sigma_raw, scale, width, attn_fn, pa
             ds, dmu, dsig_raw = laplace_bw(dw)
         else:
             dw = _masked(mask, dw, 0.0)
-            da = _masked(mask, (dw - (dw * weights).sum(axis=-1, keepdims=True)) / sums,
-                         0.0)
+            da = _masked(mask, band.by_row(np.divide, band.by_row(
+                np.subtract, dw, band.reduce_rows(np.add, dw * weights)), sums), 0.0)
             ds_l, dmu, dsig_raw = laplace_bw(da)
             ds = da + ds_l
         dbias = None if bias is None else np.bincount(
-            pack.at_positions(table).ravel(), weights=ds.ravel(), minlength=bias.shape[0])
-        gc = pack.chunks(ds * scale, m)
-        return (pack.unchunked(gc @ pack.chunks(k.data, m), m),
-                pack.unchunked(gc.transpose(0, 2, 1) @ pack.chunks(q.data, m), m),
+            band.bias_index(half).ravel(), weights=ds.ravel(), minlength=bias.shape[0])
+        dc = band.band_chunks(ds * scale)
+        return (band.row_product(dc, band.chunks(k.data)),
+                band.row_product([c.transpose(0, 2, 1) for c in dc], band.chunks(q.data)),
                 dv, dbias, dmu, dsig_raw)
     out = record_op(tape, "band_attention", (q, k, v, bias, mu, sigma_raw),
-                    pack.unchunked(pack.chunks(weights, m) @ pack.chunks(v.data, m), m),
+                    band.row_product(band.band_chunks(weights), band.chunks(v.data)),
                     bw)
     return out, scores, weights
-
-
-_rel_bias_indexes = {}
-
-
-def _rel_bias_index(n, m, w):
-    """band_attention's (n, m) bias bucket index, a slice of one array per
-    layout.
-
-    The m = n layout (offset j - i) and the fixed-chunk one (m < n) of
-    Pack.band_keys are each a prefix of the same layout at a larger n, so
-    each is kept at the longest n seen and rebuilt only for a longer one.
-    The m = n array holds n * n entries, as many as the scores it indexes.
-    """
-    key = (0 if m == n else m, w)
-    idx = _rel_bias_indexes.get(key)
-    if idx is None or idx.shape[0] < n:
-        offs = Pack(n).band_keys(m) - np.arange(n)[:, None]
-        idx = _rel_bias_indexes[key] = np.clip(offs + w, 0, 2 * w)
-    return idx[:n, :m]
 
 
 # ---------------------------------------------------------------------------

@@ -139,8 +139,9 @@ class HrebModel(ad.Module):
     def tag_sentences(self, sentences):
         """Tag names for each of a list of tokenized sentences, in their
         order: predict_tags of each, decoded in packs of batch_size,
-        shortest first, since a pack pads its global attention band to its
-        longest sentence."""
+        shortest first, since a pack's recurrences step every sentence to
+        its longest, and sentences of near lengths share one length bucket
+        of the global attention band (pack.length_buckets)."""
         order = sorted(range(len(sentences)), key=lambda i: len(sentences[i]))
         tags = [None] * len(sentences)
         size = self.config.batch_size

@@ -140,10 +140,10 @@ def attention(tape, q, k, v, params, config, pack):
     ad.band_attention's (out, scores, weights).
 
     Scores live in the (n, m) band layout of ad.band_attention: m is the
-    chunk size for the local stage and the longest sentence for the global
-    one, so the local stage costs O(n * chunk_size) and no sentence of a
-    pack attends to another. Only keys past a chunk's sentence end are
-    masked.
+    chunk size for the local stage and, for the global one, the longest
+    sentence of each length bucket, so the local stage costs
+    O(n * chunk_size) and no sentence of a pack attends to another. Only
+    keys past a chunk's sentence end are masked.
     """
     return ad.band_attention(
         tape, q, k, v, params.b_rel, params.lap_mu, params.lap_sigma_raw,

@@ -47,7 +47,8 @@ def _dump(**arrays):
 
 def op_grad_cases():
     """(op, {input name: spec}, build), and for band_attention also the
-    attn_fn that its entries' details name, per differentiable op.
+    attn_fn, and for its global-band rows "global band", that its entries'
+    details name, per differentiable op.
 
     A spec is a shape, drawn standard normal, or a function of the case's
     generator. build(tape, *tensors) returns the op output in the inputs'
@@ -129,6 +130,19 @@ def op_grad_cases():
     cases += [("band_attention", attn,
                lambda t, *ts, f=f: ad.band_attention(t, *ts, 0.5, band_m, f, rag)[0], f)
               for f in CHOICES["attn_fn"]]
+    # and over the global band of a pack in three length buckets, none in
+    # pack order: [7, 5], whose 5 is padded, [3] and the single token [1].
+    # sigma_raw is held fixed: its gradient is one sum over the whole band,
+    # which the rows above check.
+    skew = Pack([3, 1, 7, 5])
+    sd = (skew.n, d)
+    sigma = ad.Tensor(-0.8)
+    attn_global = dict(attn, q=uniform(-0.2, 0.2, sd), k=uniform(-1.0, 1.0, sd), v=sd)
+    del attn_global["sigma"]
+    cases += [("band_attention", attn_global,
+               lambda t, q, k, v, b, mu, f=f: ad.band_attention(
+                   t, q, k, v, b, mu, sigma, 0.5, None, f, skew)[0], f, "global band")
+              for f in CHOICES["attn_fn"]]
     return cases
 
 
@@ -144,7 +158,7 @@ def op_grad_inputs(seed, case):
 
 def op_grad_checks(seed=0):
     """Finite-difference check of every case of op_grad_cases, one entry
-    per (op, input) pair, and per attn_fn for band_attention.
+    per (op, input) pair, and per attn_fn and band for band_attention.
 
     The inputs come from op_grad_inputs, so a row's printed error does not
     change when another case is added or removed. The loss is a fixed
@@ -166,8 +180,9 @@ def op_grad_checks(seed=0):
 
         errs = finite_diff_params(loss, tensors)
         for name, err in errs.items():
-            detail = " ".join([f"max rel err {err:.3g} (tol {GRAD_TOL:g})"]
-                              + [f"under {f}" for f in under])
+            detail = f"max rel err {err:.3g} (tol {GRAD_TOL:g})"
+            if under:
+                detail += " under " + ", ".join(under)
             if err > GRAD_TOL:
                 detail += _dump(**{name: inputs[name]})
             label = op if len(inputs) == 1 else f"{op}/{name}"

@@ -467,6 +467,19 @@ def test_op_grad_attention_inputs_keep_reduced_laplace_rows_positive_at_any_seed
                         for v in inputs.values()))
 
 
+def test_op_grad_global_band_rows_keep_reduced_laplace_rows_positive_at_any_seed():
+    # one global-band row per attn_fn and input, sigma_raw held fixed
+    details = [r.detail for r in verify.op_grad_checks()
+               if r.name.startswith("grad band_attention/")]
+    assert sum(d.endswith(", global band") for d in details) == 3 * 5
+    case = next(c for c in verify.op_grad_cases()
+                if c[3:] == ("reduced_laplace", "global band"))
+    for seed in range(100):
+        inputs = verify.op_grad_inputs(seed, case)
+        case[2](None, *(ad.Tensor(np.asarray(v, dtype=np.float64))
+                        for v in inputs.values()))
+
+
 def test_op_grad_checks_cover_every_input_of_every_recorded_op():
     ops = recorded_ops()
     assert {"embed_tokens", "crf_path_score", "token_nll"} <= set(ops)

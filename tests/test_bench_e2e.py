@@ -14,15 +14,17 @@ def test_an_aa_run_of_the_repository_tree_reports_both_sides(monkeypatch):
         "bench_e2e", os.path.join(ROOT, "benchmarks", "bench_e2e.py"))
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    # the n = 4 row and the ragged row, one timed pass each
+    # the n = 4 row, the ragged row and a smaller skewed row, one timed
+    # pass each
     bench.LENGTHS = (4,)
+    bench.SKEWED = [24] + [3] * 5
     bench.REPEATS = 1
     try:
         rows = bench.measure(os.path.join(ROOT, "src"))
     finally:
         for name in [m for m in sys.modules if m.split(".")[0] == "hreb_parent"]:
             del sys.modules[name]
-    assert [row["n"] for row in rows] == [4, 0]
+    assert [row["n"] for row in rows] == [4, 0, -1]
     for row in rows:
         assert row["same_paths"] is True
         for timing in (row["decode_ms"], row["train_ms_per_sentence"]):
