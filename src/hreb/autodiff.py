@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateRowError, NumericsError
 from . import kernels
-from .pack import Band, one
+from .pack import one
 
 _ids = itertools.count()
 
@@ -382,14 +382,19 @@ def feature_norm(tape, x, gain, bias, pack):
     return record_op(tape, "feature_norm", (x, gain, bias), out_data, bw)
 
 
-def _softmax(scores, allowed, band=Band):
+def _softmax(scores, allowed, band=None):
     """(row softmax of scores over the allowed entries, its backward). The
-    rows are a 2-D array's, or those of band, a pack.Band or Buckets."""
+    rows are a 2-D array's, or those of band, a pack.Band."""
+    def by_row(ufunc, x, reduce, y):
+        """ufunc of each entry of x and the reduction of its row of y."""
+        if band is None:
+            return ufunc(x, reduce.reduce(y, axis=-1, keepdims=True))
+        return band.by_row(ufunc, x, band.reduce_rows(reduce, y))
     shifted = _masked(allowed, scores, -np.inf)
-    shifted = band.by_row(np.subtract, shifted, band.reduce_rows(np.maximum, shifted))
+    shifted = by_row(np.subtract, shifted, np.maximum, shifted)
     e = np.exp(shifted)
-    w = band.by_row(np.divide, e, band.reduce_rows(np.add, e))
-    return w, lambda g: w * band.by_row(np.subtract, g, band.reduce_rows(np.add, g * w))
+    w = by_row(np.divide, e, np.add, e)
+    return w, lambda g: w * by_row(np.subtract, g, np.add, g * w)
 
 
 def _masked(allowed, x, fill):
@@ -431,10 +436,11 @@ def band_attention(tape, q, k, v, bias, mu, sigma_raw, scale, width, attn_fn, pa
     min(width, longest sentence). With width None (the global stage) the
     band is the whole sentence, and pack.band(None) splits the pack into
     length buckets (pack.length_buckets), each with m = its longest
-    sentence, so no row is padded to twice its sentence's length. The
-    score is scale * q_i . k_j, plus, given a bias of odd length 2w+1,
-    the bucket of the key's offset j - i clipped into [-w, w] (in a pack,
-    positions within the sentence). attn_fn makes each row's weights:
+    sentence, so no row is padded to twice its sentence's length. Both
+    bands are one layout, a pack.Band. The score is scale * q_i . k_j,
+    plus, given a bias of odd length 2w+1, the bucket of the key's offset
+    j - i clipped into [-w, w] (in a pack, positions within the
+    sentence). attn_fn makes each row's weights:
     "softmax"; "laplace", the _laplace squash, not renormalized; or
     "reduced_laplace", the squash plus the scores over their row sum,
     which must be positive (else DegenerateRowError, which names the
@@ -449,8 +455,8 @@ def band_attention(tape, q, k, v, bias, mu, sigma_raw, scale, width, attn_fn, pa
     get no gradient. Returns (out, scores, weights). When the band is one
     bucket (a width, one sentence, or sentences of near lengths), scores
     and weights are (N, m) band arrays. With more buckets they are the
-    flat buffer of pack.Buckets: each bucket's (N_b, m_b) band in turn,
-    longest bucket first, its rows in pack order.
+    Band's flat buffer: each bucket's (N_b, m_b) band in turn, longest
+    bucket first, its rows in pack order.
     """
     if q.data.shape != k.data.shape or q.data.ndim != 2 or v.data.ndim != 2 \
             or v.data.shape[0] != q.data.shape[0]:

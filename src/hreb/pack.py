@@ -7,20 +7,22 @@ run on the rows as they are. The ops that mix positions (the EMA scan, the
 attention bands, the BiLSTM, the CRF and feature_norm) read the sentence
 boundaries from a Pack, so no sentence sees another.
 
-The global attention band of a pack (band_attention with no width) runs
+Both attention bands are one layout, a Band: buckets of sentences, each
+cut into chunks of its bucket's width (Mega's chunked attention, Ma et
+al. 2022, arXiv:2209.10655). The local band (band_attention with a
+width) is one bucket of every sentence. The global band (no width) runs
 in length buckets, the usual cure for padded batches (Khomenko et al.,
 IEEE DSMP 2016): taken longest first, a sentence joins the current bucket
 while twice its length exceeds the bucket's longest, and else starts the
 next one (length_buckets). Bucket b's band is (N_b, m_b), m_b its longest
-sentence, so no row is padded to twice its length or more; a pack of one
-bucket keeps the plain (N, n_max) band (Band), and several share one
-buffer (Buckets). The layout depends on the lengths alone and each pack
-keeps it. A bucket costs about as much as 200-350 band cells: on an
-Intel Xeon, one BLAS thread, band_attention's forward and backward
-(64-wide q and k, 128-wide v) took 50-100 us longer per extra bucket and
-0.26 us less per band cell saved. perfbench's train_short packs save
-700-1000 cells in 2-3 buckets and train as fast as unbucketed ones, so
-no bucket is merged back.
+sentence, so no row is padded to twice its length or more; a band of one
+bucket is a plain (N, m) array, and several share one flat buffer. The
+layout depends on the lengths alone and each pack keeps it. A bucket
+costs about as much as 200-350 band cells: on an Intel Xeon, one BLAS
+thread, band_attention's forward and backward (64-wide q and k, 128-wide
+v) took 50-100 us longer per extra bucket and 0.26 us less per band cell
+saved. perfbench's train_short packs save 700-1000 cells in 2-3 buckets
+and train as fast as unbucketed ones, so no bucket is merged back.
 
 One sentence is Pack(n) with an int n. Per-sentence results take the
 shape of the lengths, as numpy's do for a 0-d input: () for Pack(n) and
@@ -89,28 +91,11 @@ class Pack:
             return p[::-1, 0] if reverse else p[:, 0]
         return p.reshape((self.n_max * self.b,) + p.shape[2:])[self._cells(reverse)]
 
-    @_kept
-    def _band(self, m):
-        return Band(self, m)
-
-    def chunks(self, a, m):
-        """a's rows as (n_chunks, m, ...) chunks: each sentence starts a
-        chunk and is zero-padded to whole chunks."""
-        return self._band(m).chunk(a)
-
-    def unchunked(self, c, m):
-        """The (N, ...) rows of chunks laid out as chunks does."""
-        return self._band(m).unchunked(c)
-
     def band_keys(self, m):
         """Entry (i, r) of the (N, m) band: the position within row i's
         sentence of key r of its width-m chunk, chunks counted from the
         sentence's first row. Keys at or past the sentence's end are padding."""
-        return (self.pos // m * m)[:, None] + np.arange(m)
-
-    def key_mask(self, m):
-        """Live keys of an (N, m) band, or None when every key is live."""
-        return self._band(m).mask
+        return _band_keys(self.pos, m)
 
     def sums(self, a):
         """Each sentence's sum of a's rows, (B, ...), added in row order, so
@@ -135,14 +120,15 @@ class Pack:
 
     @_kept
     def band(self, width):
-        """band_attention's layout of this pack: a Band of chunks of `width`
-        rows; with width None the global band, a Band of the longest
-        sentence when every sentence falls in one length bucket, and else
-        Buckets."""
+        """band_attention's layout of this pack, a Band: given a width, one
+        bucket of every sentence in chunks of min(width, n_max) rows; with
+        width None the global band, length_buckets' groups, each in one
+        chunk of its longest sentence."""
         if width is not None:
-            return self._band(min(int(width), self.n_max))
+            return Band(self, [range(self.b)], [min(int(width), self.n_max)])
         groups = length_buckets(self.lengths)
-        return self._band(self.n_max) if len(groups) == 1 else Buckets(self, groups)
+        n = self.lengths.tolist()
+        return Band(self, groups, [max(n[s] for s in g) for g in groups])
 
     def row_name(self, row):
         """Row `row` as an error message names it: within its sentence once
@@ -169,6 +155,11 @@ def length_buckets(lengths):
     return [sorted(g) for g in groups]
 
 
+def _band_keys(pos, m):
+    """Pack.band_keys for rows at positions pos within their sentences."""
+    return (pos // m * m)[:, None] + np.arange(m)
+
+
 def _zero_padded(a, at, n):
     """a's rows placed at rows `at` of n zero rows; a itself when at is None."""
     if at is None:
@@ -193,145 +184,105 @@ def _rel_bias_index(n, m, w):
     key = (0 if m == n else m, w)
     idx = _rel_bias_indexes.get(key)
     if idx is None or idx.shape[0] < n:
-        offs = Pack(n).band_keys(m) - np.arange(n)[:, None]
+        pos = np.arange(n)
+        offs = _band_keys(pos, m) - pos[:, None]
         idx = _rel_bias_indexes[key] = np.clip(offs + w, 0, 2 * w)
     return idx[:n, :m]
 
 
+_Bucket = namedtuple("_Bucket", "m top n chunks live rows padded flat")
+
+
 class Band:
-    """The key bands of a pack's rows in chunks of m rows, each sentence
-    starting a chunk, as band_attention lays them out.
+    """The key bands of a pack's rows, as band_attention lays them out.
 
-    Row i's band is row i of an (N, m) array (Pack.band_keys). The rows
-    are zero-padded to whole chunks: row i is row live[i] of the padded
-    rows, or live is None when no sentence needs padding. The methods
-    band_attention calls take and return one entry per bucket, here one,
-    so that it runs Band and Buckets alike. A Band keeps no reference to
-    its pack, which keeps it. Called on the class, the row methods act on
-    the rows of any 2-D array.
+    The pack's sentences fall into buckets (groups, lists of sentence
+    indices in pack order), and bucket b cuts each of its sentences into
+    chunks of m_b = widths[b] rows, so a sentence spans ceil(length / m_b)
+    chunks, the first starting at its first row. Row i's band is its
+    chunk's keys (_band_keys). The local band is one bucket of every
+    sentence; the global band is length_buckets' groups, each at its
+    longest sentence.
+
+    A bucket's band rows are its sentences' rows in pack order, an
+    (N_b, m_b) array. One bucket's band is that array; several lie in one
+    flat (S,) buffer, S = sum N_b * m_b, bucket after bucket, so the
+    elementwise work runs once over the buffer and only the products, the
+    chunk gathers and scatters and the row reductions run once per bucket.
+    The chunks are zero-padded rows, bucket after bucket: pack row i is
+    padded row slots[i], and slots is None when those are the pack's rows
+    (one bucket and no padding). Band row j is pack row rows[j], and rows
+    is None for one bucket; pos holds each band row's position in its
+    sentence, None for one sentence. mask marks the live keys of a band,
+    and is None when no row is padded. A Band keeps no reference to its
+    pack, which keeps it.
     """
 
-    rows = None  # band row i is pack row i
-
-    def __init__(self, pack, m):
-        self.m, self.shape, self.n_max = m, (pack.n, m), pack.n_max
-        self.pos = None if pack.b == 1 else pack.pos
-        self.live = self.mask = None
-        self.n_chunks = pack.n // m
-        if (pack.lengths % m).any():
-            per = -(-pack.lengths // m)
-            first = np.cumsum(per) - per
-            self.live = first[pack.sentence] * m + pack.pos
-            self.n_chunks = int(per.sum())
-            self.mask = pack.band_keys(m) < pack.lengths[pack.sentence][:, None]
-
-    def chunk(self, a):
-        """a's (N, ...) rows as (n_chunks, m, ...) chunks."""
-        return _zero_padded(a, self.live, self.n_chunks * self.m).reshape(
-            (self.n_chunks, self.m) + a.shape[1:])
-
-    def unchunked(self, c):
-        """The (N, ...) rows of chunks laid out as chunk does."""
-        rows = c.reshape((-1,) + c.shape[2:])
-        return rows if self.live is None else rows[self.live]
-
-    def chunks(self, a):
-        """[a's (N, ...) rows, or a band's, as chunks]."""
-        return [self.chunk(a)]
-
-    band_chunks = chunks
-
-    def band_product(self, xs, ys):
-        """The band of x @ y^T for the chunks x, y of xs and ys."""
-        return self.unchunked(xs[0] @ ys[0].transpose(0, 2, 1))
-
-    def row_product(self, xs, ys):
-        """The (N, d) rows of x @ y for the chunks x, (n_chunks, m, m), of
-        xs and y, (n_chunks, m, d), of ys."""
-        return self.unchunked(xs[0] @ ys[0])
-
-    @staticmethod
-    def reduce_rows(ufunc, band):
-        """(N, 1): ufunc's reduction of each band row."""
-        return ufunc.reduce(band, axis=-1, keepdims=True)
-
-    @staticmethod
-    def by_row(ufunc, band, r):
-        """ufunc of each band entry and its row's value in r, (N, 1)."""
-        return ufunc(band, r)
-
-    def bias_index(self, w, values=None):
-        """The band's relative-position bias buckets: the key's offset from
-        the row, within their sentence, clipped into [-w, w], plus w; given
-        values, the values at those buckets."""
-        t = _rel_bias_index(self.n_max, self.m, w)
-        if values is not None:
-            t = values[t]
-        return t if self.pos is None else t[self.pos]
-
-
-_Bucket = namedtuple("_Bucket", "m n chunks live rows padded flat")
-
-
-class Buckets:
-    """A pack's global band in length buckets (length_buckets), with Band's
-    methods.
-
-    Each sentence of bucket b is one (m_b, m_b) chunk. The bands lie in
-    one flat (S,) buffer, S = sum N_b * m_b, bucket after bucket, each an
-    (N_b, m_b) view with its rows in pack order, so the elementwise work
-    runs once over the buffer and only products, chunk scatters and
-    gathers, and row reductions run once per bucket. One scatter zero-pads
-    the rows of every bucket into one buffer whose slices are the chunks.
-    """
-
-    def __init__(self, pack, groups):
+    def __init__(self, pack, groups, widths):
         lengths = pack.lengths.tolist()
-        # each sentence's bucket, and its first row in the padded buffer
-        bucket_of, first, tops, at = [0] * pack.b, [0] * pack.b, [], 0
-        for i, g in enumerate(groups):
-            m = max(lengths[b] for b in g)
-            for j, b in enumerate(g):
-                bucket_of[b], first[b] = i, at + m * j
-            tops.append(m)
-            at += m * len(g)
-        # band row -> pack row, and pack row -> padded row
-        self.rows = np.argsort(np.array(bucket_of)[pack.sentence], kind="stable")
-        self.slots = np.array(first)[pack.sentence] + pack.pos
-        self.pos = pack.pos[self.rows]
+        # each sentence's bucket and first padded row; each bucket's
+        # longest sentence, rows and padded rows
+        bucket_of, first, sizes, at = [0] * pack.b, [0] * pack.b, [], 0
+        for i, (g, m) in enumerate(zip(groups, widths)):
+            n, top, start = 0, 0, at
+            for s in g:
+                bucket_of[s], first[s] = i, at
+                at += -(-lengths[s] // m) * m
+                n, top = n + lengths[s], max(top, lengths[s])
+            sizes.append((top, n, at - start))
+        padded = at > pack.n
         self.n_padded = at
+        self.rows = self.slots = self.mask = None
+        if len(groups) > 1:
+            self.rows = np.argsort(np.array(bucket_of)[pack.sentence], kind="stable")
+        if padded or self.rows is not None:
+            self.slots = np.array(first)[pack.sentence] + pack.pos
+        pos = pack.pos if self.rows is None else pack.pos[self.rows]
+        self.pos = None if pack.b == 1 else pos
+        band_slots = self.slots if self.rows is None else self.slots[self.rows]
         self.buckets = []
         r = p = f = 0
-        for g, m in zip(groups, tops):
-            n = sum(lengths[b] for b in g)
-            rows = slice(r, r + n)
-            live = None
-            if any(lengths[b] < m for b in g):
-                live = self.slots[self.rows[rows]] - p
-            self.buckets.append(_Bucket(m, n, len(g), live, rows,
-                                        slice(p, p + len(g) * m), slice(f, f + n * m)))
-            r, p, f = r + n, p + len(g) * m, f + n * m
-        self.shape = (f,)
-        self.mask = None
-        if any(bk.live is not None for bk in self.buckets):
-            row_lengths = pack.lengths[pack.sentence][self.rows]
-            self.mask = np.concatenate([(np.arange(bk.m) < row_lengths[bk.rows, None]).ravel()
-                                        for bk in self.buckets])
+        for m, (top, n, size) in zip(widths, sizes):
+            live = None if size == n else band_slots[r:r + n] - p
+            self.buckets.append(_Bucket(m, top, n, size // m, live, slice(r, r + n),
+                                        slice(p, p + size), slice(f, f + n * m)))
+            r, p, f = r + n, p + size, f + n * m
+        self.shape = (pack.n, widths[0]) if len(groups) == 1 else (f,)
+        if padded:
+            row_lengths = pack.lengths[pack.sentence]
+            if self.rows is not None:
+                row_lengths = row_lengths[self.rows]
+            self.mask = self._joined([_band_keys(pos[bk.rows], bk.m) < row_lengths[bk.rows, None]
+                                      for bk in self.buckets])
+
+    def _joined(self, bands):
+        """One band array of each bucket's (N_b, m_b) band."""
+        if len(bands) == 1:
+            return bands[0]
+        return np.concatenate([x.ravel() for x in bands])
 
     def views(self, band):
-        """Each bucket's (N_b, m_b) view of a band buffer."""
+        """Each bucket's (N_b, m_b) view of a band array."""
+        if self.rows is None:
+            return [band]
         return [band[bk.flat].reshape(bk.n, bk.m) for bk in self.buckets]
 
     def chunks(self, a):
+        """a's (N, d) rows as each bucket's (chunks, m_b, d) chunks."""
         buf = _zero_padded(a, self.slots, self.n_padded)
-        return [buf[bk.padded].reshape((bk.chunks, bk.m) + a.shape[1:])
-                for bk in self.buckets]
+        return [buf[bk.padded].reshape(bk.chunks, bk.m, -1) for bk in self.buckets]
 
     def band_chunks(self, band):
+        """A band's rows as each bucket's (chunks, m_b, m_b) chunks."""
         return [_zero_padded(x, bk.live, bk.chunks * bk.m).reshape(bk.chunks, bk.m, bk.m)
                 for bk, x in zip(self.buckets, self.views(band))]
 
     def band_product(self, xs, ys):
+        """The band of x @ y^T for the chunks x, y of xs and ys."""
+        if self.rows is None:
+            [bk] = self.buckets
+            band = (xs[0] @ ys[0].transpose(0, 2, 1)).reshape(-1, bk.m)
+            return band if bk.live is None else band[bk.live]
         band = np.empty(self.shape)
         for bk, x, y, out in zip(self.buckets, xs, ys, self.views(band)):
             if bk.live is None:
@@ -342,26 +293,41 @@ class Buckets:
         return band
 
     def row_product(self, xs, ys):
-        buf = np.empty((self.n_padded, ys[0].shape[2]))
-        for bk, x, y in zip(self.buckets, xs, ys):
-            np.matmul(x, y, out=buf[bk.padded].reshape(y.shape))
-        return buf[self.slots]
+        """The (N, d) rows of x @ y for the chunks x, (chunks, m_b, m_b),
+        of xs and y, (chunks, m_b, d), of ys."""
+        if self.rows is None:
+            buf = (xs[0] @ ys[0]).reshape(self.n_padded, -1)
+        else:
+            buf = np.empty((self.n_padded, ys[0].shape[2]))
+            for bk, x, y in zip(self.buckets, xs, ys):
+                np.matmul(x, y, out=buf[bk.padded].reshape(y.shape))
+        return buf if self.slots is None else buf[self.slots]
 
     def reduce_rows(self, ufunc, band):
-        return np.concatenate([Band.reduce_rows(ufunc, x) for x in self.views(band)])
+        """(N, 1): ufunc's reduction of each band row, in band row order."""
+        sums = [ufunc.reduce(x, axis=-1, keepdims=True) for x in self.views(band)]
+        return sums[0] if len(sums) == 1 else np.concatenate(sums)
 
     def by_row(self, ufunc, band, r):
+        """ufunc of each band entry and its row's value in r, (N, 1)."""
+        if self.rows is None:
+            return ufunc(band, r)
         out = np.empty(self.shape)
         for bk, x, o in zip(self.buckets, self.views(band), self.views(out)):
             ufunc(x, r[bk.rows], out=o)
         return out
 
     def bias_index(self, w, values=None):
-        tables = [_rel_bias_index(bk.m, bk.m, w) for bk in self.buckets]
-        if values is not None:
-            tables = [values[t] for t in tables]
-        return np.concatenate([t[self.pos[bk.rows]].ravel()
-                               for t, bk in zip(tables, self.buckets)])
+        """The band's relative-position bias buckets: the key's offset from
+        the row, within their sentence, clipped into [-w, w], plus w; given
+        values, the values at those buckets."""
+        bands = []
+        for bk in self.buckets:
+            t = _rel_bias_index(bk.top, bk.m, w)
+            if values is not None:
+                t = values[t]
+            bands.append(t if self.pos is None else t[self.pos[bk.rows]])
+        return self._joined(bands)
 
 
 @lru_cache(maxsize=256)

@@ -6,8 +6,10 @@ equal those of per-sentence tapes, and no sentence may see another.
 """
 
 import ast
+import gc
 import pathlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -237,12 +239,15 @@ def test_pack_layout_roundtrips():
     for rev in (False, True):
         assert np.array_equal(pack.unpadded(pack.padded(a, rev), rev), a)
     for m in (1, 2, 3, 5):
-        c = pack.chunks(a, m)
-        assert np.array_equal(pack.unchunked(c, m), a)
+        band = pack.band(m)
+        [c] = band.chunks(a)
+        # identity chunks map the chunks back to their rows
+        eye = np.broadcast_to(np.eye(m), (c.shape[0], m, m))
+        assert np.array_equal(band.row_product([eye], [c]), a)
         # every chunk holds rows of one sentence only
-        sent = pack.chunks(pack.sentence[:, None] + 1.0, m)[..., 0]
-        assert all(len(set(row[row > 0])) <= 1 for row in sent)
-    assert pack.key_mask(5)[:3].sum(1).tolist() == [3, 3, 3]
+        [sent] = band.chunks(pack.sentence[:, None] + 1.0)
+        assert all(len(set(row[row > 0])) <= 1 for row in sent[..., 0])
+    assert pack.band(5).mask[:3].sum(1).tolist() == [3, 3, 3]
     assert np.array_equal(pack.sums(a), [a[:3].sum(0), a[3], a[4:].sum(0)])
     assert np.array_equal(pack.per_row(np.arange(3)), pack.sentence)
     assert list(pack.spans()) == [(0, 3), (3, 1), (4, 5)]
@@ -270,14 +275,14 @@ def test_pack_key_mask_matches_each_sentence_alone():
     assert Pack(5).band_keys(2).tolist() == [[0, 1], [0, 1], [2, 3], [2, 3],
                                              [4, 5]]
     for m in (2, 3, 8):
-        got = pack.key_mask(m)
+        got = pack.band(m).mask
         keys = pack.band_keys(m)
         assert np.array_equal(got, keys < pack.per_row(pack.lengths)[:, None])
         for start, n in pack.spans():
             # each sentence's band keys are its own, counted from its start
             assert np.array_equal(keys[start:start + n], Pack(n).band_keys(m))
             w = min(m, n)
-            alone = Pack(n).key_mask(w)
+            alone = Pack(n).band(w).mask
             rows = got[start:start + n]
             assert np.array_equal(rows[:, :w], np.ones((n, w), bool)
                                   if alone is None else alone)
@@ -347,6 +352,57 @@ def test_a_packs_global_band_holds_each_sentences_band_alone():
             mine = np.isin(rows, np.arange(a, a + m))
             assert np.allclose(s[mine][:, :m], q[a:a + m] @ k[a:a + m].T)
             assert live[mine][:, :m].all() and not live[mine][:, m:].any()
+
+
+@pytest.mark.parametrize("lengths, width", [([64, 2, 9, 33], None), ([5, 3], None),
+                                            ([5, 1, 8, 3], 2), (7, None)])
+def test_a_band_outlives_its_pack_without_a_cycle(lengths, width):
+    # the pack keeps its band; a band that kept its pack would make a
+    # cycle, and the pack's arrays would wait for the cycle collector
+    pack = Pack(lengths)
+    band = pack.band(width)
+    ref = weakref.ref(pack)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del pack
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert band.reduce_rows(np.add, np.ones(band.shape)).shape == (np.sum(lengths), 1)
+
+
+def attention_and_grads(lengths, width):
+    """band_attention's out, scores, weights and six gradients over a
+    pack of lengths."""
+    rng = np.random.default_rng(5)
+    n = sum(lengths)
+    ins = [ad.Tensor(rng.uniform(-0.2, 0.2, (n, 4)), requires_grad=True)] + \
+        [ad.Tensor(rng.uniform(-1.0, 1.0, (n, d)), requires_grad=True) for d in (4, 6)] + \
+        [ad.Tensor(rng.uniform(0.5, 1.0, 7), requires_grad=True)] + \
+        [ad.Tensor(np.float64(x), requires_grad=True) for x in (0.3, -0.8)]
+    tape = ad.Tape()
+    out, scores, weights = ad.band_attention(tape, *ins, 0.5, width, "reduced_laplace",
+                                             Pack(lengths))
+    grads = ad.backward(tape, ad.sum_all(tape, ad.mul(
+        tape, out, ad.Tensor(rng.standard_normal((n, 6))))))
+    return [out.data, scores, weights] + [grads[t.id] for t in ins]
+
+
+def test_a_one_bucket_global_band_is_the_band_of_a_width():
+    # Pack([5, 3]) is one length bucket, so its global band is the band
+    # of any width at or past its longest sentence
+    pack = Pack([5, 3])
+    wide, glob = pack.band(8), pack.band(None)
+    assert wide is not glob and wide.shape == glob.shape == (8, 5)
+    assert np.array_equal(wide.mask, glob.mask)
+    assert np.array_equal(wide.bias_index(3), glob.bias_index(3))
+    a = np.arange(16.0).reshape(8, 2)
+    for x, y in zip(wide.chunks(a), glob.chunks(a)):
+        assert np.array_equal(x, y)
+    for x, y in zip(attention_and_grads([5, 3], 8), attention_and_grads([5, 3], None)):
+        assert x.tobytes() == y.tobytes()
 
 
 def global_attention_peak(lengths):
