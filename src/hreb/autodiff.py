@@ -382,13 +382,11 @@ def feature_norm(tape, x, gain, bias, pack):
     return record_op(tape, "feature_norm", (x, gain, bias), out_data, bw)
 
 
-def _softmax(scores, allowed, band=None):
-    """(row softmax of scores over the allowed entries, its backward). The
-    rows are a 2-D array's, or those of band, a pack.Band."""
+def _softmax(scores, allowed, band):
+    """(softmax of each row of band, a pack.Band, over its allowed entries
+    of scores, its backward)."""
     def by_row(ufunc, x, reduce, y):
         """ufunc of each entry of x and the reduction of its row of y."""
-        if band is None:
-            return ufunc(x, reduce.reduce(y, axis=-1, keepdims=True))
         return band.by_row(ufunc, x, band.reduce_rows(reduce, y))
     shifted = _masked(allowed, scores, -np.inf)
     shifted = by_row(np.subtract, shifted, np.maximum, shifted)

@@ -137,6 +137,10 @@ def load_checkpoint(path):
             raise CheckpointError(
                 f"checkpoint format version {version}; this build reads {VERSION}")
         (hlen,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
+        size = os.fstat(fh.fileno()).st_size
+        if hlen > size - fh.tell():
+            raise CheckpointError(f"{path}: header length {hlen} runs past the "
+                                  f"end of the file ({size - fh.tell()} bytes left)")
         try:
             header = json.loads(_read_exact(fh, hlen, "header").decode("utf-8"))
         except ValueError:
@@ -147,7 +151,7 @@ def load_checkpoint(path):
         if missing:
             raise CheckpointError(f"{path}: checkpoint header lacks {', '.join(missing)}")
         config, vocab = _check_header(
-            path, header, os.fstat(fh.fileno()).st_size - fh.tell())
+            path, header, size - fh.tell())
         params = {}
         for entry in header["params"]:
             shape = tuple(entry["shape"])

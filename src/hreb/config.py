@@ -28,7 +28,8 @@ DEFAULTS = {
     "rb_alpha": (1.0, "static residual branch weight"),
     "rb_beta": (1.0, "static residual skip weight"),
     "gate_momentum": (0.9, "EMA momentum of the dynamic-gate gradient caches"),
-    "loss_head": ("crf", "crf or token (per-position softmax) training loss"),
+    "loss_head": ("crf", "crf, or token: the CRF with its transitions held at zero, "
+                         "a softmax per position"),
     "strict_transitions": (False, "forbid invalid BIO transitions in the CRF"),
     "embeddings": ("scratch", "scratch (random init) or file (pretrained)"),
     "embedding_path": ("", "pretrained vector file when embeddings=file"),

@@ -1,22 +1,19 @@
-"""Linear-chain CRF scoring, partition and decoding, and the token head.
+"""Linear-chain CRF scoring, partition and decoding.
 
 The transition table covers C tag classes plus synthetic start/stop states
 (row C = leaving start, column C+1 = entering stop). Entries into start and
 out of stop are -inf and never receive gradient; everything else is learned.
-token_nll, the CRF-less ablation loss (loss_head=token), is one tape op
-with a hand-written backward: a per-token softmax cross entropy that reads
-no transitions.
+The CRF-less ablation (loss_head=token) is this CRF with every other
+transition held at zero: log Z then splits into one log-sum-exp per
+position, so crf_nll is the per-token softmax cross entropy and viterbi a
+per-position argmax.
 """
-
-import warnings
 
 import numpy as np
 
 from . import autodiff as ad
 from . import kernels
 from .errors import NumericsError
-
-PROB_FLOOR = 1e-12
 
 
 class CrfParams(ad.Module):
@@ -90,33 +87,3 @@ def viterbi(emissions, params):
     if not np.isfinite(score):
         raise NumericsError("no admissible tag path has finite score")
     return path, float(score)
-
-
-def token_nll(tape, emissions, tags, pack):
-    """Per-token cross entropy of the emission rows' softmax at the gold
-    tags, summed per sentence: the no-decoder ablation loss, as one op.
-
-    Gold-label probabilities below PROB_FLOOR are clamped there; each such
-    batch trips a warning naming how many were. A sentence's terms are
-    added in row order. The backward keeps the order of its primitive-op
-    form (negate, repeat per row, pick the gold entries, divide by the
-    clamped probabilities, gate on the clamp, softmax backward), so seeded
-    runs keep their bits.
-    """
-    rows = np.arange(emissions.data.shape[0])
-    probs, softmax_bw = ad._softmax(emissions.data, None)
-    n_low = int((probs[rows, tags] < PROB_FLOOR).sum())
-    if n_low:
-        warnings.warn(
-            f"{n_low} gold-label probabilities fell below {PROB_FLOOR}; clamped")
-    onehot = np.zeros(probs.shape)
-    onehot[rows, tags] = 1.0
-    keep = probs > PROB_FLOOR
-    clamped = np.maximum(probs, PROB_FLOOR)
-    sums = pack.sums(np.log(clamped) * onehot).sum(-1)
-
-    def bw(g):
-        per_row = pack.per_row(np.reshape(g * -1.0, pack.b))
-        return (softmax_bw(per_row[:, None] * onehot / clamped * keep),)
-    return ad.record_op(tape, "token_nll", (emissions,),
-                        pack.per_sentence(sums) * -1.0, bw)

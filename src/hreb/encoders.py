@@ -65,9 +65,12 @@ def read_embedding_file(path, d_model):
                 f"of line {line_of[cols[0]]}")
         line_of[cols[0]] = lineno
         try:
-            vectors[cols[0]] = np.array([float(c) for c in cols[1:]])
+            vec = np.array([float(c) for c in cols[1:]])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: non-numeric vector component")
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{path}:{lineno}: non-finite vector component")
+        vectors[cols[0]] = vec
     if len(vectors) != count:
         raise ValueError(
             f"{path}: header promised {count} vectors, file held {len(vectors)}")

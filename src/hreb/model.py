@@ -54,9 +54,12 @@ class HrebModel(ad.Module):
         self.lstm = self.sub(BiLstm(d, config.h_lstm, rng))
         self.w_out = self.param("proj.w", ad.glorot(rng, (2 * config.h_lstm, n_classes)))
         self.b_out = self.param("proj.b", np.zeros(n_classes))
+        # loss_head=token is this CRF with its transitions held at zero:
+        # not registered, so never trained or saved, and never masked
+        crf_head = config.loss_head == "crf"
         self.crf = crf_mod.CrfParams(n_classes, tags=vocab.tags,
-                                     strict=config.strict_transitions)
-        if config.loss_head == "crf":
+                                     strict=config.strict_transitions and crf_head)
+        if crf_head:
             self.sub(self.crf)
         self._params = super().params()
         self._gates = [m for m in self.modules() if isinstance(m, GateState)]
@@ -92,9 +95,7 @@ class HrebModel(ad.Module):
         ids, pack = pack_ids(ids)
         e = self._emissions(tape, ids, pack)
         tag_ids = np.asarray(np.hstack(tag_ids), dtype=np.int64)
-        if self.config.loss_head == "crf":
-            return crf_mod.crf_nll(tape, e, tag_ids, self.crf, pack)
-        return crf_mod.token_nll(tape, e, tag_ids, pack)
+        return crf_mod.crf_nll(tape, e, tag_ids, self.crf, pack)
 
     def decode_tape(self):
         """The non-recording tape decode runs on.
@@ -121,14 +122,9 @@ class HrebModel(ad.Module):
         by default decode_tape()."""
         ids, pack = pack_ids(ids)
         e = self._emissions(self.decode_tape() if tape is None else tape, ids, pack).data
-        paths = [self._best_path(e[a:a + n]) for a, n in pack.spans()]
+        paths = [np.asarray(crf_mod.viterbi(e[a:a + n], self.crf)[0], dtype=np.int64)
+                 for a, n in pack.spans()]
         return paths if pack.shape else paths[0]
-
-    def _best_path(self, e):
-        if self.config.loss_head == "crf":
-            path, _ = crf_mod.viterbi(e, self.crf)
-            return np.asarray(path, dtype=np.int64)
-        return np.argmax(e, axis=1).astype(np.int64)
 
     def predict_tags(self, tokens):
         """Tag names for one tokenized sentence."""

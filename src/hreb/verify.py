@@ -119,8 +119,6 @@ def op_grad_cases():
          lambda t, e, tr: ad.crf_log_z(t, e, tr, n_classes, pack=rag)),
         ("crf_path_score", crf_in,
          lambda t, e, tr: ad.crf_path_score(t, e, tr, path, n_classes, pack=rag)),
-        ("token_nll", {"emissions": (rag.n, n_classes)},
-         lambda t, e: crf_mod.token_nll(t, e, path, rag)),
         # id 3 repeats, so its row's gradient must accumulate
         ("embed_tokens", {"table": (5, d)},
          lambda t, tb: embed_tokens(t, [3, 2, 3], SimpleNamespace(table=tb, pad_id=0))),

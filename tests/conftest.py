@@ -3,12 +3,19 @@ checkpoint-header surgery."""
 
 import json
 import os
+import pathlib
 import struct
 
 # The tests run with one BLAS thread, as the hreb command does, unless the
 # environment sets a count. This runs before any test module loads numpy.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+# pyproject.toml's pythonpath puts src/ on this process's path only; the
+# Python subprocesses some tests start import hreb from this checkout too.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [str(pathlib.Path(__file__).resolve().parent.parent / "src")]
+    + [p for p in (os.environ.get("PYTHONPATH"),) if p])
 
 # test_acceptance.py records one entry per criterion; the summary hook below
 # prints them as a block so a run's verdict is readable at a glance.

@@ -49,10 +49,12 @@ def test_record_op_rejects_nonfinite_output_naming_the_op():
 
 def test_constant_inputs_may_carry_minus_inf():
     # -inf is legal in data (masks, forbidden transitions); only op OUTPUTS
-    # must stay finite: row 0's softmax is [1, 0], and its 0 is clamped
-    t = ad.Tensor(np.array([[0.0, -np.inf], [1.0, 2.0]]))
-    out = crf.token_nll(None, t, [0, 0], one(2))
-    assert abs(float(out.data) - math.log(1.0 + math.e)) < 1e-12
+    # must stay finite: class 0 may not follow class 0, so three of the
+    # four paths over two all-zero rows are left
+    params = crf.CrfParams(2)
+    params.trans.data[0, 0] = -np.inf
+    out = crf.log_partition(None, ad.Tensor(np.zeros((2, 2))), params, one(2))
+    assert abs(float(out.data) - math.log(3.0)) < 1e-12
 
 
 def test_backward_requires_scalar_loss():
@@ -482,7 +484,7 @@ def test_op_grad_global_band_rows_keep_reduced_laplace_rows_positive_at_any_seed
 
 def test_op_grad_checks_cover_every_input_of_every_recorded_op():
     ops = recorded_ops()
-    assert {"embed_tokens", "crf_path_score", "token_nll"} <= set(ops)
+    assert {"embed_tokens", "crf_path_score"} <= set(ops)
     cases = {}
     for r in verify.op_grad_checks():
         assert r.passed, f"{r.name}: {r.detail}"

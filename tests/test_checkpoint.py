@@ -120,6 +120,17 @@ def test_header_without_the_required_keys_is_refused(tmp_path, header, named):
     assert named in str(e.value)
 
 
+@pytest.mark.parametrize("hlen", [1 << 62, (1 << 63) + 5])
+def test_a_header_length_past_the_end_of_the_file_is_refused(tmp_path, hlen):
+    p = tmp_path / "long.ckpt"
+    p.write_bytes(checkpoint.MAGIC + struct.pack("<I", checkpoint.VERSION)
+                  + struct.pack("<Q", hlen) + b'{"x": 1}')
+    with pytest.raises(CheckpointError) as e:
+        checkpoint.load_checkpoint(p)
+    assert str(e.value) == (f"{p}: header length {hlen} runs past the end of "
+                            "the file (8 bytes left)")
+
+
 def _drop_pad(header):
     header["tokens"].remove("<pad>")
 

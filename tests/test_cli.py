@@ -220,6 +220,24 @@ def test_unusable_embedding_file_is_a_config_error(workspace, tmp_path, capsys,
     assert named in err
 
 
+@pytest.mark.parametrize("spelling", ["nan", "inf", "1e400"])
+def test_a_non_finite_pretrained_vector_stops_train_before_any_output(
+        workspace, tmp_path, capsys, spelling):
+    vec = tmp_path / "vecs.txt"
+    vec.write_text("1 8\na " + " ".join(["0.5"] * 7 + [spelling]) + "\n",
+                   encoding="utf-8")
+    cfg = (workspace / "run.cfg").read_text(encoding="utf-8")
+    (tmp_path / "emb.cfg").write_text(
+        cfg + f"embeddings=file\nembedding_path={vec}\n", encoding="utf-8")
+    rc = cli.main(["train", "--config", str(tmp_path / "emb.cfg"),
+                   "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {vec}:2: non-finite vector component\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_with_embedding_file_prints_coverage(workspace, tmp_path, capsys,
                                                    monkeypatch):
     train_split = parse_conll(workspace / "train.txt")
@@ -367,6 +385,21 @@ def test_eval_rejects_a_header_it_cannot_load_with_exit_3(
     assert rc == 3
     assert err.startswith("error:") and err.count("\n") == 1
     assert all(word in err for word in named), err
+
+
+@pytest.mark.parametrize("hlen", [1 << 62, (1 << 63) + 5])
+def test_eval_refuses_a_header_length_past_the_end_of_the_file_with_exit_3(
+        workspace, tmp_path, capsys, hlen):
+    blob = bytearray((workspace / "run1" / "best.ckpt").read_bytes())
+    blob[8:16] = struct.pack("<Q", hlen)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(blob))
+    rc = cli.main(["eval", "--ckpt", str(bad),
+                   "--corpus", str(workspace / "test.txt")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(bad) in err and f"header length {hlen}" in err
 
 
 def test_predict_writes_conll_and_warns_on_empty_lines(workspace, tmp_path,

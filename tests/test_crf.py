@@ -8,7 +8,10 @@ import pytest
 from hreb import autodiff as ad
 from hreb import crf
 from hreb import oracles, verify
+from hreb.config import RunConfig
+from hreb.data import Vocab, synth_corpus
 from hreb.errors import NumericsError
+from hreb.model import HrebModel
 from hreb.pack import one
 
 
@@ -187,36 +190,58 @@ def test_crf_gradients_match_finite_differences():
     assert finite_diff_params(build, [e])["e"] < 1e-7
 
 
-def test_token_nll_uniform_is_log_c():
-    loss = crf.token_nll(None, ad.Tensor(np.zeros((1, 4))), [2], one(1))
-    assert abs(float(loss.data) - math.log(4)) < 1e-12
+def token_head_batch():
+    """A loss_head=token model and a ragged pack of three sentences:
+    (model, ids, tag ids, the pack's emission rows, per-sentence spans)."""
+    corpus = synth_corpus(0, n_sentences=24, entity_types=2)
+    vocab = Vocab.from_corpus(corpus)
+    model = HrebModel(RunConfig(d_model=8, n_ema_head=2, chunk_size=2,
+                                rel_bias_window=4, h_lstm=4, seed=0,
+                                loss_head="token"), vocab)
+    # larger emissions than at init, so the softmax rows are far from uniform
+    model.w_out.data = model.w_out.data * 8.0
+    by_len = {len(s.tokens): s for s in corpus.train}
+    batch = [by_len[n] for n in sorted(by_len)[-3:]]
+    ids = [vocab.encode_tokens(s.tokens) for s in batch]
+    tags = [vocab.encode_tags(s.tags) for s in batch]
+    rows = model.emissions(None, ids).data
+    ends = np.cumsum([len(i) for i in ids])
+    return model, ids, tags, rows, list(zip(np.r_[0, ends[:-1]], ends))
 
 
-def test_token_nll_clamps_underflow_and_counts_it():
-    emissions = ad.Tensor(np.array([[0.0, -80.0]]))
-    with pytest.warns(UserWarning, match="^1 gold-label probabilities .*clamped"):
-        loss = crf.token_nll(None, emissions, [1], one(1))
-    assert abs(float(loss.data) - (-math.log(crf.PROB_FLOOR))) < 1e-9
+def softmax_rows(rows):
+    z = np.exp(rows - rows.max(axis=1, keepdims=True))
+    return z / z.sum(axis=1, keepdims=True)
 
 
-def test_token_nll_sums_over_positions():
-    # the second row's softmax is [0.25, 0.75]
-    emissions = ad.Tensor(np.array([[0.0, 0.0], [0.0, math.log(3.0)]]))
-    loss = crf.token_nll(None, emissions, [0, 1], one(2))
-    assert abs(float(loss.data) - (-math.log(0.5) - math.log(0.75))) < 1e-12
+def test_the_token_head_loss_is_a_softmax_cross_entropy_per_row():
+    model, ids, tags, rows, spans = token_head_batch()
+    assert len({b - a for a, b in spans}) == 3
+    assert "crf.trans" not in model.param_names()
+    losses = model.sentence_nll(None, ids, tags).data
+    gold = np.concatenate(tags)
+    per_row = -np.log(softmax_rows(rows)[np.arange(len(gold)), gold])
+    want = np.array([per_row[a:b].sum() for a, b in spans])
+    assert np.abs(losses - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_token_nll_gradient_is_softmax_minus_gold_but_zero_where_clamped():
-    # the gold probability e^-80 of row 0 is clamped, so no gradient
-    # reaches that row; row 1's is softmax - onehot
-    e = ad.Tensor(np.array([[0.0, -80.0, 0.0], [0.5, -0.5, 1.0]]), requires_grad=True)
+def test_the_token_head_gradient_is_softmax_minus_one_hot():
+    model, ids, tags, rows, _ = token_head_batch()
     tape = ad.Tape()
-    with pytest.warns(UserWarning, match="^1 gold-label"):
-        loss = crf.token_nll(tape, e, [1, 2], one(2))
-    g = ad.backward(tape, loss)[e.id]
-    assert np.array_equal(g[0], np.zeros(3))
-    p = np.exp(e.data[1]) / np.exp(e.data[1]).sum()
-    assert np.abs(g[1] - (p - [0.0, 0.0, 1.0])).max() < 1e-15
+    losses = model.sentence_nll(tape, ids, tags)
+    e = next(r[1][0] for r in tape.records if r[0] == "crf_log_z")
+    g = ad.backward(tape, ad.sum_all(tape, losses), keep=[e.id])[e.id]
+    gold = np.concatenate(tags)
+    want = softmax_rows(rows)
+    want[np.arange(len(gold)), gold] -= 1.0
+    assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_the_token_head_decodes_each_rows_argmax():
+    model, ids, _, rows, spans = token_head_batch()
+    paths = model.decode(ids)
+    for path, (a, b) in zip(paths, spans):
+        assert np.array_equal(path, np.argmax(rows[a:b], axis=1))
 
 
 def test_the_token_head_passes_the_full_model_gradient_check():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from hreb import autodiff as ad
-from hreb import crf, residual, rhema, training
+from hreb import residual, rhema, training
 from hreb.config import RunConfig
 from hreb.data import Vocab, synth_corpus
 from hreb.errors import DegenerateRowError
@@ -60,6 +60,8 @@ def small_model(**kw):
         gs.cache_x = rng.normal(0.0, 0.1, gs.cache_x.shape)
         for p in gs.params():
             p.data = rng.normal(0.0, 0.3, p.data.shape)
+    if kw.get("loss_head") == "token":
+        return model, corpus  # the token head's transitions stay at zero
     crf = model.crf.trans.data
     c = model.vocab.n_classes
     crf[:c, :c] = rng.normal(0.0, 0.5, (c, c))
@@ -191,14 +193,15 @@ def test_a_pack_records_as_many_ops_as_one_sentence():
     assert counts[0] == counts[1] <= 100, counts
 
 
-def test_the_token_head_records_one_op_for_its_loss():
+def test_the_token_head_records_the_crf_heads_ops():
     model, corpus = small_model(loss_head="token")
     batch = sentences(model, corpus, [6, 1, 14])
     ids, tags = [i for i, _ in batch], [t for _, t in batch]
     forward, loss = ad.Tape(), ad.Tape()
     model.emissions(forward, ids)
     model.sentence_nll(loss, ids, tags)
-    assert [r[0] for r in loss.records] == [r[0] for r in forward.records] + ["token_nll"]
+    assert [r[0] for r in loss.records] == [r[0] for r in forward.records] + [
+        "crf_log_z", "crf_path_score", "sub"]
 
 
 @pytest.mark.parametrize("kw, labels", [({}, ["local", "global"]),
@@ -462,7 +465,7 @@ def crf_op_inputs(rng, n, c=4):
 
 
 def test_a_packs_sums_have_the_bits_of_each_sentence_alone():
-    # a sentence's statistics, summed losses and path score come out the
+    # a sentence's statistics, summed rows and path score come out the
     # same to the last bit whichever pack it runs in
     rng = np.random.default_rng(13)
     pack, n = Pack(RAGGED), sum(RAGGED)
@@ -497,26 +500,13 @@ def test_a_packs_sums_have_the_bits_of_each_sentence_alone():
                                   path[a:a + m], 4, pack=one(m))
         assert scores[b] == alone.data
 
-    def token_loss(rows, tags, p):
-        """token_nll's losses and their emission gradient."""
-        tape, t = ad.Tape(), ad.Tensor(rows, requires_grad=True)
-        out = crf.token_nll(tape, t, tags, p)
-        return out.data, ad.backward(tape, ad.sum_all(tape, out))[t.id]
 
-    losses, de = token_loss(e.data, path, pack)
-    for b, (a, m) in enumerate(spans):
-        alone, de_alone = token_loss(e.data[a:a + m], path[a:a + m], one(m))
-        assert losses[b] == alone
-        assert np.array_equal(de[a:a + m], de_alone)
-
-
-@pytest.mark.parametrize("op", ["token_nll", "crf_log_z", "crf_path_score"])
+@pytest.mark.parametrize("op", ["crf_log_z", "crf_path_score"])
 def test_pack_of_n_is_pack_of_n_listed_with_0d_results(op):
     rng = np.random.default_rng(14)
     n, c = 11, 4
     e, trans, path = crf_op_inputs(rng, n, c)
     run = {
-        "token_nll": lambda tape, p: crf.token_nll(tape, e, path, p),
         "crf_log_z": lambda tape, p: ad.crf_log_z(tape, e, trans, c, pack=p),
         "crf_path_score": lambda tape, p: ad.crf_path_score(tape, e, trans, path, c,
                                                             pack=p),
