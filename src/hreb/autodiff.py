@@ -382,17 +382,13 @@ def feature_norm(tape, x, gain, bias, pack):
     return record_op(tape, "feature_norm", (x, gain, bias), out_data, bw)
 
 
-def _softmax(scores, allowed, band):
-    """(softmax of each row of band, a pack.Band, over its allowed entries
-    of scores, its backward)."""
-    def by_row(ufunc, x, reduce, y):
-        """ufunc of each entry of x and the reduction of its row of y."""
-        return band.by_row(ufunc, x, band.reduce_rows(reduce, y))
+def _softmax(scores, allowed):
+    """(row softmax of scores over the allowed entries, its backward)."""
     shifted = _masked(allowed, scores, -np.inf)
-    shifted = by_row(np.subtract, shifted, np.maximum, shifted)
+    shifted = shifted - shifted.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    w = by_row(np.divide, e, np.add, e)
-    return w, lambda g: w * by_row(np.subtract, g, np.add, g * w)
+    w = e / e.sum(axis=-1, keepdims=True)
+    return w, lambda g: w * (g - (g * w).sum(axis=-1, keepdims=True))
 
 
 def _masked(allowed, x, fill):
@@ -432,29 +428,30 @@ def band_attention(tape, q, k, v, bias, mu, sigma_raw, scale, width, attn_fn, pa
     Row i's band is its chunk of `width` consecutive rows of its sentence;
     entry (i, r) scores the key that Pack.band_keys(m) places there, m =
     min(width, longest sentence). With width None (the global stage) the
-    band is the whole sentence, and pack.band(None) splits the pack into
+    band is the whole sentence, and pack.bands(None) splits the pack into
     length buckets (pack.length_buckets), each with m = its longest
     sentence, so no row is padded to twice its sentence's length. Both
-    bands are one layout, a pack.Band. The score is scale * q_i . k_j,
+    bands are pack.Bands, and the op runs once over each: one for a width,
+    one per bucket for the global band. The score is scale * q_i . k_j,
     plus, given a bias of odd length 2w+1, the bucket of the key's offset
     j - i clipped into [-w, w] (in a pack, positions within the
     sentence). attn_fn makes each row's weights:
     "softmax"; "laplace", the _laplace squash, not renormalized; or
     "reduced_laplace", the squash plus the scores over their row sum,
     which must be positive (else DegenerateRowError, which names the
-    first such row in pack order as Pack.row_name does). Keys past a
-    sentence's end weigh 0. out_i = sum_r w[i, r] * v[key r]: for one
-    sentence and width None, weights @ v.
+    first such row in pack order, over every bucket, as Pack.row_name
+    does). Keys past a sentence's end weigh 0. out_i = sum_r w[i, r] *
+    v[key r]: for one sentence and width None, weights @ v.
 
     The scores are checked finite before the squash, which would map an
-    inf to a finite weight. Backward keeps the weights, the squash's
-    argument and the row sums; it gathers the chunks of q, k and v again.
-    Inputs that do not enter (bias None; mu and sigma_raw under softmax)
-    get no gradient. Returns (out, scores, weights). When the band is one
-    bucket (a width, one sentence, or sentences of near lengths), scores
-    and weights are (N, m) band arrays. With more buckets they are the
-    Band's flat buffer: each bucket's (N_b, m_b) band in turn, longest
-    bucket first, its rows in pack order.
+    inf to a finite weight. Backward keeps each Band's weights, the
+    squash's argument and the row sums; it gathers the chunks of q, k and
+    v again. Inputs that do not enter (bias None; mu and sigma_raw under
+    softmax) get no gradient. Returns (out, scores, weights). When the
+    pack is one Band (a width, one sentence, or sentences of near
+    lengths), scores and weights are (N, m) band arrays. With more they
+    are lists of each bucket's (N_b, m_b) band, longest bucket first, its
+    rows in pack order.
     """
     if q.data.shape != k.data.shape or q.data.ndim != 2 or v.data.ndim != 2 \
             or v.data.shape[0] != q.data.shape[0]:
@@ -464,60 +461,93 @@ def band_attention(tape, q, k, v, bias, mu, sigma_raw, scale, width, attn_fn, pa
     if attn_fn not in ("softmax", "laplace", "reduced_laplace"):
         raise ValueError(f"unknown attn_fn {attn_fn!r}")
     scale = float(scale)
-    band = pack.band(width)
-    scores = band.band_product(band.chunks(q.data), band.chunks(k.data))
-    scores *= scale
-    if bias is not None:
-        half = (bias.data.shape[0] - 1) // 2
-        scores = scores + band.bias_index(half, bias.data)
-    if not np.isfinite(scores).all():
-        raise NumericsError("op 'band_attention' produced non-finite scores")
-    mask = band.mask
-    if attn_fn == "softmax":
-        weights, softmax_bw = _softmax(scores, mask, band)
-    else:
-        weights, laplace_bw = _laplace(scores, mu, sigma_raw, mask)
-    if attn_fn == "reduced_laplace":
-        a = _masked(mask, weights + scores, 0.0)
-        sums = band.reduce_rows(np.add, a)
-        bad = np.flatnonzero(sums <= 0.0)
-        if bad.size:
-            # the bad row that comes first in the pack
-            rows = bad if band.rows is None else band.rows[bad]
-            j = int(np.argmin(rows))
-            raise DegenerateRowError(f"{pack.row_name(int(rows[j]))} sums to "
-                                     f"{float(sums[bad[j], 0])}; cannot normalize")
-        weights = band.by_row(np.divide, a, sums)
+    half = None if bias is None else (bias.data.shape[0] - 1) // 2
+    bands = pack.bands(width)
+    outs, scores_of, saved, first_bad = [], [], [], None
+    for band in bands:
+        scores = band.band_product(band.chunks(band.rows_of(q.data)),
+                                   band.chunks(band.rows_of(k.data)))
+        scores *= scale
+        if bias is not None:
+            scores = scores + band.bias_index(half, bias.data)
+        if not np.isfinite(scores).all():
+            raise NumericsError("op 'band_attention' produced non-finite scores")
+        if attn_fn == "softmax":
+            weights, squash_bw = _softmax(scores, band.mask)
+        else:
+            weights, squash_bw = _laplace(scores, mu, sigma_raw, band.mask)
+        sums = None
+        if attn_fn == "reduced_laplace":
+            a = _masked(band.mask, weights + scores, 0.0)
+            sums = a.sum(axis=-1, keepdims=True)
+            bad = np.flatnonzero(sums <= 0.0)
+            if bad.size:
+                # the bad row that comes first in the pack
+                rows = bad if band.rows is None else band.rows[bad]
+                j = int(np.argmin(rows))
+                if first_bad is None or rows[j] < first_bad[0]:
+                    first_bad = int(rows[j]), float(sums[bad[j], 0])
+                continue
+            weights = a / sums
+        outs.append(band.row_product(band.chunks(weights),
+                                     band.chunks(band.rows_of(v.data))))
+        scores_of.append(scores)
+        saved.append((weights, sums, squash_bw))
+    if first_bad is not None:
+        row, total = first_bad
+        raise DegenerateRowError(f"{pack.row_name(row)} sums to {total}; cannot normalize")
 
-    def bw(g):
+    def band_bw(band, g, weights, sums, squash_bw):
         # Each step keeps the order of its primitive-op form (scale after
         # the product, the squash's gradient added to the normalization's),
         # so seeded runs keep their bits.
-        gc = band.chunks(g)
-        dw = band.band_product(gc, band.chunks(v.data))
-        dv = band.row_product([c.transpose(0, 2, 1) for c in band.band_chunks(weights)],
-                              gc)
+        gc = band.chunks(band.rows_of(g))
+        dw = band.band_product(gc, band.chunks(band.rows_of(v.data)))
+        dv = band.row_product(band.chunks(weights).transpose(0, 2, 1), gc)
         dmu = dsig_raw = None
         if attn_fn == "softmax":
-            ds = softmax_bw(dw)
+            ds = squash_bw(dw)
         elif attn_fn == "laplace":
-            ds, dmu, dsig_raw = laplace_bw(dw)
+            ds, dmu, dsig_raw = squash_bw(dw)
         else:
-            dw = _masked(mask, dw, 0.0)
-            da = _masked(mask, band.by_row(np.divide, band.by_row(
-                np.subtract, dw, band.reduce_rows(np.add, dw * weights)), sums), 0.0)
-            ds_l, dmu, dsig_raw = laplace_bw(da)
+            dw = _masked(band.mask, dw, 0.0)
+            da = _masked(band.mask, (dw - (dw * weights).sum(axis=-1, keepdims=True))
+                         / sums, 0.0)
+            ds_l, dmu, dsig_raw = squash_bw(da)
             ds = da + ds_l
         dbias = None if bias is None else np.bincount(
             band.bias_index(half).ravel(), weights=ds.ravel(), minlength=bias.shape[0])
-        dc = band.band_chunks(ds * scale)
-        return (band.row_product(dc, band.chunks(k.data)),
-                band.row_product([c.transpose(0, 2, 1) for c in dc], band.chunks(q.data)),
+        dc = band.chunks(ds * scale)
+        return (band.row_product(dc, band.chunks(band.rows_of(k.data))),
+                band.row_product(dc.transpose(0, 2, 1), band.chunks(band.rows_of(q.data))),
                 dv, dbias, dmu, dsig_raw)
+
+    def bw(g):
+        dq, dk, dv, dbias, dmu, dsig_raw = zip(*(band_bw(band, g, *s)
+                                                 for band, s in zip(bands, saved)))
+        return (_pack_rows(bands, dq), _pack_rows(bands, dk), _pack_rows(bands, dv),
+                _total(dbias), _total(dmu), _total(dsig_raw))
     out = record_op(tape, "band_attention", (q, k, v, bias, mu, sigma_raw),
-                    band.row_product(band.band_chunks(weights), band.chunks(v.data)),
-                    bw)
-    return out, scores, weights
+                    _pack_rows(bands, outs), bw)
+    if len(bands) == 1:
+        return out, scores_of[0], saved[0][0]
+    return out, scores_of, [weights for weights, _, _ in saved]
+
+
+def _pack_rows(bands, parts):
+    """The pack's (N, ...) rows of each Band's rows parts[j] of bands[j]:
+    for one Band, its rows themselves."""
+    if len(bands) == 1:
+        return parts[0]
+    out = np.empty((sum(p.shape[0] for p in parts),) + parts[0].shape[1:])
+    for band, p in zip(bands, parts):
+        out[band.rows] = p
+    return out
+
+
+def _total(parts):
+    """The sum of each Band's gradient of one input, None where it gets none."""
+    return None if parts[0] is None else sum(parts[1:], parts[0])
 
 
 # ---------------------------------------------------------------------------

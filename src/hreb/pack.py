@@ -7,22 +7,24 @@ run on the rows as they are. The ops that mix positions (the EMA scan, the
 attention bands, the BiLSTM, the CRF and feature_norm) read the sentence
 boundaries from a Pack, so no sentence sees another.
 
-Both attention bands are one layout, a Band: buckets of sentences, each
-cut into chunks of its bucket's width (Mega's chunked attention, Ma et
-al. 2022, arXiv:2209.10655). The local band (band_attention with a
-width) is one bucket of every sentence. The global band (no width) runs
-in length buckets, the usual cure for padded batches (Khomenko et al.,
-IEEE DSMP 2016): taken longest first, a sentence joins the current bucket
-while twice its length exceeds the bucket's longest, and else starts the
-next one (length_buckets). Bucket b's band is (N_b, m_b), m_b its longest
-sentence, so no row is padded to twice its length or more; a band of one
-bucket is a plain (N, m) array, and several share one flat buffer. The
-layout depends on the lengths alone and each pack keeps it. A bucket
-costs about as much as 200-350 band cells: on an Intel Xeon, one BLAS
-thread, band_attention's forward and backward (64-wide q and k, 128-wide
-v) took 50-100 us longer per extra bucket and 0.26 us less per band cell
-saved. perfbench's train_short packs save 700-1000 cells in 2-3 buckets
-and train as fast as unbucketed ones, so no bucket is merged back.
+Both attention bands are laid out as Bands. A Band is one bucket of
+sentences, each cut into chunks of the bucket's width (Mega's chunked
+attention, Ma et al. 2022, arXiv:2209.10655), and band_attention runs
+once per Band. The local band (band_attention with a width) is one Band
+of every sentence. The global band (no width) is one Band per length
+bucket, the usual cure for padded batches (Khomenko et al., IEEE DSMP
+2016): taken longest first, a sentence joins the current bucket while
+twice its length exceeds the bucket's longest, and else starts the next
+one (length_buckets). Bucket b's band is (N_b, m_b), m_b its longest
+sentence, so no row is padded to twice its length or more. The layout
+depends on the lengths alone and each pack keeps it. On an Intel Xeon,
+one BLAS thread, band_attention's forward and backward (reduced_laplace;
+64-wide q and k, 128-wide v) took about 120 us longer per extra bucket
+at near-constant band cells (a 256-row pack in 3 to 7 buckets: 3.6 to
+4.1 ms), and 0.09-0.25 us less per band cell saved, so a bucket costs
+as much as 500-1300 cells. perfbench's train_short packs save 700-1000
+cells in 2-3 buckets, about what their extra buckets cost, so no bucket
+is merged back.
 
 One sentence is Pack(n) with an int n. Per-sentence results take the
 shape of the lengths, as numpy's do for a 0-d input: () for Pack(n) and
@@ -31,7 +33,6 @@ its rows, and one() keeps the one-sentence packs of recent lengths, so a
 decode builds no layout that an earlier one of the same length built.
 """
 
-from collections import namedtuple
 from functools import lru_cache, wraps
 
 import numpy as np
@@ -119,16 +120,15 @@ class Pack:
         return zip(self.starts.tolist(), self.lengths.tolist())
 
     @_kept
-    def band(self, width):
-        """band_attention's layout of this pack, a Band: given a width, one
-        bucket of every sentence in chunks of min(width, n_max) rows; with
-        width None the global band, length_buckets' groups, each in one
-        chunk of its longest sentence."""
+    def bands(self, width):
+        """band_attention's layout of this pack, a list of Bands: given a
+        width, one Band of every sentence in chunks of min(width, n_max)
+        rows; with width None the global band, one Band per length_buckets
+        group, longest first, each in one chunk of its longest sentence."""
         if width is not None:
-            return Band(self, [range(self.b)], [min(int(width), self.n_max)])
-        groups = length_buckets(self.lengths)
-        n = self.lengths.tolist()
-        return Band(self, groups, [max(n[s] for s in g) for g in groups])
+            return [Band(self, np.arange(self.b), min(int(width), self.n_max))]
+        return [Band(self, g, int(self.lengths[g].max()))
+                for g in length_buckets(self.lengths)]
 
     def row_name(self, row):
         """Row `row` as an error message names it: within its sentence once
@@ -190,144 +190,65 @@ def _rel_bias_index(n, m, w):
     return idx[:n, :m]
 
 
-_Bucket = namedtuple("_Bucket", "m top n chunks live rows padded flat")
-
-
 class Band:
-    """The key bands of a pack's rows, as band_attention lays them out.
+    """One bucket of a pack's sentences, as band_attention lays out its
+    key band.
 
-    The pack's sentences fall into buckets (groups, lists of sentence
-    indices in pack order), and bucket b cuts each of its sentences into
-    chunks of m_b = widths[b] rows, so a sentence spans ceil(length / m_b)
-    chunks, the first starting at its first row. Row i's band is its
-    chunk's keys (_band_keys). The local band is one bucket of every
-    sentence; the global band is length_buckets' groups, each at its
-    longest sentence.
-
-    A bucket's band rows are its sentences' rows in pack order, an
-    (N_b, m_b) array. One bucket's band is that array; several lie in one
-    flat (S,) buffer, S = sum N_b * m_b, bucket after bucket, so the
-    elementwise work runs once over the buffer and only the products, the
-    chunk gathers and scatters and the row reductions run once per bucket.
-    The chunks are zero-padded rows, bucket after bucket: pack row i is
-    padded row slots[i], and slots is None when those are the pack's rows
-    (one bucket and no padding). Band row j is pack row rows[j], and rows
-    is None for one bucket; pos holds each band row's position in its
-    sentence, None for one sentence. mask marks the live keys of a band,
-    and is None when no row is padded. A Band keeps no reference to its
-    pack, which keeps it.
+    Each sentence of the bucket is cut into chunks of m rows, the first
+    starting at its first row, so it spans ceil(length / m) chunks. Row
+    i's band is its chunk's keys (_band_keys), and the band is an (N_b, m)
+    array over the bucket's rows in pack order: the pack rows `rows`, None
+    when the bucket holds every sentence. The chunks are zero-padded rows:
+    band row i is padded row slots[i], and slots is None when no row is
+    padded. mask marks a band's live keys and is None when no row is
+    padded; pos holds each row's position in its sentence, None for one
+    sentence. A Band keeps no reference to its pack, which keeps it.
     """
 
-    def __init__(self, pack, groups, widths):
-        lengths = pack.lengths.tolist()
-        # each sentence's bucket and first padded row; each bucket's
-        # longest sentence, rows and padded rows
-        bucket_of, first, sizes, at = [0] * pack.b, [0] * pack.b, [], 0
-        for i, (g, m) in enumerate(zip(groups, widths)):
-            n, top, start = 0, 0, at
-            for s in g:
-                bucket_of[s], first[s] = i, at
-                at += -(-lengths[s] // m) * m
-                n, top = n + lengths[s], max(top, lengths[s])
-            sizes.append((top, n, at - start))
-        padded = at > pack.n
-        self.n_padded = at
-        self.rows = self.slots = self.mask = None
-        if len(groups) > 1:
-            self.rows = np.argsort(np.array(bucket_of)[pack.sentence], kind="stable")
-        if padded or self.rows is not None:
-            self.slots = np.array(first)[pack.sentence] + pack.pos
-        pos = pack.pos if self.rows is None else pack.pos[self.rows]
-        self.pos = None if pack.b == 1 else pos
-        band_slots = self.slots if self.rows is None else self.slots[self.rows]
-        self.buckets = []
-        r = p = f = 0
-        for m, (top, n, size) in zip(widths, sizes):
-            live = None if size == n else band_slots[r:r + n] - p
-            self.buckets.append(_Bucket(m, top, n, size // m, live, slice(r, r + n),
-                                        slice(p, p + size), slice(f, f + n * m)))
-            r, p, f = r + n, p + size, f + n * m
-        self.shape = (pack.n, widths[0]) if len(groups) == 1 else (f,)
-        if padded:
-            row_lengths = pack.lengths[pack.sentence]
-            if self.rows is not None:
-                row_lengths = row_lengths[self.rows]
-            self.mask = self._joined([_band_keys(pos[bk.rows], bk.m) < row_lengths[bk.rows, None]
-                                      for bk in self.buckets])
+    def __init__(self, pack, sentences, m):
+        lengths = pack.lengths[sentences]
+        self.m, self.top = m, int(lengths.max())
+        self.rows, pos = None, pack.pos
+        if lengths.size < pack.b:
+            self.rows = np.flatnonzero(np.isin(pack.sentence, sentences))
+            pos = pos[self.rows]
+        self.pos = None if lengths.size == 1 else pos
+        padded = -(-lengths // m) * m
+        self.n_padded = int(padded.sum())
+        self.slots = self.mask = None
+        if self.n_padded > pos.size:
+            # each band row's sentence, counted within the bucket
+            sentence = np.repeat(np.arange(lengths.size), lengths)
+            self.slots = (np.cumsum(padded) - padded)[sentence] + pos
+            self.mask = _band_keys(pos, m) < lengths[sentence, None]
 
-    def _joined(self, bands):
-        """One band array of each bucket's (N_b, m_b) band."""
-        if len(bands) == 1:
-            return bands[0]
-        return np.concatenate([x.ravel() for x in bands])
-
-    def views(self, band):
-        """Each bucket's (N_b, m_b) view of a band array."""
-        if self.rows is None:
-            return [band]
-        return [band[bk.flat].reshape(bk.n, bk.m) for bk in self.buckets]
+    def rows_of(self, a):
+        """The band's rows of a pack's (N, ...) rows a."""
+        return a if self.rows is None else a[self.rows]
 
     def chunks(self, a):
-        """a's (N, d) rows as each bucket's (chunks, m_b, d) chunks."""
-        buf = _zero_padded(a, self.slots, self.n_padded)
-        return [buf[bk.padded].reshape(bk.chunks, bk.m, -1) for bk in self.buckets]
+        """The band's (N_b, d) rows a, or a band, as (chunks, m, d) chunks."""
+        return _zero_padded(a, self.slots, self.n_padded).reshape(-1, self.m, a.shape[1])
 
-    def band_chunks(self, band):
-        """A band's rows as each bucket's (chunks, m_b, m_b) chunks."""
-        return [_zero_padded(x, bk.live, bk.chunks * bk.m).reshape(bk.chunks, bk.m, bk.m)
-                for bk, x in zip(self.buckets, self.views(band))]
+    def band_product(self, x, y):
+        """The (N_b, m) band of x @ y^T for chunks x and y."""
+        band = (x @ y.transpose(0, 2, 1)).reshape(-1, self.m)
+        return band if self.slots is None else band[self.slots]
 
-    def band_product(self, xs, ys):
-        """The band of x @ y^T for the chunks x, y of xs and ys."""
-        if self.rows is None:
-            [bk] = self.buckets
-            band = (xs[0] @ ys[0].transpose(0, 2, 1)).reshape(-1, bk.m)
-            return band if bk.live is None else band[bk.live]
-        band = np.empty(self.shape)
-        for bk, x, y, out in zip(self.buckets, xs, ys, self.views(band)):
-            if bk.live is None:
-                np.matmul(x, y.transpose(0, 2, 1), out=out.reshape(bk.chunks, bk.m, bk.m))
-            else:
-                np.take((x @ y.transpose(0, 2, 1)).reshape(-1, bk.m), bk.live, axis=0,
-                        out=out)
-        return band
-
-    def row_product(self, xs, ys):
-        """The (N, d) rows of x @ y for the chunks x, (chunks, m_b, m_b),
-        of xs and y, (chunks, m_b, d), of ys."""
-        if self.rows is None:
-            buf = (xs[0] @ ys[0]).reshape(self.n_padded, -1)
-        else:
-            buf = np.empty((self.n_padded, ys[0].shape[2]))
-            for bk, x, y in zip(self.buckets, xs, ys):
-                np.matmul(x, y, out=buf[bk.padded].reshape(y.shape))
-        return buf if self.slots is None else buf[self.slots]
-
-    def reduce_rows(self, ufunc, band):
-        """(N, 1): ufunc's reduction of each band row, in band row order."""
-        sums = [ufunc.reduce(x, axis=-1, keepdims=True) for x in self.views(band)]
-        return sums[0] if len(sums) == 1 else np.concatenate(sums)
-
-    def by_row(self, ufunc, band, r):
-        """ufunc of each band entry and its row's value in r, (N, 1)."""
-        if self.rows is None:
-            return ufunc(band, r)
-        out = np.empty(self.shape)
-        for bk, x, o in zip(self.buckets, self.views(band), self.views(out)):
-            ufunc(x, r[bk.rows], out=o)
-        return out
+    def row_product(self, x, y):
+        """The (N_b, d) rows of x @ y for chunks x, (chunks, m, m), and y,
+        (chunks, m, d)."""
+        rows = (x @ y).reshape(self.n_padded, -1)
+        return rows if self.slots is None else rows[self.slots]
 
     def bias_index(self, w, values=None):
         """The band's relative-position bias buckets: the key's offset from
         the row, within their sentence, clipped into [-w, w], plus w; given
         values, the values at those buckets."""
-        bands = []
-        for bk in self.buckets:
-            t = _rel_bias_index(bk.top, bk.m, w)
-            if values is not None:
-                t = values[t]
-            bands.append(t if self.pos is None else t[self.pos[bk.rows]])
-        return self._joined(bands)
+        t = _rel_bias_index(self.top, self.m, w)
+        if values is not None:
+            t = values[t]
+        return t if self.pos is None else t[self.pos]
 
 
 @lru_cache(maxsize=256)

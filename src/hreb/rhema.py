@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import residual
+from .errors import DegenerateRowError
 from .moving_average import EmaState, multihead_ema
 from .pack import Pack
 
@@ -209,12 +210,16 @@ def _block(tape, x, p, config, attend, pack):
 
 
 def rhema_block(tape, x, params, config, pack):
-    """One full block: gated-attention sublayer, then feed-forward sublayer."""
+    """One full block: gated-attention sublayer, then feed-forward sublayer.
+    A DegenerateRowError names the block by its prefix (enc.local: row ...)."""
     def attend(xn):
         z = shared_rep(tape, xn, params, config, pack)
         q, k = qk_transform(tape, z, params)
         v = ad.linear_silu(tape, xn, params.w_v, params.b_v, config.silu_variant)
-        o, scores, weights = attention(tape, q, k, v, params, config, pack)
+        try:
+            o, scores, weights = attention(tape, q, k, v, params, config, pack)
+        except DegenerateRowError as e:
+            raise DegenerateRowError(f"{params.prefix.rstrip('.')}: {e}") from None
         y, gamma, phi = gated_output(tape, xn, z, o, params, config)
         trace_attention(tape, "local" if config.chunk_size else "global", pack,
                         scores, weights, z=z.data, q=q.data, k=k.data, v=v.data,

@@ -103,13 +103,23 @@ def train(config, corpus, log=None, vectors=None):
     for `patience` epochs, or immediately once it reaches `stop_f1`. On
     divergence the run aborts and the best (or initial) weights survive;
     stop_reason is "degenerate_attention" when an attention row could not
-    be normalized and "diverged" for any other numeric fault.
+    be normalized and "diverged" for any other numeric fault, and the
+    abort's line says whether a training batch or dev scoring hit it.
     Validation scores the dev split, else test, else train; an empty train
-    split is a ConfigError. A zero learning rate turns every step into a
-    no-op. vectors go to HrebModel.
+    split is a ConfigError, and so is, when the CRF head masks invalid BIO
+    transitions, a train sentence (counted from 0) whose gold tags break
+    BIO, as decode_spans' strict mode reads them: its path would score
+    -inf. A zero learning rate turns every step into a no-op. vectors go
+    to HrebModel.
     """
     if not corpus.train:
         raise ConfigError("the train split is empty: nothing to train on")
+    if config.strict_transitions and config.loss_head == "crf":
+        for i, s in enumerate(corpus.train):
+            try:
+                decode_spans(s.tags, "strict")
+            except ValueError as e:
+                raise ConfigError(f"strict_transitions: train sentence {i}: {e}") from None
     vocab = Vocab.from_corpus(corpus)
     model = HrebModel(config, vocab, vectors)
     names = model.param_names()
@@ -136,16 +146,18 @@ def train(config, corpus, log=None, vectors=None):
             log(line)
 
     for epoch in range(1, config.max_epochs + 1):
+        stage = "a training batch"
         try:
             batches = make_batches(corpus.train, config.batch_size,
                                    config.seed + epoch, vocab)
             mean_loss = _epoch_pass(model, batches, opt, config.gate_momentum)
+            stage = "dev scoring"
             report = evaluate(model, dev)
         except NumericsError as e:
             diverged = True
             stop_reason = ("degenerate_attention"
                            if isinstance(e, DegenerateRowError) else "diverged")
-            emit(f"diverged at epoch {epoch}: {e}")
+            emit(f"diverged at epoch {epoch} in {stage}: {e}")
             break
         history.append({"epoch": epoch, "P": report.precision,
                         "R": report.recall, "F1": report.f1,

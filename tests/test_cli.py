@@ -238,6 +238,25 @@ def test_a_non_finite_pretrained_vector_stops_train_before_any_output(
     assert not (tmp_path / "o").exists()
 
 
+def test_strict_train_refuses_an_ill_formed_gold_sentence_with_exit_2(
+        workspace, tmp_path, capsys):
+    train = tmp_path / "train.txt"
+    train.write_text((workspace / "train.txt").read_text(encoding="utf-8")
+                     + "x\tO\ny\tI-T0\n", encoding="utf-8")
+    cfg = (workspace / "run.cfg").read_text(encoding="utf-8").replace(
+        str(workspace / "train.txt"), str(train))
+    (tmp_path / "strict.cfg").write_text(cfg + "strict_transitions=true\n",
+                                         encoding="utf-8")
+    rc = cli.main(["train", "--config", str(tmp_path / "strict.cfg"),
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (f"error: strict_transitions: train sentence "
+                   f"{len(parse_conll(train)) - 1}: position 1: 'I-T0' does not "
+                   f"continue a T0 span\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_with_embedding_file_prints_coverage(workspace, tmp_path, capsys,
                                                    monkeypatch):
     train_split = parse_conll(workspace / "train.txt")

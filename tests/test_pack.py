@@ -242,15 +242,15 @@ def test_pack_layout_roundtrips():
     for rev in (False, True):
         assert np.array_equal(pack.unpadded(pack.padded(a, rev), rev), a)
     for m in (1, 2, 3, 5):
-        band = pack.band(m)
-        [c] = band.chunks(a)
+        [band] = pack.bands(m)
+        c = band.chunks(a)
         # identity chunks map the chunks back to their rows
         eye = np.broadcast_to(np.eye(m), (c.shape[0], m, m))
-        assert np.array_equal(band.row_product([eye], [c]), a)
+        assert np.array_equal(band.row_product(eye, c), a)
         # every chunk holds rows of one sentence only
-        [sent] = band.chunks(pack.sentence[:, None] + 1.0)
+        sent = band.chunks(pack.sentence[:, None] + 1.0)
         assert all(len(set(row[row > 0])) <= 1 for row in sent[..., 0])
-    assert pack.band(5).mask[:3].sum(1).tolist() == [3, 3, 3]
+    assert pack.bands(5)[0].mask[:3].sum(1).tolist() == [3, 3, 3]
     assert np.array_equal(pack.sums(a), [a[:3].sum(0), a[3], a[4:].sum(0)])
     assert np.array_equal(pack.per_row(np.arange(3)), pack.sentence)
     assert list(pack.spans()) == [(0, 3), (3, 1), (4, 5)]
@@ -278,14 +278,16 @@ def test_pack_key_mask_matches_each_sentence_alone():
     assert Pack(5).band_keys(2).tolist() == [[0, 1], [0, 1], [2, 3], [2, 3],
                                              [4, 5]]
     for m in (2, 3, 8):
-        got = pack.band(m).mask
+        [band] = pack.bands(m)
+        got = band.mask
         keys = pack.band_keys(m)
         assert np.array_equal(got, keys < pack.per_row(pack.lengths)[:, None])
         for start, n in pack.spans():
             # each sentence's band keys are its own, counted from its start
             assert np.array_equal(keys[start:start + n], Pack(n).band_keys(m))
             w = min(m, n)
-            alone = Pack(n).band(w).mask
+            [alone] = Pack(n).bands(w)
+            alone = alone.mask
             rows = got[start:start + n]
             assert np.array_equal(rows[:, :w], np.ones((n, w), bool)
                                   if alone is None else alone)
@@ -339,17 +341,17 @@ def test_a_packs_global_band_holds_each_sentences_band_alone():
     # as wide as the bucket's longest sentence; the rows of a sentence are
     # those of its band alone, then masked keys
     pack = Pack([64, 2, 9, 33])
-    band = pack.band(None)
-    assert [(bk.m, bk.n) for bk in band.buckets] == [(64, 97), (9, 9), (2, 2)]
-    assert band.shape == (97 * 64 + 9 * 9 + 2 * 2,)
-    assert band.rows.tolist() == list(range(64)) + list(range(75, 108)) + \
-        list(range(66, 75)) + [64, 65]
+    bands = pack.bands(None)
+    assert [(band.m, band.rows.size) for band in bands] == [(64, 97), (9, 9), (2, 2)]
+    assert np.concatenate([band.rows for band in bands]).tolist() == \
+        list(range(64)) + list(range(75, 108)) + list(range(66, 75)) + [64, 65]
     n = pack.n
     rng = np.random.default_rng(4)
     q, k = rng.standard_normal((n, 3)), rng.standard_normal((n, 3))
-    scores = band.band_product(band.chunks(q), band.chunks(k))
-    for bk, s, live in zip(band.buckets, band.views(scores), band.views(band.mask)):
-        rows = band.rows[bk.rows]
+    for band in bands:
+        s = band.band_product(band.chunks(band.rows_of(q)), band.chunks(band.rows_of(k)))
+        live = np.ones(s.shape, bool) if band.mask is None else band.mask
+        rows = band.rows
         for sent in np.unique(pack.sentence[rows]):
             a, m = int(pack.starts[sent]), int(pack.lengths[sent])
             mine = np.isin(rows, np.arange(a, a + m))
@@ -363,7 +365,7 @@ def test_a_band_outlives_its_pack_without_a_cycle(lengths, width):
     # the pack keeps its band; a band that kept its pack would make a
     # cycle, and the pack's arrays would wait for the cycle collector
     pack = Pack(lengths)
-    band = pack.band(width)
+    bands = pack.bands(width)
     ref = weakref.ref(pack)
     was_enabled = gc.isenabled()
     gc.disable()
@@ -373,7 +375,12 @@ def test_a_band_outlives_its_pack_without_a_cycle(lengths, width):
     finally:
         if was_enabled:
             gc.enable()
-    assert band.reduce_rows(np.add, np.ones(band.shape)).shape == (np.sum(lengths), 1)
+    n = np.sum(lengths)
+    rows = [band.rows_of(np.arange(n)) for band in bands]
+    assert sorted(np.concatenate(rows).tolist()) == list(range(n))
+    for band, r in zip(bands, rows):
+        c = band.chunks(np.ones((r.size, 1)))
+        assert band.band_product(c, c).shape == (r.size, band.m)
 
 
 def attention_and_grads(lengths, width):
@@ -397,15 +404,58 @@ def test_a_one_bucket_global_band_is_the_band_of_a_width():
     # Pack([5, 3]) is one length bucket, so its global band is the band
     # of any width at or past its longest sentence
     pack = Pack([5, 3])
-    wide, glob = pack.band(8), pack.band(None)
-    assert wide is not glob and wide.shape == glob.shape == (8, 5)
+    [wide], [glob] = pack.bands(8), pack.bands(None)
+    assert wide is not glob and wide.m == glob.m == 5
     assert np.array_equal(wide.mask, glob.mask)
     assert np.array_equal(wide.bias_index(3), glob.bias_index(3))
     a = np.arange(16.0).reshape(8, 2)
-    for x, y in zip(wide.chunks(a), glob.chunks(a)):
-        assert np.array_equal(x, y)
+    x, y = wide.chunks(a), glob.chunks(a)
+    assert np.array_equal(x, y)
+    assert wide.band_product(x, x).shape == glob.band_product(y, y).shape == (8, 5)
     for x, y in zip(attention_and_grads([5, 3], 8), attention_and_grads([5, 3], None)):
         assert x.tobytes() == y.tobytes()
+
+
+def attention_of(arrays, upstream, attn_fn, pack):
+    """band_attention's out, scores, weights and six gradients over pack,
+    its inputs the arrays and its output's gradient upstream."""
+    ins = [ad.Tensor(a, requires_grad=True) for a in arrays]
+    tape = ad.Tape()
+    out, scores, weights = ad.band_attention(tape, *ins, 0.5, None, attn_fn, pack)
+    grads = ad.backward(tape, ad.sum_all(tape, ad.mul(tape, out, ad.Tensor(upstream))))
+    return out.data, scores, weights, [grads.get(t.id) for t in ins]
+
+
+@pytest.mark.parametrize("attn_fn", ["softmax", "laplace", "reduced_laplace"])
+@pytest.mark.parametrize("lengths", [[64, 2, 9, 33], [17, 34, 68, 136]])
+def test_each_global_bucket_runs_as_its_sentences_alone(lengths, attn_fn):
+    # each length bucket's rows, bands and row gradients have the bits of
+    # its sentences run as a pack of their own; the gradients of the
+    # shared inputs are the buckets' summed
+    rng = np.random.default_rng(6)
+    pack, n = Pack(lengths), sum(lengths)
+    arrays = [rng.uniform(-0.2, 0.2, (n, 4)), rng.uniform(-1.0, 1.0, (n, 4)),
+              rng.uniform(-1.0, 1.0, (n, 6)), rng.uniform(0.5, 1.0, 7),
+              np.float64(0.3), np.float64(-0.8)]
+    upstream = rng.standard_normal((n, 6))
+    out, scores, weights, grads = attention_of(arrays, upstream, attn_fn, pack)
+    groups = length_buckets(pack.lengths)
+    assert len(scores) == len(weights) == len(groups) > 1
+    shared = [0.0, 0.0, 0.0]
+    for g, s, w in zip(groups, scores, weights):
+        rows = np.flatnonzero(np.isin(pack.sentence, g))
+        alone = attention_of([a[rows] for a in arrays[:3]] + arrays[3:], upstream[rows],
+                             attn_fn, Pack([lengths[b] for b in g]))
+        assert out[rows].tobytes() == alone[0].tobytes()
+        assert s.tobytes() == alone[1].tobytes() and w.tobytes() == alone[2].tobytes()
+        for got, want in zip(grads[:3], alone[3][:3]):
+            assert got[rows].tobytes() == want.tobytes()
+        shared = [None if x is None else t + x for t, x in zip(shared, alone[3][3:])]
+    # mu and sigma_raw do not enter a softmax
+    assert [x is None for x in shared] == [False] + [attn_fn == "softmax"] * 2
+    for got, want in zip(grads[3:], shared):
+        assert (got is None) == (want is None)
+        assert want is None or np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
 def global_attention_peak(lengths):

@@ -10,7 +10,7 @@ import pytest
 from hreb import autodiff as ad
 from hreb import residual, training
 from hreb.config import RunConfig
-from hreb.data import Corpus, Vocab, make_batches, synth_corpus
+from hreb.data import Corpus, Sentence, Vocab, make_batches, synth_corpus
 from hreb.errors import ConfigError, NumericsError
 from hreb.model import HrebModel
 from hreb.optim import AdamState
@@ -154,7 +154,8 @@ def test_divergence_aborts_and_keeps_best_weights(monkeypatch):
     assert result.diverged
     assert result.stop_reason == "diverged"
     assert len(result.history) == 2
-    assert result.lines[-1] == "diverged at epoch 3: non-finite training loss"
+    assert result.lines[-1] == ("diverged at epoch 3 in a training batch: "
+                                "non-finite training loss")
     for p in result.model.params():
         assert not np.any(np.isnan(p.data))
         assert np.array_equal(p.data, result.best_state["params"][p.name])
@@ -187,8 +188,35 @@ def test_degenerate_attention_abort_has_its_own_stop_reason(monkeypatch):
     assert result.stop_reason == "degenerate_attention"
     assert result.summary()["stop_reason"] == "degenerate_attention"
     assert len(result.history) == 1
-    assert result.lines[-1] == ("diverged at epoch 2: "
-                                "row 0 sums to -1.0; cannot normalize")
+    assert result.lines[-1] == ("diverged at epoch 2 in a training batch: "
+                                "enc.local: row 0 sums to -1.0; cannot normalize")
+
+
+def test_an_abort_names_its_block_and_its_pass(monkeypatch):
+    # the global block's rows fail on every tape once training is done,
+    # so dev scoring hits it
+    from hreb import autodiff as ad
+    from hreb.errors import DegenerateRowError
+
+    real, trained = ad.band_attention, []
+    real_pass = training._epoch_pass
+
+    def train_then_fail(*args, **kw):
+        loss = real_pass(*args, **kw)
+        trained.append(True)
+        return loss
+
+    def degenerate(tape, *args):
+        if trained and args[-3] is None:
+            raise DegenerateRowError("row 0 sums to -1.0; cannot normalize")
+        return real(tape, *args)
+
+    monkeypatch.setattr(training, "_epoch_pass", train_then_fail)
+    monkeypatch.setattr(ad, "band_attention", degenerate)
+    result = training.train(tiny_config(max_epochs=3), tiny_corpus())
+    assert result.stop_reason == "degenerate_attention" and not result.history
+    assert result.lines == ["diverged at epoch 1 in dev scoring: "
+                            "enc.global: row 0 sums to -1.0; cannot normalize"]
 
 
 def test_duplicate_parameter_names_are_refused():
@@ -467,3 +495,23 @@ def test_standard_silu_trains_past_its_first_epoch():
         synth_corpus(0, 48, 3))
     assert result.stop_reason != "degenerate_attention", result.lines[-1]
     assert result.history
+
+
+def with_train_sentence(corpus, i, tags):
+    """corpus with train sentence i's tags replaced by tags."""
+    train = list(corpus.train)
+    train[i] = Sentence(train[i].tokens[:len(tags)], tags)
+    return Corpus(train, corpus.dev, corpus.test)
+
+
+def test_strict_transitions_refuse_an_ill_formed_gold_sentence_up_front():
+    # the strict mask scores `O I-T0` at -inf: the run used to diverge in
+    # its first epoch on a non-finite crf_path_score
+    corpus = with_train_sentence(tiny_corpus(), 3, ["O", "I-T0", "O"])
+    with pytest.raises(ConfigError, match=r"^strict_transitions: train sentence 3: "
+                                          r"position 1: 'I-T0' does not continue a T0 span"):
+        training.train(tiny_config(strict_transitions=True), corpus)
+    # the mask is only the CRF head's, and off by default
+    for cfg in (tiny_config(strict_transitions=True, loss_head="token", max_epochs=1),
+                tiny_config(max_epochs=1)):
+        assert not training.train(cfg, corpus).diverged
