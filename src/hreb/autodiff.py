@@ -632,11 +632,12 @@ def bilstm_seq(tape, x, w_f, u_f, b_f, w_b, u_b, b_b, pack):
 
 
 def split_transitions(trans_data, n_classes, extra_mask=None):
-    """(core, start, stop) views of a (C+2, C+2) transition table.
+    """(core, start, stop) writable views of a (C+2, C+2) transition table,
+    the one statement of its layout.
 
     core[i, j] scores class i -> class j, start[j] leaving the start state
     (row C) into j, stop[i] leaving i into the stop state (column C+1).
-    extra_mask, if given, is added to the table first.
+    extra_mask, if given, is added to the table first; the views see that sum.
     """
     t = trans_data if extra_mask is None else trans_data + extra_mask
     c = n_classes
@@ -646,24 +647,21 @@ def split_transitions(trans_data, n_classes, extra_mask=None):
 def crf_log_z(tape, emissions, trans, n_classes, extra_mask=None, *, pack):
     """Log partition of a linear-chain CRF, per sentence of a pack.
 
-    trans is (C+2, C+2) with the start state at row C and the stop state at
-    column C+1; entries into start and out of stop are never read.
-    extra_mask, if given, is added to the transition table before the scan
-    (use -inf entries to forbid transitions without touching the parameters).
-    Each sentence of a pack starts and stops at its own ends.
+    trans is the (C+2, C+2) table that split_transitions reads. extra_mask,
+    if given, is added to it before the scan (use -inf entries to forbid
+    transitions without touching the parameters). Each sentence of a pack
+    starts and stops at its own ends.
     """
     core, start, stop = split_transitions(trans.data, n_classes, extra_mask)
     steps = pack.padded(emissions.data)
     log_z, alpha = kernels.crf_forward(steps, core, start, stop, pack.lengths)
-    c = n_classes
 
     def bw(g):
-        demis, dcore, dstart, dstop = kernels.crf_backward(
+        demis, *grads = kernels.crf_backward(
             steps, core, stop, alpha, log_z, np.reshape(g, pack.b), pack.lengths)
         dt = np.zeros_like(trans.data)
-        dt[:c, :c] = dcore
-        dt[c, :c] = dstart
-        dt[:c, c + 1] = dstop
+        for view, grad in zip(split_transitions(dt, n_classes), grads):
+            view[...] = grad
         return pack.unpadded(demis), dt
     return record_op(tape, "crf_log_z", (emissions, trans),
                      pack.per_sentence(log_z), bw)
@@ -687,7 +685,6 @@ def crf_path_score(tape, emissions, trans, path, n_classes, extra_mask=None,
     rows = emissions.data[np.arange(n), path]
     rows[nxt] += core[path[nxt - 1], path[nxt]]
     s = start[first] + stop[last] + pack.sums(rows)
-    c = n_classes
 
     def bw(g):
         g = np.reshape(g, pack.b)
@@ -695,9 +692,10 @@ def crf_path_score(tape, emissions, trans, path, n_classes, extra_mask=None,
         demis = np.zeros_like(emissions.data)
         demis[np.arange(n), path] = per_row
         dt = np.zeros_like(trans.data)
-        np.add.at(dt, (c, first), g)
-        np.add.at(dt, (last, c + 1), g)
-        np.add.at(dt, (path[nxt - 1], path[nxt]), per_row[nxt])
+        dcore, dstart, dstop = split_transitions(dt, n_classes)
+        np.add.at(dstart, first, g)
+        np.add.at(dstop, last, g)
+        np.add.at(dcore, (path[nxt - 1], path[nxt]), per_row[nxt])
         return demis, dt
     return record_op(tape, "crf_path_score", (emissions, trans),
                      pack.per_sentence(s), bw)

@@ -135,7 +135,7 @@ def cmd_inspect(args):
     tags = [model.vocab.tags[i] for i in path]
     print("tokens " + " ".join(tokens))
     print("tags " + " ".join(tags))
-    for start, end, kind in decode_spans(tags, "lenient"):
+    for start, end, kind in decode_spans(tags):
         print(f"span {start} {end} {kind}")
     return EXIT_OK
 

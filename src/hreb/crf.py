@@ -1,8 +1,8 @@
 """Linear-chain CRF scoring, partition and decoding.
 
-The transition table covers C tag classes plus synthetic start/stop states
-(row C = leaving start, column C+1 = entering stop). Entries into start and
-out of stop are -inf and never receive gradient; everything else is learned.
+The transition table covers C tag classes plus synthetic start/stop states,
+laid out as autodiff.split_transitions reads it. Entries into start and out
+of stop are -inf and never receive gradient; everything else is learned.
 The CRF-less ablation (loss_head=token) is this CRF with every other
 transition held at zero: log Z then splits into one log-sum-exp per
 position, so crf_nll is the per-token softmax cross entropy and viterbi a
@@ -17,41 +17,45 @@ from .errors import NumericsError
 
 
 class CrfParams(ad.Module):
-    """Transition parameters over C classes plus start/stop."""
+    """Transition parameters over C classes plus start/stop. Given the C tag
+    names as strict_tags, strict_mask is build_strict_mask(strict_tags)."""
 
-    def __init__(self, n_classes, tags=None, strict=False):
+    def __init__(self, n_classes, strict_tags=None):
         super().__init__("crf.")
         self.n_classes = n_classes
-        self.start = n_classes
-        self.stop = n_classes + 1
         data = np.zeros((n_classes + 2, n_classes + 2))
-        data[:, self.start] = -np.inf
-        data[self.stop, :] = -np.inf
+        data[:, n_classes] = -np.inf  # into start
+        data[n_classes + 1, :] = -np.inf  # out of stop
         self.trans = self.param("trans", data)
-        self.strict_mask = None
-        if strict:
-            if tags is None:
-                raise ValueError("strict transition masking needs the tag names")
-            self.strict_mask = build_strict_mask(tags)
+        self.strict_mask = (None if strict_tags is None
+                            else build_strict_mask(strict_tags))
 
 
 def build_strict_mask(tags):
     """Additive mask forbidding label bigrams that break BIO well-formedness.
 
-    I-X may only follow B-X or I-X; every other entry is left at zero.
+    I-X may only follow B-X or I-X, never start; every other entry is left
+    at zero.
     """
     c = len(tags)
     mask = np.zeros((c + 2, c + 2))
+    core, start, _ = ad.split_transitions(mask, c)
     for j, tag in enumerate(tags):
-        if not tag.startswith("I-"):
-            continue
-        body = tag[2:]
-        legal = {"B-" + body, "I-" + body}
-        for i, prev in enumerate(tags):
-            if prev not in legal:
-                mask[i, j] = -np.inf
-        mask[c, j] = -np.inf  # start cannot enter a continuation
+        if tag.startswith("I-"):
+            core[[prev not in ("B" + tag[1:], tag) for prev in tags], j] = -np.inf
+            start[j] = -np.inf
     return mask
+
+
+def forbidden_step(params, path):
+    """The first position of a tag-id path that params' strict mask forbids
+    entering (from start or from the tag before), else None: exactly the
+    paths the mask scores -inf."""
+    core, start, _ = ad.split_transitions(params.strict_mask, params.n_classes)
+    for t, j in enumerate(path):
+        if (start[j] if t == 0 else core[path[t - 1], j]) == -np.inf:
+            return t
+    return None
 
 
 def sequence_score(tape, emissions, tags, params, pack):

@@ -149,15 +149,13 @@ def write_conll(path, sentences):
             fh.write("\n")
 
 
-def decode_spans(tags, mode="strict"):
+def decode_spans(tags):
     """Turn a BIO tag sequence into (start, end, type) spans.
 
-    A span is a maximal B-X (I-X)* run, end exclusive. In lenient mode a
-    stray I-X (one not continuing a same-type span) opens a new span, the
-    conlleval repair convention; strict mode raises instead.
+    A span is a maximal B-X (I-X)* run, end exclusive. A stray I-X (one not
+    continuing a same-type span) opens a new span, the conlleval repair
+    convention; a tag that is not BIO raises.
     """
-    if mode not in ("strict", "lenient"):
-        raise ValueError(f"unknown decode mode {mode!r}")
     spans = []
     start = None
     kind = None
@@ -177,9 +175,6 @@ def decode_spans(tags, mode="strict"):
         else:
             if start is not None and kind == body:
                 continue
-            if mode == "strict":
-                raise ValueError(
-                    f"position {i}: {tag!r} does not continue a {body} span")
             if start is not None:
                 spans.append((start, i, kind))
             start, kind = i, body
@@ -307,7 +302,7 @@ def synth_corpus(seed, n_sentences=64, entity_types=3):
 
     Generates n_sentences train, n_sentences//4 dev, and n_sentences test
     sentences from one seeded stream. Tags are exact by construction and
-    always strict-decodable.
+    always well-formed BIO.
     """
     if entity_types < 1:
         raise ValueError("need at least one entity type")

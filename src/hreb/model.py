@@ -57,8 +57,8 @@ class HrebModel(ad.Module):
         # loss_head=token is this CRF with its transitions held at zero:
         # not registered, so never trained or saved, and never masked
         crf_head = config.loss_head == "crf"
-        self.crf = crf_mod.CrfParams(n_classes, tags=vocab.tags,
-                                     strict=config.strict_transitions and crf_head)
+        self.crf = crf_mod.CrfParams(
+            n_classes, vocab.tags if config.strict_transitions and crf_head else None)
         if crf_head:
             self.sub(self.crf)
         self._params = super().params()

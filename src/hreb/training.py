@@ -3,7 +3,7 @@
 import itertools
 
 from . import autodiff as ad
-from . import residual
+from . import crf, residual
 from .config import RunConfig
 from .data import Vocab, decode_spans, make_batches, span_prf
 from .errors import ConfigError, DegenerateRowError, NumericsError
@@ -20,8 +20,8 @@ def evaluate(model, sentences):
     quirks score instead of crashing.
     """
     pred = model.tag_sentences([s.tokens for s in sentences])
-    return span_prf([decode_spans(s.tags, "lenient") for s in sentences],
-                    [decode_spans(tags, "lenient") for tags in pred])
+    return span_prf([decode_spans(s.tags) for s in sentences],
+                    [decode_spans(tags) for tags in pred])
 
 
 def snapshot(model):
@@ -107,21 +107,21 @@ def train(config, corpus, log=None, vectors=None):
     abort's line says whether a training batch or dev scoring hit it.
     Validation scores the dev split, else test, else train; an empty train
     split is a ConfigError, and so is, when the CRF head masks invalid BIO
-    transitions, a train sentence (counted from 0) whose gold tags break
-    BIO, as decode_spans' strict mode reads them: its path would score
-    -inf. A zero learning rate turns every step into a no-op. vectors go
+    transitions, a train sentence (counted from 0) whose gold path steps
+    where the mask forbids (crf.forbidden_step): it would score -inf.
+    A zero learning rate turns every step into a no-op. vectors go
     to HrebModel.
     """
     if not corpus.train:
         raise ConfigError("the train split is empty: nothing to train on")
-    if config.strict_transitions and config.loss_head == "crf":
-        for i, s in enumerate(corpus.train):
-            try:
-                decode_spans(s.tags, "strict")
-            except ValueError as e:
-                raise ConfigError(f"strict_transitions: train sentence {i}: {e}") from None
     vocab = Vocab.from_corpus(corpus)
     model = HrebModel(config, vocab, vectors)
+    if model.crf.strict_mask is not None:
+        for i, s in enumerate(corpus.train):
+            t = crf.forbidden_step(model.crf, vocab.encode_tags(s.tags))
+            if t is not None:  # the mask forbids only entering an I-X
+                raise ConfigError(f"strict_transitions: train sentence {i}: position {t}: "
+                                  f"{s.tags[t]!r} does not continue a {s.tags[t][2:]} span")
     names = model.param_names()
     if len(set(names)) != len(names):
         raise RuntimeError("duplicate parameter names: checkpointing would alias")

@@ -67,9 +67,9 @@ def op_grad_cases():
         return lambda rng: rng.uniform(lo, hi, shape)
 
     def crf_trans(rng):
-        t = rng.standard_normal((n_classes + 2, n_classes + 2))
-        t[:, n_classes] = -np.inf
-        t[n_classes + 1, :] = -np.inf
+        t = crf_mod.CrfParams(n_classes).trans.data
+        finite = np.isfinite(t)
+        t[finite] = rng.standard_normal(t.shape)[finite]
         return t
 
     # band offsets run from -1 to 1: every bucket of a width-1 bias. At
@@ -238,9 +238,8 @@ def _random_crf(rng):
     c = int(rng.integers(1, 5))
     emissions = rng.standard_normal((n, c))
     params = crf_mod.CrfParams(c)
-    params.trans.data[:c, :c] = rng.standard_normal((c, c))
-    params.trans.data[c, :c] = rng.standard_normal(c)
-    params.trans.data[:c, c + 1] = rng.standard_normal(c)
+    for view in ad.split_transitions(params.trans.data, c):
+        view[...] = rng.standard_normal(view.shape)
     return emissions, params
 
 
@@ -284,13 +283,13 @@ def crf_suite(seed=0):
         e = ad.Tensor(emissions, requires_grad=True, name="e")
         lz = crf_mod.log_partition(tape, e, params, one(len(emissions)))
         grads = ad.backward(tape, lz)
-        c = params.n_classes
-        dt = grads[params.trans.id]
+        dcore, dstart, dstop = ad.split_transitions(grads[params.trans.id],
+                                                    params.n_classes)
         worst_m = max(worst_m,
                       float(np.abs(grads[e.id] - unary).max()),
-                      float(np.abs(dt[:c, :c] - pair).max()),
-                      float(np.abs(dt[c, :c] - first).max()),
-                      float(np.abs(dt[:c, c + 1] - last).max()))
+                      float(np.abs(dcore - pair).max()),
+                      float(np.abs(dstart - first).max()),
+                      float(np.abs(dstop - last).max()))
     results.append(CheckResult(
         "crf marginals vs enumeration", worst_m <= 1e-8,
         f"max marginal err {worst_m:.3g} over 30 instances (tol 1e-08)"))

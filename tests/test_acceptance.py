@@ -37,9 +37,8 @@ def random_crf(rng, n_max=6, c_max=4):
     c = int(rng.integers(1, c_max + 1))
     emissions = rng.standard_normal((n, c))
     params = crf_mod.CrfParams(c)
-    params.trans.data[:c, :c] = rng.standard_normal((c, c))
-    params.trans.data[c, :c] = rng.standard_normal(c)
-    params.trans.data[:c, c + 1] = rng.standard_normal(c)
+    for view in ad.split_transitions(params.trans.data, c):
+        view[...] = rng.standard_normal(view.shape)
     return emissions, params
 
 
@@ -51,9 +50,7 @@ def crf_paths_brute(emissions, trans, n_classes):
     does: minimize the last position first.
     """
     n, c = emissions.shape
-    core = trans[:c, :c]
-    start = trans[c, :c]
-    stop = trans[:c, c + 1]
+    core, start, stop = ad.split_transitions(trans, c)
     paths = np.array(list(itertools.product(range(c), repeat=n)),
                      dtype=np.int64)[:, ::-1]
     scores = emissions[np.arange(n), paths].sum(axis=1)

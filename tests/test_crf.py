@@ -1,5 +1,6 @@
 """CRF scoring, decoding, strict transitions, and the ablation losses."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,15 +13,7 @@ from hreb.config import RunConfig
 from hreb.data import Vocab, synth_corpus
 from hreb.errors import NumericsError
 from hreb.model import HrebModel
-from hreb.pack import one
-
-
-def split_trans(params):
-    t = params.trans.data
-    if params.strict_mask is not None:
-        t = t + params.strict_mask
-    c = params.n_classes
-    return t[:c, :c], t[c, :c], t[:c, c + 1]
+from hreb.pack import Pack, one
 
 
 def random_params(rng, c):
@@ -35,34 +28,31 @@ def test_transition_storage_boundaries():
     p = crf.CrfParams(3)
     d = p.trans.data
     assert d.shape == (5, 5)
-    assert np.all(np.isneginf(d[:, p.start]))  # nothing re-enters start
-    assert np.all(np.isneginf(d[p.stop, :]))  # nothing leaves stop
-    live = np.ones((5, 5), dtype=bool)
-    live[:, p.start] = False
-    live[p.stop, :] = False
+    live = np.zeros((5, 5), dtype=bool)
+    for view in ad.split_transitions(live, 3):
+        view[...] = True
     assert np.all(d[live] == 0.0)
+    # the dead entries, row by row: the nine into start (column 3) or out of
+    # stop (row 4) are -inf; start -> stop, which no path reads, is 0
+    assert np.array_equal(d[~live], [-np.inf] * 4 + [0.0] + [-np.inf] * 5)
     assert p.params() == [p.trans]
 
 
 def test_strict_mask_structure():
     tags = ["O", "B-A", "I-A", "B-B", "I-B"]
     m = crf.build_strict_mask(tags)
+    core, start, _ = ad.split_transitions(m, len(tags))
     ia, ib = tags.index("I-A"), tags.index("I-B")
     # I-A reachable only from B-A / I-A
     for i, prev in enumerate(tags):
         want_blocked = prev not in ("B-A", "I-A")
-        assert np.isneginf(m[i, ia]) == want_blocked
-    assert np.isneginf(m[len(tags), ia])  # start cannot open a continuation
-    assert np.isneginf(m[0, ib])
+        assert np.isneginf(core[i, ia]) == want_blocked
+    assert np.isneginf(start[ia])  # start cannot open a continuation
+    assert np.isneginf(core[0, ib])
     # non-continuation columns are untouched
     for j, tag in enumerate(tags):
         if not tag.startswith("I-"):
             assert np.all(m[:, j] == 0.0)
-
-
-def test_strict_needs_tag_names():
-    with pytest.raises(ValueError):
-        crf.CrfParams(3, strict=True)
 
 
 def test_uniform_potentials_give_log_path_count():
@@ -80,7 +70,7 @@ def test_log_partition_and_viterbi_match_enumeration():
         n = int(rng.integers(1, 6))
         p = random_params(rng, c)
         emissions = rng.standard_normal((n, c))
-        core, start, stop = split_trans(p)
+        core, start, stop = ad.split_transitions(p.trans.data, c)
         want_lz, want_path, want_score = oracles.crf_enumerate(
             emissions, core, start, stop)
         lz = crf.log_partition(None, ad.Tensor(emissions), p, one(n))
@@ -103,7 +93,7 @@ def test_sequence_score_is_the_path_sum():
     p = random_params(rng, c)
     emissions = rng.standard_normal((n, c))
     tags = rng.integers(0, c, n)
-    core, start, stop = split_trans(p)
+    core, start, stop = ad.split_transitions(p.trans.data, c)
     want = start[tags[0]] + emissions[0, tags[0]]
     for t in range(1, n):
         want += core[tags[t - 1], tags[t]] + emissions[t, tags[t]]
@@ -141,25 +131,23 @@ def test_emission_row_shift_leaves_nll_unchanged():
 
 
 def test_strict_decoding_never_emits_orphan_continuations():
-    from hreb.data import decode_spans
-
     tags = ["O", "B-A", "I-A", "B-B", "I-B"]
     rng = np.random.default_rng(4)
-    p = crf.CrfParams(len(tags), tags=tags, strict=True)
+    p = crf.CrfParams(len(tags), strict_tags=tags)
     live = np.isfinite(p.trans.data)
     p.trans.data[live] = rng.standard_normal(int(live.sum()))
     for _ in range(25):
         emissions = rng.standard_normal((int(rng.integers(1, 8)), len(tags))) * 3
         path, _ = crf.viterbi(emissions, p)
-        decode_spans([tags[i] for i in path], mode="strict")  # must not raise
+        assert crf.forbidden_step(p, path) is None
 
 
 def test_strict_partition_drops_illegal_paths():
     tags = ["O", "B-A", "I-A"]
     rng = np.random.default_rng(5)
-    strict = crf.CrfParams(len(tags), tags=tags, strict=True)
+    strict = crf.CrfParams(len(tags), strict_tags=tags)
     emissions = rng.standard_normal((4, 3))
-    core, start, stop = split_trans(strict)
+    core, start, stop = ad.split_transitions(strict.trans.data, 3, strict.strict_mask)
     want_lz, _, _ = oracles.crf_enumerate(emissions, core, start, stop)
     lz = crf.log_partition(None, ad.Tensor(emissions), strict, one(4))
     assert abs(float(lz.data) - want_lz) < 1e-8
@@ -169,8 +157,57 @@ def test_strict_partition_drops_illegal_paths():
     assert float(lz.data) < float(lz_loose.data)
 
 
+def test_forbidden_step_flags_exactly_the_paths_the_strict_mask_scores_minus_inf():
+    # the two statements of BIO legality, the refusal of a gold path and
+    # the mask's -inf score, cannot drift apart
+    tags = ["O", "B-A", "I-A", "B-B", "I-B"]
+    p = crf.CrfParams(len(tags), strict_tags=tags)
+
+    def minus_inf(path):
+        e = ad.Tensor(np.zeros((len(path), len(tags))))
+        try:
+            ad.crf_path_score(None, e, p.trans, path, p.n_classes, p.strict_mask)
+        except NumericsError:
+            return True
+        return False
+
+    flagged = 0
+    for n in range(1, 5):
+        for path in itertools.product(range(len(tags)), repeat=n):
+            t = crf.forbidden_step(p, path)
+            assert (t is not None) == minus_inf(path), path
+            if t is not None:  # and t is the first forbidden step
+                assert minus_inf(path[:t + 1])
+                assert t == 0 or not minus_inf(path[:t])
+                flagged += 1
+    assert 0 < flagged < 5 + 5 ** 2 + 5 ** 3 + 5 ** 4
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_crf_nll_moves_no_dead_or_masked_transition(strict):
+    # so Adam, whose step is 0 where every gradient was, never moves them
+    tags = ["O", "B-A", "I-A", "B-B", "I-B"]
+    rng = np.random.default_rng(7)
+    p = crf.CrfParams(len(tags), strict_tags=tags if strict else None)
+    live = np.isfinite(p.trans.data)
+    p.trans.data[live] = rng.standard_normal(int(live.sum()))
+    pack = Pack([3, 1, 4])
+    gold = np.array([1, 2, 0, 3, 0, 3, 4, 4])  # BIO-legal in each sentence
+    e = ad.Tensor(rng.standard_normal((pack.n, len(tags))), requires_grad=True)
+    tape = ad.Tape()
+    loss = ad.sum_all(tape, crf.crf_nll(tape, e, gold, p, pack))
+    dt = ad.backward(tape, loss)[p.trans.id]
+    read = np.zeros(dt.shape, dtype=bool)
+    for view in ad.split_transitions(read, len(tags)):
+        view[...] = True
+    masked = np.isneginf(p.strict_mask) if strict else np.zeros_like(read)
+    assert np.all(dt[~read] == 0.0)
+    assert np.all(dt[masked] == 0.0)
+    assert np.all(dt[read & ~masked] != 0.0)  # every entry a path takes moves
+
+
 def test_no_admissible_path_raises():
-    p = crf.CrfParams(1, tags=["I-A"], strict=True)
+    p = crf.CrfParams(1, strict_tags=["I-A"])
     with pytest.raises(NumericsError):
         crf.viterbi(np.zeros((2, 1)), p)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hreb import data
+from hreb import crf, data
 from hreb.data import Corpus, Sentence, Vocab
 from hreb.errors import ConfigError
 
@@ -85,17 +85,12 @@ def test_decode_spans_maximal_runs():
 
 
 def test_decode_spans_type_change_splits_span():
-    spans = data.decode_spans(["B-A", "I-B"], mode="lenient")
+    spans = data.decode_spans(["B-A", "I-B"])
     assert spans == [(0, 1, "A"), (1, 2, "B")]
-    with pytest.raises(ValueError):
-        data.decode_spans(["B-A", "I-B"], mode="strict")
 
 
 def test_decode_spans_lenient_promotes_stray_continuation():
-    assert data.decode_spans(["I-A", "I-A", "O"], mode="lenient") == [(0, 2, "A")]
-    with pytest.raises(ValueError) as e:
-        data.decode_spans(["O", "I-A"], mode="strict")
-    assert "position 1" in str(e.value)
+    assert data.decode_spans(["I-A", "I-A", "O"]) == [(0, 2, "A")]
 
 
 def test_decode_spans_rejects_malformed_tags():
@@ -103,8 +98,6 @@ def test_decode_spans_rejects_malformed_tags():
         data.decode_spans(["B"])
     with pytest.raises(ValueError):
         data.decode_spans(["X-A"])
-    with pytest.raises(ValueError):
-        data.decode_spans(["O"], mode="fast")
 
 
 def test_span_prf_counts_exact_matches_only():
@@ -189,10 +182,13 @@ def test_synth_corpus_is_deterministic_and_well_formed():
     c2 = data.synth_corpus(3, n_sentences=16, entity_types=2)
     assert c1.train == c2.train and c1.dev == c2.dev and c1.test == c2.test
     assert len(c1.train) == 16 and len(c1.dev) == 4 and len(c1.test) == 16
+    vocab = Vocab.from_corpus(c1)
+    bio = crf.CrfParams(vocab.n_classes, strict_tags=vocab.tags)
     kinds = set()
     for split in c1.splits().values():
         for s in split:
-            for start, end, kind in data.decode_spans(s.tags, mode="strict"):
+            assert crf.forbidden_step(bio, vocab.encode_tags(s.tags)) is None
+            for start, end, kind in data.decode_spans(s.tags):
                 kinds.add(kind)
                 assert 2 <= end - start <= 4
     assert kinds == {"T0", "T1"}

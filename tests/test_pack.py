@@ -62,11 +62,8 @@ def small_model(**kw):
             p.data = rng.normal(0.0, 0.3, p.data.shape)
     if kw.get("loss_head") == "token":
         return model, corpus  # the token head's transitions stay at zero
-    crf = model.crf.trans.data
-    c = model.vocab.n_classes
-    crf[:c, :c] = rng.normal(0.0, 0.5, (c, c))
-    crf[c, :c] = rng.normal(0.0, 0.5, c)
-    crf[:c, c + 1] = rng.normal(0.0, 0.5, c)
+    for view in ad.split_transitions(model.crf.trans.data, model.crf.n_classes):
+        view[...] = rng.normal(0.0, 0.5, view.shape)
     return model, corpus
 
 
